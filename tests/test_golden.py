@@ -1,0 +1,76 @@
+"""Golden hashes of the toy model's numerical outputs.
+
+Refactors of the model code must keep training logs, logits, freeze
+reports and gradient audits bit-identical. These SHA-256 digests pin
+them for float64 on the reference numpy/OpenBLAS build; a different BLAS
+may round matrix products differently and then needs its own digests,
+taken from a commit whose outputs are known good.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from adapterqa.ablation import apply_ablation, grid_ablation_plan
+from adapterqa.adapters import AdapterSet, ModelDims
+from adapterqa.toymodel import (
+    ToyConfig,
+    TrainConfig,
+    build_toy_model,
+    freeze_report,
+    grad_check,
+    make_copy_task,
+    train_adapters,
+)
+
+TRAIN_STEPS = 25
+
+# (train log, final logits) per optimizer.
+GOLDEN_TRAIN = {
+    "adam": ("600b27283e0ee716f250faf0bafb053aeea79ba1753a6bc328fcfdaef8960f82",
+             "8c3c4d15d1cd28d2790e98a8a08784363b0b5349d6f51af9ddc999f75e1ac987"),
+    "sgd": ("f5738a978be7e1aeccccd6a483be7ab40f9954adab434de08665667627675748",
+            "bbf35f1fadb99033fd19806c0ad198ada189073144f24708fb2f94c66833a788"),
+}
+GOLDEN_FREEZE_REPORT = "f193937031e14c805a97427994b042f2ec72f9af30528be90678b92605c80177"
+GOLDEN_GRAD_CHECK = "02e698766a4bf75ba487c6db9541450b604157e25fb3f8d123841125b49a57eb"
+
+
+def sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_copy_task_train_log_and_logits_are_pinned(optimizer):
+    cfg = ToyConfig()
+    model = build_toy_model(cfg)
+    source, target = make_copy_task(vocab_size=cfg.vocab_size, seed=cfg.seed)
+    log = train_adapters(model, source, target,
+                         TrainConfig(steps=TRAIN_STEPS, optimizer=optimizer))
+    _, logits = model.forward(source, target)
+    log_hash = sha256_json(log.to_json_dict())
+    logits_hash = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+    assert (log_hash, logits_hash) == GOLDEN_TRAIN[optimizer]
+
+
+def test_freeze_report_is_pinned():
+    report = freeze_report(build_toy_model(ToyConfig()))
+    assert sha256_json(report.to_json_dict()) == GOLDEN_FREEZE_REPORT
+
+
+def test_grad_check_on_toy_grid_row_is_pinned():
+    dims = ModelDims(d_model=8, bottleneck=2, n_encoder_layers=4, n_decoder_layers=4)
+    row = grid_ablation_plan(dims)[0]
+    cfg = ToyConfig(d_model=8, bottleneck=2, n_encoder_layers=4, n_decoder_layers=4,
+                    n_heads=2, vocab_size=16, max_len=8, seed=6,
+                    adapter_set=apply_ablation(AdapterSet.full(dims), row))
+    model = build_toy_model(cfg)
+    model.randomize_adapters(seed=7)
+    rng = np.random.default_rng(8)
+    source = rng.integers(2, cfg.vocab_size, size=(2, 4))
+    target = rng.integers(2, cfg.vocab_size, size=(2, 4))
+    report = grad_check(model, source, target, eps=1e-6)
+    assert report.n_params_checked > 0
+    assert sha256_json(report.to_json_dict()) == GOLDEN_GRAD_CHECK
