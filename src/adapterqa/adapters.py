@@ -182,14 +182,20 @@ class AdapterParams:
 
 
 def adapter_forward(x: np.ndarray, params: AdapterParams) -> np.ndarray:
-    """Residual bottleneck map: x + relu(x @ w_down + b_down) @ w_up + b_up.
+    """Residual bottleneck map: x + (relu(x @ w_down + b_down) @ w_up + b_up).
 
     Accepts a single vector of width d or any batch shaped (..., d).
     """
+    return adapter_activations(x, params)[0]
+
+
+def adapter_activations(x: np.ndarray, params: AdapterParams) -> tuple[np.ndarray, np.ndarray]:
+    """The adapter output together with its rectified bottleneck
+    activation, which a hand-written backward pass needs."""
     x = np.asarray(x)
     if x.shape[-1] != params.d_model:
         raise DimensionMismatch(
             f"input width {x.shape[-1]} does not match adapter width {params.d_model}"
         )
     hidden = np.maximum(x @ params.w_down + params.b_down, 0.0)
-    return x + hidden @ params.w_up + params.b_up
+    return x + (hidden @ params.w_up + params.b_up), hidden

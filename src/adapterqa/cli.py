@@ -106,7 +106,7 @@ def cmd_assemble(args, _cfg: GlobalConfig) -> int:
 
 
 def cmd_eval(args, _cfg: GlobalConfig) -> int:
-    report = metrics_mod.evaluate_predictions(args.pred, args.ref, jobs=args.jobs)
+    report = metrics_mod.evaluate_predictions(args.pred, args.ref)
     payload = json.dumps(report.to_json_dict())
     _write_output(payload + "\n", args.out)
     if args.out is not None:
@@ -135,9 +135,15 @@ def cmd_count_params(args, _cfg: GlobalConfig) -> int:
         obj = _load_json(args.ablation)
         if not isinstance(obj, dict):
             raise SchemaError("ablation config must be a JSON object")
+        removed = {key: obj.get(key, []) for key in ("removed_encoder", "removed_decoder")}
+        for key, indices in removed.items():
+            # type(...) is int: JSON true/false would otherwise pass as layers 1/0.
+            if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+                raise SchemaError(f"'{key}' must be a list of integer layer indices")
+        AdapterSet.of(removed["removed_encoder"], removed["removed_decoder"]).check(dims)
         config = ablation_mod.AblationConfig(
-            removed_encoder=tuple(obj.get("removed_encoder", [])),
-            removed_decoder=tuple(obj.get("removed_decoder", [])),
+            removed_encoder=tuple(removed["removed_encoder"]),
+            removed_decoder=tuple(removed["removed_decoder"]),
             label=obj.get("label", ""),
         )
         active = ablation_mod.apply_ablation(active, config)
@@ -266,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = add_parser("count-params", help="trainable-parameter accounting")
@@ -317,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--max-target-tokens", type=int, default=None)
     p.add_argument("--answer-index", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)  # accepted for interface parity
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prepare)
 
@@ -337,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     cfg = GlobalConfig(seed=args.seed, precision=args.precision)
     try:
         return args.func(args, cfg)
-    except InputError as exc:
+    except (InputError, UnicodeDecodeError) as exc:
+        # Undecodable bytes in an input file are bad input, whichever command reads it.
         print(_error_payload(exc), file=sys.stderr)
         return 2
     except (AdapterQaError, OSError) as exc:

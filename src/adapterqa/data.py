@@ -8,13 +8,13 @@ assembles the prompted input sequence, and applies optional token budgets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .assembly import InputSequence, assemble, truncate
 from .errors import SchemaError
 from .linearize import linearize
-from .tables import HierarchicalTable, validate_table
+from .tables import HierarchicalTable, ValidatedTable, validate_table
 
 MODALITIES = ("table", "text")
 
@@ -27,12 +27,15 @@ class QaRecord:
     answers: list[str]
     passage: str | None = None
     table: HierarchicalTable | None = None
+    # The table's resolved grid, validated once when the record is built.
+    grid: ValidatedTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.passage is None) == (self.table is None):
             raise SchemaError("record must carry exactly one of passage or table")
         if not self.answers:
             raise SchemaError("record must carry at least one answer")
+        self.grid = None if self.table is None else validate_table(self.table)
 
     @property
     def modality(self) -> str:
@@ -42,7 +45,7 @@ class QaRecord:
         """Passage verbatim, or the table flattened to key:value text."""
         if self.passage is not None:
             return self.passage
-        return linearize(self.table).text
+        return linearize(self.grid).text
 
 
 def _record_from_json(obj: object, line: int) -> QaRecord:
@@ -100,8 +103,6 @@ def read_records(path: str | Path, modality: str) -> list[QaRecord]:
                 raise SchemaError(
                     f"expected {modality} context, found {record.modality}", line_no
                 )
-            if record.table is not None:
-                validate_table(record.table)
             records.append(record)
     return records
 
@@ -143,10 +144,10 @@ def compute_stats(records: list[QaRecord]) -> DatasetStats:
             tokens = len(record.passage.split())
             max_context = tokens if max_context is None else max(max_context, tokens)
         else:
-            resolved = validate_table(record.table)
-            rows = resolved.n_header_rows + resolved.n_body_rows
+            grid = record.grid
+            rows = grid.n_header_rows + grid.n_body_rows
             max_rows = rows if max_rows is None else max(max_rows, rows)
-            max_cols = resolved.width if max_cols is None else max(max_cols, resolved.width)
+            max_cols = grid.width if max_cols is None else max(max_cols, grid.width)
     return DatasetStats(
         n_samples=len(records),
         max_question_tokens=max_question,

@@ -96,6 +96,9 @@ def serialize_row_major(table: RegularTable) -> FlattenedTableText:
     )
 
 
-def linearize(table: HierarchicalTable) -> FlattenedTableText:
-    """Full pipeline: validate, flatten headers, expand body, serialize."""
-    return serialize_row_major(expand_body(validate_table(table)))
+def linearize(table: HierarchicalTable | ValidatedTable) -> FlattenedTableText:
+    """Full pipeline: validate (unless already validated), flatten headers,
+    expand body, serialize."""
+    if not isinstance(table, ValidatedTable):
+        table = validate_table(table)
+    return serialize_row_major(expand_body(table))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,11 +198,6 @@ def sacrebleu_corpus(hyps: list[str], refs: list[str]) -> float:
     return bleu_from_stats(matches, totals, hyp_len, ref_len)
 
 
-def _example_rouge(pair: tuple[str, str]) -> tuple[PRF, PRF, PRF]:
-    hyp, ref = pair
-    return rouge_n(hyp, ref, 1), rouge_n(hyp, ref, 2), rouge_l(hyp, ref)
-
-
 def _mean_prf(scores: list[PRF]) -> PRF:
     n = len(scores)
     return PRF(
@@ -213,18 +207,14 @@ def _mean_prf(scores: list[PRF]) -> PRF:
     )
 
 
-def evaluate_pairs(hyps: list[str], refs: list[str], jobs: int = 1) -> MetricReport:
+def evaluate_pairs(hyps: list[str], refs: list[str]) -> MetricReport:
     """Per-example ROUGE means plus corpus BLEU for aligned pairs."""
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} predictions vs {len(refs)} references")
     if not hyps:
         raise EmptyCorpus("evaluation needs at least one example")
-    pairs = list(zip(hyps, refs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_example = list(pool.map(_example_rouge, pairs))
-    else:
-        per_example = [_example_rouge(pair) for pair in pairs]
+    per_example = [(rouge_n(hyp, ref, 1), rouge_n(hyp, ref, 2), rouge_l(hyp, ref))
+                   for hyp, ref in zip(hyps, refs)]
     r1, r2, rl = zip(*per_example)
     return MetricReport(
         rouge1=_mean_prf(list(r1)),
@@ -246,6 +236,6 @@ def _read_lines(path: str | Path) -> list[str]:
     return lines
 
 
-def evaluate_predictions(pred_path: str | Path, ref_path: str | Path, jobs: int = 1) -> MetricReport:
+def evaluate_predictions(pred_path: str | Path, ref_path: str | Path) -> MetricReport:
     """Score line-aligned prediction and reference files."""
-    return evaluate_pairs(_read_lines(pred_path), _read_lines(ref_path), jobs=jobs)
+    return evaluate_pairs(_read_lines(pred_path), _read_lines(ref_path))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSet, ModelDims
+from .adapters import AdapterParams, AdapterSet, ModelDims, adapter_activations
 from .errors import AdapterQaError, InputError
 
 BOS_ID = 1
@@ -79,21 +79,16 @@ class Parameter:
 
 
 class Linear:
-    def __init__(self, name: str, w: np.ndarray, b: np.ndarray, trainable: bool = False):
-        self.w = Parameter(f"{name}.w", w, trainable)
-        self.b = Parameter(f"{name}.b", b, trainable)
-        self._x: np.ndarray | None = None
+    """Frozen affine map; backward yields only the input gradient."""
+
+    def __init__(self, name: str, w: np.ndarray, b: np.ndarray):
+        self.w = Parameter(f"{name}.w", w)
+        self.b = Parameter(f"{name}.b", b)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
         return x @ self.w.value + self.b.value
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        if self.w.trainable:
-            d_in = self._x.shape[-1]
-            d_val = d_out.shape[-1]
-            self.w.grad += self._x.reshape(-1, d_in).T @ d_out.reshape(-1, d_val)
-            self.b.grad += d_out.reshape(-1, d_val).sum(axis=0)
         return d_out @ self.w.value.T
 
     def parameters(self) -> list[Parameter]:
@@ -214,125 +209,133 @@ class FeedForward:
 
 
 class AdapterModule:
-    """Trainable residual bottleneck: x + relu(x@w_down + b_down)@w_up + b_up."""
+    """Trainable residual bottleneck (``adapters.adapter_forward``) with a
+    hand-written backward pass. Its four parameters share memory with the
+    ``AdapterParams`` the forward pass reads."""
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator, dtype):
-        w_down = (rng.standard_normal((d_model, bottleneck)) / math.sqrt(d_model)).astype(dtype)
-        self.down = Linear(f"{name}.down", w_down, np.zeros(bottleneck, dtype=dtype), trainable=True)
-        self.up = Linear(
-            f"{name}.up",
-            np.zeros((bottleneck, d_model), dtype=dtype),
-            np.zeros(d_model, dtype=dtype),
-            trainable=True,
-        )
-        self._mask: np.ndarray | None = None
+        self.params = AdapterParams.near_identity(d_model, bottleneck, rng, dtype)
+        self.w_down = Parameter(f"{name}.down.w", self.params.w_down, trainable=True)
+        self.b_down = Parameter(f"{name}.down.b", self.params.b_down, trainable=True)
+        self.w_up = Parameter(f"{name}.up.w", self.params.w_up, trainable=True)
+        self.b_up = Parameter(f"{name}.up.b", self.params.b_up, trainable=True)
+        self._x: np.ndarray | None = None
+        self._hidden: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        pre = self.down.forward(x)
-        self._mask = pre > 0
-        return x + self.up.forward(np.maximum(pre, 0.0))
+        out, self._hidden = adapter_activations(x, self.params)
+        self._x = x
+        return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_hidden = self.up.backward(d_out) * self._mask
-        return d_out + self.down.backward(d_hidden)
-
-    def randomize(self, rng: np.random.Generator, scale: float = 0.1):
-        """Replace all four tensors with random values (for gradient audits;
-        zero up-projections would hide the down-projection gradients)."""
-        for param in self.parameters():
-            param.value[...] = (rng.standard_normal(param.value.shape) * scale).astype(
-                param.value.dtype
-            )
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.down.parameters(), *self.up.parameters()]
-
-
-class EncoderLayer:
-    def __init__(self, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype):
-        self.attn = Attention(f"{name}.self_attn", cfg.d_model, cfg.n_heads, rng, dtype)
-        self.norm_attn = LayerNorm(f"{name}.norm_attn", cfg.d_model, dtype)
-        self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.resolved_d_ff(), rng, dtype)
-        self.norm_ffn = LayerNorm(f"{name}.norm_ffn", cfg.d_model, dtype)
-        self.adapter_attn: AdapterModule | None = None
-        self.adapter_ffn: AdapterModule | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.norm_attn.forward(x + self.attn.forward(x, x))
-        if self.adapter_attn is not None:
-            h = self.adapter_attn.forward(h)
-        h2 = self.norm_ffn.forward(h + self.ffn.forward(h))
-        if self.adapter_ffn is not None:
-            h2 = self.adapter_ffn.forward(h2)
-        return h2
-
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        if self.adapter_ffn is not None:
-            d_out = self.adapter_ffn.backward(d_out)
-        d_sum = self.norm_ffn.backward(d_out)
-        d_h = d_sum + self.ffn.backward(d_sum)
-        if self.adapter_attn is not None:
-            d_h = self.adapter_attn.backward(d_h)
-        d_res = self.norm_attn.backward(d_h)
-        d_xq, d_xkv = self.attn.backward(d_res)
-        return d_res + d_xq + d_xkv
-
-    def adapters(self) -> list[AdapterModule]:
-        return [a for a in (self.adapter_attn, self.adapter_ffn) if a is not None]
+        x, hidden = self._x, self._hidden
+        flat_d_out = d_out.reshape(-1, d_out.shape[-1])
+        self.w_up.grad += hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
+        self.b_up.grad += flat_d_out.sum(axis=0)
+        d_hidden = (d_out @ self.w_up.value.T) * (hidden > 0)
+        flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
+        self.w_down.grad += x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
+        self.b_down.grad += flat_d_hidden.sum(axis=0)
+        return d_out + d_hidden @ self.w_down.value.T
 
     def parameters(self) -> list[Parameter]:
-        params = [*self.attn.parameters(), *self.norm_attn.parameters(),
-                  *self.ffn.parameters(), *self.norm_ffn.parameters()]
-        for adapter in self.adapters():
-            params.extend(adapter.parameters())
-        return params
+        return [self.w_down, self.b_down, self.w_up, self.b_up]
 
 
-class DecoderLayer:
-    def __init__(self, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype):
-        self.self_attn = Attention(f"{name}.self_attn", cfg.d_model, cfg.n_heads, rng, dtype,
-                                   causal=True)
-        self.norm_self = LayerNorm(f"{name}.norm_self", cfg.d_model, dtype)
-        self.cross_attn = Attention(f"{name}.cross_attn", cfg.d_model, cfg.n_heads, rng, dtype)
-        self.norm_cross = LayerNorm(f"{name}.norm_cross", cfg.d_model, dtype)
-        self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.resolved_d_ff(), rng, dtype)
-        self.norm_ffn = LayerNorm(f"{name}.norm_ffn", cfg.d_model, dtype)
-        self.adapter_attn: AdapterModule | None = None
-        self.adapter_ffn: AdapterModule | None = None
+class ResidualBlock:
+    """Sublayer, then add & norm, then an optional adapter.
 
-    def forward(self, x: np.ndarray, enc_out: np.ndarray) -> np.ndarray:
-        h1 = self.norm_self.forward(x + self.self_attn.forward(x, x))
-        if self.adapter_attn is not None:
-            h1 = self.adapter_attn.forward(h1)
-        h2 = self.norm_cross.forward(h1 + self.cross_attn.forward(h1, enc_out))
-        h3 = self.norm_ffn.forward(h2 + self.ffn.forward(h2))
-        if self.adapter_ffn is not None:
-            h3 = self.adapter_ffn.forward(h3)
-        return h3
+    The sublayer is a ``FeedForward`` or an ``Attention``; attention
+    attends to its own input, or to ``memory`` when ``cross`` is set.
+    """
 
-    def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.adapter_ffn is not None:
-            d_out = self.adapter_ffn.backward(d_out)
-        d_sum = self.norm_ffn.backward(d_out)
-        d_h2 = d_sum + self.ffn.backward(d_sum)
-        d_res2 = self.norm_cross.backward(d_h2)
-        d_q, d_enc = self.cross_attn.backward(d_res2)
-        d_h1 = d_res2 + d_q
-        if self.adapter_attn is not None:
-            d_h1 = self.adapter_attn.backward(d_h1)
-        d_res1 = self.norm_self.backward(d_h1)
-        d_xq, d_xkv = self.self_attn.backward(d_res1)
-        return d_res1 + d_xq + d_xkv, d_enc
+    def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
+        self.sublayer = sublayer
+        self.norm = norm
+        self.cross = cross
+        self.adapter: AdapterModule | None = None
 
-    def adapters(self) -> list[AdapterModule]:
-        return [a for a in (self.adapter_attn, self.adapter_ffn) if a is not None]
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+        if isinstance(self.sublayer, FeedForward):
+            out = self.sublayer.forward(x)
+        else:
+            out = self.sublayer.forward(x, memory if self.cross else x)
+        h = self.norm.forward(x + out)
+        return h if self.adapter is None else self.adapter.forward(h)
+
+    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the input; cross-attention adds the gradient of
+        ``memory`` into ``d_memory``."""
+        if self.adapter is not None:
+            d_out = self.adapter.backward(d_out)
+        d_sum = self.norm.backward(d_out)
+        if isinstance(self.sublayer, FeedForward):
+            return d_sum + self.sublayer.backward(d_sum)
+        d_q, d_kv = self.sublayer.backward(d_sum)
+        if self.cross:
+            d_memory += d_kv
+            return d_sum + d_q
+        return d_sum + d_q + d_kv
+
+
+class Layer:
+    """One encoder layer (self-attention, feed-forward) or decoder layer
+    (self-attention, cross-attention, feed-forward) as a stack of blocks."""
+
+    def __init__(self, name: str, blocks: list[ResidualBlock]):
+        self.name = name
+        self.blocks = blocks
+
+    @classmethod
+    def encoder(cls, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype) -> "Layer":
+        d = cfg.d_model
+        return cls(name, [
+            ResidualBlock(Attention(f"{name}.self_attn", d, cfg.n_heads, rng, dtype),
+                          LayerNorm(f"{name}.norm_attn", d, dtype)),
+            ResidualBlock(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng, dtype),
+                          LayerNorm(f"{name}.norm_ffn", d, dtype)),
+        ])
+
+    @classmethod
+    def decoder(cls, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype) -> "Layer":
+        d = cfg.d_model
+        return cls(name, [
+            ResidualBlock(Attention(f"{name}.self_attn", d, cfg.n_heads, rng, dtype, causal=True),
+                          LayerNorm(f"{name}.norm_self", d, dtype)),
+            ResidualBlock(Attention(f"{name}.cross_attn", d, cfg.n_heads, rng, dtype),
+                          LayerNorm(f"{name}.norm_cross", d, dtype), cross=True),
+            ResidualBlock(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng, dtype),
+                          LayerNorm(f"{name}.norm_ffn", d, dtype)),
+        ])
+
+    def add_adapters(self, cfg: ToyConfig, rng: np.random.Generator, dtype):
+        """Adapters after the self-attention block and after the
+        feed-forward block; cross-attention carries none."""
+        self.blocks[0].adapter = AdapterModule(
+            f"{self.name}.adapter_attn", cfg.d_model, cfg.bottleneck, rng, dtype)
+        self.blocks[-1].adapter = AdapterModule(
+            f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng, dtype)
+
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+        for block in self.blocks:
+            x = block.forward(x, memory)
+        return x
+
+    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the input; a decoder layer also adds the gradient of
+        ``memory`` into ``d_memory``."""
+        for block in reversed(self.blocks):
+            d_out = block.backward(d_out, d_memory)
+        return d_out
 
     def parameters(self) -> list[Parameter]:
-        params = [*self.self_attn.parameters(), *self.norm_self.parameters(),
-                  *self.cross_attn.parameters(), *self.norm_cross.parameters(),
-                  *self.ffn.parameters(), *self.norm_ffn.parameters()]
-        for adapter in self.adapters():
-            params.extend(adapter.parameters())
+        params = []
+        for block in self.blocks:
+            params.extend(block.sublayer.parameters())
+            params.extend(block.norm.parameters())
+        for block in self.blocks:
+            if block.adapter is not None:
+                params.extend(block.adapter.parameters())
         return params
 
 
@@ -370,9 +373,9 @@ class ToyModel:
         self.pos_emb = Parameter(
             "embed.positions", (rng.standard_normal((cfg.max_len, d)) / math.sqrt(d)).astype(dtype)
         )
-        self.encoder = [EncoderLayer(f"encoder.{i}", cfg, rng, dtype)
+        self.encoder = [Layer.encoder(f"encoder.{i}", cfg, rng, dtype)
                         for i in range(cfg.n_encoder_layers)]
-        self.decoder = [DecoderLayer(f"decoder.{i}", cfg, rng, dtype)
+        self.decoder = [Layer.decoder(f"decoder.{i}", cfg, rng, dtype)
                         for i in range(cfg.n_decoder_layers)]
         self.out_proj = Linear(
             "output",
@@ -383,19 +386,11 @@ class ToyModel:
         self.adapter_set = (
             cfg.adapter_set if cfg.adapter_set is not None else AdapterSet.full(self.dims)
         ).check(self.dims)
-        first_dec = self.dims.first_decoder_layer
-        for i, layer in enumerate(self.encoder):
-            if i in self.adapter_set.encoder_layers:
-                layer.adapter_attn = AdapterModule(
-                    f"encoder.{i}.adapter_attn", d, cfg.bottleneck, rng, dtype)
-                layer.adapter_ffn = AdapterModule(
-                    f"encoder.{i}.adapter_ffn", d, cfg.bottleneck, rng, dtype)
-        for i, layer in enumerate(self.decoder):
-            if first_dec + i in self.adapter_set.decoder_layers:
-                layer.adapter_attn = AdapterModule(
-                    f"decoder.{i}.adapter_attn", d, cfg.bottleneck, rng, dtype)
-                layer.adapter_ffn = AdapterModule(
-                    f"decoder.{i}.adapter_ffn", d, cfg.bottleneck, rng, dtype)
+        # Adapter-set indices number the decoder layers after the encoder's.
+        active = self.adapter_set.encoder_layers | self.adapter_set.decoder_layers
+        for index, layer in enumerate([*self.encoder, *self.decoder]):
+            if index in active:
+                layer.add_adapters(cfg, rng, dtype)
 
         self._d_logits: np.ndarray | None = None
         self._enc_shape: tuple | None = None
@@ -413,9 +408,7 @@ class ToyModel:
 
     def parameters(self) -> list[Parameter]:
         params = [self.tok_emb, self.pos_emb]
-        for layer in self.encoder:
-            params.extend(layer.parameters())
-        for layer in self.decoder:
+        for layer in [*self.encoder, *self.decoder]:
             params.extend(layer.parameters())
         params.extend(self.out_proj.parameters())
         return params
@@ -423,20 +416,19 @@ class ToyModel:
     def trainable_parameters(self) -> list[Parameter]:
         return [p for p in self.parameters() if p.trainable]
 
-    def adapters(self) -> list[AdapterModule]:
-        modules = []
-        for layer in [*self.encoder, *self.decoder]:
-            modules.extend(layer.adapters())
-        return modules
-
     def zero_grads(self):
         for p in self.parameters():
             p.grad[...] = 0.0
 
     def randomize_adapters(self, seed: int, scale: float = 0.1):
+        """Replace every adapter tensor with random values (for gradient
+        audits; zero up-projections would hide the down-projection
+        gradients). The adapters are the only trainable tensors."""
         rng = np.random.default_rng(seed)
-        for adapter in self.adapters():
-            adapter.randomize(rng, scale)
+        for param in self.trainable_parameters():
+            param.value[...] = (rng.standard_normal(param.value.shape) * scale).astype(
+                param.value.dtype
+            )
 
     def _check_ids(self, ids: np.ndarray, what: str) -> np.ndarray:
         ids = np.asarray(ids)
@@ -483,8 +475,7 @@ class ToyModel:
         d = self.out_proj.backward(self._d_logits)
         d_enc_total = np.zeros(self._enc_shape, dtype=self._d_logits.dtype)
         for layer in reversed(self.decoder):
-            d, d_enc = layer.backward(d)
-            d_enc_total += d_enc
+            d = layer.backward(d, d_enc_total)
         d = d_enc_total
         for layer in reversed(self.encoder):
             d = layer.backward(d)

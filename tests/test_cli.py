@@ -122,6 +122,38 @@ def test_count_params_with_ablation(tmp_path, capsys):
     assert payload["percent"] == 1.17
 
 
+def test_count_params_empty_ablation_lists_keep_full_budget(tmp_path, capsys):
+    ablation = tmp_path / "ablation.json"
+    ablation.write_text(json.dumps({"removed_encoder": [], "removed_decoder": []}),
+                        encoding="utf-8")
+    code, out, _ = run(capsys, ["count-params", "--ablation", str(ablation)])
+    assert code == 0
+    assert json.loads(out)["trainable"] == 6_343_680
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"removed_encoder": [99, 12]},   # 12 is the first decoder layer
+        {"removed_encoder": "01"},
+        {"removed_encoder": ["0", "1"]},
+        {"removed_encoder": [True]},
+        {"removed_encoder": [1.0]},
+        {"removed_encoder": 3},
+        {"removed_decoder": [0]},        # an encoder index
+        {"removed_decoder": [12, 24]},
+        {"removed_decoder": [-1]},
+    ],
+)
+def test_count_params_rejects_bad_ablation_indices(tmp_path, capsys, obj):
+    ablation = tmp_path / "ablation.json"
+    ablation.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, ["count-params", "--ablation", str(ablation)])
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err.strip())) == {"error", "message"}
+
+
 def test_count_params_custom_dims(tmp_path, capsys):
     dims = tmp_path / "dims.json"
     dims.write_text(
@@ -221,6 +253,24 @@ def test_stats_schema_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["stats", "--in", str(data), "--modality", "text"])
     assert code == 2
     assert json.loads(err.strip())["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_non_utf8_input_exits_2_with_json_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    if command == "eval":
+        good = tmp_path / "good.txt"
+        good.write_text("cafe\n", encoding="utf-8")
+        argv = ["eval", "--pred", str(bad), "--ref", str(good)]
+    else:
+        argv = ["stats", "--in", str(bad), "--modality", "text"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "UnicodeDecodeError"
+    assert payload["message"]
 
 
 def test_missing_file_is_internal_error(capsys):

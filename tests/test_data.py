@@ -1,9 +1,12 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
+from adapterqa import data as data_mod
+from adapterqa import tables as tables_mod
 from adapterqa.data import (
     PrepareLimits,
     QaRecord,
@@ -61,6 +64,23 @@ def test_read_text_records(tmp_path):
     records = read_records(path, "text")
     assert records[0].passage == "a b c"
     assert records[0].context_text() == "a b c"
+
+
+def test_each_table_is_validated_once(tmp_path, monkeypatch):
+    validated = []
+
+    def counting_validate(table):
+        validated.append(table)
+        return tables_mod.validate_table(table)
+
+    monkeypatch.setattr(data_mod, "validate_table", counting_validate)
+    # The package re-exports the linearize function under the submodule's name.
+    monkeypatch.setattr(sys.modules["adapterqa.linearize"], "validate_table", counting_validate)
+    path = write_jsonl(tmp_path / "d.jsonl", [table_record(), table_record("r2")])
+    records = read_records(path, "table")
+    compute_stats(records)
+    prepare_examples(records)
+    assert len(validated) == 2
 
 
 def test_modality_mismatch_reports_line(tmp_path):
