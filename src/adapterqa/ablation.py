@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
 from .errors import InputError
@@ -95,7 +94,3 @@ def cost_plan(plan: list[AblationConfig], dims: ModelDims = REFERENCE_DIMS) -> l
 
 def manifest_lines(rows: list[dict]) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
-
-
-def write_manifest(rows: list[dict], path: str | Path):
-    Path(path).write_text(manifest_lines(rows), encoding="utf-8")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 
 class DimensionMismatch(InputError):
@@ -33,11 +33,8 @@ class ModelDims:
 
     def __post_init__(self):
         for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers", "adapters_per_layer"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise InputError(f"{name} must be a positive integer, got {value!r}")
-        if self.base_total_params < 0:
-            raise InputError("base_total_params must be non-negative")
+            check_int(name, getattr(self, name))
+        check_int("base_total_params", self.base_total_params, allow_zero=True)
 
     @property
     def params_per_adapter(self) -> int:

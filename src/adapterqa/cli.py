@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,14 @@ from . import ablation as ablation_mod
 from . import metrics as metrics_mod
 from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
 from .assembly import assemble, truncate
-from .data import PrepareLimits, compute_stats, prepare_examples, read_records
+from .data import (
+    PrepareLimits,
+    compute_stats,
+    prepare_examples,
+    read_jsonl,
+    read_records,
+    string_field,
+)
 from .errors import AdapterQaError, InputError, SchemaError
 from .linearize import linearize
 from .tables import HierarchicalTable
@@ -28,18 +34,13 @@ from .toymodel import (
     ToyConfig,
     TrainConfig,
     build_toy_model,
+    freeze_report,
     grad_check,
     make_copy_task,
     train_adapters,
 )
 
 DEFAULT_SEED = 6
-
-
-@dataclass
-class GlobalConfig:
-    seed: int = DEFAULT_SEED
-    precision: str = "double"
 
 
 def _write_output(text: str, out: str | None):
@@ -61,7 +62,7 @@ def _summary(message: str):
     print(message, file=sys.stderr)
 
 
-def cmd_linearize(args, _cfg: GlobalConfig) -> int:
+def cmd_linearize(args) -> int:
     table = HierarchicalTable.from_json_dict(_load_json(args.infile))
     flat = linearize(table)
     _write_output(flat.text + "\n", args.out)
@@ -69,43 +70,34 @@ def cmd_linearize(args, _cfg: GlobalConfig) -> int:
     return 0
 
 
-def cmd_assemble(args, _cfg: GlobalConfig) -> int:
+def cmd_assemble(args) -> int:
     if args.batch is not None:
-        lines = []
-        with open(args.batch, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"invalid JSON: {exc}", line_no) from exc
-                if not isinstance(obj, dict) or "question" not in obj:
-                    raise SchemaError("batch line must be an object with 'question'", line_no)
-                seq = assemble(obj["question"], obj.get("title", ""), obj.get("context", ""))
-                if args.max_tokens is not None:
-                    seq = truncate(seq, args.max_tokens)
-                lines.append(seq.rendered)
-        _write_output("".join(line + "\n" for line in lines), args.out)
-        _summary(f"assembled {len(lines)} sequences")
-        return 0
-
-    if args.question is None:
+        fields = [
+            (string_field(obj, "question", line), string_field(obj, "title", line, ""),
+             string_field(obj, "context", line, ""))
+            for line, obj in read_jsonl(args.batch)
+        ]
+    elif args.question is not None:
+        context = ""
+        if args.context is not None:
+            context = args.context
+        elif args.context_file is not None:
+            context = Path(args.context_file).read_text(encoding="utf-8")
+        fields = [(args.question, args.title, context)]
+    else:
         raise InputError("either --question or --batch is required")
-    context = ""
-    if args.context is not None:
-        context = args.context
-    elif args.context_file is not None:
-        context = Path(args.context_file).read_text(encoding="utf-8")
-    seq = assemble(args.question, args.title, context)
-    if args.max_tokens is not None:
-        seq = truncate(seq, args.max_tokens)
-    _write_output(seq.rendered + "\n", args.out)
-    _summary(f"assembled {seq.n_tokens} tokens")
+    seqs = []
+    for question, title, context in fields:
+        seq = assemble(question, title, context)
+        if args.max_tokens is not None:
+            seq = truncate(seq, args.max_tokens)
+        seqs.append(seq)
+    _write_output("".join(seq.rendered + "\n" for seq in seqs), args.out)
+    _summary(f"assembled {len(seqs)} sequences, {sum(seq.n_tokens for seq in seqs)} tokens")
     return 0
 
 
-def cmd_eval(args, _cfg: GlobalConfig) -> int:
+def cmd_eval(args) -> int:
     report = metrics_mod.evaluate_predictions(args.pred, args.ref)
     payload = json.dumps(report.to_json_dict())
     _write_output(payload + "\n", args.out)
@@ -128,7 +120,7 @@ def _dims_from_args(args) -> ModelDims:
     return ModelDims.from_json_dict(obj)
 
 
-def cmd_count_params(args, _cfg: GlobalConfig) -> int:
+def cmd_count_params(args) -> int:
     dims = _dims_from_args(args)
     active = AdapterSet.full(dims)
     if args.ablation is not None:
@@ -155,7 +147,7 @@ def cmd_count_params(args, _cfg: GlobalConfig) -> int:
     return 0
 
 
-def cmd_plan_ablation(args, _cfg: GlobalConfig) -> int:
+def cmd_plan_ablation(args) -> int:
     dims = _dims_from_args(args)
     if args.mode == "uniform":
         plan = ablation_mod.uniform_ablation_plan(dims)
@@ -167,22 +159,22 @@ def cmd_plan_ablation(args, _cfg: GlobalConfig) -> int:
     return 0
 
 
-def _toy_config(args, cfg: GlobalConfig) -> ToyConfig:
+def _toy_config(args) -> ToyConfig:
     return ToyConfig(
         d_model=args.d_model,
         bottleneck=args.bottleneck,
         n_encoder_layers=args.enc_layers,
         n_decoder_layers=args.dec_layers,
         vocab_size=args.vocab,
-        seed=cfg.seed,
-        precision=cfg.precision,
+        seed=args.seed,
+        precision=args.precision,
     )
 
 
-def cmd_gradcheck(args, cfg: GlobalConfig) -> int:
-    model = build_toy_model(_toy_config(args, cfg))
-    model.randomize_adapters(seed=cfg.seed + 1, scale=0.1)
-    rng = np.random.default_rng(cfg.seed + 2)
+def cmd_gradcheck(args) -> int:
+    model = build_toy_model(_toy_config(args))
+    model.randomize_adapters(seed=args.seed + 1, scale=0.1)
+    rng = np.random.default_rng(args.seed + 2)
     source = rng.integers(2, model.cfg.vocab_size, size=(args.batch, args.seq_len))
     target = rng.integers(2, model.cfg.vocab_size, size=(args.batch, args.seq_len))
     report = grad_check(model, source, target, eps=args.eps)
@@ -196,25 +188,28 @@ def cmd_gradcheck(args, cfg: GlobalConfig) -> int:
     return 0
 
 
-def cmd_train_toy(args, cfg: GlobalConfig) -> int:
+def cmd_train_toy(args) -> int:
     if args.task != "copy":
         raise InputError(f"unknown task {args.task!r}; available: copy")
-    model = build_toy_model(_toy_config(args, cfg))
+    model = build_toy_model(_toy_config(args))
     source, target = make_copy_task(
         n_examples=args.examples, seq_len=args.seq_len,
-        vocab_size=model.cfg.vocab_size, seed=cfg.seed,
+        vocab_size=model.cfg.vocab_size, seed=args.seed,
     )
     train_cfg = TrainConfig(learning_rate=args.lr, steps=args.steps, optimizer=args.optimizer)
     log = train_adapters(model, source, target, train_cfg)
     _write_output(json.dumps(log.to_json_dict()) + "\n", args.out)
+    report = freeze_report(model)
     _summary(
+        f"model: {report.frozen_total:,} frozen + {report.trainable_total:,} trainable "
+        f"({report.trainable_percent_of_base}% of base)\n"
         f"{args.steps} steps: loss {log.initial_loss:.4f} -> {log.final_loss:.4f} "
         f"(ratio {log.final_loss / log.initial_loss:.3f})"
     )
     return 0
 
 
-def cmd_stats(args, _cfg: GlobalConfig) -> int:
+def cmd_stats(args) -> int:
     records = read_records(args.infile, args.modality)
     stats = compute_stats(records)
     _write_output(json.dumps(stats.to_json_dict()) + "\n", args.out)
@@ -222,7 +217,7 @@ def cmd_stats(args, _cfg: GlobalConfig) -> int:
     return 0
 
 
-def cmd_prepare(args, _cfg: GlobalConfig) -> int:
+def cmd_prepare(args) -> int:
     records = read_records(args.infile, args.modality)
     limits = PrepareLimits(
         max_input_tokens=args.max_tokens,
@@ -245,20 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Table linearization, prompted inputs, adapter accounting, "
                     "ablation planning, toy adapter training, and text metrics.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--precision", choices=("single", "double"), default="double")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("linearize", help="flatten a table JSON file to key:value text")
+    p = sub.add_parser("linearize", help="flatten a table JSON file to key:value text")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_linearize)
 
-    p = add_parser("assemble", help="build a prompted input sequence")
+    p = sub.add_parser("assemble", help="build a prompted input sequence")
     p.add_argument("--question", default=None)
     p.add_argument("--title", default="")
     p.add_argument("--context", default=None)
@@ -268,19 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_assemble)
 
-    p = add_parser("eval", help="ROUGE and BLEU of line-aligned files")
+    p = sub.add_parser("eval", help="ROUGE and BLEU of line-aligned files")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = add_parser("count-params", help="trainable-parameter accounting")
+    p = sub.add_parser("count-params", help="trainable-parameter accounting")
     p.add_argument("--config", default=None, help="dims JSON (defaults to the reference dims)")
     p.add_argument("--ablation", default=None, help="JSON with removed_encoder/removed_decoder")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count_params)
 
-    p = add_parser("plan-ablation", help="enumerate pruning experiments with costs")
+    p = sub.add_parser("plan-ablation", help="enumerate pruning experiments with costs")
     p.add_argument("--mode", choices=("uniform", "grid"), required=True)
     p.add_argument("--dims", dest="config", default=None)
     p.add_argument("--out", default=None)
@@ -293,15 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dec-layers", type=int, default=2)
         p.add_argument("--vocab", type=int, default=64)
         p.add_argument("--seq-len", type=int, default=6)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--precision", choices=("single", "double"), default="double")
         p.add_argument("--out", default=None)
 
-    p = add_parser("gradcheck", help="finite-difference audit of adapter gradients")
+    p = sub.add_parser("gradcheck", help="finite-difference audit of adapter gradients")
     add_toy_flags(p)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--batch", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = add_parser("train-toy", help="train adapters on a synthetic task")
+    p = sub.add_parser("train-toy", help="train adapters on a synthetic task")
     add_toy_flags(p)
     p.add_argument("--task", default="copy")
     p.add_argument("--steps", type=int, default=200)
@@ -310,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.set_defaults(func=cmd_train_toy)
 
-    p = add_parser("stats", help="dataset statistics from a JSONL record file")
+    p = sub.add_parser("stats", help="dataset statistics from a JSONL record file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--modality", choices=("table", "text"), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 
-    p = add_parser("prepare", help="records -> prompted (input, target) JSONL")
+    p = sub.add_parser("prepare", help="records -> prompted (input, target) JSONL")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--modality", choices=("table", "text"), required=True)
     p.add_argument("--max-tokens", type=int, default=None)
@@ -338,9 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = GlobalConfig(seed=args.seed, precision=args.precision)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (InputError, UnicodeDecodeError) as exc:
         # Undecodable bytes in an input file are bad input, whichever command reads it.
         print(_error_payload(exc), file=sys.stderr)

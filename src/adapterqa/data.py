@@ -8,11 +8,12 @@ assembles the prompted input sequence, and applies optional token budgets.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .assembly import InputSequence, assemble, truncate
-from .errors import SchemaError
+from .errors import SchemaError, check_int
 from .linearize import linearize
 from .tables import HierarchicalTable, ValidatedTable, validate_table
 
@@ -48,10 +49,37 @@ class QaRecord:
         return linearize(self.grid).text
 
 
-def _record_from_json(obj: object, line: int) -> QaRecord:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"record must be an object, got {type(obj).__name__}", line)
-    for key in ("id", "question", "answers"):
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL
+    file; a line that is not a JSON object raises ``SchemaError``."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc}", line_no) from exc
+            if not isinstance(obj, dict):
+                raise SchemaError(f"line must be a JSON object, got {type(obj).__name__}", line_no)
+            yield line_no, obj
+
+
+def string_field(obj: dict, key: str, line: int, default: str | None = None) -> str:
+    """``obj[key]``, which must be a string; ``default`` when the key is
+    absent, which is an error when no default is given."""
+    if key not in obj:
+        if default is None:
+            raise SchemaError(f"missing '{key}'", line)
+        return default
+    value = obj[key]
+    if not isinstance(value, str):
+        raise SchemaError(f"'{key}' must be a string, got {type(value).__name__}", line)
+    return value
+
+
+def _record_from_json(obj: dict, line: int) -> QaRecord:
+    for key in ("id", "answers"):
         if key not in obj:
             raise SchemaError(f"record is missing '{key}'", line)
     if not isinstance(obj["answers"], list) or not all(isinstance(a, str) for a in obj["answers"]):
@@ -59,20 +87,19 @@ def _record_from_json(obj: object, line: int) -> QaRecord:
     context = obj.get("context")
     if not isinstance(context, dict) or len(set(context) & {"passage", "table"}) != 1:
         raise SchemaError("'context' must be an object with exactly one of 'passage' or 'table'", line)
-    passage = context.get("passage")
-    table = None
+    passage = table = None
     if "table" in context:
         try:
             table = HierarchicalTable.from_json_dict(context["table"])
         except SchemaError as exc:
             raise SchemaError(f"bad table: {exc}", line) from exc
-    elif not isinstance(passage, str):
-        raise SchemaError("'passage' must be a string", line)
+    else:
+        passage = string_field(context, "passage", line)
     try:
         return QaRecord(
             id=str(obj["id"]),
-            question=obj["question"],
-            title=obj.get("title", ""),
+            question=string_field(obj, "question", line),
+            title=string_field(obj, "title", line, ""),
             answers=list(obj["answers"]),
             passage=passage,
             table=table,
@@ -90,20 +117,11 @@ def read_records(path: str | Path, modality: str) -> list[QaRecord]:
     if modality not in MODALITIES:
         raise SchemaError(f"modality must be one of {MODALITIES}, got {modality!r}")
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}", line_no) from exc
-            record = _record_from_json(obj, line_no)
-            if record.modality != modality:
-                raise SchemaError(
-                    f"expected {modality} context, found {record.modality}", line_no
-                )
-            records.append(record)
+    for line_no, obj in read_jsonl(path):
+        record = _record_from_json(obj, line_no)
+        if record.modality != modality:
+            raise SchemaError(f"expected {modality} context, found {record.modality}", line_no)
+        records.append(record)
     return records
 
 
@@ -165,6 +183,12 @@ class PrepareLimits:
     max_input_tokens: int | None = None
     max_target_tokens: int | None = None
     answer_index: int = 0
+
+    def __post_init__(self):
+        for name in ("max_input_tokens", "max_target_tokens"):
+            value = getattr(self, name)
+            if value is not None:
+                check_int(name, value)
 
 
 def prepare_examples(records: list[QaRecord],

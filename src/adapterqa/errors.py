@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the one integer rule for sizes and budgets.
 
 Errors caused by bad user input (malformed tables, schema violations,
 impossible budgets) derive from ``InputError`` and map to CLI exit code 2;
@@ -20,3 +20,13 @@ class SchemaError(InputError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def check_int(name: str, value: object, error: type[InputError] = InputError,
+              allow_zero: bool = False) -> int:
+    """The one rule for sizes, spans and budgets: an ``int`` (never a
+    ``bool``) that is positive, or non-negative with ``allow_zero``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
+        kind = "non-negative" if allow_zero else "positive"
+        raise error(f"{name} must be a {kind} integer, got {value!r}")
+    return value

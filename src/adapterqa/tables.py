@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, check_int
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _WHITESPACE_RUN = re.compile(r"\s+")
@@ -58,10 +58,8 @@ class Cell:
     def __post_init__(self):
         if not isinstance(self.text, str):
             raise InputError(f"cell text must be a string, got {type(self.text).__name__}")
-        if not isinstance(self.colspan, int) or isinstance(self.colspan, bool) or self.colspan < 1:
-            raise InputError(f"colspan must be a positive integer, got {self.colspan!r}")
-        if not isinstance(self.rowspan, int) or isinstance(self.rowspan, bool) or self.rowspan < 1:
-            raise InputError(f"rowspan must be a positive integer, got {self.rowspan!r}")
+        check_int("colspan", self.colspan)
+        check_int("rowspan", self.rowspan)
         self.text = normalize_text(self.text)
 
     @classmethod

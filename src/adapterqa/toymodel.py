@@ -22,9 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import AdapterParams, AdapterSet, ModelDims, adapter_activations
-from .errors import AdapterQaError, InputError
+from .errors import AdapterQaError, InputError, check_int
 
 BOS_ID = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class InvalidConfig(InputError):
@@ -44,7 +47,6 @@ class ToyConfig:
     n_encoder_layers: int = 2
     n_decoder_layers: int = 2
     n_heads: int = 2
-    d_ff: int | None = None  # defaults to 2 * d_model
     vocab_size: int = 64
     max_len: int = 32
     seed: int = 6
@@ -52,7 +54,7 @@ class ToyConfig:
     adapter_set: AdapterSet | None = None  # None means adapters on every layer
 
     def resolved_d_ff(self) -> int:
-        return 2 * self.d_model if self.d_ff is None else self.d_ff
+        return 2 * self.d_model
 
     def dtype(self):
         if self.precision == "double":
@@ -490,15 +492,11 @@ def build_toy_model(cfg: ToyConfig) -> ToyModel:
     """Validate the configuration and build the model deterministically."""
     for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers",
                  "n_heads", "vocab_size", "max_len"):
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or value < 1:
-            raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
+        check_int(name, getattr(cfg, name), InvalidConfig)
     if cfg.d_model % cfg.n_heads != 0:
         raise InvalidConfig(f"d_model {cfg.d_model} is not divisible by n_heads {cfg.n_heads}")
     if cfg.vocab_size <= BOS_ID + 1:
         raise InvalidConfig(f"vocab_size must exceed {BOS_ID + 1} to leave room for content tokens")
-    if cfg.d_ff is not None and cfg.d_ff < 1:
-        raise InvalidConfig(f"d_ff must be positive when given, got {cfg.d_ff}")
     cfg.dtype()  # validates precision
     return ToyModel(cfg)
 
@@ -554,12 +552,14 @@ class GradCheckReport:
     per_parameter: dict[str, float]
 
     def to_json_dict(self) -> dict:
+        # float(): errors of a single-precision model are numpy float32,
+        # which json cannot encode.
         return {
-            "max_rel_error": self.max_rel_error,
+            "max_rel_error": float(self.max_rel_error),
             "worst_parameter": self.worst_parameter,
             "n_params_checked": self.n_params_checked,
             "eps": self.eps,
-            "per_parameter": self.per_parameter,
+            "per_parameter": {name: float(err) for name, err in self.per_parameter.items()},
         }
 
 
@@ -573,6 +573,8 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     with zero up-projections the down-projection gradients vanish and the
     check is vacuous there.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
     model.zero_grads()
     model.forward_backward(source_ids, target_ids)
     analytic = {p.name: p.grad.copy() for p in model.trainable_parameters()}
@@ -615,9 +617,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     steps: int = 200
     optimizer: str = "adam"  # or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
 
 @dataclass
@@ -642,6 +641,7 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     """Full-batch gradient descent on the trainable parameters only."""
     if cfg.optimizer not in ("adam", "sgd"):
         raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
+    check_int("steps", cfg.steps, InvalidConfig)
     params = model.trainable_parameters()
     adam_m = [np.zeros_like(p.value) for p in params]
     adam_v = [np.zeros_like(p.value) for p in params]
@@ -659,13 +659,13 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
         else:
             t = step + 1
             for p, m, v in zip(params, adam_m, adam_v):
-                m *= cfg.beta1
-                m += (1 - cfg.beta1) * p.grad
-                v *= cfg.beta2
-                v += (1 - cfg.beta2) * (p.grad * p.grad)
-                m_hat = m / (1 - cfg.beta1 ** t)
-                v_hat = v / (1 - cfg.beta2 ** t)
-                p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * p.grad
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * (p.grad * p.grad)
+                m_hat = m / (1 - ADAM_BETA1 ** t)
+                v_hat = v / (1 - ADAM_BETA2 ** t)
+                p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     final_loss, _ = model.forward(source_ids, target_ids)
     if not math.isfinite(final_loss):

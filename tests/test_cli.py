@@ -203,11 +203,12 @@ def test_gradcheck_small_model(capsys):
 
 def test_train_toy_copy_task(tmp_path, capsys):
     out = tmp_path / "log.json"
-    code, stdout, _ = run(
+    code, stdout, err = run(
         capsys,
         ["train-toy", "--task", "copy", "--steps", "5", "--out", str(out)],
     )
     assert code == 0
+    assert "model: 47,936 frozen + 4,416 trainable (9.21% of base)" in err
     log = json.loads(out.read_text(encoding="utf-8"))
     assert len(log["losses"]) == 5
     assert log["initial_loss"] == log["losses"][0]
@@ -245,6 +246,61 @@ def test_stats_and_prepare(tmp_path, capsys):
     example = json.loads(prepared.read_text(encoding="utf-8"))
     assert example["input"].startswith("<question> what year <title> Films <context>")
     assert example["target"] == "2013"
+
+
+RECORD = {"id": "r1", "question": "what year", "title": "Films",
+          "context": {"table": TABLE_OBJ}, "answers": ["2013"]}
+DIMS = {"d_model": 32, "bottleneck": 8, "n_encoder_layers": 2, "n_decoder_layers": 2}
+PREPARE = ["prepare", "--in", "FILE", "--modality", "table"]
+STATS = ["stats", "--in", "FILE", "--modality", "table"]
+
+
+@pytest.mark.parametrize(
+    "argv, file_obj",
+    [
+        pytest.param(["count-params", "--config", "FILE"], {**DIMS, "base_total_params": "x"},
+                     id="count-params-string-base"),
+        pytest.param(["count-params", "--config", "FILE"],
+                     {"d_model": True, "bottleneck": True, "n_encoder_layers": 1,
+                      "n_decoder_layers": 1}, id="count-params-bool-dims"),
+        pytest.param(["train-toy", "--steps", "0"], None, id="train-toy-steps-0"),
+        pytest.param(["train-toy", "--steps", "-3"], None, id="train-toy-steps-neg"),
+        pytest.param(["gradcheck", "--eps", "0"], None, id="gradcheck-eps-0"),
+        pytest.param(["gradcheck", "--eps", "nan"], None, id="gradcheck-eps-nan"),
+        pytest.param([*PREPARE, "--max-target-tokens", "0"], RECORD, id="prepare-target-0"),
+        pytest.param([*PREPARE, "--max-target-tokens", "-1"], RECORD, id="prepare-target-neg"),
+        pytest.param(["assemble", "--batch", "FILE"], {"question": 5}, id="assemble-question"),
+        pytest.param(["assemble", "--batch", "FILE"], {"question": "q", "title": 3},
+                     id="assemble-title"),
+        pytest.param(["assemble", "--batch", "FILE"], {"question": "q", "context": ["c"]},
+                     id="assemble-context"),
+        pytest.param(STATS, {**RECORD, "question": 5}, id="stats-question"),
+        pytest.param(STATS, {**RECORD, "title": 5}, id="stats-title"),
+        pytest.param(PREPARE, {**RECORD, "question": None}, id="prepare-question"),
+        pytest.param(PREPARE, {**RECORD, "title": ["Films"]}, id="prepare-title"),
+    ],
+)
+def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj):
+    path = tmp_path / "input.jsonl"
+    if file_obj is not None:
+        path.write_text(json.dumps(file_obj) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err.strip())) == {"error", "message"}
+
+
+def test_seed_and_precision_belong_to_the_toy_commands(capsys):
+    for option in (["--seed", "99"], ["--precision", "single"]):
+        code, out, _ = run(capsys, ["count-params", *option])
+        assert code == 2
+        assert out == ""
+    toy = ["--d-model", "8", "--bottleneck", "4", "--enc-layers", "1", "--dec-layers", "1",
+           "--vocab", "16", "--seq-len", "4", "--seed", "3", "--precision", "single"]
+    code, out, _ = run(capsys, ["gradcheck", *toy])
+    assert code == 0
+    assert json.loads(out)["n_params_checked"] > 0
+    assert run(capsys, ["train-toy", "--steps", "1", *toy])[0] == 0
 
 
 def test_stats_schema_error_exits_2(tmp_path, capsys):
