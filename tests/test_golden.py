@@ -36,6 +36,16 @@ GOLDEN_TRAIN = {
 }
 GOLDEN_FREEZE_REPORT = "f193937031e14c805a97427994b042f2ec72f9af30528be90678b92605c80177"
 GOLDEN_GRAD_CHECK = "02e698766a4bf75ba487c6db9541450b604157e25fb3f8d123841125b49a57eb"
+# (Adam train log, grad_check report) for the other rows of the toy grid
+# plan: 1 is decoder-only, 2 encoder-only, 3 has no adapters at all.
+GOLDEN_GRID_ROWS = {
+    1: ("12029dbcf5a5972eb123251941d897158281eb71b984c173454fae2126194fbe",
+        "d06e23486bfdad44a13c374ca2ebe18fe77a2364b80e7cbd8b2760c8d9db17bb"),
+    2: ("c239df6932b92a1fd3bb70ba185e8173c14ce8d932306029bb0b089b00e97a69",
+        "7165e016d3f1c166414e5b92a1f1d954df224806b802485b7e99a7d795d6b4d1"),
+    3: ("1b87e36344e2ceaf7545ead3a0f7d96963f4bcaee979e837837985db93c528d3",
+        "1337a7c0a6fad92309985821e13083ad833829636d2b5e6520be0def21855f21"),
+}
 
 
 def sha256_json(obj) -> str:
@@ -74,3 +84,29 @@ def test_grad_check_on_toy_grid_row_is_pinned():
     report = grad_check(model, source, target, eps=1e-6)
     assert report.n_params_checked > 0
     assert sha256_json(report.to_json_dict()) == GOLDEN_GRAD_CHECK
+
+
+def grid_row_model(row_index: int):
+    dims = ModelDims(d_model=8, bottleneck=2, n_encoder_layers=4, n_decoder_layers=4)
+    row = grid_ablation_plan(dims)[row_index]
+    cfg = ToyConfig(d_model=8, bottleneck=2, n_encoder_layers=4, n_decoder_layers=4,
+                    n_heads=2, vocab_size=16, max_len=8, seed=6,
+                    adapter_set=apply_ablation(AdapterSet.full(dims), row))
+    return build_toy_model(cfg)
+
+
+@pytest.mark.parametrize("row_index", sorted(GOLDEN_GRID_ROWS))
+def test_train_log_and_grad_check_on_other_grid_rows_are_pinned(row_index):
+    model = grid_row_model(row_index)
+    source, target = make_copy_task(n_examples=4, seq_len=6, vocab_size=model.cfg.vocab_size,
+                                    seed=model.cfg.seed)
+    log = train_adapters(model, source, target, TrainConfig(steps=TRAIN_STEPS))
+
+    model = grid_row_model(row_index)
+    model.randomize_adapters(seed=7)
+    rng = np.random.default_rng(8)
+    source = rng.integers(2, model.cfg.vocab_size, size=(2, 4))
+    target = rng.integers(2, model.cfg.vocab_size, size=(2, 4))
+    report = grad_check(model, source, target, eps=1e-6)
+    assert (sha256_json(log.to_json_dict()), sha256_json(report.to_json_dict())) \
+        == GOLDEN_GRID_ROWS[row_index]
