@@ -12,6 +12,16 @@ Base parameters are drawn from the seed before any adapter parameters, so
 two models built from the same seed share an identical base regardless of
 which layers carry adapters. Up-projections start at zero, making a freshly
 built adapted model bit-identical to its adapter-free twin.
+
+Work that cannot change a result is skipped, and each skip is exact because
+it leaves out whole layer computations without reordering any arithmetic.
+Layers are numbered as in ``AdapterSet`` (decoder after encoder); the
+lowest one that carries an adapter is ``ToyModel.lowest_trainable``.
+``backward`` stops there: layers below it own no trainable tensor, and the
+gradient of their inputs feeds nothing. Layers below it are also fixed, so
+``train_adapters`` computes the streams that enter it once (a ``Prefix``)
+and starts every step from them, and ``grad_check`` reruns each perturbed
+evaluation only from the perturbed adapter's own layer upward.
 """
 
 from __future__ import annotations
@@ -28,6 +38,9 @@ BOS_ID = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# train_adapters raises Divergence once a loss exceeds this multiple of the
+# initial loss.
+LOSS_GROWTH_LIMIT = 100.0
 
 
 class InvalidConfig(InputError):
@@ -35,7 +48,7 @@ class InvalidConfig(InputError):
 
 
 class Divergence(AdapterQaError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite or grew past the growth limit."""
 
 
 @dataclass
@@ -341,6 +354,29 @@ class Layer:
         return params
 
 
+@dataclass(frozen=True)
+class Prefix:
+    """The encoder and decoder streams that enter layer ``start`` of a
+    model for one pair of id arrays (``ToyModel.prefix``).
+
+    Only the layers below ``start`` produced them, so a forward from a
+    prefix is bit-identical to a full forward as long as those layers are
+    unchanged. ``start`` runs from 0 to the number of layers; at the top,
+    ``dec`` is the decoder output.
+    """
+
+    start: int
+    source_ids: np.ndarray
+    target_ids: np.ndarray
+    enc: np.ndarray  # entering encoder layer ``start``, or the encoder output
+    dec: np.ndarray  # entering decoder layer ``start - n_encoder_layers``, or the embedding
+
+    def check(self, source_ids, target_ids):
+        for mine, theirs in ((self.source_ids, source_ids), (self.target_ids, target_ids)):
+            if mine is not theirs and not np.array_equal(mine, theirs):
+                raise InputError("prefix was computed from other source/target ids")
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over all positions plus the logits gradient."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -393,6 +429,10 @@ class ToyModel:
         for index, layer in enumerate([*self.encoder, *self.decoder]):
             if index in active:
                 layer.add_adapters(cfg, rng, dtype)
+        self.n_layers = len(self.encoder) + len(self.decoder)
+        # Index of the lowest layer with a trainable tensor; n_layers when
+        # nothing is trainable.
+        self.lowest_trainable = min(active, default=self.n_layers)
 
         self._d_logits: np.ndarray | None = None
         self._enc_shape: tuple | None = None
@@ -444,46 +484,92 @@ class ToyModel:
             raise InputError(f"{what} ids out of vocabulary range [0, {self.cfg.vocab_size})")
         return ids
 
-    def _embed(self, ids: np.ndarray) -> np.ndarray:
-        return self.tok_emb.value[ids] + self.pos_emb.value[: ids.shape[1]][None, :, :]
-
-    def forward(self, source_ids: np.ndarray, target_ids: np.ndarray) -> tuple[float, np.ndarray]:
-        """Teacher-forced cross-entropy and logits; caches for backward()."""
+    def _check_pair(self, source_ids: np.ndarray,
+                    target_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         source_ids = self._check_ids(source_ids, "source")
         target_ids = self._check_ids(target_ids, "target")
         if source_ids.shape[0] != target_ids.shape[0]:
             raise InputError("source and target batch sizes differ")
+        return source_ids, target_ids
 
-        enc_x = self._embed(source_ids)
-        for layer in self.encoder:
+    def _embed(self, ids: np.ndarray) -> np.ndarray:
+        return self.tok_emb.value[ids] + self.pos_emb.value[: ids.shape[1]][None, :, :]
+
+    def _run_layers(self, enc_x: np.ndarray, dec_x: np.ndarray | None, target_ids: np.ndarray,
+                    start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Run layers ``start`` to ``stop - 1`` on the streams that enter
+        ``start``. A ``dec_x`` of None is embedded once the encoder is done,
+        so the two embeddings are never held together."""
+        n_enc = len(self.encoder)
+        for layer in self.encoder[start:stop]:
             enc_x = layer.forward(enc_x)
-        self._enc_shape = enc_x.shape
-
-        decoder_input = np.concatenate(
-            [np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype),
-             target_ids[:, :-1]],
-            axis=1,
-        )
-        dec_x = self._embed(decoder_input)
-        for layer in self.decoder:
+        if dec_x is None:
+            decoder_input = np.concatenate(
+                [np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype),
+                 target_ids[:, :-1]],
+                axis=1,
+            )
+            dec_x = self._embed(decoder_input)
+        for layer in self.decoder[max(start - n_enc, 0):max(stop - n_enc, 0)]:
             dec_x = layer.forward(dec_x, enc_x)
+        return enc_x, dec_x
+
+    def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
+        """The streams that enter layer ``start`` for these ids."""
+        if check_int("prefix start", start, InputError, allow_zero=True) > self.n_layers:
+            raise InputError(f"prefix start must be at most {self.n_layers}, got {start}")
+        source_ids, target_ids = self._check_pair(source_ids, target_ids)
+        enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids, 0, start)
+        return Prefix(start, source_ids, target_ids, enc_x, dec_x)
+
+    def forward(self, source_ids: np.ndarray, target_ids: np.ndarray,
+                prefix: Prefix | None = None) -> tuple[float, np.ndarray]:
+        """Teacher-forced cross-entropy and logits; caches for backward().
+
+        With a ``prefix`` of the same ids, only the layers from
+        ``prefix.start`` up run; the result is bit-identical to a full
+        forward while the layers below are unchanged.
+        """
+        source_ids, target_ids = self._check_pair(source_ids, target_ids)
+        if prefix is None:
+            enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids,
+                                            0, self.n_layers)
+        else:
+            prefix.check(source_ids, target_ids)
+            enc_x, dec_x = self._run_layers(prefix.enc, prefix.dec, target_ids,
+                                            prefix.start, self.n_layers)
+        self._enc_shape = enc_x.shape
         logits = self.out_proj.forward(dec_x)
         loss, self._d_logits = softmax_cross_entropy(logits, target_ids)
         return loss, logits
 
     def backward(self):
         """Accumulate gradients into trainable parameters (frozen tensors
-        are never touched, so their gradients stay exactly zero)."""
+        are never touched, so their gradients stay exactly zero).
+
+        The reverse pass stops at ``lowest_trainable``: the decoder layers
+        run down to it (all of them when the encoder has adapters, because
+        each one's cross-attention feeds the encoder gradient), and the
+        encoder is entered only when it has adapters. The layers below own
+        nothing trainable and their input gradients feed nothing, so the
+        trainable gradients are those of a full reverse pass, bit for bit.
+        With nothing trainable it returns at once.
+        """
+        lowest = self.lowest_trainable
+        if lowest == self.n_layers:
+            return
+        n_enc = len(self.encoder)
         d = self.out_proj.backward(self._d_logits)
         d_enc_total = np.zeros(self._enc_shape, dtype=self._d_logits.dtype)
-        for layer in reversed(self.decoder):
+        for layer in reversed(self.decoder[max(lowest - n_enc, 0):]):
             d = layer.backward(d, d_enc_total)
         d = d_enc_total
-        for layer in reversed(self.encoder):
+        for layer in reversed(self.encoder[lowest:]):
             d = layer.backward(d)
 
-    def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray) -> float:
-        loss, _ = self.forward(source_ids, target_ids)
+    def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
+                         prefix: Prefix | None = None) -> float:
+        loss, _ = self.forward(source_ids, target_ids, prefix)
         self.backward()
         return loss
 
@@ -572,6 +658,12 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     near-zero gradients is not amplified. Run after ``randomize_adapters``:
     with zero up-projections the down-projection gradients vanish and the
     check is vacuous there.
+
+    Scalars are perturbed layer by layer, in ``trainable_parameters()``
+    order. The streams that enter each adapted layer are computed once with
+    the adapters unperturbed, and both evaluations of every scalar in that
+    layer run forward from them: perturbing a layer cannot change what
+    enters it, so each loss is the full forward's, bit for bit.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
@@ -583,26 +675,31 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     worst_name = ""
     worst_err = 0.0
     n_checked = 0
-    for param in model.trainable_parameters():
-        flat = param.value.reshape(-1)
-        flat_analytic = analytic[param.name].reshape(-1)
-        param_err = 0.0
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            loss_plus, _ = model.forward(source_ids, target_ids)
-            flat[i] = original - eps
-            loss_minus, _ = model.forward(source_ids, target_ids)
-            flat[i] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            a = flat_analytic[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-            param_err = max(param_err, err)
-            n_checked += 1
-        per_parameter[param.name] = param_err
-        if param_err >= worst_err:
-            worst_err = param_err
-            worst_name = param.name
+    for index, layer in enumerate([*model.encoder, *model.decoder]):
+        params = [p for p in layer.parameters() if p.trainable]
+        if not params:
+            continue
+        prefix = model.prefix(source_ids, target_ids, index)
+        for param in params:
+            flat = param.value.reshape(-1)
+            flat_analytic = analytic[param.name].reshape(-1)
+            param_err = 0.0
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + eps
+                loss_plus, _ = model.forward(source_ids, target_ids, prefix)
+                flat[i] = original - eps
+                loss_minus, _ = model.forward(source_ids, target_ids, prefix)
+                flat[i] = original
+                numeric = (loss_plus - loss_minus) / (2.0 * eps)
+                a = flat_analytic[i]
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
+                param_err = max(param_err, err)
+                n_checked += 1
+            per_parameter[param.name] = param_err
+            if param_err >= worst_err:
+                worst_err = param_err
+                worst_name = param.name
     return GradCheckReport(
         max_rel_error=worst_err,
         worst_parameter=worst_name,
@@ -636,40 +733,59 @@ class TrainLog:
         }
 
 
+def _check_loss(loss: float, log: TrainLog, where: str):
+    if not math.isfinite(loss):
+        raise Divergence(f"loss became non-finite {where}")
+    if log.losses and loss > LOSS_GROWTH_LIMIT * log.initial_loss:
+        raise Divergence(f"loss {loss:.6g} {where} exceeds {LOSS_GROWTH_LIMIT:g} times "
+                         f"the initial loss {log.initial_loss:.6g}")
+
+
 def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
                    cfg: TrainConfig) -> TrainLog:
-    """Full-batch gradient descent on the trainable parameters only."""
+    """Full-batch gradient descent on the trainable parameters only.
+
+    The layers below ``model.lowest_trainable`` never change, so the
+    streams that enter it are computed once and every step and the final
+    loss run forward from them (with nothing trainable, a step is the
+    output projection and the loss). The losses are those of full forwards,
+    bit for bit. Raises ``Divergence`` when a loss is non-finite or exceeds
+    ``LOSS_GROWTH_LIMIT`` times the initial loss; numpy's overflow warnings
+    on the way there are silenced, because that check reports them.
+    """
     if cfg.optimizer not in ("adam", "sgd"):
         raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
     check_int("steps", cfg.steps, InvalidConfig)
     params = model.trainable_parameters()
     adam_m = [np.zeros_like(p.value) for p in params]
     adam_v = [np.zeros_like(p.value) for p in params]
+    lowest = model.lowest_trainable
+    # At layer 0 the prefix would only hold the embeddings, so none is kept.
+    prefix = model.prefix(source_ids, target_ids, lowest) if lowest > 0 else None
 
     log = TrainLog()
-    for step in range(cfg.steps):
-        model.zero_grads()
-        loss = model.forward_backward(source_ids, target_ids)
-        if not math.isfinite(loss):
-            raise Divergence(f"loss became non-finite at step {step}")
-        log.losses.append(loss)
-        if cfg.optimizer == "sgd":
-            for p in params:
-                p.value -= cfg.learning_rate * p.grad
-        else:
-            t = step + 1
-            for p, m, v in zip(params, adam_m, adam_v):
-                m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * p.grad
-                v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * (p.grad * p.grad)
-                m_hat = m / (1 - ADAM_BETA1 ** t)
-                v_hat = v / (1 - ADAM_BETA2 ** t)
-                p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.steps):
+            model.zero_grads()
+            loss = model.forward_backward(source_ids, target_ids, prefix)
+            _check_loss(loss, log, f"at step {step}")
+            log.losses.append(loss)
+            if cfg.optimizer == "sgd":
+                for p in params:
+                    p.value -= cfg.learning_rate * p.grad
+            else:
+                t = step + 1
+                for p, m, v in zip(params, adam_m, adam_v):
+                    m *= ADAM_BETA1
+                    m += (1 - ADAM_BETA1) * p.grad
+                    v *= ADAM_BETA2
+                    v += (1 - ADAM_BETA2) * (p.grad * p.grad)
+                    m_hat = m / (1 - ADAM_BETA1 ** t)
+                    v_hat = v / (1 - ADAM_BETA2 ** t)
+                    p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    final_loss, _ = model.forward(source_ids, target_ids)
-    if not math.isfinite(final_loss):
-        raise Divergence("final loss is non-finite")
+        final_loss, _ = model.forward(source_ids, target_ids, prefix)
+        _check_loss(final_loss, log, "after the last step")
     log.final_loss = final_loss
     return log
 

@@ -335,6 +335,26 @@ def test_missing_file_is_internal_error(capsys):
     assert "message" in json.loads(err.strip())
 
 
+@pytest.mark.parametrize("lr", ["1e4", "1e160"])
+def test_diverging_training_exits_1_with_only_the_json_error(lr):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adapterqa", "train-toy", "--lr", lr, "--optimizer", "sgd"],
+        capture_output=True, text=True, env=env, cwd=str(root),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "Divergence"
+
+
 def test_module_entry_point_runs():
     import os
     import pathlib

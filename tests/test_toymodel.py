@@ -4,6 +4,7 @@ import pytest
 from adapterqa.adapters import AdapterSet, count_adapter_params
 from adapterqa.errors import InputError
 from adapterqa.toymodel import (
+    LOSS_GROWTH_LIMIT,
     Divergence,
     InvalidConfig,
     ToyConfig,
@@ -167,6 +168,23 @@ def test_divergence_detected():
         with pytest.raises(Divergence):
             train_adapters(model, source, target,
                            TrainConfig(learning_rate=1e160, steps=10, optimizer="sgd"))
+
+
+def test_loss_growth_past_the_limit_is_divergence():
+    model = build_toy_model(ToyConfig())
+    source, target = make_copy_task()
+    with pytest.raises(Divergence, match="100 times the initial loss"):
+        train_adapters(model, source, target,
+                       TrainConfig(learning_rate=100, steps=200, optimizer="sgd"))
+
+
+def test_loss_spike_below_the_growth_limit_recovers():
+    model = build_toy_model(ToyConfig())
+    source, target = make_copy_task()
+    log = train_adapters(model, source, target,
+                         TrainConfig(learning_rate=10, steps=200, optimizer="sgd"))
+    assert 10 * log.initial_loss < max(log.losses) <= LOSS_GROWTH_LIMIT * log.initial_loss
+    assert log.final_loss < log.initial_loss
 
 
 def test_invalid_configs_rejected():

@@ -1,0 +1,163 @@
+"""Differential tests of the trainability-aware paths of the toy model.
+
+``ToyModel.backward`` stops at the lowest adapted layer, and forwards can
+start from a ``Prefix``. Each is checked bit for bit against the simple
+path it replaces, written out here: a full forward, a reverse loop over
+every layer, and a training loop built from those two.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from adapterqa.ablation import apply_ablation, grid_ablation_plan, uniform_ablation_plan
+from adapterqa.adapters import AdapterSet, ModelDims
+from adapterqa.errors import InputError
+from adapterqa.toymodel import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ToyConfig,
+    TrainConfig,
+    build_toy_model,
+    train_adapters,
+)
+
+DIMS = ModelDims(d_model=8, bottleneck=2, n_encoder_layers=4, n_decoder_layers=4)
+N_LAYERS = DIMS.n_encoder_layers + DIMS.n_decoder_layers
+FULL = AdapterSet.full(DIMS)
+
+# Every row of the toy-scaled uniform and grid plans, plus the named shapes.
+NAMED_SETS = [
+    AdapterSet.empty(),
+    AdapterSet.of(encoder_layers=[1, 2]),
+    AdapterSet.of(decoder_layers=[5]),
+    AdapterSet.of(encoder_layers=[0, 2], decoder_layers=[5, 7]),
+    FULL,
+    *(apply_ablation(FULL, row) for row in uniform_ablation_plan(DIMS) + grid_ablation_plan(DIMS)),
+]
+
+adapter_sets = st.builds(
+    AdapterSet,
+    st.frozensets(st.sampled_from(DIMS.encoder_layer_indices())),
+    st.frozensets(st.sampled_from(DIMS.decoder_layer_indices())),
+)
+
+
+def over_adapter_sets(test):
+    """Run ``test`` on every named set and on arbitrary ones."""
+    test = settings(deadline=None, max_examples=25)(given(adapter_sets)(test))
+    for adapter_set in NAMED_SETS:
+        test = example(adapter_set)(test)
+    return test
+
+
+def build(adapter_set: AdapterSet, randomize: bool = True):
+    model = build_toy_model(ToyConfig(
+        d_model=DIMS.d_model, bottleneck=DIMS.bottleneck,
+        n_encoder_layers=DIMS.n_encoder_layers, n_decoder_layers=DIMS.n_decoder_layers,
+        n_heads=2, vocab_size=16, max_len=8, seed=6, adapter_set=adapter_set,
+    ))
+    if randomize:
+        model.randomize_adapters(seed=7)
+    return model
+
+
+def batch():
+    rng = np.random.default_rng(8)
+    return rng.integers(2, 16, size=(3, 6)), rng.integers(2, 16, size=(3, 5))
+
+
+def full_backward(model):
+    """The reverse pass through every layer, as before truncation."""
+    d = model.out_proj.backward(model._d_logits)
+    d_enc_total = np.zeros(model._enc_shape, dtype=model._d_logits.dtype)
+    for layer in reversed(model.decoder):
+        d = layer.backward(d, d_enc_total)
+    d = d_enc_total
+    for layer in reversed(model.encoder):
+        d = layer.backward(d)
+
+
+def reference_train(model, source, target, cfg: TrainConfig):
+    """``train_adapters`` on full forwards and full backwards."""
+    params = model.trainable_parameters()
+    adam_m = [np.zeros_like(p.value) for p in params]
+    adam_v = [np.zeros_like(p.value) for p in params]
+    losses = []
+    for step in range(cfg.steps):
+        model.zero_grads()
+        loss = model.forward(source, target)[0]
+        full_backward(model)
+        losses.append(loss)
+        if cfg.optimizer == "sgd":
+            for p in params:
+                p.value -= cfg.learning_rate * p.grad
+        else:
+            t = step + 1
+            for p, m, v in zip(params, adam_m, adam_v):
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * p.grad
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * (p.grad * p.grad)
+                m_hat = m / (1 - ADAM_BETA1 ** t)
+                v_hat = v / (1 - ADAM_BETA2 ** t)
+                p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return losses, model.forward(source, target)[0]
+
+
+@over_adapter_sets
+def test_forward_from_any_prefix_matches_full_forward(adapter_set):
+    model = build(adapter_set)
+    source, target = batch()
+    full_loss, full_logits = model.forward(source, target)
+    for start in range(N_LAYERS + 1):
+        loss, logits = model.forward(source, target, model.prefix(source, target, start))
+        assert loss == full_loss
+        assert logits.tobytes() == full_logits.tobytes()
+
+
+@over_adapter_sets
+def test_truncated_backward_matches_full_reverse_pass(adapter_set):
+    truncated, full = build(adapter_set), build(adapter_set)
+    source, target = batch()
+    for model, backward in ((truncated, truncated.backward), (full, lambda: full_backward(full))):
+        model.zero_grads()
+        model.forward(source, target)
+        backward()
+    for mine, theirs in zip(truncated.parameters(), full.parameters()):
+        assert mine.grad.tobytes() == theirs.grad.tobytes(), mine.name
+        if not mine.trainable:
+            assert not mine.grad.any(), mine.name
+
+
+@over_adapter_sets
+def test_train_logs_match_full_forward_and_backward_loop(adapter_set):
+    source, target = batch()
+    for cfg in (TrainConfig(steps=4), TrainConfig(learning_rate=0.5, steps=4, optimizer="sgd")):
+        model, reference = build(adapter_set, randomize=False), build(adapter_set, randomize=False)
+        log = train_adapters(model, source, target, cfg)
+        losses, final_loss = reference_train(reference, source, target, cfg)
+        assert (log.losses, log.final_loss) == (losses, final_loss)
+        for mine, theirs in zip(model.trainable_parameters(), reference.trainable_parameters()):
+            assert mine.value.tobytes() == theirs.value.tobytes(), mine.name
+
+
+def test_lowest_trainable_layer_counts_decoder_after_encoder():
+    assert build(FULL).lowest_trainable == 0
+    assert build(AdapterSet.of(encoder_layers=[2], decoder_layers=[4])).lowest_trainable == 2
+    assert build(AdapterSet.of(decoder_layers=[6, 7])).lowest_trainable == 6
+    assert build(AdapterSet.empty()).lowest_trainable == N_LAYERS
+
+
+def test_prefix_rejects_other_ids_and_out_of_range_starts():
+    model = build(FULL)
+    source, target = batch()
+    prefix = model.prefix(source, target, 3)
+    for other_source, other_target in ((source[::-1], target), (source, target[:, ::-1])):
+        with pytest.raises(InputError):
+            model.forward(other_source, other_target, prefix)
+    for start in (-1, N_LAYERS + 1, 2.0, True):
+        with pytest.raises(InputError):
+            model.prefix(source, target, start)
