@@ -1,8 +1,9 @@
 """End-to-end demo on a synthetic mixed corpus.
 
-Generates a small JSONL dataset of table and text QA records, computes
-dataset statistics, prepares prompted (input, target) pairs under a token
-budget, and scores a dummy prediction file against the references.
+Generates a small JSONL dataset of table and text QA records, then runs
+``adapterqa stats``, ``adapterqa prepare --max-tokens 48`` and
+``adapterqa eval`` (scoring dummy predictions against the prepared
+targets) through the CLI entry point.
 
 Usage: python scripts/demo_pipeline.py [--work-dir demo_run]
 """
@@ -15,8 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from adapterqa.data import PrepareLimits, compute_stats, prepare_examples, read_records  # noqa: E402
-from adapterqa.metrics import evaluate_predictions  # noqa: E402
+from adapterqa.cli import main as adapterqa  # noqa: E402
 
 FILMS = [
     ("2013", "Padhe Padhe", "Kannada"),
@@ -54,6 +54,12 @@ def make_text_record(idx, rng):
     }
 
 
+def run(*argv: str):
+    code = adapterqa(list(argv))
+    if code != 0:
+        sys.exit(code)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--work-dir", default="demo_run")
@@ -72,32 +78,21 @@ def main():
             "".join(json.dumps(r) + "\n" for r in records_json), encoding="utf-8"
         )
 
-        records = read_records(data_path, modality)
-        stats = compute_stats(records)
-        print(f"[{modality}] stats: {stats.to_json_dict()}")
-
-        examples = prepare_examples(records, PrepareLimits(max_input_tokens=48))
+        print(f"[{modality}]", flush=True)
+        run("stats", "--in", str(data_path), "--modality", modality)
         prepared_path = work / f"{modality}_prepared.jsonl"
-        prepared_path.write_text(
-            "".join(
-                json.dumps({"input": seq.rendered, "target": target}) + "\n"
-                for seq, target in examples
-            ),
-            encoding="utf-8",
-        )
+        run("prepare", "--in", str(data_path), "--modality", modality, "--max-tokens", "48",
+            "--out", str(prepared_path))
 
         # dummy predictions: echo the reference for even ids, truncate for odd
-        refs = [target for _, target in examples]
+        with open(prepared_path, encoding="utf-8") as handle:
+            refs = [json.loads(line)["target"] for line in handle]
         preds = [ref if i % 2 == 0 else " ".join(ref.split()[:3]) for i, ref in enumerate(refs)]
         ref_path = work / f"{modality}_refs.txt"
         pred_path = work / f"{modality}_preds.txt"
         ref_path.write_text("".join(r + "\n" for r in refs), encoding="utf-8")
         pred_path.write_text("".join(p + "\n" for p in preds), encoding="utf-8")
-        report = evaluate_predictions(pred_path, ref_path)
-        print(
-            f"[{modality}] eval: rougeL_f={report.rougeL.f1:.3f} bleu={report.bleu:.2f} "
-            f"over {report.n_examples} examples"
-        )
+        run("eval", "--pred", str(pred_path), "--ref", str(ref_path))
 
     print(f"artifacts in {work}/")
 

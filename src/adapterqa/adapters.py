@@ -9,7 +9,7 @@ so accounting reduces to counting active layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -62,10 +62,12 @@ class ModelDims:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelDims":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown dims keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+        if missing:
+            raise InputError(f"missing dims keys: {missing}")
         return cls(**obj)
 
 

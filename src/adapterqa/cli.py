@@ -50,11 +50,23 @@ def _write_output(text: str, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
 
 
+class UsageError(InputError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` (with argparse's usage line and error text)
+    instead of printing them and exiting, so ``main`` reports it as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _load_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -159,7 +171,7 @@ def cmd_plan_ablation(args) -> int:
     return 0
 
 
-def _toy_config(args) -> ToyConfig:
+def _toy_config(args, precision: str = "double") -> ToyConfig:
     return ToyConfig(
         d_model=args.d_model,
         bottleneck=args.bottleneck,
@@ -167,7 +179,7 @@ def _toy_config(args) -> ToyConfig:
         n_decoder_layers=args.dec_layers,
         vocab_size=args.vocab,
         seed=args.seed,
-        precision=args.precision,
+        precision=precision,
     )
 
 
@@ -191,7 +203,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     if args.task != "copy":
         raise InputError(f"unknown task {args.task!r}; available: copy")
-    model = build_toy_model(_toy_config(args))
+    model = build_toy_model(_toy_config(args, args.precision))
     source, target = make_copy_task(
         n_examples=args.examples, seq_len=args.seq_len,
         vocab_size=model.cfg.vocab_size, seed=args.seed,
@@ -235,7 +247,7 @@ def cmd_prepare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adapterqa",
         description="Table linearization, prompted inputs, adapter accounting, "
                     "ablation planning, toy adapter training, and text metrics.",
@@ -283,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vocab", type=int, default=64)
         p.add_argument("--seq-len", type=int, default=6)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--precision", choices=("single", "double"), default="double")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of adapter gradients")
@@ -299,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
+    p.add_argument("--precision", choices=("single", "double"), default="double")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("stats", help="dataset statistics from a JSONL record file")
@@ -324,13 +336,11 @@ def _error_payload(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except (InputError, UnicodeDecodeError) as exc:
         # Undecodable bytes in an input file are bad input, whichever command reads it.
         print(_error_payload(exc), file=sys.stderr)

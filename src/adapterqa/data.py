@@ -58,7 +58,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SchemaError(f"invalid JSON: {exc}", line_no) from exc
             if not isinstance(obj, dict):
                 raise SchemaError(f"line must be a JSON object, got {type(obj).__name__}", line_no)

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, SchemaError, check_int
 
+# Most grid positions ((header rows + body rows) x width) a table may
+# resolve to: spans let a few bytes claim any area, and linearize writes one
+# pair per body position.
+MAX_GRID_CELLS = 100_000
+
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _WHITESPACE_RUN = re.compile(r"\s+")
 
@@ -42,6 +47,10 @@ class SpanOutOfBounds(TableValidationError):
 
 class EmptyGrid(TableValidationError):
     """The table resolves to a grid with no rows or no columns."""
+
+
+class GridTooLarge(TableValidationError):
+    """The resolved grid would hold more than ``MAX_GRID_CELLS`` positions."""
 
 
 @dataclass
@@ -185,13 +194,15 @@ class ValidatedTable:
         return list(seen.values())
 
 
-def _resolve_section(rows: list[list[Cell]], what: str, width: int | None) -> list[list[Cell]]:
+def _resolve_section(rows: list[list[Cell]], what: str, width: int | None,
+                     max_width: int) -> list[list[Cell]]:
     """Place each cell at the leftmost free column of its starting row.
 
-    With ``width=None`` the grid grows as needed and the width is inferred;
-    otherwise cells must fit within ``width`` columns. Returns the occupancy
-    grid (one owning Cell per position); raises on overlaps, out-of-bounds
-    spans, or uncovered positions.
+    With ``width=None`` the grid grows as needed, up to ``max_width``
+    columns, and the width is inferred; otherwise cells must fit within
+    ``width`` columns. Returns the occupancy grid (one owning Cell per
+    position); raises on overlaps, out-of-bounds spans, or uncovered
+    positions.
     """
     n_rows = len(rows)
     grid: list[list[Cell | None]] = [[] for _ in range(n_rows)]
@@ -209,6 +220,11 @@ def _resolve_section(rows: list[list[Cell]], what: str, width: int | None) -> li
         for cell in row:
             while not col_free(r, cursor):
                 cursor += 1
+            if width is None and cursor + cell.colspan > max_width:
+                raise GridTooLarge(
+                    f"{what} row {r} resolves wider than {max_width} columns, so the grid "
+                    f"would exceed {MAX_GRID_CELLS} positions"
+                )
             if width is not None and cursor >= width:
                 raise RaggedGrid(
                     f"{what} row {r} resolves wider than the grid width {width}"
@@ -245,15 +261,17 @@ def validate_table(raw: HierarchicalTable) -> ValidatedTable:
     """Resolve spans onto occupancy grids, checking full rectangular cover.
 
     The header section fixes the grid width; body rows must resolve to the
-    same width. Pure function: ``raw`` is not modified.
+    same width, and the whole grid may hold at most ``MAX_GRID_CELLS``
+    positions. Pure function: ``raw`` is not modified.
     """
     if not raw.header_rows:
         raise EmptyGrid("table has no header rows")
-    header_grid = _resolve_section(raw.header_rows, "header", width=None)
+    max_width = MAX_GRID_CELLS // (len(raw.header_rows) + len(raw.body_rows))
+    header_grid = _resolve_section(raw.header_rows, "header", width=None, max_width=max_width)
     width = len(header_grid[0]) if header_grid else 0
     if width < 1:
         raise EmptyGrid("table resolves to zero columns")
-    body_grid = _resolve_section(raw.body_rows, "body", width=width)
+    body_grid = _resolve_section(raw.body_rows, "body", width=width, max_width=width)
     return ValidatedTable(
         title=raw.title,
         width=width,

@@ -78,14 +78,14 @@ class ToyConfig:
 
 
 class Parameter:
-    """Named tensor with a gradient buffer and a frozen/trainable tag."""
+    """Named tensor with a frozen/trainable tag; only backward sets ``grad``."""
 
     __slots__ = ("name", "value", "grad", "trainable")
 
     def __init__(self, name: str, value: np.ndarray, trainable: bool = False):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad: np.ndarray | None = None
         self.trainable = trainable
 
     def __repr__(self):
@@ -226,7 +226,8 @@ class FeedForward:
 class AdapterModule:
     """Trainable residual bottleneck (``adapters.adapter_forward``) with a
     hand-written backward pass. Its four parameters share memory with the
-    ``AdapterParams`` the forward pass reads."""
+    ``AdapterParams`` the forward pass reads. It runs once per forward, so
+    ``backward`` sets its four gradients rather than accumulating them."""
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator, dtype):
         self.params = AdapterParams.near_identity(d_model, bottleneck, rng, dtype)
@@ -245,12 +246,12 @@ class AdapterModule:
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         x, hidden = self._x, self._hidden
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
-        self.w_up.grad += hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
-        self.b_up.grad += flat_d_out.sum(axis=0)
+        self.w_up.grad = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
+        self.b_up.grad = flat_d_out.sum(axis=0)
         d_hidden = (d_out @ self.w_up.value.T) * (hidden > 0)
         flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
-        self.w_down.grad += x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
-        self.b_down.grad += flat_d_hidden.sum(axis=0)
+        self.w_down.grad = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
+        self.b_down.grad = flat_d_hidden.sum(axis=0)
         return d_out + d_hidden @ self.w_down.value.T
 
     def parameters(self) -> list[Parameter]:
@@ -458,10 +459,6 @@ class ToyModel:
     def trainable_parameters(self) -> list[Parameter]:
         return [p for p in self.parameters() if p.trainable]
 
-    def zero_grads(self):
-        for p in self.parameters():
-            p.grad[...] = 0.0
-
     def randomize_adapters(self, seed: int, scale: float = 0.1):
         """Replace every adapter tensor with random values (for gradient
         audits; zero up-projections would hide the down-projection
@@ -544,8 +541,8 @@ class ToyModel:
         return loss, logits
 
     def backward(self):
-        """Accumulate gradients into trainable parameters (frozen tensors
-        are never touched, so their gradients stay exactly zero).
+        """Set the gradient of every trainable parameter; frozen tensors
+        get none.
 
         The reverse pass stops at ``lowest_trainable``: the decoder layers
         run down to it (all of them when the encoder has adapters, because
@@ -638,14 +635,12 @@ class GradCheckReport:
     per_parameter: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        # float(): errors of a single-precision model are numpy float32,
-        # which json cannot encode.
         return {
-            "max_rel_error": float(self.max_rel_error),
+            "max_rel_error": self.max_rel_error,
             "worst_parameter": self.worst_parameter,
             "n_params_checked": self.n_params_checked,
             "eps": self.eps,
-            "per_parameter": {name: float(err) for name, err in self.per_parameter.items()},
+            "per_parameter": self.per_parameter,
         }
 
 
@@ -657,7 +652,8 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     The relative error uses an absolute floor so finite-difference noise on
     near-zero gradients is not amplified. Run after ``randomize_adapters``:
     with zero up-projections the down-projection gradients vanish and the
-    check is vacuous there.
+    check is vacuous there. Double precision only: float32 central
+    differences cannot resolve these gradients.
 
     Scalars are perturbed layer by layer, in ``trainable_parameters()``
     order. The streams that enter each adapted layer are computed once with
@@ -667,9 +663,11 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
-    model.zero_grads()
+    if model.cfg.precision != "double":
+        raise InvalidConfig(
+            f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
-    analytic = {p.name: p.grad.copy() for p in model.trainable_parameters()}
+    analytic = {p.name: p.grad for p in model.trainable_parameters()}
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
@@ -766,7 +764,6 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     log = TrainLog()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
-            model.zero_grads()
             loss = model.forward_backward(source_ids, target_ids, prefix)
             _check_loss(loss, log, f"at step {step}")
             log.losses.append(loss)

@@ -208,11 +208,10 @@ def test_criterion_6_adapter_numerics():
     copy_source, copy_target = make_copy_task(
         n_examples=32, seq_len=6, vocab_size=64, seed=6
     )
-    model.zero_grads()
     model.forward_backward(copy_source, copy_target)
     for param in model.parameters():
         if not param.trainable:
-            assert not param.grad.any(), param.name
+            assert param.grad is None, param.name
     log = train_adapters(
         model, copy_source, copy_target,
         TrainConfig(learning_rate=1e-2, steps=200, optimizer="adam"),

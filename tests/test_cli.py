@@ -263,6 +263,7 @@ STATS = ["stats", "--in", "FILE", "--modality", "table"]
         pytest.param(["count-params", "--config", "FILE"],
                      {"d_model": True, "bottleneck": True, "n_encoder_layers": 1,
                       "n_decoder_layers": 1}, id="count-params-bool-dims"),
+        pytest.param(["count-params", "--config", "FILE"], {}, id="count-params-missing-dims"),
         pytest.param(["train-toy", "--steps", "0"], None, id="train-toy-steps-0"),
         pytest.param(["train-toy", "--steps", "-3"], None, id="train-toy-steps-neg"),
         pytest.param(["gradcheck", "--eps", "0"], None, id="gradcheck-eps-0"),
@@ -290,17 +291,78 @@ def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj
     assert set(json.loads(err.strip())) == {"error", "message"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["count-params", "--seed", "3"], ["gradcheck", "--d-model", "x"],
+     ["train-toy", "--optimizer", "adamw"]],
+    ids=["none", "bogus", "count-params-seed", "gradcheck-d-model", "train-toy-optimizer"],
+)
+def test_usage_errors_exit_2_with_json_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith("usage: adapterqa")
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, ["--help"])
+    assert code == 0
+    assert out.startswith("usage: adapterqa")
+    assert err == ""
+
+
+NESTED_ARRAYS = "[" * 100_000 + "]" * 100_000
+# 120 bytes claiming a 2 x 10^6 grid.
+WIDE_TABLE = {"title": "t", "header_rows": [[{"text": "h", "colspan": 10**6}]],
+              "body_rows": [[{"text": "b", "colspan": 10**6}]]}
+
+
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        pytest.param(["linearize", "--in", "FILE"], NESTED_ARRAYS, "SchemaError",
+                     id="linearize-nested"),
+        pytest.param(["count-params", "--config", "FILE"], NESTED_ARRAYS, "SchemaError",
+                     id="count-params-nested"),
+        pytest.param(STATS, NESTED_ARRAYS, "SchemaError", id="stats-nested"),
+        pytest.param(["assemble", "--batch", "FILE"], NESTED_ARRAYS, "SchemaError",
+                     id="assemble-nested"),
+        pytest.param(["linearize", "--in", "FILE"], json.dumps(WIDE_TABLE), "GridTooLarge",
+                     id="linearize-wide"),
+        pytest.param(STATS, json.dumps({**RECORD, "context": {"table": WIDE_TABLE}}),
+                     "GridTooLarge", id="stats-wide"),
+    ],
+)
+def test_hostile_files_exit_2_with_json_error(tmp_path, capsys, argv, text, error):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == error
+
+
 def test_seed_and_precision_belong_to_the_toy_commands(capsys):
     for option in (["--seed", "99"], ["--precision", "single"]):
         code, out, _ = run(capsys, ["count-params", *option])
         assert code == 2
         assert out == ""
     toy = ["--d-model", "8", "--bottleneck", "4", "--enc-layers", "1", "--dec-layers", "1",
-           "--vocab", "16", "--seq-len", "4", "--seed", "3", "--precision", "single"]
+           "--vocab", "16", "--seq-len", "4", "--seed", "3"]
     code, out, _ = run(capsys, ["gradcheck", *toy])
     assert code == 0
     assert json.loads(out)["n_params_checked"] > 0
-    assert run(capsys, ["train-toy", "--steps", "1", *toy])[0] == 0
+    # gradcheck audits double precision only, so --precision is train-toy's.
+    code, out, err = run(capsys, ["gradcheck", *toy, "--precision", "single"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    assert run(capsys, ["train-toy", "--steps", "1", *toy, "--precision", "single"])[0] == 0
 
 
 def test_stats_schema_error_exits_2(tmp_path, capsys):

@@ -3,8 +3,10 @@ from hypothesis import given, settings
 
 from adapterqa.errors import InputError, SchemaError
 from adapterqa.tables import (
+    MAX_GRID_CELLS,
     Cell,
     EmptyGrid,
+    GridTooLarge,
     HierarchicalTable,
     OverlappingSpans,
     RaggedGrid,
@@ -116,6 +118,21 @@ def test_empty_header_rejected():
         validate_table(HierarchicalTable(title="t", header_rows=[], body_rows=[]))
     with pytest.raises(EmptyGrid):
         validate_table(HierarchicalTable(title="t", header_rows=[[]], body_rows=[]))
+
+
+def test_grid_area_is_bounded_by_header_plus_body_rows_times_width():
+    def table(width, n_body):
+        return HierarchicalTable(
+            title="t",
+            header_rows=[[Cell("h", colspan=width)]],
+            body_rows=[[Cell("b", colspan=width)] for _ in range(n_body)],
+        )
+
+    assert validate_table(table(MAX_GRID_CELLS // 4, 3)).width == MAX_GRID_CELLS // 4
+    too_large = ((MAX_GRID_CELLS // 4 + 1, 3), (MAX_GRID_CELLS + 1, 0), (1, MAX_GRID_CELLS))
+    for width, n_body in too_large:
+        with pytest.raises(GridTooLarge):
+            validate_table(table(width, n_body))
 
 
 def test_text_normalization():

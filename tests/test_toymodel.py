@@ -64,13 +64,27 @@ def test_frozen_parameters_receive_exactly_zero_gradient():
     model = build_toy_model(GRADCHECK_CONFIG)
     model.randomize_adapters(seed=7)
     source, target = sample_batch(GRADCHECK_CONFIG)
-    model.zero_grads()
     model.forward_backward(source, target)
     for param in model.parameters():
         if not param.trainable:
-            assert not param.grad.any(), param.name
+            assert param.grad is None, param.name
         else:
             assert param.grad.any(), param.name
+
+
+def test_each_backward_sets_the_adapter_gradients():
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    source, target = sample_batch(GRADCHECK_CONFIG)
+    grads = []
+    for _ in range(2):
+        model.forward_backward(source, target)
+        grads.append([p.grad.tobytes() for p in model.trainable_parameters()])
+    assert grads[0] == grads[1]
+    fresh = build_toy_model(GRADCHECK_CONFIG)
+    assert all(p.grad is None for p in fresh.parameters())
+    train_adapters(fresh, source, target, TrainConfig(steps=2))
+    assert all(p.grad is None for p in fresh.parameters() if not p.trainable)
 
 
 def test_removing_a_layer_shrinks_gradient_vector_exactly():
@@ -215,3 +229,5 @@ def test_single_precision_runs():
     loss, logits = model.forward(source, target)
     assert logits.dtype == np.float32
     assert np.isfinite(loss)
+    with pytest.raises(InvalidConfig):
+        grad_check(model, source, target)
