@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .assembly import InputSequence, assemble, truncate
 from .errors import SchemaError, check_int
-from .linearize import linearize
+from .linearize import check_linearized_length, expand_body, linearize
 from .tables import HierarchicalTable, ValidatedTable, validate_table
 
 MODALITIES = ("table", "text")
@@ -37,6 +37,9 @@ class QaRecord:
         if not self.answers:
             raise SchemaError("record must carry at least one answer")
         self.grid = None if self.table is None else validate_table(self.table)
+        if self.grid is not None:
+            # Refused on read, so stats rejects what prepare cannot linearize.
+            check_linearized_length(expand_body(self.grid))
 
     @property
     def modality(self) -> str:

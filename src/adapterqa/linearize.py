@@ -9,10 +9,12 @@ row-major as ``header: value`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .tables import (
     HierarchicalTable,
     RegularTable,
+    TableValidationError,
     ValidatedTable,
     validate_table,
 )
@@ -20,6 +22,15 @@ from .tables import (
 KV_SEPARATOR = ": "
 PAIR_SEPARATOR = ", "
 ROW_SEPARATOR = " ; "
+
+# Most characters one table may linearize to. ``MAX_GRID_CELLS`` bounds
+# grid positions, not text: every key repeats once per body row and every
+# cell text once per position it spans.
+MAX_LINEARIZED_CHARS = 1_000_000
+
+
+class LinearizedTextTooLarge(TableValidationError):
+    """The table would linearize to more than ``MAX_LINEARIZED_CHARS`` characters."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,34 @@ def expand_body(table: ValidatedTable) -> RegularTable:
     return RegularTable(title=table.title, header=list(header.keys), rows=rows)
 
 
+def linearized_length(table: RegularTable) -> int:
+    """Exact length of ``serialize_row_major(table).text``, counted from the
+    key and value lengths and the separators without building the text."""
+    n_rows = len(table.rows)
+    if n_rows == 0:
+        return 0
+    row_keys = (sum(map(len, table.header)) + table.width * len(KV_SEPARATOR)
+                + max(table.width - 1, 0) * len(PAIR_SEPARATOR))
+    values = sum(map(len, chain.from_iterable(table.rows)))
+    return n_rows * row_keys + values + (n_rows - 1) * len(ROW_SEPARATOR)
+
+
+def check_linearized_length(table: RegularTable) -> None:
+    """Raise ``LinearizedTextTooLarge`` if the table's text would be longer
+    than ``MAX_LINEARIZED_CHARS``."""
+    length = linearized_length(table)
+    if length > MAX_LINEARIZED_CHARS:
+        raise LinearizedTextTooLarge(
+            f"table would linearize to {length} characters, "
+            f"more than {MAX_LINEARIZED_CHARS}"
+        )
+
+
 def serialize_row_major(table: RegularTable) -> FlattenedTableText:
     """Emit ``header: value`` pairs, comma-joined within a row, rows joined
-    by ``" ; "``. An empty body serializes to the empty string."""
+    by ``" ; "``. An empty body serializes to the empty string. Text longer
+    than ``MAX_LINEARIZED_CHARS`` is refused before it is built."""
+    check_linearized_length(table)
     row_texts = [
         PAIR_SEPARATOR.join(
             f"{key}{KV_SEPARATOR}{value}" for key, value in zip(table.header, row)

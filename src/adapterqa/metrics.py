@@ -6,6 +6,10 @@ precision/recall/F1. BLEU pools modified n-gram precisions (orders 1-4)
 over the whole corpus on case-sensitive, punctuation-split tokens, applies
 exponential smoothing to zero match counts, skips orders whose pooled
 denominator is zero, and multiplies by the brevity penalty.
+
+The public scorers take strings; each tokenizes and then runs the same
+token-level kernel that ``evaluate_pairs`` runs on tokens it computes
+once per side and scheme.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .errors import AdapterQaError, InputError
@@ -25,7 +30,7 @@ _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 # Punctuation splitting before whitespace tokenization (13a-style rules):
 # most punctuation is always split off; period/comma stay attached between
 # digits; a dash splits only after a digit.
-_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+_SPLIT_PUNCT = str.maketrans({c: f" {c} " for c in ' !"#$%&()*+/:;<=>?@[\\]^_`{|}~'})
 _PERIOD_COMMA_AFTER = re.compile(r"([^0-9])([\.,])")
 _PERIOD_COMMA_BEFORE = re.compile(r"([\.,])([^0-9])")
 _DASH_AFTER_DIGIT = re.compile(r"([0-9])(-)")
@@ -86,55 +91,81 @@ def metric_tokenize(text: str) -> list[str]:
 
 def bleu_tokenize(text: str) -> list[str]:
     """Case-sensitive tokens with punctuation split from words."""
-    text = _PUNCT.sub(r" \1 ", f" {text} ")
+    text = f" {text} ".translate(_SPLIT_PUNCT)
     text = _PERIOD_COMMA_AFTER.sub(r"\1 \2 ", text)
     text = _PERIOD_COMMA_BEFORE.sub(r" \1 \2", text)
     text = _DASH_AFTER_DIGIT.sub(r"\1 \2 ", text)
     return text.split()
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _rouge_n_tokens(hyp: list[str], ref: list[str], n: int) -> PRF:
+    if len(hyp) < n or len(ref) < n:
+        return PRF(0.0, 0.0, 0.0)
+    if n == 1:
+        hyp_grams, ref_grams = Counter(hyp), Counter(ref)
+    else:
+        hyp_grams, ref_grams = Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:]))
+    ref_count = ref_grams.get
+    overlap = sum(min(count, ref_count(gram, 0)) for gram, count in hyp_grams.items())
+    return PRF.from_pr(overlap / (len(hyp) - n + 1), overlap / (len(ref) - n + 1))
 
 
 def rouge_n(hyp: str, ref: str, n: int) -> PRF:
     """Clipped n-gram overlap precision/recall/F1 for n in {1, 2}."""
     if n not in (1, 2):
         raise InputError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    hyp_grams = _ngrams(metric_tokenize(hyp), n)
-    ref_grams = _ngrams(metric_tokenize(ref), n)
-    n_hyp = sum(hyp_grams.values())
-    n_ref = sum(ref_grams.values())
-    if n_hyp == 0 or n_ref == 0:
-        return PRF(0.0, 0.0, 0.0)
-    overlap = sum(min(count, ref_grams[gram]) for gram, count in hyp_grams.items())
-    return PRF.from_pr(overlap / n_hyp, overlap / n_ref)
+    return _rouge_n_tokens(metric_tokenize(hyp), metric_tokenize(ref), n)
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b):
-            if token_a == token_b:
-                current.append(previous[j] + 1)
-            else:
-                current.append(max(previous[j + 1], current[j]))
-        previous = current
-    return previous[-1]
+    """Longest common subsequence length, bit-parallel over ``b``.
+
+    After the first ``i`` tokens of ``a``, bit ``j`` of ``v`` is 0 exactly
+    where LCS(a[:i], b[:j + 1]) exceeds LCS(a[:i], b[:j]), so the LCS length
+    is the number of zero bits. Each token of ``a`` updates every bit at
+    once with one add and one subtract on Python ints (Allison & Dix 1986;
+    Hyyrö 2004, "Bit-parallel LCS-length computation revisited").
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        mask = masks.get(token)
+        if mask is not None:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def _rouge_l_tokens(hyp: list[str], ref: list[str]) -> PRF:
+    if not hyp or not ref:
+        return PRF(0.0, 0.0, 0.0)
+    lcs = lcs_length(hyp, ref)
+    return PRF.from_pr(lcs / len(hyp), lcs / len(ref))
 
 
 def rouge_l(hyp: str, ref: str) -> PRF:
     """Sentence-level LCS precision/recall/F1 over metric tokens."""
-    hyp_tokens = metric_tokenize(hyp)
-    ref_tokens = metric_tokenize(ref)
-    if not hyp_tokens or not ref_tokens:
-        return PRF(0.0, 0.0, 0.0)
-    lcs = lcs_length(hyp_tokens, ref_tokens)
-    return PRF.from_pr(lcs / len(hyp_tokens), lcs / len(ref_tokens))
+    return _rouge_l_tokens(metric_tokenize(hyp), metric_tokenize(ref))
+
+
+def _bleu_ngrams(tokens: list[str]) -> Counter:
+    """All n-grams of orders 1..MAX_BLEU_ORDER, keyed by tuples of length n."""
+    return Counter(chain.from_iterable(zip(*[tokens[i:] for i in range(n)])
+                                       for n in range(1, MAX_BLEU_ORDER + 1)))
+
+
+def _bleu_stats_tokens(hyp: list[str], ref: list[str]) -> tuple[list[int], list[int], int, int]:
+    matches = [0] * MAX_BLEU_ORDER
+    ref_count = _bleu_ngrams(ref).get
+    for gram, count in _bleu_ngrams(hyp).items():
+        clip = ref_count(gram)
+        if clip:
+            matches[len(gram) - 1] += min(count, clip)
+    totals = [max(len(hyp) - n + 1, 0) for n in range(1, MAX_BLEU_ORDER + 1)]
+    return matches, totals, len(hyp), len(ref)
 
 
 def bleu_segment_stats(hyp: str, ref: str) -> tuple[list[int], list[int], int, int]:
@@ -143,16 +174,7 @@ def bleu_segment_stats(hyp: str, ref: str) -> tuple[list[int], list[int], int, i
     These tuples add component-wise, so corpus pooling is an associative,
     order-independent reduction.
     """
-    hyp_tokens = bleu_tokenize(hyp)
-    ref_tokens = bleu_tokenize(ref)
-    matches = []
-    totals = []
-    for n in range(1, MAX_BLEU_ORDER + 1):
-        hyp_grams = _ngrams(hyp_tokens, n)
-        ref_grams = _ngrams(ref_tokens, n)
-        matches.append(sum(min(count, ref_grams[g]) for g, count in hyp_grams.items()))
-        totals.append(max(len(hyp_tokens) - n + 1, 0))
-    return matches, totals, len(hyp_tokens), len(ref_tokens)
+    return _bleu_stats_tokens(bleu_tokenize(hyp), bleu_tokenize(ref))
 
 
 def bleu_from_stats(matches: list[int], totals: list[int], hyp_len: int, ref_len: int) -> float:
@@ -179,23 +201,27 @@ def bleu_from_stats(matches: list[int], totals: list[int], hyp_len: int, ref_len
     return 100.0 * brevity * math.exp(log_sum / effective_orders)
 
 
+def _pooled_bleu(segments) -> float:
+    """Sum per-segment statistics over the corpus and score the totals."""
+    matches = [0] * MAX_BLEU_ORDER
+    totals = [0] * MAX_BLEU_ORDER
+    hyp_len = 0
+    ref_len = 0
+    for seg_matches, seg_totals, seg_hyp_len, seg_ref_len in segments:
+        matches = [a + b for a, b in zip(matches, seg_matches)]
+        totals = [a + b for a, b in zip(totals, seg_totals)]
+        hyp_len += seg_hyp_len
+        ref_len += seg_ref_len
+    return bleu_from_stats(matches, totals, hyp_len, ref_len)
+
+
 def sacrebleu_corpus(hyps: list[str], refs: list[str]) -> float:
     """Corpus BLEU in [0, 100] over aligned single-reference segments."""
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not hyps:
         raise EmptyCorpus("corpus BLEU needs at least one segment pair")
-    matches = [0] * MAX_BLEU_ORDER
-    totals = [0] * MAX_BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        seg_matches, seg_totals, seg_hyp_len, seg_ref_len = bleu_segment_stats(hyp, ref)
-        matches = [a + b for a, b in zip(matches, seg_matches)]
-        totals = [a + b for a, b in zip(totals, seg_totals)]
-        hyp_len += seg_hyp_len
-        ref_len += seg_ref_len
-    return bleu_from_stats(matches, totals, hyp_len, ref_len)
+    return _pooled_bleu(bleu_segment_stats(hyp, ref) for hyp, ref in zip(hyps, refs))
 
 
 def _mean_prf(scores: list[PRF]) -> PRF:
@@ -208,19 +234,27 @@ def _mean_prf(scores: list[PRF]) -> PRF:
 
 
 def evaluate_pairs(hyps: list[str], refs: list[str]) -> MetricReport:
-    """Per-example ROUGE means plus corpus BLEU for aligned pairs."""
+    """Per-example ROUGE means plus corpus BLEU for aligned pairs.
+
+    Each side is tokenized once per scheme, and every metric reads those
+    tokens.
+    """
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} predictions vs {len(refs)} references")
     if not hyps:
         raise EmptyCorpus("evaluation needs at least one example")
-    per_example = [(rouge_n(hyp, ref, 1), rouge_n(hyp, ref, 2), rouge_l(hyp, ref))
-                   for hyp, ref in zip(hyps, refs)]
-    r1, r2, rl = zip(*per_example)
+    r1, r2, rl, bleu_segments = [], [], [], []
+    for hyp, ref in zip(hyps, refs):
+        hyp_tokens, ref_tokens = metric_tokenize(hyp), metric_tokenize(ref)
+        r1.append(_rouge_n_tokens(hyp_tokens, ref_tokens, 1))
+        r2.append(_rouge_n_tokens(hyp_tokens, ref_tokens, 2))
+        rl.append(_rouge_l_tokens(hyp_tokens, ref_tokens))
+        bleu_segments.append(_bleu_stats_tokens(bleu_tokenize(hyp), bleu_tokenize(ref)))
     return MetricReport(
-        rouge1=_mean_prf(list(r1)),
-        rouge2=_mean_prf(list(r2)),
-        rougeL=_mean_prf(list(rl)),
-        bleu=sacrebleu_corpus(hyps, refs),
+        rouge1=_mean_prf(r1),
+        rouge2=_mean_prf(r2),
+        rougeL=_mean_prf(rl),
+        bleu=_pooled_bleu(bleu_segments),
         n_examples=len(hyps),
     )
 

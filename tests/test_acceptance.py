@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
 import math
 import random
 import time
@@ -36,6 +35,7 @@ from adapterqa.toymodel import (
 )
 
 from gen_tables import expand_body_oracle, random_table
+from metric_oracles import lcs_exhaustive
 
 
 def report(criterion, detail):
@@ -157,17 +157,6 @@ def test_criterion_5_metric_correctness():
     got = sacrebleu_corpus(["the cat sat on the mat"], ["the cat sat on a mat"])
     assert got == pytest.approx(oracle, abs=1e-9)
     assert got == pytest.approx(53.73, abs=0.01)
-
-    def lcs_exhaustive(a, b):
-        def is_subsequence(sub, seq):
-            it = iter(seq)
-            return all(tok in it for tok in sub)
-
-        for k in range(len(a), 0, -1):
-            for idx in itertools.combinations(range(len(a)), k):
-                if is_subsequence([a[i] for i in idx], b):
-                    return k
-        return 0
 
     rng = random.Random(6)
     alphabet = ["a", "b", "c"]

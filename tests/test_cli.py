@@ -318,6 +318,10 @@ NESTED_ARRAYS = "[" * 100_000 + "]" * 100_000
 # 120 bytes claiming a 2 x 10^6 grid.
 WIDE_TABLE = {"title": "t", "header_rows": [[{"text": "h", "colspan": 10**6}]],
               "body_rows": [[{"text": "b", "colspan": 10**6}]]}
+# 514 bytes within the grid bound whose text would repeat over 50,000
+# positions: 20.2 MB of linearized text.
+SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50_000}]],
+                "body_rows": [[{"text": "b" * 200, "colspan": 50_000}]]}
 
 
 @pytest.mark.parametrize(
@@ -334,6 +338,12 @@ WIDE_TABLE = {"title": "t", "header_rows": [[{"text": "h", "colspan": 10**6}]],
                      id="linearize-wide"),
         pytest.param(STATS, json.dumps({**RECORD, "context": {"table": WIDE_TABLE}}),
                      "GridTooLarge", id="stats-wide"),
+        pytest.param(["linearize", "--in", "FILE"], json.dumps(SPREAD_TABLE),
+                     "LinearizedTextTooLarge", id="linearize-spread"),
+        pytest.param(STATS, json.dumps({**RECORD, "context": {"table": SPREAD_TABLE}}),
+                     "LinearizedTextTooLarge", id="stats-spread"),
+        pytest.param(PREPARE, json.dumps({**RECORD, "context": {"table": SPREAD_TABLE}}),
+                     "LinearizedTextTooLarge", id="prepare-spread"),
     ],
 )
 def test_hostile_files_exit_2_with_json_error(tmp_path, capsys, argv, text, error):

@@ -117,6 +117,8 @@ def invocations(draw):
 
 WIDE_TABLE = {"title": "t", "header_rows": [[{"text": "h", "colspan": 10**6}]],
               "body_rows": [[{"text": "b", "colspan": 10**6}]]}
+SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50_000}]],
+                "body_rows": [[{"text": "b" * 200, "colspan": 50_000}]]}
 
 
 @settings(deadline=None, max_examples=150)
@@ -125,6 +127,7 @@ WIDE_TABLE = {"title": "t", "header_rows": [[{"text": "h", "colspan": 10**6}]],
 @example((["stats", "--in", "IN", "--modality", "table"],
           {"IN": b"[" * 100_000 + b"]" * 100_000}))
 @example((["linearize", "--in", "IN"], {"IN": json.dumps(WIDE_TABLE).encode()}))
+@example((["linearize", "--in", "IN"], {"IN": json.dumps(SPREAD_TABLE).encode()}))
 @example((["stats", "--in", "IN", "--modality", "table"],
           {"IN": json.dumps({"id": "r", "question": "q", "answers": ["a"],
                              "context": {"table": WIDE_TABLE}}).encode()}))

@@ -1,7 +1,8 @@
 """Golden hashes of the toy model's numerical outputs.
 
 Refactors of the model code must keep training logs, logits, freeze
-reports and gradient audits bit-identical. These SHA-256 digests pin
+reports and gradient audits bit-identical, and rewrites of the metrics
+must keep the ``eval`` report bit-identical. These SHA-256 digests pin
 them for float64 on the reference numpy/OpenBLAS build; a different BLAS
 may round matrix products differently and then needs its own digests,
 taken from a commit whose outputs are known good.
@@ -9,12 +10,14 @@ taken from a commit whose outputs are known good.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
 from adapterqa.ablation import apply_ablation, grid_ablation_plan
 from adapterqa.adapters import AdapterSet, ModelDims
+from adapterqa.metrics import evaluate_pairs
 from adapterqa.toymodel import (
     ToyConfig,
     TrainConfig,
@@ -46,6 +49,8 @@ GOLDEN_GRID_ROWS = {
     3: ("1b87e36344e2ceaf7545ead3a0f7d96963f4bcaee979e837837985db93c528d3",
         "1337a7c0a6fad92309985821e13083ad833829636d2b5e6520be0def21855f21"),
 }
+
+GOLDEN_METRIC_REPORT = "f2149871ffef9e1195938ce5beaf7b0330babf6166ae8895f698cff7f4167442"
 
 
 def sha256_json(obj) -> str:
@@ -110,3 +115,38 @@ def test_train_log_and_grad_check_on_other_grid_rows_are_pinned(row_index):
     report = grad_check(model, source, target, eps=1e-6)
     assert (sha256_json(log.to_json_dict()), sha256_json(report.to_json_dict())) \
         == GOLDEN_GRID_ROWS[row_index]
+
+
+# Words that exercise both tokenizers: repeats, case, digits with periods,
+# commas and dashes (kept together only between digits), other ASCII
+# punctuation, and non-ASCII letters.
+METRIC_WORDS = ["the", "The", "cat", "sat", "on", "mat", "a", "a", "of", "of",
+                "3.50", "pp.", "4-5", "1,000", "2,5", "-", ",", ".", "x-ray",
+                "e.g.", "U.S.", "(a)", '"q"', "50%", "$3", "--", "end.", "n't",
+                "café", "naïve", "Größe", "東京", "Ω", "–", "…"]
+
+
+def metric_corpus(n_pairs: int = 300, seed: int = 2022) -> tuple[list[str], list[str]]:
+    """Seeded answer pairs of 0-80 words; most hypotheses perturb their reference."""
+    rng = random.Random(seed)
+
+    def words(n: int) -> list[str]:
+        return [rng.choice(METRIC_WORDS) for _ in range(n)]
+
+    hyps, refs = [], []
+    for _ in range(n_pairs):
+        share = rng.random()
+        ref = words(0 if share < 0.05 else 1 if share < 0.2 else rng.randint(2, 80))
+        if rng.random() < 0.2:
+            hyp = words(rng.randint(0, 80))
+        else:
+            hyp = [rng.choice(METRIC_WORDS) if rng.random() < 0.2 else w
+                   for w in ref if rng.random() < 0.9]
+        hyps.append(" ".join(hyp))
+        refs.append(" ".join(ref))
+    return hyps, refs
+
+
+def test_eval_report_on_seeded_corpus_is_pinned():
+    hyps, refs = metric_corpus()
+    assert sha256_json(evaluate_pairs(hyps, refs).to_json_dict()) == GOLDEN_METRIC_REPORT

@@ -1,10 +1,14 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterqa.linearize import (
+    MAX_LINEARIZED_CHARS,
+    LinearizedTextTooLarge,
     expand_body,
     flatten_headers,
     linearize,
+    linearized_length,
     serialize_row_major,
 )
 from adapterqa.tables import (
@@ -151,3 +155,39 @@ def test_linearize_propagates_validation_errors():
     )
     with pytest.raises(SpanOutOfBounds):
         linearize(bad)
+
+
+@settings(max_examples=300)
+@given(hierarchical_tables())
+def test_linearized_length_is_exact_on_generated_tables(table):
+    regular = expand_body(validate_table(table))
+    assert linearized_length(regular) == len(serialize_row_major(regular).text)
+
+
+@st.composite
+def regular_tables(draw):
+    width = draw(st.integers(0, 4))
+    text = st.text(max_size=6)
+    header = draw(st.lists(text, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(text, min_size=width, max_size=width), max_size=4))
+    return RegularTable(title="t", header=header, rows=rows)
+
+
+@given(regular_tables())
+def test_linearized_length_is_exact_on_any_regular_table(table):
+    assert linearized_length(table) == len(serialize_row_major(table).text)
+
+
+def test_linearized_text_is_bounded():
+    # "k: " plus the value is the whole text of a one-pair table.
+    at_limit = RegularTable(title="t", header=["k"], rows=[["v" * (MAX_LINEARIZED_CHARS - 3)]])
+    assert len(serialize_row_major(at_limit).text) == MAX_LINEARIZED_CHARS
+    over = RegularTable(title="t", header=["k"], rows=[["v" * (MAX_LINEARIZED_CHARS - 2)]])
+    with pytest.raises(LinearizedTextTooLarge):
+        serialize_row_major(over)
+    # 514 bytes of JSON within the grid bound that would repeat two
+    # 200-character texts over 50,000 positions (20.2 MB of text).
+    spread = HierarchicalTable(title="t", header_rows=[[Cell("h" * 200, colspan=50_000)]],
+                               body_rows=[[Cell("b" * 200, colspan=50_000)]])
+    with pytest.raises(LinearizedTextTooLarge):
+        linearize(spread)

@@ -1,9 +1,9 @@
-import itertools
 import math
 import random
+import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapterqa.metrics import (
@@ -22,23 +22,10 @@ from adapterqa.metrics import (
     sacrebleu_corpus,
 )
 
+import metric_oracles as oracle
+
 token_lists = st.lists(st.sampled_from(["a", "b", "c", "cat", "sat"]), max_size=8)
 sentences = token_lists.map(" ".join)
-
-
-def lcs_exhaustive(a, b):
-    """Oracle: longest subsequence of ``a`` that is also a subsequence of ``b``."""
-
-    def is_subsequence(sub, seq):
-        it = iter(seq)
-        return all(tok in it for tok in sub)
-
-    best = 0
-    for k in range(len(a), 0, -1):
-        for idx in itertools.combinations(range(len(a)), k):
-            if is_subsequence([a[i] for i in idx], b):
-                return k
-    return best
 
 
 def test_metric_tokenize_examples():
@@ -91,7 +78,8 @@ def test_rouge_l_self_similarity_is_one(text):
 @settings(max_examples=300)
 @given(token_lists, token_lists)
 def test_lcs_dp_matches_exhaustive_enumeration(a, b):
-    assert lcs_length(a, b) == lcs_exhaustive(a, b)
+    assert oracle.lcs_length_dp(a, b) == oracle.lcs_exhaustive(a, b)
+    assert lcs_length(a, b) == oracle.lcs_exhaustive(a, b)
 
 
 @given(sentences, sentences)
@@ -233,3 +221,61 @@ def test_evaluate_predictions_length_mismatch(tmp_path):
 def test_evaluate_predictions_missing_file(tmp_path):
     with pytest.raises(IoError):
         evaluate_predictions(tmp_path / "nope.txt", tmp_path / "nope2.txt")
+
+
+# Differential tests: the fast kernels against the simple versions they
+# replace (tests/metric_oracles.py), compared with ==, never approximately.
+
+small_alphabet_pairs = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(*[st.lists(st.sampled_from("abcde"[:k]), max_size=90)] * 2))
+
+
+@settings(max_examples=300)
+@given(small_alphabet_pairs)
+@example(([], []))
+@example((["a"], []))
+@example((["a"], ["a"]))
+@example((["a"] * 90, ["a"] * 90))
+def test_bit_parallel_lcs_equals_dp(pair):
+    a, b = pair
+    assert lcs_length(a, b) == oracle.lcs_length_dp(a, b)
+
+
+# ASCII punctuation, digits and whitespace, a few letters, and non-ASCII
+# letters, dashes and separators (str.split treats \xa0 and \u3000 as spaces).
+TOKENIZER_ALPHABET = (string.punctuation + string.digits + string.whitespace
+                      + "aZ" + "éΩ東–…\xa0\u3000")
+tokenizer_text = st.text(st.sampled_from(TOKENIZER_ALPHABET), max_size=40) | st.text(max_size=20)
+
+
+@settings(max_examples=500)
+@given(tokenizer_text)
+@example("pp. 4-5")
+@example("3.50")
+@example("")
+@example("1,000.5 -x- .a, b. ,7")
+def test_translate_bleu_tokenize_equals_regex(text):
+    assert bleu_tokenize(text) == oracle.bleu_tokenize_regex(text)
+
+
+answer_words = st.sampled_from(["the", "The", "cat", "sat", "a", "a", "3.50", "pp.", "4-5",
+                                "1,000", "-", ",", "x.", "(b)", "café", "東京"])
+answers = st.lists(answer_words, max_size=30).map(" ".join) | tokenizer_text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(answers, answers), min_size=1, max_size=8))
+@example([("pp. 4-5", "pp. 4-5")])
+@example([("3.50", "3.50")])
+@example([("", "")])
+@example([("hello", "hello"), ("a", "b"), ("", "x"), ("x", "")])
+def test_evaluate_pairs_equals_string_level_oracle(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    assert evaluate_pairs(hyps, refs).to_json_dict() == oracle.evaluate_pairs_json(hyps, refs)
+    for hyp, ref in pairs:
+        assert bleu_segment_stats(hyp, ref) == oracle.bleu_segment_stats(hyp, ref)
+        for got, want in ((rouge_n(hyp, ref, 1), oracle.rouge_n(hyp, ref, 1)),
+                          (rouge_n(hyp, ref, 2), oracle.rouge_n(hyp, ref, 2)),
+                          (rouge_l(hyp, ref), oracle.rouge_l(hyp, ref))):
+            assert (got.precision, got.recall, got.f1) == want
