@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .assembly import InputSequence, assemble, truncate
 from .errors import SchemaError, check_int
-from .linearize import check_linearized_length, expand_body, linearize
+from .linearize import check_linearized_length, linearize
 from .tables import HierarchicalTable, ValidatedTable, validate_table
 
 MODALITIES = ("table", "text")
@@ -39,7 +39,7 @@ class QaRecord:
         self.grid = None if self.table is None else validate_table(self.table)
         if self.grid is not None:
             # Refused on read, so stats rejects what prepare cannot linearize.
-            check_linearized_length(expand_body(self.grid))
+            check_linearized_length(self.grid)
 
     @property
     def modality(self) -> str:

@@ -60,25 +60,28 @@ def _nest(names: list[str]) -> str:
     return out
 
 
+def _column_levels(table: ValidatedTable, col: int) -> list[str]:
+    """Level names of one column, top-down: each distinct header cell once
+    (a cell spanning several header rows is not repeated), empty texts
+    skipped."""
+    names: list[str] = []
+    previous = None
+    for row in table.header_grid:
+        owner = row[col]
+        if owner is not previous and owner.text:
+            names.append(owner.text)
+        previous = owner
+    return names
+
+
 def flatten_headers(table: ValidatedTable) -> FlatHeader:
     """Collapse the header grid into one name per column.
 
-    Walking a column top-down, each distinct cell contributes its text once
-    (a cell spanning several header rows is not repeated), empty texts
-    contribute nothing, and the remaining level names nest left-to-right:
+    The level names of a column (see ``_column_levels``) nest left-to-right:
     ``["a", "d"] -> "a(d)"``, ``["a", "b", "c"] -> "a(b(c))"``.
     """
-    keys = []
-    for col in range(table.width):
-        names: list[str] = []
-        previous = None
-        for row in table.header_grid:
-            owner = row[col]
-            if owner is not previous and owner.text:
-                names.append(owner.text)
-            previous = owner
-        keys.append(_nest(names))
-    return FlatHeader(keys=tuple(keys))
+    return FlatHeader(keys=tuple(_nest(_column_levels(table, col))
+                                 for col in range(table.width)))
 
 
 def expand_body(table: ValidatedTable) -> RegularTable:
@@ -92,19 +95,24 @@ def expand_body(table: ValidatedTable) -> RegularTable:
     return RegularTable(title=table.title, header=list(header.keys), rows=rows)
 
 
-def linearized_length(table: RegularTable) -> int:
-    """Exact length of ``serialize_row_major(table).text``, counted from the
-    key and value lengths and the separators without building the text."""
-    n_rows = len(table.rows)
+def linearized_length(table: ValidatedTable) -> int:
+    """Exact length of ``linearize(table).text``, counted from the grids
+    without building any key or text: a key is its level names plus
+    ``"()"`` per nesting, and every body position repeats its cell's text."""
+    n_rows = table.n_body_rows
     if n_rows == 0:
         return 0
-    row_keys = (sum(map(len, table.header)) + table.width * len(KV_SEPARATOR)
+    key_chars = 0
+    for col in range(table.width):
+        names = _column_levels(table, col)
+        key_chars += sum(map(len, names)) + 2 * max(len(names) - 1, 0)
+    row_keys = (key_chars + table.width * len(KV_SEPARATOR)
                 + max(table.width - 1, 0) * len(PAIR_SEPARATOR))
-    values = sum(map(len, chain.from_iterable(table.rows)))
+    values = sum(len(cell.text) for cell in chain.from_iterable(table.body_grid))
     return n_rows * row_keys + values + (n_rows - 1) * len(ROW_SEPARATOR)
 
 
-def check_linearized_length(table: RegularTable) -> None:
+def check_linearized_length(table: ValidatedTable) -> None:
     """Raise ``LinearizedTextTooLarge`` if the table's text would be longer
     than ``MAX_LINEARIZED_CHARS``."""
     length = linearized_length(table)
@@ -117,9 +125,7 @@ def check_linearized_length(table: RegularTable) -> None:
 
 def serialize_row_major(table: RegularTable) -> FlattenedTableText:
     """Emit ``header: value`` pairs, comma-joined within a row, rows joined
-    by ``" ; "``. An empty body serializes to the empty string. Text longer
-    than ``MAX_LINEARIZED_CHARS`` is refused before it is built."""
-    check_linearized_length(table)
+    by ``" ; "``. An empty body serializes to the empty string."""
     row_texts = [
         PAIR_SEPARATOR.join(
             f"{key}{KV_SEPARATOR}{value}" for key, value in zip(table.header, row)
@@ -134,7 +140,9 @@ def serialize_row_major(table: RegularTable) -> FlattenedTableText:
 
 def linearize(table: HierarchicalTable | ValidatedTable) -> FlattenedTableText:
     """Full pipeline: validate (unless already validated), flatten headers,
-    expand body, serialize."""
+    expand body, serialize. Text longer than ``MAX_LINEARIZED_CHARS`` is
+    refused before any key or text is built."""
     if not isinstance(table, ValidatedTable):
         table = validate_table(table)
+    check_linearized_length(table)
     return serialize_row_major(expand_body(table))

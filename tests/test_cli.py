@@ -322,6 +322,12 @@ WIDE_TABLE = {"title": "t", "header_rows": [[{"text": "h", "colspan": 10**6}]],
 # positions: 20.2 MB of linearized text.
 SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50_000}]],
                 "body_rows": [[{"text": "b" * 200, "colspan": 50_000}]]}
+# 200 KB within the grid bound (3 x 33,333) whose two stacked header cells
+# would nest into 33,333 keys of 200,002 characters: 6.7 GB of keys.
+STACKED_TABLE = {"title": "t",
+                 "header_rows": [[{"text": "a" * 100_000, "colspan": 33_333}],
+                                 [{"text": "b" * 100_000, "colspan": 33_333}]],
+                 "body_rows": [[{"text": "", "colspan": 33_333}]]}
 
 
 @pytest.mark.parametrize(
@@ -344,6 +350,12 @@ SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50
                      "LinearizedTextTooLarge", id="stats-spread"),
         pytest.param(PREPARE, json.dumps({**RECORD, "context": {"table": SPREAD_TABLE}}),
                      "LinearizedTextTooLarge", id="prepare-spread"),
+        pytest.param(["linearize", "--in", "FILE"], json.dumps(STACKED_TABLE),
+                     "LinearizedTextTooLarge", id="linearize-stacked"),
+        pytest.param(STATS, json.dumps({**RECORD, "context": {"table": STACKED_TABLE}}),
+                     "LinearizedTextTooLarge", id="stats-stacked"),
+        pytest.param(PREPARE, json.dumps({**RECORD, "context": {"table": STACKED_TABLE}}),
+                     "LinearizedTextTooLarge", id="prepare-stacked"),
     ],
 )
 def test_hostile_files_exit_2_with_json_error(tmp_path, capsys, argv, text, error):

@@ -160,34 +160,59 @@ def test_linearize_propagates_validation_errors():
 @settings(max_examples=300)
 @given(hierarchical_tables())
 def test_linearized_length_is_exact_on_generated_tables(table):
-    regular = expand_body(validate_table(table))
-    assert linearized_length(regular) == len(serialize_row_major(regular).text)
+    v = validate_table(table)
+    assert linearized_length(v) == len(linearize(v).text)
 
 
 @st.composite
-def regular_tables(draw):
-    width = draw(st.integers(0, 4))
+def tables_with_any_text(draw):
+    """Generated span layouts whose cell texts are arbitrary, empty included."""
+    layout = draw(hierarchical_tables(max_width=4, max_body_rows=4))
     text = st.text(max_size=6)
-    header = draw(st.lists(text, min_size=width, max_size=width))
-    rows = draw(st.lists(st.lists(text, min_size=width, max_size=width), max_size=4))
-    return RegularTable(title="t", header=header, rows=rows)
+
+    def retext(rows):
+        return [[Cell(draw(text), colspan=c.colspan, rowspan=c.rowspan) for c in row]
+                for row in rows]
+
+    return HierarchicalTable(title="t", header_rows=retext(layout.header_rows),
+                             body_rows=retext(layout.body_rows))
 
 
-@given(regular_tables())
-def test_linearized_length_is_exact_on_any_regular_table(table):
-    assert linearized_length(table) == len(serialize_row_major(table).text)
+@given(tables_with_any_text())
+def test_linearized_length_is_exact_on_any_text(table):
+    v = validate_table(table)
+    assert linearized_length(v) == len(linearize(v).text)
+
+
+def one_pair_table(value: str) -> HierarchicalTable:
+    return HierarchicalTable(title="t", header_rows=[[Cell("k")]], body_rows=[[Cell(value)]])
 
 
 def test_linearized_text_is_bounded():
     # "k: " plus the value is the whole text of a one-pair table.
-    at_limit = RegularTable(title="t", header=["k"], rows=[["v" * (MAX_LINEARIZED_CHARS - 3)]])
-    assert len(serialize_row_major(at_limit).text) == MAX_LINEARIZED_CHARS
-    over = RegularTable(title="t", header=["k"], rows=[["v" * (MAX_LINEARIZED_CHARS - 2)]])
+    at_limit = one_pair_table("v" * (MAX_LINEARIZED_CHARS - 3))
+    assert len(linearize(at_limit).text) == MAX_LINEARIZED_CHARS
     with pytest.raises(LinearizedTextTooLarge):
-        serialize_row_major(over)
+        linearize(one_pair_table("v" * (MAX_LINEARIZED_CHARS - 2)))
     # 514 bytes of JSON within the grid bound that would repeat two
     # 200-character texts over 50,000 positions (20.2 MB of text).
     spread = HierarchicalTable(title="t", header_rows=[[Cell("h" * 200, colspan=50_000)]],
                                body_rows=[[Cell("b" * 200, colspan=50_000)]])
     with pytest.raises(LinearizedTextTooLarge):
         linearize(spread)
+
+
+def test_stacked_header_length_is_counted_without_building_keys():
+    # Two stacked 100,000-character header cells over 33,333 columns: each
+    # key would be "a...(b...)", 6.7 GB of keys in all, while the grid
+    # (3 x 33,333) is within MAX_GRID_CELLS.
+    width = 33_333
+    stacked = validate_table(HierarchicalTable(
+        title="t",
+        header_rows=[[Cell("a" * 100_000, colspan=width)], [Cell("b" * 100_000, colspan=width)]],
+        body_rows=[[Cell("", colspan=width)]],
+    ))
+    key = 100_000 + 100_000 + len("()")
+    assert linearized_length(stacked) == width * (key + len(": ")) + (width - 1) * len(", ")
+    with pytest.raises(LinearizedTextTooLarge):
+        linearize(stacked)
