@@ -200,9 +200,6 @@ def test_linearized_text_is_bounded():
                                body_rows=[[Cell("b" * 200, colspan=50_000)]])
     with pytest.raises(LinearizedTextTooLarge):
         linearize(spread)
-
-
-def test_stacked_header_length_is_counted_without_building_keys():
     # Two stacked 100,000-character header cells over 33,333 columns: each
     # key would be "a...(b...)", 6.7 GB of keys in all, while the grid
     # (3 x 33,333) is within MAX_GRID_CELLS.
