@@ -2,7 +2,8 @@
 
 Refactors of the model code must keep training logs, logits, freeze
 reports and gradient audits bit-identical, and rewrites of the metrics
-must keep the ``eval`` report bit-identical. These SHA-256 digests pin
+must keep the ``eval`` report bit-identical, and rewrites of the table
+linearizer must keep its text and the ``prepare`` output bit-identical. These SHA-256 digests pin
 them for float64 on the reference numpy/OpenBLAS build; a different BLAS
 may round matrix products differently and then needs its own digests,
 taken from a commit whose outputs are known good.
@@ -17,6 +18,8 @@ import pytest
 
 from adapterqa.ablation import apply_ablation, grid_ablation_plan
 from adapterqa.adapters import AdapterSet, ModelDims
+from adapterqa.cli import main
+from adapterqa.linearize import linearize
 from adapterqa.metrics import evaluate_pairs
 from adapterqa.toymodel import (
     ToyConfig,
@@ -27,6 +30,7 @@ from adapterqa.toymodel import (
     make_copy_task,
     train_adapters,
 )
+from gen_tables import random_table
 
 TRAIN_STEPS = 25
 
@@ -51,6 +55,11 @@ GOLDEN_GRID_ROWS = {
 }
 
 GOLDEN_METRIC_REPORT = "f2149871ffef9e1195938ce5beaf7b0330babf6166ae8895f698cff7f4167442"
+
+# ``linearize`` text and pair count over seeded random span tables, and the
+# ``prepare --max-tokens 48`` output of a seeded table record file.
+GOLDEN_LINEARIZE = "efc758c12863715794c950f6f61ea8eade9856181ee11ca00eeb6e1c77b2e65b"
+GOLDEN_PREPARE = "13105769ee31ccac693f68e2a5ea092f21a37bcf9c54fc7ccef8a1f39ec25ff6"
 
 
 def sha256_json(obj) -> str:
@@ -150,3 +159,38 @@ def metric_corpus(n_pairs: int = 300, seed: int = 2022) -> tuple[list[str], list
 def test_eval_report_on_seeded_corpus_is_pinned():
     hyps, refs = metric_corpus()
     assert sha256_json(evaluate_pairs(hyps, refs).to_json_dict()) == GOLDEN_METRIC_REPORT
+
+
+def seeded_tables(n_tables: int, seed: int):
+    rng = random.Random(seed)
+    return [random_table(rng, max_width=6, max_header_rows=3, max_body_rows=6)
+            for _ in range(n_tables)]
+
+
+def test_linearize_on_seeded_tables_is_pinned():
+    tables = seeded_tables(2000, seed=2022)
+    # The corpus covers what the pin is meant to guard.
+    assert any(not t.body_rows for t in tables)
+    assert any(len(t.header_rows) == 3 for t in tables)
+    flats = [linearize(t) for t in tables]
+    assert sha256_json([[f.text, f.pair_count] for f in flats]) == GOLDEN_LINEARIZE
+
+
+def test_prepare_with_token_budget_is_pinned(tmp_path, capsys):
+    rng = random.Random(2023)
+    records = tmp_path / "records.jsonl"
+    prepared = tmp_path / "prepared.jsonl"
+    records.write_text("".join(
+        json.dumps({"id": f"r{i}",
+                    "question": " ".join(rng.choice(METRIC_WORDS)
+                                         for _ in range(rng.randint(1, 6))),
+                    "title": f"table {i}",
+                    "context": {"table": table.to_json_dict()},
+                    "answers": [f"c{i}"]}) + "\n"
+        for i, table in enumerate(seeded_tables(60, seed=2023))
+    ), encoding="utf-8")
+    argv = ["prepare", "--in", str(records), "--modality", "table", "--max-tokens", "48",
+            "--out", str(prepared)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(prepared.read_bytes()).hexdigest() == GOLDEN_PREPARE
