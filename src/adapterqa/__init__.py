@@ -15,12 +15,9 @@ from .adapters import (
 )
 from .assembly import InputSequence, assemble, truncate
 from .linearize import (
-    FlatHeader,
     FlattenedTableText,
-    expand_body,
     flatten_headers,
     linearize,
-    serialize_row_major,
 )
 from .metrics import (
     MetricReport,
@@ -32,7 +29,7 @@ from .metrics import (
     rouge_n,
     sacrebleu_corpus,
 )
-from .tables import Cell, HierarchicalTable, RegularTable, ValidatedTable, validate_table
+from .tables import Cell, HierarchicalTable, ValidatedTable, validate_table
 from .toymodel import (
     ToyConfig,
     ToyModel,
@@ -50,7 +47,6 @@ __all__ = [
     "AdapterParams",
     "AdapterSet",
     "Cell",
-    "FlatHeader",
     "FlattenedTableText",
     "HierarchicalTable",
     "InputSequence",
@@ -58,7 +54,6 @@ __all__ = [
     "ModelDims",
     "PRF",
     "REFERENCE_DIMS",
-    "RegularTable",
     "ToyConfig",
     "ToyModel",
     "TrainConfig",
@@ -69,7 +64,6 @@ __all__ = [
     "count_adapter_params",
     "evaluate_pairs",
     "evaluate_predictions",
-    "expand_body",
     "flatten_headers",
     "freeze_report",
     "grad_check",
@@ -79,7 +73,6 @@ __all__ = [
     "rouge_l",
     "rouge_n",
     "sacrebleu_corpus",
-    "serialize_row_major",
     "train_adapters",
     "truncate",
     "validate_table",

@@ -139,6 +139,9 @@ def cmd_count_params(args) -> int:
         obj = _load_json(args.ablation)
         if not isinstance(obj, dict):
             raise SchemaError("ablation config must be a JSON object")
+        unknown = set(obj) - {"removed_encoder", "removed_decoder", "label"}
+        if unknown:
+            raise SchemaError(f"unknown ablation keys: {sorted(unknown)}")
         removed = {key: obj.get(key, []) for key in ("removed_encoder", "removed_decoder")}
         for key, indices in removed.items():
             # type(...) is int: JSON true/false would otherwise pass as layers 1/0.
@@ -201,8 +204,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    if args.task != "copy":
-        raise InputError(f"unknown task {args.task!r}; available: copy")
     model = build_toy_model(_toy_config(args, args.precision))
     source, target = make_copy_task(
         n_examples=args.examples, seq_len=args.seq_len,
@@ -303,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train-toy", help="train adapters on a synthetic task")
+    p = sub.add_parser("train-toy", help="train adapters on the synthetic copy task")
     add_toy_flags(p)
-    p.add_argument("--task", default="copy")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--examples", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)

@@ -1,9 +1,9 @@
-"""Two-step table flattening: hierarchical -> regular -> key:value text.
+"""Two-step table flattening: hierarchical header -> one key per column,
+then the body written row-major as ``key: value`` pairs.
 
 Header rows collapse into one name per column (nested as ``upper(lower)``
-when several header levels stack), body cells are replicated across every
-grid position they span, and the resulting regular table serializes
-row-major as ``header: value`` pairs.
+when several header levels stack). The body rows are written straight from
+the validated grid, so a cell's text repeats at every position it spans.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from itertools import chain
 
 from .tables import (
     HierarchicalTable,
-    RegularTable,
     TableValidationError,
     ValidatedTable,
     validate_table,
@@ -31,16 +30,6 @@ MAX_LINEARIZED_CHARS = 1_000_000
 
 class LinearizedTextTooLarge(TableValidationError):
     """The table would linearize to more than ``MAX_LINEARIZED_CHARS`` characters."""
-
-
-@dataclass(frozen=True)
-class FlatHeader:
-    """One name per grid column, possibly nested like ``a(d)`` or ``a(b(c))``."""
-
-    keys: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -74,25 +63,13 @@ def _column_levels(table: ValidatedTable, col: int) -> list[str]:
     return names
 
 
-def flatten_headers(table: ValidatedTable) -> FlatHeader:
+def flatten_headers(table: ValidatedTable) -> tuple[str, ...]:
     """Collapse the header grid into one name per column.
 
     The level names of a column (see ``_column_levels``) nest left-to-right:
     ``["a", "d"] -> "a(d)"``, ``["a", "b", "c"] -> "a(b(c))"``.
     """
-    return FlatHeader(keys=tuple(_nest(_column_levels(table, col))
-                                 for col in range(table.width)))
-
-
-def expand_body(table: ValidatedTable) -> RegularTable:
-    """Replicate every body cell into all grid positions it spans.
-
-    The output keeps the resolved row count and width of the input grid and
-    carries the flattened header as its single header row.
-    """
-    header = flatten_headers(table)
-    rows = [[cell.text for cell in row] for row in table.body_grid]
-    return RegularTable(title=table.title, header=list(header.keys), rows=rows)
+    return tuple(_nest(_column_levels(table, col)) for col in range(table.width))
 
 
 def linearized_length(table: ValidatedTable) -> int:
@@ -123,26 +100,19 @@ def check_linearized_length(table: ValidatedTable) -> None:
         )
 
 
-def serialize_row_major(table: RegularTable) -> FlattenedTableText:
-    """Emit ``header: value`` pairs, comma-joined within a row, rows joined
-    by ``" ; "``. An empty body serializes to the empty string."""
-    row_texts = [
-        PAIR_SEPARATOR.join(
-            f"{key}{KV_SEPARATOR}{value}" for key, value in zip(table.header, row)
-        )
-        for row in table.rows
-    ]
-    return FlattenedTableText(
-        text=ROW_SEPARATOR.join(row_texts),
-        pair_count=len(table.rows) * table.width,
-    )
-
-
 def linearize(table: HierarchicalTable | ValidatedTable) -> FlattenedTableText:
-    """Full pipeline: validate (unless already validated), flatten headers,
-    expand body, serialize. Text longer than ``MAX_LINEARIZED_CHARS`` is
-    refused before any key or text is built."""
+    """Validate (unless already validated), flatten headers, then write each
+    body row as ``key: value`` pairs joined by ``", "``, rows joined by
+    ``" ; "``; an empty body gives the empty string. Text longer than
+    ``MAX_LINEARIZED_CHARS`` is refused before any key or text is built."""
     if not isinstance(table, ValidatedTable):
         table = validate_table(table)
     check_linearized_length(table)
-    return serialize_row_major(expand_body(table))
+    keys = [key + KV_SEPARATOR for key in flatten_headers(table)]
+    return FlattenedTableText(
+        text=ROW_SEPARATOR.join(
+            PAIR_SEPARATOR.join([key + cell.text for key, cell in zip(keys, row)])
+            for row in table.body_grid
+        ),
+        pair_count=table.n_body_rows * table.width,
+    )

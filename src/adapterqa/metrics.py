@@ -92,9 +92,10 @@ def metric_tokenize(text: str) -> list[str]:
 def bleu_tokenize(text: str) -> list[str]:
     """Case-sensitive tokens with punctuation split from words."""
     text = f" {text} ".translate(_SPLIT_PUNCT)
-    text = _PERIOD_COMMA_AFTER.sub(r"\1 \2 ", text)
-    text = _PERIOD_COMMA_BEFORE.sub(r" \1 \2", text)
-    text = _DASH_AFTER_DIGIT.sub(r"\1 \2 ", text)
+    # Callables, not group templates: Python 3.11 expands a template once per match.
+    text = _PERIOD_COMMA_AFTER.sub(lambda m: f"{m[1]} {m[2]} ", text)
+    text = _PERIOD_COMMA_BEFORE.sub(lambda m: f" {m[1]} {m[2]}", text)
+    text = _DASH_AFTER_DIGIT.sub(lambda m: f"{m[1]} {m[2]} ", text)
     return text.split()
 
 

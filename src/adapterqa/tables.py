@@ -135,35 +135,6 @@ class HierarchicalTable:
 
 
 @dataclass
-class RegularTable:
-    """A table with a single header row and all cells logically 1x1."""
-
-    title: str
-    header: list[str]
-    rows: list[list[str]]
-
-    def __post_init__(self):
-        width = len(self.header)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise RaggedGrid(
-                    f"row {i} has {len(row)} entries, expected {width} to match the header"
-                )
-
-    @property
-    def width(self) -> int:
-        return len(self.header)
-
-    def as_hierarchical(self) -> HierarchicalTable:
-        """Re-wrap with 1x1 cells, e.g. to feed back through the linearizer."""
-        return HierarchicalTable(
-            title=self.title,
-            header_rows=[[Cell(text=h) for h in self.header]],
-            body_rows=[[Cell(text=v) for v in row] for row in self.rows],
-        )
-
-
-@dataclass
 class ValidatedTable:
     """A hierarchical table with its resolved occupancy grids.
 

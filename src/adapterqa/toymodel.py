@@ -754,6 +754,9 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     if cfg.optimizer not in ("adam", "sgd"):
         raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
     check_int("steps", cfg.steps, InvalidConfig)
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+        raise InvalidConfig(
+            f"learning_rate must be finite and positive, got {cfg.learning_rate!r}")
     params = model.trainable_parameters()
     adam_m = [np.zeros_like(p.value) for p in params]
     adam_v = [np.zeros_like(p.value) for p in params]

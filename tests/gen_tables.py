@@ -118,3 +118,13 @@ def flatten_headers_oracle(table: HierarchicalTable, width: int) -> list[str]:
             nested = f"{name}({nested})" if nested else name
         keys.append(nested)
     return keys
+
+
+def linearize_oracle(table: HierarchicalTable, width: int) -> str:
+    """Expected linearized text: each expanded body row as ``key: value``
+    pairs joined by ``", "``, rows joined by ``" ; "``."""
+    keys = flatten_headers_oracle(table, width)
+    return " ; ".join(
+        ", ".join(f"{key}: {value}" for key, value in zip(keys, row))
+        for row in expand_body_oracle(table, width)
+    )

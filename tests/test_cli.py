@@ -143,6 +143,7 @@ def test_count_params_empty_ablation_lists_keep_full_budget(tmp_path, capsys):
         {"removed_decoder": [0]},        # an encoder index
         {"removed_decoder": [12, 24]},
         {"removed_decoder": [-1]},
+        {"removed_encoders": [0, 1, 2]},  # misspelt key
     ],
 )
 def test_count_params_rejects_bad_ablation_indices(tmp_path, capsys, obj):
@@ -205,19 +206,13 @@ def test_train_toy_copy_task(tmp_path, capsys):
     out = tmp_path / "log.json"
     code, stdout, err = run(
         capsys,
-        ["train-toy", "--task", "copy", "--steps", "5", "--out", str(out)],
+        ["train-toy", "--steps", "5", "--out", str(out)],
     )
     assert code == 0
     assert "model: 47,936 frozen + 4,416 trainable (9.21% of base)" in err
     log = json.loads(out.read_text(encoding="utf-8"))
     assert len(log["losses"]) == 5
     assert log["initial_loss"] == log["losses"][0]
-
-
-def test_train_toy_unknown_task(capsys):
-    code, _, err = run(capsys, ["train-toy", "--task", "reverse", "--steps", "1"])
-    assert code == 2
-    assert json.loads(err.strip())["error"] == "InputError"
 
 
 def test_stats_and_prepare(tmp_path, capsys):
@@ -266,6 +261,10 @@ STATS = ["stats", "--in", "FILE", "--modality", "table"]
         pytest.param(["count-params", "--config", "FILE"], {}, id="count-params-missing-dims"),
         pytest.param(["train-toy", "--steps", "0"], None, id="train-toy-steps-0"),
         pytest.param(["train-toy", "--steps", "-3"], None, id="train-toy-steps-neg"),
+        pytest.param(["train-toy", "--lr", "0"], None, id="train-toy-lr-0"),
+        pytest.param(["train-toy", "--lr", "-0.01"], None, id="train-toy-lr-neg"),
+        pytest.param(["train-toy", "--lr", "nan"], None, id="train-toy-lr-nan"),
+        pytest.param(["train-toy", "--lr", "inf"], None, id="train-toy-lr-inf"),
         pytest.param(["gradcheck", "--eps", "0"], None, id="gradcheck-eps-0"),
         pytest.param(["gradcheck", "--eps", "nan"], None, id="gradcheck-eps-nan"),
         pytest.param([*PREPARE, "--max-target-tokens", "0"], RECORD, id="prepare-target-0"),
@@ -294,8 +293,9 @@ def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj
 @pytest.mark.parametrize(
     "argv",
     [[], ["bogus"], ["count-params", "--seed", "3"], ["gradcheck", "--d-model", "x"],
-     ["train-toy", "--optimizer", "adamw"]],
-    ids=["none", "bogus", "count-params-seed", "gradcheck-d-model", "train-toy-optimizer"],
+     ["train-toy", "--optimizer", "adamw"], ["train-toy", "--task", "copy"]],
+    ids=["none", "bogus", "count-params-seed", "gradcheck-d-model", "train-toy-optimizer",
+         "train-toy-task"],
 )
 def test_usage_errors_exit_2_with_json_error(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -5,21 +5,18 @@ from hypothesis import strategies as st
 from adapterqa.linearize import (
     MAX_LINEARIZED_CHARS,
     LinearizedTextTooLarge,
-    expand_body,
     flatten_headers,
     linearize,
     linearized_length,
-    serialize_row_major,
 )
 from adapterqa.tables import (
     Cell,
     HierarchicalTable,
-    RegularTable,
     SpanOutOfBounds,
     validate_table,
 )
 
-from gen_tables import expand_body_oracle, flatten_headers_oracle, hierarchical_tables
+from gen_tables import flatten_headers_oracle, hierarchical_tables, linearize_oracle
 
 
 def worked_header_table(body_rows=()):
@@ -33,29 +30,35 @@ def worked_header_table(body_rows=()):
     )
 
 
+def regular_table(header: list[str], rows: list[list[str]]) -> HierarchicalTable:
+    """A table whose single header row and body rows hold only 1x1 cells."""
+    return HierarchicalTable(title="t", header_rows=[[Cell(h) for h in header]],
+                             body_rows=[[Cell(v) for v in row] for row in rows])
+
+
 def test_worked_hierarchical_header():
     v = validate_table(worked_header_table())
-    assert list(flatten_headers(v).keys) == ["a(d)", "a(d)", "b", "e(f)"]
+    assert list(flatten_headers(v)) == ["a(d)", "a(d)", "b", "e(f)"]
 
 
 def test_single_header_row_passes_through():
     t = HierarchicalTable(title="t", header_rows=[[Cell("x"), Cell("y"), Cell("z")]])
-    assert list(flatten_headers(validate_table(t)).keys) == ["x", "y", "z"]
+    assert list(flatten_headers(validate_table(t))) == ["x", "y", "z"]
 
 
 def test_three_stacked_header_levels_nest():
     # Oracle (level-by-level grid expansion): levels a, b, c in one column
     # join as a(b(c)).
     t = HierarchicalTable(title="t", header_rows=[[Cell("a")], [Cell("b")], [Cell("c")]])
-    assert list(flatten_headers(validate_table(t)).keys) == ["a(b(c))"]
+    assert list(flatten_headers(validate_table(t))) == ["a(b(c))"]
     assert flatten_headers_oracle(t, 1) == ["a(b(c))"]
 
 
 def test_empty_header_level_contributes_nothing():
     t = HierarchicalTable(title="t", header_rows=[[Cell("a")], [Cell("")]])
-    assert list(flatten_headers(validate_table(t)).keys) == ["a"]
+    assert list(flatten_headers(validate_table(t))) == ["a"]
     t = HierarchicalTable(title="t", header_rows=[[Cell("")], [Cell("")]])
-    assert list(flatten_headers(validate_table(t)).keys) == [""]
+    assert list(flatten_headers(validate_table(t))) == [""]
 
 
 def test_rowspan_body_cell_replicates_down():
@@ -67,8 +70,7 @@ def test_rowspan_body_cell_replicates_down():
             [Cell("y")],
         ],
     )
-    regular = expand_body(validate_table(t))
-    assert regular.rows == [["v", "x"], ["v", "y"]]
+    assert linearize(t).text == "h1: v, h2: x ; h1: v, h2: y"
 
 
 def test_all_single_span_body_is_identity():
@@ -77,47 +79,41 @@ def test_all_single_span_body_is_identity():
         header_rows=[[Cell("h1"), Cell("h2")]],
         body_rows=[[Cell("1"), Cell("2")], [Cell("3"), Cell("4")]],
     )
-    assert expand_body(validate_table(t)).rows == [["1", "2"], ["3", "4"]]
+    assert linearize(t).text == "h1: 1, h2: 2 ; h1: 3, h2: 4"
 
 
 @settings(max_examples=300)
 @given(hierarchical_tables())
 def test_expand_body_matches_painting_oracle(table):
     v = validate_table(table)
-    regular = expand_body(v)
-    assert regular.rows == expand_body_oracle(table, v.width)
-    assert list(flatten_headers(v).keys) == flatten_headers_oracle(table, v.width)
+    assert linearize(v).text == linearize_oracle(table, v.width)
+    assert list(flatten_headers(v)) == flatten_headers_oracle(table, v.width)
 
 
 @given(hierarchical_tables())
 def test_pair_count_law_and_shape_preservation(table):
     v = validate_table(table)
-    regular = expand_body(v)
+    flat = linearize(v)
     assert len(flatten_headers(v)) == v.width
-    assert regular.width == v.width
-    assert len(regular.rows) == v.n_body_rows
-    flat = serialize_row_major(regular)
+    rows = flat.text.split(" ; ") if flat.text else []
+    assert len(rows) == v.n_body_rows
+    assert all(len(row.split(", ")) == v.width for row in rows)
     assert flat.pair_count == v.n_body_rows * v.width
 
 
 def test_serialize_film_row():
-    t = RegularTable(title="t", header=["Year", "Film"], rows=[["2013", "Padhe Padhe"]])
-    assert serialize_row_major(t).text == "Year: 2013, Film: Padhe Padhe"
+    t = regular_table(["Year", "Film"], [["2013", "Padhe Padhe"]])
+    assert linearize(t).text == "Year: 2013, Film: Padhe Padhe"
 
 
 def test_serialize_empty_body():
-    flat = serialize_row_major(RegularTable(title="t", header=["a", "b"], rows=[]))
+    flat = linearize(regular_table(["a", "b"], []))
     assert flat.text == ""
     assert flat.pair_count == 0
 
 
 def test_serialize_two_by_two_counts():
-    t = RegularTable(
-        title="t",
-        header=["KEYONE", "KEYTWO"],
-        rows=[["1", "2"], ["3", "4"]],
-    )
-    flat = serialize_row_major(t)
+    flat = linearize(regular_table(["KEYONE", "KEYTWO"], [["1", "2"], ["3", "4"]]))
     assert flat.pair_count == 4
     # Substring-counting oracle on distinct sentinel headers.
     assert flat.text.count("KEYONE") == 2
@@ -126,18 +122,7 @@ def test_serialize_two_by_two_counts():
 
 
 def test_row_and_pair_separators():
-    t = RegularTable(title="t", header=["h"], rows=[["1"], ["2"]])
-    assert serialize_row_major(t).text == "h: 1 ; h: 2"
-
-
-@given(hierarchical_tables(max_header_rows=1))
-def test_linearize_regular_wrap_is_idempotent(table):
-    v = validate_table(table)
-    regular = expand_body(v)
-    direct = serialize_row_major(regular)
-    rewrapped = linearize(regular.as_hierarchical())
-    assert rewrapped.text == direct.text
-    assert rewrapped.pair_count == direct.pair_count
+    assert linearize(regular_table(["h"], [["1"], ["2"]])).text == "h: 1 ; h: 2"
 
 
 def test_linearize_worked_example_end_to_end():

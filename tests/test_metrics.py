@@ -254,6 +254,9 @@ tokenizer_text = st.text(st.sampled_from(TOKENIZER_ALPHABET), max_size=40) | st.
 @example("3.50")
 @example("")
 @example("1,000.5 -x- .a, b. ,7")
+@example("a.,b")
+@example("1.,2")
+@example("3-.4")
 def test_translate_bleu_tokenize_equals_regex(text):
     assert bleu_tokenize(text) == oracle.bleu_tokenize_regex(text)
 

@@ -10,7 +10,6 @@ from adapterqa.tables import (
     HierarchicalTable,
     OverlappingSpans,
     RaggedGrid,
-    RegularTable,
     SpanOutOfBounds,
     normalize_text,
     validate_table,
@@ -156,11 +155,6 @@ def test_empty_header_text_allowed():
 def test_invalid_spans_rejected_at_construction(kwargs):
     with pytest.raises(InputError):
         Cell("x", **kwargs)
-
-
-def test_regular_table_rejects_ragged_rows():
-    with pytest.raises(RaggedGrid):
-        RegularTable(title="t", header=["a", "b"], rows=[["1"]])
 
 
 def test_json_round_trip_and_span_defaults():

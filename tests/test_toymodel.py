@@ -122,17 +122,19 @@ def test_decoder_cross_attention_carries_no_adapter():
 
 
 def test_zero_learning_rate_changes_nothing():
+    # A learning rate that is zero, negative or not finite cannot train: it
+    # is refused before the first step, so the model is left as it was.
     for optimizer in ("sgd", "adam"):
-        model = build_toy_model(GRADCHECK_CONFIG)
-        model.randomize_adapters(seed=7)
-        before = {p.name: p.value.copy() for p in model.parameters()}
-        source, target = sample_batch(GRADCHECK_CONFIG)
-        log = train_adapters(model, source, target,
-                             TrainConfig(learning_rate=0.0, steps=5, optimizer=optimizer))
-        assert len(set(log.losses)) == 1
-        assert log.final_loss == log.losses[0]
-        for param in model.parameters():
-            assert np.array_equal(param.value, before[param.name]), param.name
+        for lr in (0.0, -0.01, float("nan"), float("inf")):
+            model = build_toy_model(GRADCHECK_CONFIG)
+            model.randomize_adapters(seed=7)
+            before = {p.name: p.value.copy() for p in model.parameters()}
+            source, target = sample_batch(GRADCHECK_CONFIG)
+            with pytest.raises(InvalidConfig, match="learning_rate"):
+                train_adapters(model, source, target,
+                               TrainConfig(learning_rate=lr, steps=5, optimizer=optimizer))
+            for param in model.parameters():
+                assert np.array_equal(param.value, before[param.name]), param.name
 
 
 def test_no_adapters_means_constant_loss():
