@@ -141,7 +141,12 @@ def count_adapter_params(dims: ModelDims, adapter_set: AdapterSet) -> tuple[int,
 @dataclass
 class AdapterParams:
     """Weights of one bottleneck adapter: w_down (d, b), b_down (b,),
-    w_up (b, d), b_up (d,)."""
+    w_up (b, d), b_up (d,).
+
+    A tensor may carry leading axes that stack copies of it, one per copy
+    of the adapter (``toymodel.grad_check`` stacks perturbed copies this
+    way); they broadcast against the batch axes of the input.
+    """
 
     w_down: np.ndarray
     b_down: np.ndarray
@@ -149,8 +154,9 @@ class AdapterParams:
     b_up: np.ndarray
 
     def __post_init__(self):
-        d, b = self.w_down.shape
-        if self.b_down.shape != (b,) or self.w_up.shape != (b, d) or self.b_up.shape != (d,):
+        d, b = self.w_down.shape[-2:]
+        if (self.b_down.shape[-1:] != (b,) or self.w_up.shape[-2:] != (b, d)
+                or self.b_up.shape[-1:] != (d,)):
             raise DimensionMismatch(
                 f"inconsistent adapter shapes: w_down {self.w_down.shape}, "
                 f"b_down {self.b_down.shape}, w_up {self.w_up.shape}, b_up {self.b_up.shape}"
@@ -158,11 +164,11 @@ class AdapterParams:
 
     @property
     def d_model(self) -> int:
-        return self.w_down.shape[0]
+        return self.w_down.shape[-2]
 
     @property
     def bottleneck(self) -> int:
-        return self.w_down.shape[1]
+        return self.w_down.shape[-1]
 
     @property
     def n_params(self) -> int:

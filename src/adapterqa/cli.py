@@ -27,7 +27,7 @@ from .data import (
     read_records,
     string_field,
 )
-from .errors import AdapterQaError, InputError, SchemaError
+from .errors import AdapterQaError, InputError, SchemaError, check_int
 from .linearize import linearize
 from .tables import HierarchicalTable
 from .toymodel import (
@@ -186,7 +186,15 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
     )
 
 
+def _check_toy_ints(args, *sizes: str):
+    """The named size options are positive and ``--seed`` is non-negative."""
+    for name in sizes:
+        check_int("--" + name.replace("_", "-"), getattr(args, name))
+    check_int("--seed", args.seed, allow_zero=True)
+
+
 def cmd_gradcheck(args) -> int:
+    _check_toy_ints(args, "batch", "seq_len")
     model = build_toy_model(_toy_config(args))
     model.randomize_adapters(seed=args.seed + 1, scale=0.1)
     rng = np.random.default_rng(args.seed + 2)
@@ -204,6 +212,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    _check_toy_ints(args, "examples", "seq_len")
     model = build_toy_model(_toy_config(args, args.precision))
     source, target = make_copy_task(
         n_examples=args.examples, seq_len=args.seq_len,

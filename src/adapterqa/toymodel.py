@@ -18,16 +18,24 @@ it leaves out whole layer computations without reordering any arithmetic.
 Layers are numbered as in ``AdapterSet`` (decoder after encoder); the
 lowest one that carries an adapter is ``ToyModel.lowest_trainable``.
 ``backward`` stops there: layers below it own no trainable tensor, and the
-gradient of their inputs feeds nothing. Layers below it are also fixed, so
-``train_adapters`` computes the streams that enter it once (a ``Prefix``)
-and starts every step from them, and ``grad_check`` reruns each perturbed
-evaluation only from the perturbed adapter's own layer upward.
+gradient of their inputs feeds nothing; when only decoder layers are
+adapted, no cross-attention computes the gradient of the encoder output.
+Layers below it are also fixed, so ``train_adapters`` computes the streams
+that enter it once (a ``Prefix``) and starts every step from them.
+
+``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
+of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
+copy of each, stacked on a new leading axis that is folded into the batch
+axis. Only the perturbed adapter sees per-copy weights; the layers above
+it run unchanged on the tiled stream. Every matrix product keeps the shape
+it has in a one-copy forward and every loss is the mean over its own copy,
+so each copy's loss is bit-identical to a separate forward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +49,9 @@ ADAM_EPS = 1e-8
 # train_adapters raises Divergence once a loss exceeds this multiple of the
 # initial loss.
 LOSS_GROWTH_LIMIT = 100.0
+# grad_check evaluates this many scalars of one tensor per forward, as
+# twice as many perturbed copies of the model.
+GRAD_CHECK_CHUNK = 8
 
 
 class InvalidConfig(InputError):
@@ -115,22 +126,23 @@ class LayerNorm:
         self.gamma = Parameter(f"{name}.gamma", np.ones(d, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(d, dtype=dtype))
         self.eps = eps
-        self._xhat: np.ndarray | None = None
-        self._inv_std: np.ndarray | None = None
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = centered * self._inv_std
-        return self.gamma.value * self._xhat + self.beta.value
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = centered * inv_std
+        self._cache = (xhat, inv_std)
+        return self.gamma.value * xhat + self.beta.value
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
+        xhat, inv_std = self._cache
         d_xhat = d_out * self.gamma.value
         mean_d = d_xhat.mean(axis=-1, keepdims=True)
-        mean_dx = (d_xhat * self._xhat).mean(axis=-1, keepdims=True)
-        return self._inv_std * (d_xhat - mean_d - self._xhat * mean_dx)
+        mean_dx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        return inv_std * (d_xhat - mean_d - xhat * mean_dx)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -181,15 +193,20 @@ class Attention:
         self._cache = (q, k, v, attn, inv_sqrt)
         return self.o_proj.forward(self._merge(context))
 
-    def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, d_out: np.ndarray,
+                 need_kv: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Gradients of the query input and of the key/value input; the
+        second is None, and not computed, unless ``need_kv``."""
         q, k, v, attn, inv_sqrt = self._cache
         d_context = self._split(self.o_proj.backward(d_out))
         d_attn = d_context @ v.transpose(0, 1, 3, 2)
-        d_v = attn.transpose(0, 1, 3, 2) @ d_context
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_q = (d_scores @ k) * inv_sqrt
-        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * inv_sqrt
         d_xq = self.q_proj.backward(self._merge(d_q))
+        if not need_kv:
+            return d_xq, None
+        d_v = attn.transpose(0, 1, 3, 2) @ d_context
+        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * inv_sqrt
         d_xkv = self.k_proj.backward(self._merge(d_k)) + self.v_proj.backward(self._merge(d_v))
         return d_xq, d_xkv
 
@@ -208,15 +225,15 @@ class FeedForward:
         w_out = (rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)).astype(dtype)
         self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(d_ff, dtype=dtype))
         self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model, dtype=dtype))
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None  # where the rectifier passed
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         pre = self.lin_in.forward(x)
-        self._mask = pre > 0
+        self._cache = pre > 0
         return self.lin_out.forward(np.maximum(pre, 0.0))
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_hidden = self.lin_out.backward(d_out) * self._mask
+        d_hidden = self.lin_out.backward(d_out) * self._cache
         return self.lin_in.backward(d_hidden)
 
     def parameters(self) -> list[Parameter]:
@@ -235,16 +252,15 @@ class AdapterModule:
         self.b_down = Parameter(f"{name}.down.b", self.params.b_down, trainable=True)
         self.w_up = Parameter(f"{name}.up.w", self.params.w_up, trainable=True)
         self.b_up = Parameter(f"{name}.up.b", self.params.b_up, trainable=True)
-        self._x: np.ndarray | None = None
-        self._hidden: np.ndarray | None = None
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, self._hidden = adapter_activations(x, self.params)
-        self._x = x
+        out, hidden = adapter_activations(x, self.params)
+        self._cache = (x, hidden)
         return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        x, hidden = self._x, self._hidden
+        x, hidden = self._cache
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
         self.w_up.grad = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
         self.b_up.grad = flat_d_out.sum(axis=0)
@@ -271,27 +287,33 @@ class ResidualBlock:
         self.cross = cross
         self.adapter: AdapterModule | None = None
 
-    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+    def normed(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+        """The sublayer, then add & norm: the stream the adapter reads."""
         if isinstance(self.sublayer, FeedForward):
             out = self.sublayer.forward(x)
         else:
             out = self.sublayer.forward(x, memory if self.cross else x)
-        h = self.norm.forward(x + out)
+        return self.norm.forward(x + out)
+
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+        h = self.normed(x, memory)
         return h if self.adapter is None else self.adapter.forward(h)
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input; cross-attention adds the gradient of
-        ``memory`` into ``d_memory``."""
+        ``memory`` into ``d_memory``, and skips it when that is None."""
         if self.adapter is not None:
             d_out = self.adapter.backward(d_out)
         d_sum = self.norm.backward(d_out)
         if isinstance(self.sublayer, FeedForward):
             return d_sum + self.sublayer.backward(d_sum)
-        d_q, d_kv = self.sublayer.backward(d_sum)
-        if self.cross:
+        if not self.cross:
+            d_q, d_kv = self.sublayer.backward(d_sum)
+            return d_sum + d_q + d_kv
+        d_q, d_kv = self.sublayer.backward(d_sum, need_kv=d_memory is not None)
+        if d_memory is not None:
             d_memory += d_kv
-            return d_sum + d_q
-        return d_sum + d_q + d_kv
+        return d_sum + d_q
 
 
 class Layer:
@@ -339,10 +361,17 @@ class Layer:
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input; a decoder layer also adds the gradient of
-        ``memory`` into ``d_memory``."""
+        ``memory`` into ``d_memory`` unless that is None."""
         for block in reversed(self.blocks):
             d_out = block.backward(d_out, d_memory)
         return d_out
+
+    def drop_caches(self):
+        """Release what the last forward kept for ``backward``."""
+        for block in self.blocks:
+            for module in (block.sublayer, block.norm, block.adapter):
+                if module is not None:
+                    module._cache = None
 
     def parameters(self) -> list[Parameter]:
         params = []
@@ -378,12 +407,18 @@ class Prefix:
                 raise InputError("prefix was computed from other source/target ids")
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over all positions plus the logits gradient."""
+def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-probabilities over the last axis, with the shifted exponentials
+    and their sums that the softmax needs."""
     z = logits - logits.max(axis=-1, keepdims=True)
     exp_z = np.exp(z)
     sum_exp = exp_z.sum(axis=-1, keepdims=True)
-    log_probs = z - np.log(sum_exp)
+    return z - np.log(sum_exp), exp_z, sum_exp
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over all positions plus the logits gradient."""
+    log_probs, exp_z, sum_exp = _log_softmax(logits)
     n = labels.size
     vocab = logits.shape[-1]
     flat_labels = labels.reshape(-1)
@@ -547,17 +582,19 @@ class ToyModel:
         The reverse pass stops at ``lowest_trainable``: the decoder layers
         run down to it (all of them when the encoder has adapters, because
         each one's cross-attention feeds the encoder gradient), and the
-        encoder is entered only when it has adapters. The layers below own
-        nothing trainable and their input gradients feed nothing, so the
-        trainable gradients are those of a full reverse pass, bit for bit.
-        With nothing trainable it returns at once.
+        encoder is entered only when it has adapters; without them, no
+        cross-attention computes the gradient of the encoder output. The
+        layers below own nothing trainable and their input gradients feed
+        nothing, so the trainable gradients are those of a full reverse
+        pass, bit for bit. With nothing trainable it returns at once.
         """
         lowest = self.lowest_trainable
         if lowest == self.n_layers:
             return
         n_enc = len(self.encoder)
         d = self.out_proj.backward(self._d_logits)
-        d_enc_total = np.zeros(self._enc_shape, dtype=self._d_logits.dtype)
+        d_enc_total = (np.zeros(self._enc_shape, dtype=self._d_logits.dtype)
+                       if lowest < n_enc else None)
         for layer in reversed(self.decoder[max(lowest - n_enc, 0):]):
             d = layer.backward(d, d_enc_total)
         d = d_enc_total
@@ -569,6 +606,42 @@ class ToyModel:
         loss, _ = self.forward(source_ids, target_ids, prefix)
         self.backward()
         return loss
+
+    def _copy_losses(self, prefix: Prefix, block: int, h: np.ndarray,
+                     params: AdapterParams) -> np.ndarray:
+        """Loss of each copy of the model whose adapter in block ``block``
+        of layer ``prefix.start`` has the stacked weights ``params``.
+
+        ``h`` is the (batch, length, d) stream that adapter reads. The copies
+        are folded into the batch axis, copy-major, and the streams of the
+        prefix are tiled to match; every layer above runs its own forward
+        on them, and each loss is the mean over its own copy.
+        """
+        out, _ = adapter_activations(h, params)
+        n_copies = out.shape[0]
+        x = out.reshape(n_copies * h.shape[0], *h.shape[1:])
+        index, n_enc = prefix.start, len(self.encoder)
+        enc_x = None if index < n_enc else np.tile(prefix.enc, (n_copies, 1, 1))
+        layer = [*self.encoder, *self.decoder][index]
+        for later in layer.blocks[block + 1:]:
+            x = later.forward(x, enc_x)
+        # No backward follows, so each layer's caches go as soon as it has
+        # run: only one layer's are held at a time.
+        layer.drop_caches()
+        if index < n_enc:
+            for layer in self.encoder[index + 1:]:
+                x = layer.forward(x)
+                layer.drop_caches()
+            enc_x, x = x, np.tile(prefix.dec, (n_copies, 1, 1))
+        for layer in self.decoder[max(index + 1 - n_enc, 0):]:
+            x = layer.forward(x, enc_x)
+            layer.drop_caches()
+        log_probs, _, _ = _log_softmax(self.out_proj.forward(x))
+        labels = np.tile(prefix.target_ids.reshape(-1), n_copies)
+        # One contiguous row per copy, so each mean sums its row in the
+        # order of a one-copy loss.
+        picked = log_probs.reshape(labels.size, -1)[np.arange(labels.size), labels]
+        return -picked.reshape(n_copies, -1).mean(axis=1)
 
 
 def build_toy_model(cfg: ToyConfig) -> ToyModel:
@@ -644,6 +717,33 @@ class GradCheckReport:
         }
 
 
+def _relative_errors(model: ToyModel, prefix: Prefix, block: int, h: np.ndarray,
+                     adapter: AdapterModule, name: str, eps: float) -> np.ndarray:
+    """Relative error of the central difference of every scalar of tensor
+    ``name`` of ``adapter``, the adapter in block ``block`` of layer
+    ``prefix.start``, ``GRAD_CHECK_CHUNK`` scalars per forward. ``h`` is
+    the stream that adapter reads."""
+    param = getattr(adapter, name)
+    flat = param.value.reshape(-1)
+    analytic = param.grad.reshape(-1)
+    # Copies broadcast against the (batch, length) axes of ``h``.
+    stack_shape = (1,) * (h.ndim - param.value.ndim) + param.value.shape
+    errors = []
+    for start in range(0, flat.size, GRAD_CHECK_CHUNK):
+        chunk = np.arange(start, min(start + GRAD_CHECK_CHUNK, flat.size))
+        rows = np.arange(chunk.size)
+        copies = np.repeat(flat[None], 2 * chunk.size, axis=0)
+        copies[2 * rows, chunk] = flat[chunk] + eps
+        copies[2 * rows + 1, chunk] = flat[chunk] - eps
+        stacked = copies.reshape(2 * chunk.size, *stack_shape)
+        losses = model._copy_losses(prefix, block, h, replace(adapter.params, **{name: stacked}))
+        numeric = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+        a = analytic[chunk]
+        errors.append(np.abs(a - numeric)
+                      / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-3))
+    return np.concatenate(errors)
+
+
 def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
                eps: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients of every trainable scalar against central
@@ -655,11 +755,14 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     check is vacuous there. Double precision only: float32 central
     differences cannot resolve these gradients.
 
-    Scalars are perturbed layer by layer, in ``trainable_parameters()``
-    order. The streams that enter each adapted layer are computed once with
-    the adapters unperturbed, and both evaluations of every scalar in that
-    layer run forward from them: perturbing a layer cannot change what
-    enters it, so each loss is the full forward's, bit for bit.
+    Tensors are audited in ``trainable_parameters()`` order. The streams
+    that enter each adapted layer, and the stream each of its adapters
+    reads, are computed once with the adapters unperturbed: perturbing an
+    adapter cannot change them. One forward then evaluates up to
+    ``GRAD_CHECK_CHUNK`` scalars of a tensor, as a ``+eps`` and a ``-eps``
+    copy of each, stacked on an outer axis (``ToyModel._copy_losses``).
+    Every matrix product and reduction keeps its one-copy shape and order,
+    so each loss is that of a full forward, bit for bit.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
@@ -667,37 +770,35 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
-    analytic = {p.name: p.grad for p in model.trainable_parameters()}
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
     worst_err = 0.0
     n_checked = 0
+    n_enc = len(model.encoder)
     for index, layer in enumerate([*model.encoder, *model.decoder]):
-        params = [p for p in layer.parameters() if p.trainable]
-        if not params:
+        if all(block.adapter is None for block in layer.blocks):
             continue
         prefix = model.prefix(source_ids, target_ids, index)
-        for param in params:
-            flat = param.value.reshape(-1)
-            flat_analytic = analytic[param.name].reshape(-1)
-            param_err = 0.0
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + eps
-                loss_plus, _ = model.forward(source_ids, target_ids, prefix)
-                flat[i] = original - eps
-                loss_minus, _ = model.forward(source_ids, target_ids, prefix)
-                flat[i] = original
-                numeric = (loss_plus - loss_minus) / (2.0 * eps)
-                a = flat_analytic[i]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-                param_err = max(param_err, err)
-                n_checked += 1
-            per_parameter[param.name] = param_err
-            if param_err >= worst_err:
-                worst_err = param_err
-                worst_name = param.name
+        x, memory = (prefix.enc, None) if index < n_enc else (prefix.dec, prefix.enc)
+        for block_index, block in enumerate(layer.blocks):
+            h = block.normed(x, memory)
+            adapter = block.adapter
+            if adapter is None:
+                x = h
+                continue
+            # In ``AdapterModule.parameters()`` order.
+            for name in ("w_down", "b_down", "w_up", "b_up"):
+                errors = _relative_errors(model, prefix, block_index, h, adapter, name, eps)
+                # Python's max from 0.0 is a running maximum that NaN never wins.
+                param_err = max(0.0, *errors)
+                n_checked += errors.size
+                param = getattr(adapter, name)
+                per_parameter[param.name] = param_err
+                if param_err >= worst_err:
+                    worst_err = param_err
+                    worst_name = param.name
+            x = adapter.forward(h)
     return GradCheckReport(
         max_rel_error=worst_err,
         worst_parameter=worst_name,

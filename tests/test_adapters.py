@@ -64,6 +64,22 @@ def test_batched_input_supported():
     assert adapter_forward(x, params).shape == (3, 5, 4)
 
 
+def test_stacked_copies_equal_one_adapter_each():
+    rng = np.random.default_rng(4)
+    base = AdapterParams.near_identity(4, 2, rng)
+    x = rng.standard_normal((3, 5, 4))
+    for name in ("w_down", "b_down", "w_up", "b_up"):
+        value = getattr(base, name)
+        copies = value + rng.standard_normal((6, *value.shape))
+        stacked = copies.reshape(6, *(1,) * (x.ndim - value.ndim), *value.shape)
+        out = adapter_forward(x, AdapterParams(**{**vars(base), name: stacked}))
+        assert out.shape == (6, 3, 5, 4)
+        for copy, one in zip(out, copies):
+            assert np.array_equal(copy, adapter_forward(x, AdapterParams(**{**vars(base), name: one})))
+    with pytest.raises(DimensionMismatch):
+        AdapterParams(**{**vars(base), "w_up": np.zeros((6, 1, 3, 4))})
+
+
 def test_dimension_mismatch():
     rng = np.random.default_rng(2)
     params = AdapterParams.near_identity(4, 2, rng)

@@ -267,6 +267,12 @@ STATS = ["stats", "--in", "FILE", "--modality", "table"]
         pytest.param(["train-toy", "--lr", "inf"], None, id="train-toy-lr-inf"),
         pytest.param(["gradcheck", "--eps", "0"], None, id="gradcheck-eps-0"),
         pytest.param(["gradcheck", "--eps", "nan"], None, id="gradcheck-eps-nan"),
+        pytest.param(["gradcheck", "--batch", "-1"], None, id="gradcheck-batch-neg"),
+        pytest.param(["gradcheck", "--seq-len", "-1"], None, id="gradcheck-seq-len-neg"),
+        pytest.param(["gradcheck", "--seed", "-1"], None, id="gradcheck-seed-neg"),
+        pytest.param(["train-toy", "--examples", "-1"], None, id="train-toy-examples-neg"),
+        pytest.param(["train-toy", "--seq-len", "-3"], None, id="train-toy-seq-len-neg"),
+        pytest.param(["train-toy", "--seed", "-1"], None, id="train-toy-seed-neg"),
         pytest.param([*PREPARE, "--max-target-tokens", "0"], RECORD, id="prepare-target-0"),
         pytest.param([*PREPARE, "--max-target-tokens", "-1"], RECORD, id="prepare-target-neg"),
         pytest.param(["assemble", "--batch", "FILE"], {"question": 5}, id="assemble-question"),

@@ -2,10 +2,11 @@
 
 Every file-reading command is run through ``cli.main`` on arbitrary bytes
 and on small JSON documents shaped like tables, records, dims and ablation
-configs. Whatever the input, ``main`` returns 0, 1 or 2 without raising,
-and a failure prints exactly one ``{"error", "message"}`` object on stderr.
-``gradcheck`` and ``train-toy`` are left out: their size options set their
-cost.
+configs, and ``gradcheck`` and ``train-toy`` on arbitrary option values.
+Whatever the input, ``main`` returns 0, 1 or 2 without raising, and a
+failure prints exactly one ``{"error", "message"}`` object on stderr. The
+toy commands' sizes set their cost, so they are capped from above (width
+8, 2 layers a side, length 4, 2 steps) and range over negative values.
 """
 
 import io
@@ -76,13 +77,45 @@ def option(name: str, values) -> st.SearchStrategy:
     return st.just([]) | values.map(lambda value: [name, str(value)])
 
 
+TOY_OPTIONS = {
+    "--d-model": st.integers(-2, 8),
+    "--bottleneck": st.integers(-2, 4),
+    "--enc-layers": st.integers(-1, 2),
+    "--dec-layers": st.integers(-1, 2),
+    "--vocab": st.integers(-1, 40),
+    "--seq-len": st.integers(-3, 4),
+    "--seed": st.integers(-3, 2**40),
+}
+GRADCHECK_OPTIONS = {
+    "--batch": st.integers(-3, 3),
+    "--eps": st.sampled_from([1e-6, 1e-5, 0.0, -1.0, float("nan"), float("inf")]),
+}
+TRAIN_TOY_OPTIONS = {
+    "--examples": st.integers(-3, 4),
+    "--steps": st.integers(-1, 2),
+    "--lr": st.sampled_from([1e-2, 10.0, 1e160, 0.0, -1.0, float("nan")]),
+    "--optimizer": st.sampled_from(["adam", "sgd"]),
+    "--precision": st.sampled_from(["single", "double"]),
+}
+
+
 @st.composite
 def invocations(draw):
     """``(argv, files)``: ``argv`` names each file by its key in ``files``."""
     command = draw(st.sampled_from(
-        ["linearize", "assemble", "stats", "prepare", "eval", "count-params", "plan-ablation"]))
+        ["linearize", "assemble", "stats", "prepare", "eval", "count-params", "plan-ablation",
+         "gradcheck", "train-toy"]))
     files = {}
-    if command == "linearize":
+    if command in ("gradcheck", "train-toy"):
+        # The defaults are a width-32 model and 200 steps, so the sizes are
+        # always given.
+        own = GRADCHECK_OPTIONS if command == "gradcheck" else TRAIN_TOY_OPTIONS
+        argv = [command, "--d-model", "8", "--bottleneck", "4", "--enc-layers", "2",
+                "--dec-layers", "2", "--seq-len", "4",
+                "--steps" if command == "train-toy" else "--batch", "2"]
+        for name, values in {**TOY_OPTIONS, **own}.items():
+            argv += draw(option(name, values))
+    elif command == "linearize":
         files["IN"] = draw(json_file(tables))
         argv = ["linearize", "--in", "IN"]
     elif command == "assemble":
@@ -131,6 +164,12 @@ SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50
 @example((["stats", "--in", "IN", "--modality", "table"],
           {"IN": json.dumps({"id": "r", "question": "q", "answers": ["a"],
                              "context": {"table": WIDE_TABLE}}).encode()}))
+@example((["gradcheck", "--d-model", "8", "--batch", "-1"], {}))
+@example((["gradcheck", "--d-model", "8", "--seq-len", "-1"], {}))
+@example((["gradcheck", "--d-model", "8", "--seed", "-1"], {}))
+@example((["train-toy", "--d-model", "8", "--steps", "2", "--examples", "-1"], {}))
+@example((["train-toy", "--d-model", "8", "--steps", "2", "--seq-len", "-3"], {}))
+@example((["train-toy", "--d-model", "8", "--steps", "2", "--seed", "-1"], {}))
 def test_every_generated_invocation_keeps_the_error_contract(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

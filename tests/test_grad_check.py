@@ -1,0 +1,82 @@
+"""Differential test of the batched gradient audit.
+
+``grad_check`` evaluates a chunk of perturbed adapter copies per forward.
+Its report must equal that of the per-scalar audit it replaced
+(``model_oracles.grad_check_per_scalar``) exactly, for any adapter set,
+batch, length and chunk size.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from adapterqa import toymodel
+from adapterqa.adapters import AdapterSet
+from adapterqa.toymodel import GRAD_CHECK_CHUNK, ToyConfig, build_toy_model, grad_check
+from model_oracles import grad_check_per_scalar
+
+ENCODER_ONLY, DECODER_ONLY, FULL, EMPTY = "encoder", "decoder", "full", "empty"
+
+
+@st.composite
+def audits(draw):
+    """``(config kwargs, batch, length, chunk)`` on a width-2 to width-6 toy."""
+    n_enc, n_dec = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    layers = draw(st.sampled_from([ENCODER_ONLY, DECODER_ONLY, FULL, EMPTY])
+                  | st.frozensets(st.integers(0, n_enc + n_dec - 1)))
+    if layers == ENCODER_ONLY:
+        layers = range(n_enc)
+    elif layers == DECODER_ONLY:
+        layers = range(n_enc, n_enc + n_dec)
+    elif layers == FULL:
+        layers = range(n_enc + n_dec)
+    elif layers == EMPTY:
+        layers = ()
+    adapter_set = AdapterSet.of([i for i in layers if i < n_enc], [i for i in layers if i >= n_enc])
+    cfg = dict(d_model=draw(st.sampled_from([2, 4, 6])), bottleneck=draw(st.integers(1, 3)),
+               n_encoder_layers=n_enc, n_decoder_layers=n_dec, n_heads=2, vocab_size=12,
+               max_len=4, seed=draw(st.integers(0, 2**16)), adapter_set=adapter_set)
+    chunk = draw(st.sampled_from([1, 3, GRAD_CHECK_CHUNK, 64]))
+    return cfg, draw(st.integers(1, 3)), draw(st.integers(1, 4)), chunk
+
+
+def audit(cfg: dict, batch: int, length: int, check):
+    model = build_toy_model(ToyConfig(**cfg))
+    model.randomize_adapters(seed=cfg["seed"] + 1)
+    rng = np.random.default_rng(cfg["seed"] + 2)
+    source = rng.integers(2, cfg["vocab_size"], size=(batch, length))
+    target = rng.integers(2, cfg["vocab_size"], size=(batch, length))
+    before = [p.value.copy() for p in model.parameters()]
+    report = check(model, source, target, eps=1e-6)
+    assert all(np.array_equal(p.value, b) for p, b in zip(model.parameters(), before))
+    return report
+
+
+def named(layers, batch: int, length: int, chunk: int = GRAD_CHECK_CHUNK):
+    """An example on a width-4, bottleneck-3, 2+2-layer toy: its tensors
+    of 12, 3, 12 and 4 scalars are not all multiples of the chunk."""
+    adapter_set = AdapterSet.of([i for i in layers if i < 2], [i for i in layers if i >= 2])
+    cfg = dict(d_model=4, bottleneck=3, n_encoder_layers=2, n_decoder_layers=2, n_heads=2,
+               vocab_size=12, max_len=4, seed=6, adapter_set=adapter_set)
+    return example((cfg, batch, length, chunk))
+
+
+@settings(deadline=None, max_examples=25)
+@given(audits())
+@named([0, 1], 2, 3)
+@named([2, 3], 2, 3)
+@named([0, 1, 2, 3], 2, 3)
+@named([], 2, 3)
+@named([0, 3], 1, 1)
+@named([1, 2], 1, 4, chunk=7)
+@named([0, 1, 2, 3], 3, 1, chunk=1)
+def test_batched_audit_equals_per_scalar_audit(case):
+    cfg, batch, length, chunk = case
+    with mock.patch.object(toymodel, "GRAD_CHECK_CHUNK", chunk):
+        batched = audit(cfg, batch, length, grad_check)
+    oracle = audit(cfg, batch, length, grad_check_per_scalar)
+    assert batched.to_json_dict() == oracle.to_json_dict()
+    # The types match too (np.float64 or the float 0.0), so reprs agree.
+    assert repr(batched) == repr(oracle)
