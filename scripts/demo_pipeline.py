@@ -60,12 +60,12 @@ def run(*argv: str):
         sys.exit(code)
 
 
-def main():
+def main(argv: list[str] | None = None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--work-dir", default="demo_run")
     parser.add_argument("--n", type=int, default=8)
     parser.add_argument("--seed", type=int, default=6)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     work = Path(args.work_dir)
     work.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ import numpy as np
 from . import ablation as ablation_mod
 from . import metrics as metrics_mod
 from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
-from .assembly import assemble, truncate
+from .assembly import InputSequence, assemble, truncate
 from .data import (
     PrepareLimits,
     compute_stats,
@@ -43,13 +43,6 @@ from .toymodel import (
 DEFAULT_SEED = 6
 
 
-def _write_output(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 class UsageError(InputError):
     """The command line does not parse."""
 
@@ -70,57 +63,44 @@ def _load_json(path: str) -> object:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _summary(message: str):
-    print(message, file=sys.stderr)
+# Each cmd_* returns (output text, stderr summary); main writes both.
 
 
-def cmd_linearize(args) -> int:
-    table = HierarchicalTable.from_json_dict(_load_json(args.infile))
-    flat = linearize(table)
-    _write_output(flat.text + "\n", args.out)
-    _summary(f"linearized {flat.pair_count} key:value pairs")
-    return 0
+def cmd_linearize(args) -> tuple[str, str]:
+    flat = linearize(HierarchicalTable.from_json_dict(_load_json(args.infile)))
+    return flat.text + "\n", f"linearized {flat.pair_count} key:value pairs"
 
 
-def cmd_assemble(args) -> int:
-    if args.batch is not None:
-        fields = [
-            (string_field(obj, "question", line), string_field(obj, "title", line, ""),
-             string_field(obj, "context", line, ""))
-            for line, obj in read_jsonl(args.batch)
-        ]
-    elif args.question is not None:
-        context = ""
-        if args.context is not None:
-            context = args.context
-        elif args.context_file is not None:
-            context = Path(args.context_file).read_text(encoding="utf-8")
-        fields = [(args.question, args.title, context)]
-    else:
-        raise InputError("either --question or --batch is required")
-    seqs = []
-    for question, title, context in fields:
+def cmd_assemble(args) -> tuple[str, str]:
+    # argparse groups cannot share --batch, so this exclusion is checked here.
+    if args.batch is not None and (args.title, args.context, args.context_file) != (None,) * 3:
+        args.usage_error("argument --batch: not allowed with --title, --context or --context-file")
+
+    def build(question: str, title: str, context: str) -> InputSequence:
         seq = assemble(question, title, context)
-        if args.max_tokens is not None:
-            seq = truncate(seq, args.max_tokens)
-        seqs.append(seq)
-    _write_output("".join(seq.rendered + "\n" for seq in seqs), args.out)
-    _summary(f"assembled {len(seqs)} sequences, {sum(seq.n_tokens for seq in seqs)} tokens")
-    return 0
+        return seq if args.max_tokens is None else truncate(seq, args.max_tokens)
+
+    if args.batch is not None:
+        seqs = read_jsonl(args.batch, lambda obj: build(
+            string_field(obj, "question"), string_field(obj, "title", ""),
+            string_field(obj, "context", "")))
+    else:
+        context = args.context
+        if args.context_file is not None:
+            context = Path(args.context_file).read_text(encoding="utf-8")
+        seqs = [build(args.question, args.title or "", context or "")]
+    return ("".join(seq.rendered + "\n" for seq in seqs),
+            f"assembled {len(seqs)} sequences, {sum(seq.n_tokens for seq in seqs)} tokens")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[str, str]:
     report = metrics_mod.evaluate_predictions(args.pred, args.ref)
-    payload = json.dumps(report.to_json_dict())
-    _write_output(payload + "\n", args.out)
-    if args.out is not None:
-        sys.stdout.write(payload + "\n")
-    _summary(
+    return (
+        json.dumps(report.to_json_dict()) + "\n",
         f"n={report.n_examples} rouge1_f={report.rouge1.f1:.4f} "
         f"rouge2_f={report.rouge2.f1:.4f} rougeL_f={report.rougeL.f1:.4f} "
-        f"bleu={report.bleu:.2f}"
+        f"bleu={report.bleu:.2f}",
     )
-    return 0
 
 
 def _dims_from_args(args) -> ModelDims:
@@ -132,7 +112,7 @@ def _dims_from_args(args) -> ModelDims:
     return ModelDims.from_json_dict(obj)
 
 
-def cmd_count_params(args) -> int:
+def cmd_count_params(args) -> tuple[str, str]:
     dims = _dims_from_args(args)
     active = AdapterSet.full(dims)
     if args.ablation is not None:
@@ -151,27 +131,23 @@ def cmd_count_params(args) -> int:
         config = ablation_mod.AblationConfig(
             removed_encoder=tuple(removed["removed_encoder"]),
             removed_decoder=tuple(removed["removed_decoder"]),
-            label=obj.get("label", ""),
+            label=string_field(obj, "label", ""),
         )
         active = ablation_mod.apply_ablation(active, config)
     count, percent = count_adapter_params(dims, active)
     payload = {"trainable": count, "percent": percent,
                "active_layers": active.n_active_layers}
-    _write_output(json.dumps(payload) + "\n", args.out)
-    _summary(f"{count:,} trainable parameters ({percent:.2f}%)")
-    return 0
+    return json.dumps(payload) + "\n", f"{count:,} trainable parameters ({percent:.2f}%)"
 
 
-def cmd_plan_ablation(args) -> int:
+def cmd_plan_ablation(args) -> tuple[str, str]:
     dims = _dims_from_args(args)
     if args.mode == "uniform":
         plan = ablation_mod.uniform_ablation_plan(dims)
     else:
         plan = ablation_mod.grid_ablation_plan(dims)
     rows = ablation_mod.cost_plan(plan, dims)
-    _write_output(ablation_mod.manifest_lines(rows), args.out)
-    _summary(f"{len(rows)} configurations ({args.mode})")
-    return 0
+    return ablation_mod.manifest_lines(rows), f"{len(rows)} configurations ({args.mode})"
 
 
 def _toy_config(args, precision: str = "double") -> ToyConfig:
@@ -193,7 +169,7 @@ def _check_toy_ints(args, *sizes: str):
     check_int("--seed", args.seed, allow_zero=True)
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> tuple[str, str]:
     _check_toy_ints(args, "batch", "seq_len")
     model = build_toy_model(_toy_config(args))
     model.randomize_adapters(seed=args.seed + 1, scale=0.1)
@@ -203,15 +179,14 @@ def cmd_gradcheck(args) -> int:
     report = grad_check(model, source, target, eps=args.eps)
     payload = report.to_json_dict()
     del payload["per_parameter"]  # keep stdout compact; the maximum is what matters
-    _write_output(json.dumps(payload) + "\n", args.out)
-    _summary(
+    return (
+        json.dumps(payload) + "\n",
         f"checked {report.n_params_checked} trainable scalars, "
-        f"max relative error {report.max_rel_error:.3e} ({report.worst_parameter})"
+        f"max relative error {report.max_rel_error:.3e} ({report.worst_parameter})",
     )
-    return 0
 
 
-def cmd_train_toy(args) -> int:
+def cmd_train_toy(args) -> tuple[str, str]:
     _check_toy_ints(args, "examples", "seq_len")
     model = build_toy_model(_toy_config(args, args.precision))
     source, target = make_copy_task(
@@ -220,26 +195,22 @@ def cmd_train_toy(args) -> int:
     )
     train_cfg = TrainConfig(learning_rate=args.lr, steps=args.steps, optimizer=args.optimizer)
     log = train_adapters(model, source, target, train_cfg)
-    _write_output(json.dumps(log.to_json_dict()) + "\n", args.out)
     report = freeze_report(model)
-    _summary(
+    return (
+        json.dumps(log.to_json_dict()) + "\n",
         f"model: {report.frozen_total:,} frozen + {report.trainable_total:,} trainable "
         f"({report.trainable_percent_of_base}% of base)\n"
         f"{args.steps} steps: loss {log.initial_loss:.4f} -> {log.final_loss:.4f} "
-        f"(ratio {log.final_loss / log.initial_loss:.3f})"
+        f"(ratio {log.final_loss / log.initial_loss:.3f})",
     )
-    return 0
 
 
-def cmd_stats(args) -> int:
-    records = read_records(args.infile, args.modality)
-    stats = compute_stats(records)
-    _write_output(json.dumps(stats.to_json_dict()) + "\n", args.out)
-    _summary(f"{stats.n_samples} records")
-    return 0
+def cmd_stats(args) -> tuple[str, str]:
+    stats = compute_stats(read_records(args.infile, args.modality))
+    return json.dumps(stats.to_json_dict()) + "\n", f"{stats.n_samples} records"
 
 
-def cmd_prepare(args) -> int:
+def cmd_prepare(args) -> tuple[str, str]:
     records = read_records(args.infile, args.modality)
     limits = PrepareLimits(
         max_input_tokens=args.max_tokens,
@@ -251,9 +222,7 @@ def cmd_prepare(args) -> int:
         json.dumps({"input": seq.rendered, "target": target}) + "\n"
         for seq, target in examples
     )
-    _write_output(lines, args.out)
-    _summary(f"prepared {len(examples)} examples")
-    return 0
+    return lines, f"prepared {len(examples)} examples"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,14 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_linearize)
 
     p = sub.add_parser("assemble", help="build a prompted input sequence")
-    p.add_argument("--question", default=None)
-    p.add_argument("--title", default="")
-    p.add_argument("--context", default=None)
-    p.add_argument("--context-file", default=None)
-    p.add_argument("--batch", default=None, help="JSONL file with question/title/context per line")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--question", default=None)
+    source.add_argument("--batch", default=None,
+                        help="JSONL file with question/title/context per line")
+    p.add_argument("--title", default=None)
+    context = p.add_mutually_exclusive_group()
+    context.add_argument("--context", default=None)
+    context.add_argument("--context-file", default=None)
     p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_assemble)
+    p.set_defaults(func=cmd_assemble, usage_error=p.error)
 
     p = sub.add_parser("eval", help="ROUGE and BLEU of line-aligned files")
     p.add_argument("--pred", required=True)
@@ -347,7 +319,13 @@ def _error_payload(exc: Exception) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        text, summary = args.func(args)
+        if args.out is not None:
+            Path(args.out).write_text(text, encoding="utf-8")
+        if args.out is None or args.command == "eval":
+            sys.stdout.write(text)  # eval echoes its report once --out is written
+        print(summary, file=sys.stderr)
+        return 0
     except SystemExit as exc:  # --help
         return exc.code
     except (InputError, UnicodeDecodeError) as exc:

@@ -8,12 +8,12 @@ assembles the prompted input sequence, and applies optional token budgets.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .assembly import InputSequence, assemble, truncate
-from .errors import SchemaError, check_int
+from .assembly import EmptyQuestion, InputSequence, assemble, truncate
+from .errors import InputError, SchemaError, check_int
 from .linearize import check_linearized_length, linearize
 from .tables import HierarchicalTable, ValidatedTable, validate_table
 
@@ -36,9 +36,11 @@ class QaRecord:
             raise SchemaError("record must carry exactly one of passage or table")
         if not self.answers:
             raise SchemaError("record must carry at least one answer")
+        # Refused on read, so stats rejects what prepare cannot assemble or linearize.
+        if not self.question.split():
+            raise EmptyQuestion("question must contain at least one token")
         self.grid = None if self.table is None else validate_table(self.table)
         if self.grid is not None:
-            # Refused on read, so stats rejects what prepare cannot linearize.
             check_linearized_length(self.grid)
 
     @property
@@ -52,80 +54,82 @@ class QaRecord:
         return linearize(self.grid).text
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL
-    file; a line that is not a JSON object raises ``SchemaError``."""
+def read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
+    """``build(obj)`` for the JSON object on each non-blank line of a JSONL
+    file, in order.
+
+    Any ``InputError`` raised while reading line N (by the JSON decoder, by
+    ``build``, or by the table and record checks it runs) keeps its type and
+    gets ``line = N`` and one ``line N: `` prefix.
+    """
+    built = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise SchemaError(f"invalid JSON: {exc}", line_no) from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"line must be a JSON object, got {type(obj).__name__}", line_no)
-            yield line_no, obj
+                try:
+                    obj = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise SchemaError(f"invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"line must be a JSON object, got {type(obj).__name__}")
+                built.append(build(obj))
+            except InputError as exc:
+                exc.line = line_no
+                exc.args = (f"line {line_no}: {exc}",)
+                raise
+    return built
 
 
-def string_field(obj: dict, key: str, line: int, default: str | None = None) -> str:
+def string_field(obj: dict, key: str, default: str | None = None) -> str:
     """``obj[key]``, which must be a string; ``default`` when the key is
     absent, which is an error when no default is given."""
     if key not in obj:
         if default is None:
-            raise SchemaError(f"missing '{key}'", line)
+            raise SchemaError(f"missing '{key}'")
         return default
     value = obj[key]
     if not isinstance(value, str):
-        raise SchemaError(f"'{key}' must be a string, got {type(value).__name__}", line)
+        raise SchemaError(f"'{key}' must be a string, got {type(value).__name__}")
     return value
 
 
-def _record_from_json(obj: dict, line: int) -> QaRecord:
+def _record_from_json(obj: dict) -> QaRecord:
     for key in ("id", "answers"):
         if key not in obj:
-            raise SchemaError(f"record is missing '{key}'", line)
+            raise SchemaError(f"record is missing '{key}'")
     if not isinstance(obj["answers"], list) or not all(isinstance(a, str) for a in obj["answers"]):
-        raise SchemaError("'answers' must be a list of strings", line)
+        raise SchemaError("'answers' must be a list of strings")
     context = obj.get("context")
     if not isinstance(context, dict) or len(set(context) & {"passage", "table"}) != 1:
-        raise SchemaError("'context' must be an object with exactly one of 'passage' or 'table'", line)
-    passage = table = None
-    if "table" in context:
-        try:
-            table = HierarchicalTable.from_json_dict(context["table"])
-        except SchemaError as exc:
-            raise SchemaError(f"bad table: {exc}", line) from exc
-    else:
-        passage = string_field(context, "passage", line)
-    try:
-        return QaRecord(
-            id=str(obj["id"]),
-            question=string_field(obj, "question", line),
-            title=string_field(obj, "title", line, ""),
-            answers=list(obj["answers"]),
-            passage=passage,
-            table=table,
-        )
-    except SchemaError as exc:
-        raise SchemaError(str(exc), line) from exc
+        raise SchemaError("'context' must be an object with exactly one of 'passage' or 'table'")
+    return QaRecord(
+        id=str(obj["id"]),
+        question=string_field(obj, "question"),
+        title=string_field(obj, "title", ""),
+        answers=list(obj["answers"]),
+        passage=string_field(context, "passage") if "passage" in context else None,
+        table=HierarchicalTable.from_json_dict(context["table"]) if "table" in context else None,
+    )
 
 
 def read_records(path: str | Path, modality: str) -> list[QaRecord]:
     """Parse a JSONL file of records, all of the given modality.
 
-    Table contexts are validated (spans must resolve); schema problems are
+    Table contexts are validated (spans must resolve); input errors are
     reported with their line number.
     """
     if modality not in MODALITIES:
         raise SchemaError(f"modality must be one of {MODALITIES}, got {modality!r}")
-    records = []
-    for line_no, obj in read_jsonl(path):
-        record = _record_from_json(obj, line_no)
+
+    def build(obj: dict) -> QaRecord:
+        record = _record_from_json(obj)
         if record.modality != modality:
-            raise SchemaError(f"expected {modality} context, found {record.modality}", line_no)
-        records.append(record)
-    return records
+            raise SchemaError(f"expected {modality} context, found {record.modality}")
+        return record
+
+    return read_jsonl(path, build)
 
 
 @dataclass(frozen=True)

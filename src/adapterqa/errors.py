@@ -13,13 +13,13 @@ class AdapterQaError(Exception):
 class InputError(AdapterQaError):
     """Invalid user-supplied data or configuration."""
 
+    # The JSONL line at fault; ``data.read_jsonl`` sets it and prefixes the
+    # message with ``line N: ``.
+    line: int | None = None
+
 
 class SchemaError(InputError):
     """A JSON document does not match the expected schema."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def check_int(name: str, value: object, error: type[InputError] = InputError,

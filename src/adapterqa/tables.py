@@ -8,7 +8,6 @@ flattening can reason about columns instead of raw cell lists.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import InputError, SchemaError, check_int
@@ -18,15 +17,14 @@ from .errors import InputError, SchemaError, check_int
 # pair per body position.
 MAX_GRID_CELLS = 100_000
 
-_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
-_WHITESPACE_RUN = re.compile(r"\s+")
+# C0 and C1 control characters, each mapped to a space.
+_CONTROL_TO_SPACE = dict.fromkeys([*range(0x20), *range(0x7F, 0xA0)], " ")
 
 
 def normalize_text(text: str) -> str:
     """Trim surrounding whitespace and collapse internal runs (including
     control characters) to single spaces."""
-    text = _CONTROL_CHARS.sub(" ", text)
-    return _WHITESPACE_RUN.sub(" ", text).strip()
+    return " ".join(text.translate(_CONTROL_TO_SPACE).split())
 
 
 class TableValidationError(InputError):

@@ -82,6 +82,14 @@ def test_assemble_empty_question_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "EmptyQuestion"
 
 
+def test_assemble_context_file(tmp_path, capsys):
+    context = tmp_path / "context.txt"
+    context.write_text("Year:\n2013\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["assemble", "--question", "when", "--context-file", str(context)])
+    assert code == 0
+    assert out == "<question> when <title> <context> Year: 2013\n"
+
+
 def test_eval_writes_report(tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     ref = tmp_path / "ref.txt"
@@ -284,6 +292,11 @@ STATS = ["stats", "--in", "FILE", "--modality", "table"]
         pytest.param(STATS, {**RECORD, "title": 5}, id="stats-title"),
         pytest.param(PREPARE, {**RECORD, "question": None}, id="prepare-question"),
         pytest.param(PREPARE, {**RECORD, "title": ["Films"]}, id="prepare-title"),
+        pytest.param(STATS, {**RECORD, "question": " \n "}, id="stats-empty-question"),
+        pytest.param(["count-params", "--ablation", "FILE"], {"label": 5},
+                     id="count-params-int-label"),
+        pytest.param(["count-params", "--ablation", "FILE"], {"removed_encoder": [], "label": []},
+                     id="count-params-list-label"),
     ],
 )
 def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj):
@@ -299,9 +312,17 @@ def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj
 @pytest.mark.parametrize(
     "argv",
     [[], ["bogus"], ["count-params", "--seed", "3"], ["gradcheck", "--d-model", "x"],
-     ["train-toy", "--optimizer", "adamw"], ["train-toy", "--task", "copy"]],
+     ["train-toy", "--optimizer", "adamw"], ["train-toy", "--task", "copy"],
+     ["assemble"], ["assemble", "--title", "t", "--context", "c"],
+     ["assemble", "--question", "q", "--batch", "f.jsonl"],
+     ["assemble", "--question", "q", "--context", "c", "--context-file", "f.txt"],
+     ["assemble", "--batch", "f.jsonl", "--title", "t"],
+     ["assemble", "--batch", "f.jsonl", "--context", "c"],
+     ["assemble", "--batch", "f.jsonl", "--context-file", "f.txt"]],
     ids=["none", "bogus", "count-params-seed", "gradcheck-d-model", "train-toy-optimizer",
-         "train-toy-task"],
+         "train-toy-task", "assemble-no-source", "assemble-no-question",
+         "assemble-question-and-batch", "assemble-two-contexts", "assemble-batch-title",
+         "assemble-batch-context", "assemble-batch-context-file"],
 )
 def test_usage_errors_exit_2_with_json_error(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -373,6 +394,57 @@ def test_hostile_files_exit_2_with_json_error(tmp_path, capsys, argv, text, erro
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
+
+
+RAGGED_TABLE = {"title": "t", "header_rows": [[{"text": "a"}, {"text": "b"}]],
+                "body_rows": [[{"text": "x"}]]}
+BATCH = ["assemble", "--batch", "FILE"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad_line, error",
+    [
+        pytest.param(STATS, {**RECORD, "context": {"table": RAGGED_TABLE}}, "RaggedGrid",
+                     id="stats-ragged"),
+        pytest.param(PREPARE, {**RECORD, "context": {"table": WIDE_TABLE}}, "GridTooLarge",
+                     id="prepare-wide"),
+        pytest.param(STATS, {**RECORD, "question": ""}, "EmptyQuestion",
+                     id="stats-empty-question"),
+        pytest.param(PREPARE, {k: v for k, v in RECORD.items() if k != "question"},
+                     "SchemaError", id="prepare-missing-question"),
+        pytest.param(STATS, {**RECORD, "title": 1}, "SchemaError", id="stats-int-title"),
+        pytest.param(BATCH, {"title": "t"}, "SchemaError", id="assemble-missing-question"),
+        pytest.param(BATCH, {"question": "q", "title": None}, "SchemaError",
+                     id="assemble-null-title"),
+        pytest.param(BATCH, {"question": "  "}, "EmptyQuestion", id="assemble-empty-question"),
+        pytest.param([*BATCH, "--max-tokens", "4"], {"question": "q q"}, "BudgetTooSmall",
+                     id="assemble-budget"),
+        pytest.param(BATCH, "{broken", "SchemaError", id="assemble-invalid-json"),
+    ],
+)
+def test_jsonl_input_errors_name_their_line_once(tmp_path, capsys, argv, bad_line, error):
+    good = RECORD if argv[0] != "assemble" else {"question": "q"}
+    if not isinstance(bad_line, str):
+        bad_line = json.dumps(bad_line)
+    path = tmp_path / "input.jsonl"
+    path.write_text(f"{json.dumps(good)}\n\n{bad_line}\n", encoding="utf-8")
+    code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert payload["message"].startswith("line 3: ")
+    assert payload["message"].count("line 3: ") == 1
+
+
+def test_failed_eval_out_write_leaves_stdout_empty(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    pred.write_text("the cat sat\n", encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--pred", str(pred), "--ref", str(pred),
+                                  "--out", str(tmp_path / "missing" / "report.json")])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
 
 
 def test_seed_and_precision_belong_to_the_toy_commands(capsys):

@@ -14,8 +14,18 @@ from adapterqa.data import (
     prepare_examples,
     read_records,
 )
+from adapterqa.assembly import EmptyQuestion
 from adapterqa.errors import SchemaError
-from adapterqa.tables import Cell, HierarchicalTable
+from adapterqa.linearize import LinearizedTextTooLarge
+from adapterqa.tables import (
+    Cell,
+    EmptyGrid,
+    GridTooLarge,
+    HierarchicalTable,
+    OverlappingSpans,
+    RaggedGrid,
+    SpanOutOfBounds,
+)
 
 from gen_tables import random_table
 
@@ -107,6 +117,51 @@ def test_schema_errors_carry_line_numbers(tmp_path, obj):
     with pytest.raises(SchemaError) as err:
         read_records(path, "text")
     assert err.value.line == 2
+
+
+def with_table(**table):
+    return {**table_record(), "context": {"table": {"title": "t", **table}}}
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        pytest.param(with_table(header_rows=[[{"text": "a"}, {"text": "b"}]],
+                                body_rows=[[{"text": "x"}]]), RaggedGrid, id="ragged"),
+        pytest.param(with_table(header_rows=[[{"text": "a"}, {"text": "b", "rowspan": 2}],
+                                             [{"text": "c", "colspan": 2}]]),
+                     OverlappingSpans, id="overlapping"),
+        pytest.param(with_table(header_rows=[[{"text": "a"}]],
+                                body_rows=[[{"text": "x", "colspan": 2}]]),
+                     SpanOutOfBounds, id="out-of-bounds"),
+        pytest.param(with_table(header_rows=[]), EmptyGrid, id="empty-grid"),
+        pytest.param(with_table(header_rows=[[{"text": "h", "colspan": 10**6}]]),
+                     GridTooLarge, id="grid-too-large"),
+        pytest.param(with_table(header_rows=[[{"text": "h" * 200, "colspan": 50_000}]],
+                                body_rows=[[{"text": "b" * 200, "colspan": 50_000}]]),
+                     LinearizedTextTooLarge, id="text-too-large"),
+        pytest.param(with_table(header_rows=[[{"text": "a", "colspan": 0}]]), SchemaError,
+                     id="bad-cell"),
+        pytest.param(table_record(question=" \t "), EmptyQuestion, id="empty-question"),
+        pytest.param({k: v for k, v in table_record().items() if k != "question"}, SchemaError,
+                     id="missing-question"),
+        pytest.param({**table_record(), "question": 5}, SchemaError, id="int-question"),
+        pytest.param({**table_record(), "title": ["t"]}, SchemaError, id="list-title"),
+        pytest.param({**table_record(), "answers": "a"}, SchemaError, id="string-answers"),
+        pytest.param(text_record(), SchemaError, id="wrong-modality"),
+    ],
+)
+def test_input_errors_name_their_line_once(tmp_path, obj, error):
+    path = tmp_path / "d.jsonl"
+    # A blank line 2: line numbers count every line of the file.
+    path.write_text(json.dumps(table_record()) + "\n\n" + json.dumps(obj) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(error) as err:
+        read_records(path, "table")
+    assert type(err.value) is error
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: ")
+    assert str(err.value).count("line 3: ") == 1
 
 
 def test_invalid_json_line(tmp_path):

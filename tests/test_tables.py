@@ -1,5 +1,8 @@
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adapterqa.errors import InputError, SchemaError
 from adapterqa.tables import (
@@ -16,6 +19,7 @@ from adapterqa.tables import (
 )
 
 from gen_tables import hierarchical_tables
+from table_oracles import normalize_text_regex
 
 
 def simple_table():
@@ -139,6 +143,26 @@ def test_text_normalization():
     assert normalize_text("x\x00y") == "x y"
     assert Cell("  two   words ").text == "two words"
     assert not any(ord(ch) < 32 for ch in Cell("a\x01b").text)
+
+
+def test_normalization_equals_regex_oracle_on_every_code_point():
+    # Each code point between two letters: a separator is dropped to one
+    # space, anything else stays, so one disagreement changes the text.
+    text = "a" + "a".join(map(chr, range(sys.maxunicode + 1))) + "a"
+    assert normalize_text(text) == normalize_text_regex(text)
+
+
+# Whitespace, C0/C1 controls and their neighbours, drawn often.
+SEPARATORS = st.sampled_from(
+    [chr(c) for c in (*range(0x00, 0x21), *range(0x7E, 0xA1), 0x1680, *range(0x2000, 0x200C),
+                      0x2028, 0x2029, 0x202F, 0x205F, 0x3000, 0xFEFF)])
+
+
+@settings(max_examples=200)
+@given(st.text(SEPARATORS | st.characters(), max_size=40))
+@example("\x1c\x85 a\u00a0\u2028b\x7f ")
+def test_normalization_equals_regex_oracle(text):
+    assert normalize_text(text) == normalize_text_regex(text)
 
 
 def test_empty_header_text_allowed():
