@@ -22,7 +22,7 @@ from .assembly import InputSequence, assemble, truncate
 from .data import (
     PrepareLimits,
     compute_stats,
-    prepare_examples,
+    prepare_example,
     read_jsonl,
     read_records,
     string_field,
@@ -211,13 +211,13 @@ def cmd_stats(args) -> tuple[str, str]:
 
 
 def cmd_prepare(args) -> tuple[str, str]:
-    records = read_records(args.infile, args.modality)
     limits = PrepareLimits(
         max_input_tokens=args.max_tokens,
         max_target_tokens=args.max_target_tokens,
         answer_index=args.answer_index,
     )
-    examples = prepare_examples(records, limits)
+    examples = read_records(args.infile, args.modality,
+                            lambda record: prepare_example(record, limits))
     lines = "".join(
         json.dumps({"input": seq.rendered, "target": target}) + "\n"
         for seq, target in examples

@@ -58,18 +58,23 @@ def read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     """``build(obj)`` for the JSON object on each non-blank line of a JSONL
     file, in order.
 
-    Any ``InputError`` raised while reading line N (by the JSON decoder, by
-    ``build``, or by the table and record checks it runs) keeps its type and
-    gets ``line = N`` and one ``line N: `` prefix.
+    Any ``InputError`` raised while reading line N (by the UTF-8 or JSON
+    decoder, by ``build``, or by the table and record checks it runs) keeps
+    its type and gets ``line = N`` and one ``line N: `` prefix. Bytes that
+    are not UTF-8 are a ``SchemaError``, as a line that is not JSON is.
     """
     built = []
-    with open(path, encoding="utf-8") as handle:
+    # Undecodable bytes are escaped here and decoded again per line below,
+    # so the error names its line and not an offset into the read buffer.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(f"invalid UTF-8: {exc}") from exc
                 except (json.JSONDecodeError, RecursionError) as exc:
                     raise SchemaError(f"invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
@@ -114,20 +119,23 @@ def _record_from_json(obj: dict) -> QaRecord:
     )
 
 
-def read_records(path: str | Path, modality: str) -> list[QaRecord]:
+def read_records(path: str | Path, modality: str,
+                 then: Callable[[QaRecord], object] | None = None) -> list:
     """Parse a JSONL file of records, all of the given modality.
 
     Table contexts are validated (spans must resolve); input errors are
-    reported with their line number.
+    reported with their line number. With ``then``, each record is replaced
+    by ``then(record)`` as it is read, so errors raised there name the
+    record's line too.
     """
     if modality not in MODALITIES:
         raise SchemaError(f"modality must be one of {MODALITIES}, got {modality!r}")
 
-    def build(obj: dict) -> QaRecord:
+    def build(obj: dict) -> object:
         record = _record_from_json(obj)
         if record.modality != modality:
             raise SchemaError(f"expected {modality} context, found {record.modality}")
-        return record
+        return record if then is None else then(record)
 
     return read_jsonl(path, build)
 
@@ -198,26 +206,29 @@ class PrepareLimits:
                 check_int(name, value)
 
 
-def prepare_examples(records: list[QaRecord],
-                     limits: PrepareLimits = PrepareLimits()) -> list[tuple[InputSequence, str]]:
-    """Build (prompted input, target) pairs, one per record, in order.
+def prepare_example(record: QaRecord,
+                    limits: PrepareLimits = PrepareLimits()) -> tuple[InputSequence, str]:
+    """The (prompted input, target) pair of one record.
 
     Tables are linearized, passages pass through; the answer at
     ``limits.answer_index`` (default: the first) becomes the target. Any
     failure raises; records are never silently dropped.
     """
-    examples = []
-    for record in records:
-        if not (-len(record.answers) <= limits.answer_index < len(record.answers)):
-            raise SchemaError(
-                f"record {record.id}: answer index {limits.answer_index} out of range "
-                f"for {len(record.answers)} answers"
-            )
-        seq = assemble(record.question, record.title, record.context_text())
-        if limits.max_input_tokens is not None:
-            seq = truncate(seq, limits.max_input_tokens)
-        target = record.answers[limits.answer_index]
-        if limits.max_target_tokens is not None:
-            target = " ".join(target.split()[: limits.max_target_tokens])
-        examples.append((seq, target))
-    return examples
+    if not (-len(record.answers) <= limits.answer_index < len(record.answers)):
+        raise SchemaError(
+            f"record {record.id}: answer index {limits.answer_index} out of range "
+            f"for {len(record.answers)} answers"
+        )
+    seq = assemble(record.question, record.title, record.context_text())
+    if limits.max_input_tokens is not None:
+        seq = truncate(seq, limits.max_input_tokens)
+    target = record.answers[limits.answer_index]
+    if limits.max_target_tokens is not None:
+        target = " ".join(target.split()[: limits.max_target_tokens])
+    return seq, target
+
+
+def prepare_examples(records: list[QaRecord],
+                     limits: PrepareLimits = PrepareLimits()) -> list[tuple[InputSequence, str]]:
+    """``prepare_example`` of each record, in order."""
+    return [prepare_example(record, limits) for record in records]

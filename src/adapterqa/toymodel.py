@@ -26,10 +26,12 @@ that enter it once (a ``Prefix``) and starts every step from them.
 ``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
 of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
 copy of each, stacked on a new leading axis that is folded into the batch
-axis. Only the perturbed adapter sees per-copy weights; the layers above
-it run unchanged on the tiled stream. Every matrix product keeps the shape
-it has in a one-copy forward and every loss is the mean over its own copy,
-so each copy's loss is bit-identical to a separate forward.
+axis. Only the perturbed adapter sees per-copy weights. It reads the
+stream it read in the audit's own unperturbed forward, and one prefix
+gives the encoder output and the decoder embedding; the blocks and layers
+above it run unchanged on the tiled streams. Every matrix product keeps
+the shape it has in a one-copy forward and every loss is the mean over its
+own copy, so each copy's loss is bit-identical to a separate forward.
 """
 
 from __future__ import annotations
@@ -287,16 +289,12 @@ class ResidualBlock:
         self.cross = cross
         self.adapter: AdapterModule | None = None
 
-    def normed(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
-        """The sublayer, then add & norm: the stream the adapter reads."""
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
         if isinstance(self.sublayer, FeedForward):
             out = self.sublayer.forward(x)
         else:
             out = self.sublayer.forward(x, memory if self.cross else x)
-        return self.norm.forward(x + out)
-
-    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
-        h = self.normed(x, memory)
+        h = self.norm.forward(x + out)
         return h if self.adapter is None else self.adapter.forward(h)
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
@@ -365,13 +363,6 @@ class Layer:
         for block in reversed(self.blocks):
             d_out = block.backward(d_out, d_memory)
         return d_out
-
-    def drop_caches(self):
-        """Release what the last forward kept for ``backward``."""
-        for block in self.blocks:
-            for module in (block.sublayer, block.norm, block.adapter):
-                if module is not None:
-                    module._cache = None
 
     def parameters(self) -> list[Parameter]:
         params = []
@@ -607,35 +598,27 @@ class ToyModel:
         self.backward()
         return loss
 
-    def _copy_losses(self, prefix: Prefix, block: int, h: np.ndarray,
+    def _copy_losses(self, prefix: Prefix, index: int, block: int, h: np.ndarray,
                      params: AdapterParams) -> np.ndarray:
         """Loss of each copy of the model whose adapter in block ``block``
-        of layer ``prefix.start`` has the stacked weights ``params``.
+        of layer ``index`` has the stacked weights ``params``.
 
-        ``h`` is the (batch, length, d) stream that adapter reads. The copies
-        are folded into the batch axis, copy-major, and the streams of the
-        prefix are tiled to match; every layer above runs its own forward
-        on them, and each loss is the mean over its own copy.
+        ``h`` is the (batch, length, d) stream that adapter reads, and
+        ``prefix`` starts at the decoder: it holds the encoder output and
+        the decoder embedding. The copies are folded into the batch axis,
+        copy-major, and the prefix streams are tiled to match; the blocks
+        above the adapter and every layer above run their own forward on
+        them, and each loss is the mean over its own copy.
         """
         out, _ = adapter_activations(h, params)
         n_copies = out.shape[0]
         x = out.reshape(n_copies * h.shape[0], *h.shape[1:])
-        index, n_enc = prefix.start, len(self.encoder)
-        enc_x = None if index < n_enc else np.tile(prefix.enc, (n_copies, 1, 1))
-        layer = [*self.encoder, *self.decoder][index]
-        for later in layer.blocks[block + 1:]:
-            x = later.forward(x, enc_x)
-        # No backward follows, so each layer's caches go as soon as it has
-        # run: only one layer's are held at a time.
-        layer.drop_caches()
-        if index < n_enc:
-            for layer in self.encoder[index + 1:]:
-                x = layer.forward(x)
-                layer.drop_caches()
-            enc_x, x = x, np.tile(prefix.dec, (n_copies, 1, 1))
-        for layer in self.decoder[max(index + 1 - n_enc, 0):]:
-            x = layer.forward(x, enc_x)
-            layer.drop_caches()
+        in_encoder = index < len(self.encoder)
+        memory = None if in_encoder else np.tile(prefix.enc, (n_copies, 1, 1))
+        for later in [*self.encoder, *self.decoder][index].blocks[block + 1:]:
+            x = later.forward(x, memory)
+        enc_x, dec_x = (x, np.tile(prefix.dec, (n_copies, 1, 1))) if in_encoder else (memory, x)
+        _, x = self._run_layers(enc_x, dec_x, prefix.target_ids, index + 1, self.n_layers)
         log_probs, _, _ = _log_softmax(self.out_proj.forward(x))
         labels = np.tile(prefix.target_ids.reshape(-1), n_copies)
         # One contiguous row per copy, so each mean sums its row in the
@@ -717,12 +700,12 @@ class GradCheckReport:
         }
 
 
-def _relative_errors(model: ToyModel, prefix: Prefix, block: int, h: np.ndarray,
+def _relative_errors(model: ToyModel, prefix: Prefix, index: int, block: int, h: np.ndarray,
                      adapter: AdapterModule, name: str, eps: float) -> np.ndarray:
     """Relative error of the central difference of every scalar of tensor
     ``name`` of ``adapter``, the adapter in block ``block`` of layer
-    ``prefix.start``, ``GRAD_CHECK_CHUNK`` scalars per forward. ``h`` is
-    the stream that adapter reads."""
+    ``index``, ``GRAD_CHECK_CHUNK`` scalars per forward. ``h`` is the
+    stream that adapter reads."""
     param = getattr(adapter, name)
     flat = param.value.reshape(-1)
     analytic = param.grad.reshape(-1)
@@ -736,7 +719,8 @@ def _relative_errors(model: ToyModel, prefix: Prefix, block: int, h: np.ndarray,
         copies[2 * rows, chunk] = flat[chunk] + eps
         copies[2 * rows + 1, chunk] = flat[chunk] - eps
         stacked = copies.reshape(2 * chunk.size, *stack_shape)
-        losses = model._copy_losses(prefix, block, h, replace(adapter.params, **{name: stacked}))
+        losses = model._copy_losses(prefix, index, block, h,
+                                    replace(adapter.params, **{name: stacked}))
         numeric = (losses[0::2] - losses[1::2]) / (2.0 * eps)
         a = analytic[chunk]
         errors.append(np.abs(a - numeric)
@@ -755,14 +739,16 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     check is vacuous there. Double precision only: float32 central
     differences cannot resolve these gradients.
 
-    Tensors are audited in ``trainable_parameters()`` order. The streams
-    that enter each adapted layer, and the stream each of its adapters
-    reads, are computed once with the adapters unperturbed: perturbing an
-    adapter cannot change them. One forward then evaluates up to
-    ``GRAD_CHECK_CHUNK`` scalars of a tensor, as a ``+eps`` and a ``-eps``
-    copy of each, stacked on an outer axis (``ToyModel._copy_losses``).
-    Every matrix product and reduction keeps its one-copy shape and order,
-    so each loss is that of a full forward, bit for bit.
+    Tensors are audited in ``trainable_parameters()`` order. The stream
+    each adapter reads is taken from the unperturbed forward that gives
+    the analytic gradients, and one prefix gives the encoder output and
+    the decoder embedding: perturbing an adapter changes neither what it
+    reads nor the embedding, and a decoder adapter cannot change the
+    encoder output. One forward then evaluates up to ``GRAD_CHECK_CHUNK``
+    scalars of a tensor, as a ``+eps`` and a ``-eps`` copy of each, stacked
+    on an outer axis (``ToyModel._copy_losses``). Every matrix product and
+    reduction keeps its one-copy shape and order, so each loss is that of
+    a full forward, bit for bit.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
@@ -770,35 +756,28 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
+    # Each adapter's input, taken before the prefix and the copy forwards replace the caches.
+    reads = [(index, block_index, block.adapter, block.adapter._cache[0])
+             for index, layer in enumerate([*model.encoder, *model.decoder])
+             for block_index, block in enumerate(layer.blocks) if block.adapter is not None]
+    prefix = model.prefix(source_ids, target_ids, len(model.encoder))
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
     worst_err = 0.0
     n_checked = 0
-    n_enc = len(model.encoder)
-    for index, layer in enumerate([*model.encoder, *model.decoder]):
-        if all(block.adapter is None for block in layer.blocks):
-            continue
-        prefix = model.prefix(source_ids, target_ids, index)
-        x, memory = (prefix.enc, None) if index < n_enc else (prefix.dec, prefix.enc)
-        for block_index, block in enumerate(layer.blocks):
-            h = block.normed(x, memory)
-            adapter = block.adapter
-            if adapter is None:
-                x = h
-                continue
-            # In ``AdapterModule.parameters()`` order.
-            for name in ("w_down", "b_down", "w_up", "b_up"):
-                errors = _relative_errors(model, prefix, block_index, h, adapter, name, eps)
-                # Python's max from 0.0 is a running maximum that NaN never wins.
-                param_err = max(0.0, *errors)
-                n_checked += errors.size
-                param = getattr(adapter, name)
-                per_parameter[param.name] = param_err
-                if param_err >= worst_err:
-                    worst_err = param_err
-                    worst_name = param.name
-            x = adapter.forward(h)
+    for index, block, adapter, h in reads:
+        # In ``AdapterModule.parameters()`` order.
+        for name in ("w_down", "b_down", "w_up", "b_up"):
+            errors = _relative_errors(model, prefix, index, block, h, adapter, name, eps)
+            # Python's max from 0.0 is a running maximum that NaN never wins.
+            param_err = max(0.0, *errors)
+            n_checked += errors.size
+            param = getattr(adapter, name)
+            per_parameter[param.name] = param_err
+            if param_err >= worst_err:
+                worst_err = param_err
+                worst_name = param.name
     return GradCheckReport(
         max_rel_error=worst_err,
         worst_parameter=worst_name,

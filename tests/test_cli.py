@@ -420,14 +420,22 @@ BATCH = ["assemble", "--batch", "FILE"]
         pytest.param([*BATCH, "--max-tokens", "4"], {"question": "q q"}, "BudgetTooSmall",
                      id="assemble-budget"),
         pytest.param(BATCH, "{broken", "SchemaError", id="assemble-invalid-json"),
+        pytest.param([*PREPARE, "--answer-index", "1"], RECORD, "SchemaError",
+                     id="prepare-answer-index"),
+        pytest.param([*PREPARE, "--max-tokens", "6"], {**RECORD, "question": "what year was it"},
+                     "BudgetTooSmall", id="prepare-budget"),
+        pytest.param(STATS, b'{"id": "caf\xe9"}', "SchemaError", id="stats-non-utf8"),
     ],
 )
 def test_jsonl_input_errors_name_their_line_once(tmp_path, capsys, argv, bad_line, error):
-    good = RECORD if argv[0] != "assemble" else {"question": "q"}
-    if not isinstance(bad_line, str):
+    # Two answers, so --answer-index 1 fails only on the bad line.
+    good = {**RECORD, "answers": ["2013", "2014"]} if argv[0] != "assemble" else {"question": "q"}
+    if isinstance(bad_line, dict):
         bad_line = json.dumps(bad_line)
+    if isinstance(bad_line, str):
+        bad_line = bad_line.encode("utf-8")
     path = tmp_path / "input.jsonl"
-    path.write_text(f"{json.dumps(good)}\n\n{bad_line}\n", encoding="utf-8")
+    path.write_bytes(json.dumps(good).encode("utf-8") + b"\n\n" + bad_line + b"\n")
     code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
     assert code == 2
     assert out == ""
@@ -487,8 +495,12 @@ def test_non_utf8_input_exits_2_with_json_error(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     payload = json.loads(err.strip())
-    assert payload["error"] == "UnicodeDecodeError"
-    assert payload["message"]
+    if command == "eval":
+        assert payload["error"] == "UnicodeDecodeError"
+        assert payload["message"]
+    else:  # a JSONL line that is not UTF-8 is not JSON text either
+        assert payload["error"] == "SchemaError"
+        assert payload["message"].startswith("line 1: ")
 
 
 def test_missing_file_is_internal_error(capsys):

@@ -1,20 +1,31 @@
-"""Differential test of the batched gradient audit.
+"""Differential and state tests of the batched gradient audit.
 
 ``grad_check`` evaluates a chunk of perturbed adapter copies per forward.
 Its report must equal that of the per-scalar audit it replaced
 (``model_oracles.grad_check_per_scalar``) exactly, for any adapter set,
-batch, length and chunk size.
+batch, length and chunk size. It reads the adapters' input streams from
+the forward caches, so it must also leave nothing behind that changes a
+later audit or training run.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapterqa import toymodel
 from adapterqa.adapters import AdapterSet
-from adapterqa.toymodel import GRAD_CHECK_CHUNK, ToyConfig, build_toy_model, grad_check
+from adapterqa.toymodel import (
+    GRAD_CHECK_CHUNK,
+    ToyConfig,
+    TrainConfig,
+    build_toy_model,
+    grad_check,
+    make_copy_task,
+    train_adapters,
+)
 from model_oracles import grad_check_per_scalar
 
 ENCODER_ONLY, DECODER_ONLY, FULL, EMPTY = "encoder", "decoder", "full", "empty"
@@ -80,3 +91,34 @@ def test_batched_audit_equals_per_scalar_audit(case):
     assert batched.to_json_dict() == oracle.to_json_dict()
     # The types match too (np.float64 or the float 0.0), so reprs agree.
     assert repr(batched) == repr(oracle)
+
+
+@pytest.mark.parametrize("layers", [FULL, ENCODER_ONLY, DECODER_ONLY, EMPTY])
+def test_audit_leaves_no_state_behind(layers):
+    """The audit reads its streams from the forward caches and leaves
+    copy-forward caches behind; neither may change a later audit or a
+    later training run."""
+    encoder, decoder = {FULL: ([0, 1], [2, 3]), ENCODER_ONLY: ([0, 1], []),
+                        DECODER_ONLY: ([], [2, 3]), EMPTY: ([], [])}[layers]
+
+    def fresh():
+        model = build_toy_model(ToyConfig(
+            d_model=4, bottleneck=3, n_encoder_layers=2, n_decoder_layers=2, n_heads=2,
+            vocab_size=12, max_len=5, seed=6, adapter_set=AdapterSet.of(encoder, decoder)))
+        model.randomize_adapters(seed=7)
+        return model
+
+    source, target = make_copy_task(n_examples=3, seq_len=4, vocab_size=12, seed=8)
+    other_source, other_target = make_copy_task(n_examples=2, seq_len=5, vocab_size=12, seed=9)
+    audited = fresh()
+    first = repr(grad_check(audited, source, target, eps=1e-6))
+    assert repr(grad_check(audited, source, target, eps=1e-6)) == first
+    audited.forward_backward(other_source, other_target)
+    assert repr(grad_check(audited, source, target, eps=1e-6)) == first
+
+    twin = fresh()
+    train = TrainConfig(learning_rate=1e-2, steps=5)
+    assert (train_adapters(audited, source, target, train).to_json_dict()
+            == train_adapters(twin, source, target, train).to_json_dict())
+    assert all(a.value.tobytes() == b.value.tobytes()
+               for a, b in zip(audited.parameters(), twin.parameters(), strict=True))
