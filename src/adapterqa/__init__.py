@@ -29,7 +29,7 @@ from .metrics import (
     rouge_n,
     sacrebleu_corpus,
 )
-from .tables import Cell, HierarchicalTable, ValidatedTable, validate_table
+from .tables import Cell, ValidatedTable, validate_table
 from .toymodel import (
     ToyConfig,
     ToyModel,
@@ -48,7 +48,6 @@ __all__ = [
     "AdapterSet",
     "Cell",
     "FlattenedTableText",
-    "HierarchicalTable",
     "InputSequence",
     "MetricReport",
     "ModelDims",

@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import AdapterQaError, InputError, SchemaError, check_int
 from .linearize import linearize
-from .tables import HierarchicalTable
+from .tables import validate_table
 from .toymodel import (
     ToyConfig,
     TrainConfig,
@@ -67,7 +67,7 @@ def _load_json(path: str) -> object:
 
 
 def cmd_linearize(args) -> tuple[str, str]:
-    flat = linearize(HierarchicalTable.from_json_dict(_load_json(args.infile)))
+    flat = linearize(validate_table(_load_json(args.infile)))
     return flat.text + "\n", f"linearized {flat.pair_count} key:value pairs"
 
 
@@ -332,7 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         # Undecodable bytes in an input file are bad input, whichever command reads it.
         print(_error_payload(exc), file=sys.stderr)
         return 2
-    except (AdapterQaError, OSError) as exc:
+    except (AdapterQaError, OSError, MemoryError) as exc:
+        # MemoryError: an allocation larger than the process may take, such
+        # as the weights of a toy far wider than the machine holds.
         print(_error_payload(exc), file=sys.stderr)
         return 1
 

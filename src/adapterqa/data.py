@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .assembly import EmptyQuestion, InputSequence, assemble, truncate
 from .errors import InputError, SchemaError, check_int
 from .linearize import check_linearized_length, linearize
-from .tables import HierarchicalTable, ValidatedTable, validate_table
+from .tables import ValidatedTable, validate_table
 
 MODALITIES = ("table", "text")
 
@@ -27,19 +27,17 @@ class QaRecord:
     title: str
     answers: list[str]
     passage: str | None = None
-    table: HierarchicalTable | None = None
-    # The table's resolved grid, validated once when the record is built.
-    grid: ValidatedTable | None = field(init=False, repr=False, compare=False)
+    # The table context, as ``tables.validate_table`` resolved it.
+    grid: ValidatedTable | None = None
 
     def __post_init__(self):
-        if (self.passage is None) == (self.table is None):
+        if (self.passage is None) == (self.grid is None):
             raise SchemaError("record must carry exactly one of passage or table")
         if not self.answers:
             raise SchemaError("record must carry at least one answer")
         # Refused on read, so stats rejects what prepare cannot assemble or linearize.
         if not self.question.split():
             raise EmptyQuestion("question must contain at least one token")
-        self.grid = None if self.table is None else validate_table(self.table)
         if self.grid is not None:
             check_linearized_length(self.grid)
 
@@ -115,7 +113,7 @@ def _record_from_json(obj: dict) -> QaRecord:
         title=string_field(obj, "title", ""),
         answers=list(obj["answers"]),
         passage=string_field(context, "passage") if "passage" in context else None,
-        table=HierarchicalTable.from_json_dict(context["table"]) if "table" in context else None,
+        grid=validate_table(context["table"]) if "table" in context else None,
     )
 
 
@@ -227,8 +225,3 @@ def prepare_example(record: QaRecord,
         target = " ".join(target.split()[: limits.max_target_tokens])
     return seq, target
 
-
-def prepare_examples(records: list[QaRecord],
-                     limits: PrepareLimits = PrepareLimits()) -> list[tuple[InputSequence, str]]:
-    """``prepare_example`` of each record, in order."""
-    return [prepare_example(record, limits) for record in records]

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .tables import (
-    HierarchicalTable,
-    TableValidationError,
-    ValidatedTable,
-    validate_table,
-)
+from .tables import TableValidationError, ValidatedTable
 
 KV_SEPARATOR = ": "
 PAIR_SEPARATOR = ", "
@@ -100,13 +95,11 @@ def check_linearized_length(table: ValidatedTable) -> None:
         )
 
 
-def linearize(table: HierarchicalTable | ValidatedTable) -> FlattenedTableText:
-    """Validate (unless already validated), flatten headers, then write each
-    body row as ``key: value`` pairs joined by ``", "``, rows joined by
-    ``" ; "``; an empty body gives the empty string. Text longer than
-    ``MAX_LINEARIZED_CHARS`` is refused before any key or text is built."""
-    if not isinstance(table, ValidatedTable):
-        table = validate_table(table)
+def linearize(table: ValidatedTable) -> FlattenedTableText:
+    """Flatten headers, then write each body row as ``key: value`` pairs
+    joined by ``", "``, rows joined by ``" ; "``; an empty body gives the
+    empty string. Text longer than ``MAX_LINEARIZED_CHARS`` is refused
+    before any key or text is built."""
     check_linearized_length(table)
     keys = [key + KV_SEPARATOR for key in flatten_headers(table)]
     return FlattenedTableText(

@@ -1,14 +1,15 @@
-"""Typed tables with row/column spans and occupancy-grid validation.
+"""Table ingest: a table's JSON checked once and resolved onto occupancy grids.
 
 A hierarchical table is a title plus header rows and body rows of span
-carrying cells. Validation resolves every cell onto a rectangular grid
-(each grid position owned by exactly one cell) so that downstream
-flattening can reason about columns instead of raw cell lists.
+carrying cells. ``validate_table`` checks every cell of a table's JSON
+object and places it on a rectangular grid (each grid position owned by
+exactly one cell), so that downstream flattening can reason about columns
+instead of raw cell lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, SchemaError, check_int
 
@@ -20,11 +21,17 @@ MAX_GRID_CELLS = 100_000
 # C0 and C1 control characters, each mapped to a space.
 _CONTROL_TO_SPACE = dict.fromkeys([*range(0x20), *range(0x7F, 0xA0)], " ")
 
+_CELL_KEYS = frozenset({"text", "colspan", "rowspan"})
+
 
 def normalize_text(text: str) -> str:
     """Trim surrounding whitespace and collapse internal runs (including
     control characters) to single spaces."""
-    return " ".join(text.translate(_CONTROL_TO_SPACE).split())
+    # Printable text holds no control character, so the translation is
+    # skipped for it.
+    if not text.isprintable():
+        text = text.translate(_CONTROL_TO_SPACE)
+    return " ".join(text.split())
 
 
 class TableValidationError(InputError):
@@ -51,85 +58,15 @@ class GridTooLarge(TableValidationError):
     """The resolved grid would hold more than ``MAX_GRID_CELLS`` positions."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
-    """One table cell covering ``rowspan`` x ``colspan`` grid positions.
+    """One cell of a resolved grid, covering ``rowspan`` x ``colspan``
+    positions. ``validate_table`` makes it with normalized text and spans
+    >= 1."""
 
-    Text is normalized on construction; spans must be >= 1.
-    """
-
-    text: str = ""
-    colspan: int = 1
-    rowspan: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise InputError(f"cell text must be a string, got {type(self.text).__name__}")
-        check_int("colspan", self.colspan)
-        check_int("rowspan", self.rowspan)
-        self.text = normalize_text(self.text)
-
-    @classmethod
-    def from_json_dict(cls, obj: object) -> "Cell":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"cell must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - {"text", "colspan", "rowspan"}
-        if unknown:
-            raise SchemaError(f"unknown cell keys: {sorted(unknown)}")
-        try:
-            return cls(
-                text=obj.get("text", ""),
-                colspan=obj.get("colspan", 1),
-                rowspan=obj.get("rowspan", 1),
-            )
-        except InputError as exc:
-            raise SchemaError(str(exc)) from exc
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"text": self.text}
-        if self.colspan != 1:
-            out["colspan"] = self.colspan
-        if self.rowspan != 1:
-            out["rowspan"] = self.rowspan
-        return out
-
-
-@dataclass
-class HierarchicalTable:
-    """A titled table whose header/body cells may span rows and columns."""
-
-    title: str
-    header_rows: list[list[Cell]]
-    body_rows: list[list[Cell]] = field(default_factory=list)
-
-    @classmethod
-    def from_json_dict(cls, obj: object) -> "HierarchicalTable":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"table must be an object, got {type(obj).__name__}")
-        title = obj.get("title", "")
-        if not isinstance(title, str):
-            raise SchemaError("table title must be a string")
-        if "header_rows" not in obj:
-            raise SchemaError("table is missing 'header_rows'")
-
-        def rows_from(key: str) -> list[list[Cell]]:
-            raw = obj.get(key, [])
-            if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
-                raise SchemaError(f"'{key}' must be a list of rows (lists of cells)")
-            return [[Cell.from_json_dict(c) for c in row] for row in raw]
-
-        return cls(
-            title=normalize_text(title),
-            header_rows=rows_from("header_rows"),
-            body_rows=rows_from("body_rows"),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "header_rows": [[c.to_json_dict() for c in row] for row in self.header_rows],
-            "body_rows": [[c.to_json_dict() for c in row] for row in self.body_rows],
-        }
+    text: str
+    colspan: int
+    rowspan: int
 
 
 @dataclass
@@ -163,87 +100,126 @@ class ValidatedTable:
         return list(seen.values())
 
 
-def _resolve_section(rows: list[list[Cell]], what: str, width: int | None,
-                     max_width: int) -> list[list[Cell]]:
+def _cell_rows(obj: dict, key: str) -> list[list[Cell]]:
+    """The cells of one section of a table's JSON, row by row, each checked:
+    an object with no keys but ``text``, ``colspan`` and ``rowspan``,
+    string text, integer spans >= 1."""
+    rows = obj.get(key, [])
+    if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
+        raise SchemaError(f"'{key}' must be a list of rows (lists of cells)")
+    out = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            if not isinstance(cell, dict):
+                raise SchemaError(f"cell must be an object, got {type(cell).__name__}")
+            if not _CELL_KEYS.issuperset(cell):
+                raise SchemaError(f"unknown cell keys: {sorted(set(cell) - _CELL_KEYS)}")
+            text = cell.get("text", "")
+            colspan = cell.get("colspan", 1)
+            rowspan = cell.get("rowspan", 1)
+            if not isinstance(text, str):
+                raise SchemaError(f"cell text must be a string, got {type(text).__name__}")
+            # A plain int >= 1 passes; anything else gets the full rule.
+            if type(colspan) is not int or colspan < 1:
+                check_int("colspan", colspan, SchemaError)
+            if type(rowspan) is not int or rowspan < 1:
+                check_int("rowspan", rowspan, SchemaError)
+            cells.append(Cell(normalize_text(text), colspan, rowspan))
+        out.append(cells)
+    return out
+
+
+def _place(rows: list[list[Cell]], what: str, width: int | None,
+           max_width: int) -> list[list[Cell]]:
     """Place each cell at the leftmost free column of its starting row.
 
     With ``width=None`` the grid grows as needed, up to ``max_width``
     columns, and the width is inferred; otherwise cells must fit within
     ``width`` columns. Returns the occupancy grid (one owning Cell per
     position); raises on overlaps, out-of-bounds spans, or uncovered
-    positions.
+    positions. A free position holds ``None`` and every ``Cell`` is true,
+    so ``any`` and ``all`` over a grid row tell filled from free.
     """
     n_rows = len(rows)
-    grid: list[list[Cell | None]] = [[] for _ in range(n_rows)]
-
-    def col_free(r: int, c: int) -> bool:
-        return c >= len(grid[r]) or grid[r][c] is None
-
-    def occupy(r: int, c: int, cell: Cell):
-        while len(grid[r]) <= c:
-            grid[r].append(None)
-        grid[r][c] = cell
-
+    grid: list[list[Cell | None]] = [[] if width is None else [None] * width for _ in rows]
     for r, row in enumerate(rows):
-        cursor = 0
+        line = grid[r]
+        start = 0
         for cell in row:
-            while not col_free(r, cursor):
-                cursor += 1
-            if width is None and cursor + cell.colspan > max_width:
-                raise GridTooLarge(
-                    f"{what} row {r} resolves wider than {max_width} columns, so the grid "
-                    f"would exceed {MAX_GRID_CELLS} positions"
-                )
-            if width is not None and cursor >= width:
-                raise RaggedGrid(
-                    f"{what} row {r} resolves wider than the grid width {width}"
-                )
-            if width is not None and cursor + cell.colspan > width:
+            while start < len(line) and line[start] is not None:
+                start += 1
+            colspan, rowspan = cell.colspan, cell.rowspan
+            end = start + colspan
+            if width is None:
+                if end > max_width:
+                    raise GridTooLarge(
+                        f"{what} row {r} resolves wider than {max_width} columns, so the grid "
+                        f"would exceed {MAX_GRID_CELLS} positions"
+                    )
+            elif start >= width:
+                raise RaggedGrid(f"{what} row {r} resolves wider than the grid width {width}")
+            elif end > width:
                 raise SpanOutOfBounds(
-                    f"{what} row {r}: colspan {cell.colspan} at column {cursor} "
+                    f"{what} row {r}: colspan {colspan} at column {start} "
                     f"exceeds the grid width {width}"
                 )
-            if r + cell.rowspan > n_rows:
+            if r + rowspan > n_rows:
                 raise SpanOutOfBounds(
-                    f"{what} row {r}: rowspan {cell.rowspan} extends past the last {what} row"
+                    f"{what} row {r}: rowspan {rowspan} extends past the last {what} row"
                 )
-            for dr in range(cell.rowspan):
-                for dc in range(cell.colspan):
-                    if not col_free(r + dr, cursor + dc):
+            if colspan == 1 == rowspan:  # the common cell: its one position is free
+                if start == len(line):
+                    line.append(cell)
+                else:
+                    line[start] = cell
+            else:
+                for rr in range(r, r + rowspan):
+                    target = grid[rr]
+                    if len(target) < end:
+                        target.extend([None] * (end - len(target)))
+                    claimed = target[start:end]
+                    if any(claimed):
+                        c = start + next(i for i, owner in enumerate(claimed) if owner)
                         raise OverlappingSpans(
-                            f"{what} rows: two cells claim position ({r + dr}, {cursor + dc})"
-                        )
-                    occupy(r + dr, cursor + dc, cell)
-            cursor += cell.colspan
+                            f"{what} rows: two cells claim position ({rr}, {c})")
+                    target[start:end] = [cell] * colspan
+            start = end
 
-    resolved_width = width if width is not None else max((len(g) for g in grid), default=0)
-    for r, grid_row in enumerate(grid):
-        if len(grid_row) != resolved_width or any(c is None for c in grid_row):
+    resolved_width = width if width is not None else max(map(len, grid), default=0)
+    for r, line in enumerate(grid):
+        if len(line) != resolved_width or not all(line):
             raise RaggedGrid(
-                f"{what} row {r} covers {sum(c is not None for c in grid_row)} of "
+                f"{what} row {r} covers {len(line) - line.count(None)} of "
                 f"{resolved_width} columns"
             )
     return grid  # type: ignore[return-value]
 
 
-def validate_table(raw: HierarchicalTable) -> ValidatedTable:
-    """Resolve spans onto occupancy grids, checking full rectangular cover.
+def validate_table(obj: object) -> ValidatedTable:
+    """Check a table's JSON object and resolve its spans onto occupancy grids.
 
-    The header section fixes the grid width; body rows must resolve to the
-    same width, and the whole grid may hold at most ``MAX_GRID_CELLS``
-    positions. Pure function: ``raw`` is not modified.
+    Every cell of both sections is checked before any is placed, so a cell
+    error is reported ahead of any grid error. The header section fixes the
+    grid width; body rows must resolve to the same width with full
+    rectangular cover, and the whole grid may hold at most
+    ``MAX_GRID_CELLS`` positions. ``obj`` is not modified.
     """
-    if not raw.header_rows:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"table must be an object, got {type(obj).__name__}")
+    title = obj.get("title", "")
+    if not isinstance(title, str):
+        raise SchemaError("table title must be a string")
+    if "header_rows" not in obj:
+        raise SchemaError("table is missing 'header_rows'")
+    header_rows = _cell_rows(obj, "header_rows")
+    body_rows = _cell_rows(obj, "body_rows")
+    if not header_rows:
         raise EmptyGrid("table has no header rows")
-    max_width = MAX_GRID_CELLS // (len(raw.header_rows) + len(raw.body_rows))
-    header_grid = _resolve_section(raw.header_rows, "header", width=None, max_width=max_width)
-    width = len(header_grid[0]) if header_grid else 0
+    max_width = MAX_GRID_CELLS // (len(header_rows) + len(body_rows))
+    header_grid = _place(header_rows, "header", None, max_width)
+    width = len(header_grid[0])
     if width < 1:
         raise EmptyGrid("table resolves to zero columns")
-    body_grid = _resolve_section(raw.body_rows, "body", width=width, max_width=width)
-    return ValidatedTable(
-        title=raw.title,
-        width=width,
-        header_grid=header_grid,
-        body_grid=body_grid,
-    )
+    return ValidatedTable(normalize_text(title), width, header_grid,
+                          _place(body_rows, "body", width, width))

@@ -11,7 +11,7 @@ import random
 
 from hypothesis import strategies as st
 
-from adapterqa.tables import Cell, HierarchicalTable
+from table_oracles import Cell, HierarchicalTable
 
 
 def _tile_section(n_rows: int, width: int, pick_span, make_text) -> list[list[Cell]]:

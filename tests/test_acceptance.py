@@ -24,7 +24,6 @@ from adapterqa.metrics import (
     rouge_n,
     sacrebleu_corpus,
 )
-from adapterqa.tables import Cell, HierarchicalTable, validate_table
 from adapterqa.toymodel import (
     ToyConfig,
     TrainConfig,
@@ -36,6 +35,7 @@ from adapterqa.toymodel import (
 
 from gen_tables import linearize_oracle, random_table
 from metric_oracles import lcs_exhaustive
+from table_oracles import Cell, HierarchicalTable, resolve
 
 
 def report(criterion, detail):
@@ -91,7 +91,7 @@ def test_criterion_2_worked_header_flattening():
         ],
         body_rows=[],
     )
-    keys = list(flatten_headers(validate_table(table)))
+    keys = list(flatten_headers(resolve(table)))
     assert keys == ["a(d)", "a(d)", "b", "e(f)"]
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -125,7 +125,7 @@ def test_criterion_4_linearizer_oracle_equivalence():
     rng = random.Random(6)
     for i in range(1000):
         table = random_table(rng, max_width=6, max_header_rows=3, max_body_rows=6)
-        resolved = validate_table(table)
+        resolved = resolve(table)
         flat = linearize(resolved)
         assert flat.text == linearize_oracle(table, resolved.width), f"table {i}"
         assert flat.pair_count == resolved.n_body_rows * resolved.width, f"table {i}"

@@ -4,6 +4,8 @@ import pytest
 
 from adapterqa.cli import main
 
+from cli_runner import run_cli_limited
+
 TABLE_OBJ = {
     "title": "Films",
     "header_rows": [[{"text": "Year"}, {"text": "Film"}]],
@@ -396,6 +398,31 @@ def test_hostile_files_exit_2_with_json_error(tmp_path, capsys, argv, text, erro
     assert payload["error"] == error
 
 
+# The second body row's colspan-2 cell runs into the rowspan above it.
+OVERLAPPING_TABLE = {"title": "t",
+                     "header_rows": [[{"text": "a"}, {"text": "b"}, {"text": "c"}]],
+                     "body_rows": [[{"text": "x"}, {"text": "y", "rowspan": 2}, {"text": "z"}],
+                                   [{"text": "w", "colspan": 2}]]}
+
+
+def test_linearize_and_prepare_refuse_a_bad_table_alike(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(OVERLAPPING_TABLE), encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({**RECORD, "context": {"table": OVERLAPPING_TABLE}}) + "\n",
+                       encoding="utf-8")
+    payloads = []
+    for argv in (["linearize", "--in", str(table)],
+                 [str(records) if arg == "FILE" else arg for arg in PREPARE]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        payloads.append(json.loads(err))
+    linearized, prepared = payloads
+    assert linearized["error"] == prepared["error"] == "OverlappingSpans"
+    assert prepared["message"] == "line 1: " + linearized["message"]
+
+
 RAGGED_TABLE = {"title": "t", "header_rows": [[{"text": "a"}, {"text": "b"}]],
                 "body_rows": [[{"text": "x"}]]}
 BATCH = ["assemble", "--batch", "FILE"]
@@ -527,6 +554,16 @@ def test_diverging_training_exits_1_with_only_the_json_error(lr):
     payload = json.loads(proc.stderr)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == "Divergence"
+
+
+def test_memory_error_exits_1_with_only_the_json_error():
+    # A 60,000-wide toy asks for a 26.8 GiB weight matrix.
+    proc = run_cli_limited(["gradcheck", "--d-model", "60000"], max_bytes=2 * 1024**3)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert "MemoryError" in payload["error"]
 
 
 def test_module_entry_point_runs():

