@@ -75,6 +75,8 @@ def cmd_assemble(args) -> tuple[str, str]:
     # argparse groups cannot share --batch, so this exclusion is checked here.
     if args.batch is not None and (args.title, args.context, args.context_file) != (None,) * 3:
         args.usage_error("argument --batch: not allowed with --title, --context or --context-file")
+    if args.max_tokens is not None:
+        check_int("--max-tokens", args.max_tokens)
 
     def build(question: str, title: str, context: str) -> InputSequence:
         seq = assemble(question, title, context)

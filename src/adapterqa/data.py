@@ -1,20 +1,21 @@
 """QA record ingest (JSONL), dataset statistics, and example preparation.
 
 A record pairs a question with either a text passage or a hierarchical
-table plus one or more reference answers. Preparation linearizes tables,
-assembles the prompted input sequence, and applies optional token budgets.
+table plus one or more reference answers. A table is linearized once, as
+its record is read; preparation assembles the prompted input sequence from
+that text and applies optional token budgets.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .assembly import EmptyQuestion, InputSequence, assemble, truncate
 from .errors import InputError, SchemaError, check_int
-from .linearize import check_linearized_length, linearize
+from .linearize import linearize
 from .tables import ValidatedTable, validate_table
 
 MODALITIES = ("table", "text")
@@ -22,6 +23,13 @@ MODALITIES = ("table", "text")
 
 @dataclass
 class QaRecord:
+    """One question over a passage or a table, with its reference answers.
+
+    Every check runs when the record is built, so ``stats`` refuses what
+    ``prepare`` cannot assemble or linearize. A table is linearized there,
+    once, and ``prepare_example`` reads that text from ``context``.
+    """
+
     id: str
     question: str
     title: str
@@ -29,27 +37,21 @@ class QaRecord:
     passage: str | None = None
     # The table context, as ``tables.validate_table`` resolved it.
     grid: ValidatedTable | None = None
+    # The passage verbatim, or the table linearized to key: value text.
+    context: str = field(init=False)
 
     def __post_init__(self):
         if (self.passage is None) == (self.grid is None):
             raise SchemaError("record must carry exactly one of passage or table")
         if not self.answers:
             raise SchemaError("record must carry at least one answer")
-        # Refused on read, so stats rejects what prepare cannot assemble or linearize.
         if not self.question.split():
             raise EmptyQuestion("question must contain at least one token")
-        if self.grid is not None:
-            check_linearized_length(self.grid)
+        self.context = self.passage if self.grid is None else linearize(self.grid).text
 
     @property
     def modality(self) -> str:
         return "text" if self.passage is not None else "table"
-
-    def context_text(self) -> str:
-        """Passage verbatim, or the table flattened to key:value text."""
-        if self.passage is not None:
-            return self.passage
-        return linearize(self.grid).text
 
 
 def read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
@@ -148,14 +150,7 @@ class DatasetStats:
     max_table_cols: int | None      # table modality, resolved grid width
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "max_question_tokens": self.max_question_tokens,
-            "max_target_tokens": self.max_target_tokens,
-            "max_context_tokens": self.max_context_tokens,
-            "max_table_rows": self.max_table_rows,
-            "max_table_cols": self.max_table_cols,
-        }
+        return asdict(self)
 
 
 def compute_stats(records: list[QaRecord]) -> DatasetStats:
@@ -208,8 +203,8 @@ def prepare_example(record: QaRecord,
                     limits: PrepareLimits = PrepareLimits()) -> tuple[InputSequence, str]:
     """The (prompted input, target) pair of one record.
 
-    Tables are linearized, passages pass through; the answer at
-    ``limits.answer_index`` (default: the first) becomes the target. Any
+    The input is assembled from ``record.context``, the text written when
+    the record was read; the answer at ``limits.answer_index`` (default: the first) becomes the target. Any
     failure raises; records are never silently dropped.
     """
     if not (-len(record.answers) <= limits.answer_index < len(record.answers)):
@@ -217,7 +212,7 @@ def prepare_example(record: QaRecord,
             f"record {record.id}: answer index {limits.answer_index} out of range "
             f"for {len(record.answers)} answers"
         )
-    seq = assemble(record.question, record.title, record.context_text())
+    seq = assemble(record.question, record.title, record.context)
     if limits.max_input_tokens is not None:
         seq = truncate(seq, limits.max_input_tokens)
     target = record.answers[limits.answer_index]

@@ -4,6 +4,8 @@ then the body written row-major as ``key: value`` pairs.
 Header rows collapse into one name per column (nested as ``upper(lower)``
 when several header levels stack). The body rows are written straight from
 the validated grid, so a cell's text repeats at every position it spans.
+``linearize`` is the one place the text's length is bounded: it counts
+the text in the same walk that builds the keys, and stops at the bound.
 """
 
 from __future__ import annotations
@@ -67,45 +69,38 @@ def flatten_headers(table: ValidatedTable) -> tuple[str, ...]:
     return tuple(_nest(_column_levels(table, col)) for col in range(table.width))
 
 
-def linearized_length(table: ValidatedTable) -> int:
-    """Exact length of ``linearize(table).text``, counted from the grids
-    without building any key or text: a key is its level names plus
-    ``"()"`` per nesting, and every body position repeats its cell's text."""
-    n_rows = table.n_body_rows
-    if n_rows == 0:
-        return 0
-    key_chars = 0
-    for col in range(table.width):
-        names = _column_levels(table, col)
-        key_chars += sum(map(len, names)) + 2 * max(len(names) - 1, 0)
-    row_keys = (key_chars + table.width * len(KV_SEPARATOR)
-                + max(table.width - 1, 0) * len(PAIR_SEPARATOR))
-    values = sum(len(cell.text) for cell in chain.from_iterable(table.body_grid))
-    return n_rows * row_keys + values + (n_rows - 1) * len(ROW_SEPARATOR)
-
-
-def check_linearized_length(table: ValidatedTable) -> None:
-    """Raise ``LinearizedTextTooLarge`` if the table's text would be longer
-    than ``MAX_LINEARIZED_CHARS``."""
-    length = linearized_length(table)
-    if length > MAX_LINEARIZED_CHARS:
-        raise LinearizedTextTooLarge(
-            f"table would linearize to {length} characters, "
-            f"more than {MAX_LINEARIZED_CHARS}"
-        )
-
-
 def linearize(table: ValidatedTable) -> FlattenedTableText:
     """Flatten headers, then write each body row as ``key: value`` pairs
     joined by ``", "``, rows joined by ``" ; "``; an empty body gives the
-    empty string. Text longer than ``MAX_LINEARIZED_CHARS`` is refused
-    before any key or text is built."""
-    check_linearized_length(table)
-    keys = [key + KV_SEPARATOR for key in flatten_headers(table)]
+    empty string and builds no key.
+
+    One walk bounds the text before writing it: the body cell texts and
+    separators are summed from the grid, then each header key is built and
+    counted once per body row. The walk raises ``LinearizedTextTooLarge`` as
+    soon as the count passes ``MAX_LINEARIZED_CHARS``, so a refused table
+    has built at most that many characters of keys plus one key.
+    """
+    n_rows = table.n_body_rows
+    if n_rows == 0:
+        return FlattenedTableText(text="", pair_count=0)
+    length = (sum(len(cell.text) for cell in chain.from_iterable(table.body_grid))
+              + n_rows * (table.width * len(KV_SEPARATOR)
+                          + (table.width - 1) * len(PAIR_SEPARATOR))
+              + (n_rows - 1) * len(ROW_SEPARATOR))
+    keys = []
+    for col in range(table.width):
+        if length > MAX_LINEARIZED_CHARS:
+            break
+        key = _nest(_column_levels(table, col))
+        keys.append(key + KV_SEPARATOR)
+        length += n_rows * len(key)
+    if length > MAX_LINEARIZED_CHARS:
+        raise LinearizedTextTooLarge(
+            f"table would linearize to more than {MAX_LINEARIZED_CHARS} characters")
     return FlattenedTableText(
         text=ROW_SEPARATOR.join(
             PAIR_SEPARATOR.join([key + cell.text for key, cell in zip(keys, row)])
             for row in table.body_grid
         ),
-        pair_count=table.n_body_rows * table.width,
+        pair_count=n_rows * table.width,
     )

@@ -37,7 +37,7 @@ own copy, so each copy's loss is bit-identical to a separate forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -691,13 +691,7 @@ class GradCheckReport:
     per_parameter: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_rel_error": self.max_rel_error,
-            "worst_parameter": self.worst_parameter,
-            "n_params_checked": self.n_params_checked,
-            "eps": self.eps,
-            "per_parameter": self.per_parameter,
-        }
+        return asdict(self)
 
 
 def _relative_errors(model: ToyModel, prefix: Prefix, index: int, block: int, h: np.ndarray,

@@ -290,6 +290,11 @@ STATS = ["stats", "--in", "FILE", "--modality", "table"]
                      id="assemble-title"),
         pytest.param(["assemble", "--batch", "FILE"], {"question": "q", "context": ["c"]},
                      id="assemble-context"),
+        # Checked before any input is read: FILE is empty here.
+        pytest.param(["assemble", "--batch", "FILE", "--max-tokens", "-1"], None,
+                     id="assemble-max-tokens-neg"),
+        pytest.param(["assemble", "--question", "q", "--max-tokens", "0"], None,
+                     id="assemble-max-tokens-zero"),
         pytest.param(STATS, {**RECORD, "question": 5}, id="stats-question"),
         pytest.param(STATS, {**RECORD, "title": 5}, id="stats-title"),
         pytest.param(PREPARE, {**RECORD, "question": None}, id="prepare-question"),
@@ -303,8 +308,7 @@ STATS = ["stats", "--in", "FILE", "--modality", "table"]
 )
 def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj):
     path = tmp_path / "input.jsonl"
-    if file_obj is not None:
-        path.write_text(json.dumps(file_obj) + "\n", encoding="utf-8")
+    path.write_text("" if file_obj is None else json.dumps(file_obj) + "\n", encoding="utf-8")
     code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
     assert code == 2
     assert out == ""
@@ -396,6 +400,35 @@ def test_hostile_files_exit_2_with_json_error(tmp_path, capsys, argv, text, erro
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
+
+
+@pytest.mark.parametrize("table", [SPREAD_TABLE, STACKED_TABLE], ids=["spread", "stacked"])
+@pytest.mark.parametrize("argv", [["linearize", "--in", "FILE"], STATS, PREPARE],
+                         ids=["linearize", "stats", "prepare"])
+def test_oversized_tables_are_refused_under_a_memory_cap(tmp_path, argv, table):
+    # Building every key of the stacked table would take 6.7 GB. Under the
+    # cap, a walk that failed to stop at the bound shows as exit 1 with a
+    # MemoryError in the child, not as memory taken from the host.
+    path = tmp_path / "input.json"
+    obj = table if argv[0] == "linearize" else {**RECORD, "context": {"table": table}}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    proc = run_cli_limited([str(path) if arg == "FILE" else arg for arg in argv],
+                           max_bytes=1024**3)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "LinearizedTextTooLarge"
+
+
+def test_stacked_header_over_an_empty_body_builds_no_key(tmp_path):
+    # With no body row the text is empty whatever the keys would be, so none
+    # of the 6.7 GB of keys is built.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**STACKED_TABLE, "body_rows": []}), encoding="utf-8")
+    proc = run_cli_limited(["linearize", "--in", str(path)], max_bytes=1024**3)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 # The second body row's colspan-2 cell runs into the rowspan above it.

@@ -15,7 +15,7 @@ from adapterqa.data import (
 )
 from adapterqa.assembly import EmptyQuestion
 from adapterqa.errors import SchemaError
-from adapterqa.linearize import LinearizedTextTooLarge
+from adapterqa.linearize import LinearizedTextTooLarge, linearize
 from adapterqa.tables import (
     EmptyGrid,
     GridTooLarge,
@@ -64,36 +64,38 @@ def test_read_table_records(tmp_path):
     records = read_records(path, "table")
     assert [r.id for r in records] == ["r1", "r2"]
     assert records[0].modality == "table"
-    assert records[0].context_text() == "Year: 2013, Film: Padhe Padhe"
+    assert records[0].context == "Year: 2013, Film: Padhe Padhe"
 
 
 def test_read_text_records(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [text_record()])
     records = read_records(path, "text")
     assert records[0].passage == "a b c"
-    assert records[0].context_text() == "a b c"
+    assert records[0].context == "a b c"
 
 
 def test_each_table_is_validated_once(tmp_path, monkeypatch):
-    validated = []
-    original = tables_mod.validate_table
+    calls = {"validate_table": [], "linearize": []}
 
-    def counting_validate(obj):
-        validated.append(obj)
-        return original(obj)
+    # Every package module that holds the ingest or the linearize function
+    # calls a counter in its place.
+    for target in (tables_mod.validate_table, linearize):
+        def counting(obj, original=target, seen=calls[target.__name__]):
+            seen.append(obj)
+            return original(obj)
 
-    # Every package module that holds the ingest function calls the counter.
-    for name, module in list(sys.modules.items()):
-        if name == "adapterqa" or name.startswith("adapterqa."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting_validate)
+        for name, module in list(sys.modules.items()):
+            if name == "adapterqa" or name.startswith("adapterqa."):
+                for attr, value in list(vars(module).items()):
+                    if value is target:
+                        monkeypatch.setattr(module, attr, counting)
     path = write_jsonl(tmp_path / "d.jsonl", [table_record(), table_record("r2")])
     records = read_records(path, "table")
     compute_stats(records)
     for record in records:
         prepare_example(record)
-    assert len(validated) == 2
+    assert len(calls["validate_table"]) == 2
+    assert len(calls["linearize"]) == 2
 
 
 def test_modality_mismatch_reports_line(tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from adapterqa.linearize import (
     LinearizedTextTooLarge,
     flatten_headers,
     linearize,
-    linearized_length,
 )
 from adapterqa.tables import SpanOutOfBounds
 
@@ -138,13 +139,6 @@ def test_linearize_propagates_validation_errors():
         linearize(resolve(bad))
 
 
-@settings(max_examples=300)
-@given(hierarchical_tables())
-def test_linearized_length_is_exact_on_generated_tables(table):
-    v = resolve(table)
-    assert linearized_length(v) == len(linearize(v).text)
-
-
 @st.composite
 def tables_with_any_text(draw):
     """Generated span layouts whose cell texts are arbitrary, empty included."""
@@ -159,10 +153,34 @@ def tables_with_any_text(draw):
                              body_rows=retext(layout.body_rows))
 
 
-@given(tables_with_any_text())
-def test_linearized_length_is_exact_on_any_text(table):
+# The module, not the function the package exports under the same name.
+LINEARIZE_MODULE = importlib.import_module("adapterqa.linearize")
+
+
+def assert_bound_is_exact(table):
+    """A table whose text has ``n`` characters linearizes to that text
+    under a bound of ``n`` and is refused under ``n - 1``."""
     v = resolve(table)
-    assert linearized_length(v) == len(linearize(v).text)
+    text = linearize(v).text
+    # A fixture-free patch: Hypothesis reruns the test body per example.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LINEARIZE_MODULE, "MAX_LINEARIZED_CHARS", len(text))
+        assert linearize(v).text == text
+        if text:
+            patch.setattr(LINEARIZE_MODULE, "MAX_LINEARIZED_CHARS", len(text) - 1)
+            with pytest.raises(LinearizedTextTooLarge):
+                linearize(v)
+
+
+@settings(max_examples=300)
+@given(hierarchical_tables())
+def test_bound_is_exact_on_generated_tables(table):
+    assert_bound_is_exact(table)
+
+
+@given(tables_with_any_text())
+def test_bound_is_exact_on_any_text(table):
+    assert_bound_is_exact(table)
 
 
 def one_pair_table(value: str) -> HierarchicalTable:
@@ -190,7 +208,5 @@ def test_linearized_text_is_bounded():
         header_rows=[[Cell("a" * 100_000, colspan=width)], [Cell("b" * 100_000, colspan=width)]],
         body_rows=[[Cell("", colspan=width)]],
     ))
-    key = 100_000 + 100_000 + len("()")
-    assert linearized_length(stacked) == width * (key + len(": ")) + (width - 1) * len(", ")
     with pytest.raises(LinearizedTextTooLarge):
         linearize(stacked)
