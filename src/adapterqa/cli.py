@@ -213,6 +213,10 @@ def cmd_stats(args) -> tuple[str, str]:
 
 
 def cmd_prepare(args) -> tuple[str, str]:
+    for option, value in (("--max-tokens", args.max_tokens),
+                          ("--max-target-tokens", args.max_target_tokens)):
+        if value is not None:
+            check_int(option, value)
     limits = PrepareLimits(
         max_input_tokens=args.max_tokens,
         max_target_tokens=args.max_target_tokens,

@@ -32,10 +32,22 @@ gives the encoder output and the decoder embedding; the blocks and layers
 above it run unchanged on the tiled streams. Every matrix product keeps
 the shape it has in a one-copy forward and every loss is the mean over its
 own copy, so each copy's loss is bit-identical to a separate forward.
+
+At the toy's widths the hot path is bound by per-call overhead, so it
+makes fewer calls without changing any arithmetic. Row means, sums and
+maxima call numpy's ufunc reductions directly (``_row_mean`` and its
+siblings). Every causal attention of one length shares one read-only mask.
+``train_adapters`` runs Adam once per step over each run of consecutive
+trainable tensors as one flat vector; one run holds every tensor of a small
+toy. The audit's copy forwards and ``ToyModel.prefix`` run with
+``cache=False`` and store no backward cache, since no backward reads one.
+Every matrix product keeps its operands and every reduction its order, so
+each of these is bit-identical to the path it replaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -54,6 +66,36 @@ LOSS_GROWTH_LIMIT = 100.0
 # grad_check evaluates this many scalars of one tensor per forward, as
 # twice as many perturbed copies of the model.
 GRAD_CHECK_CHUNK = 8
+# train_adapters runs Adam once per step over each run of consecutive
+# trainable tensors of at most this many scalars in all. One run over all
+# 101,760 adapter scalars of a width-128 toy raised peak RSS by 3.7 MB.
+ADAM_RUN_SCALARS = 8192
+
+
+# Row reductions over the last axis. ``ndarray.mean``, ``.sum`` and ``.max``
+# reach these same ufunc reductions through numpy's Python wrappers, which
+# cost more than the reduction itself at the toy's widths; a mean is the
+# wrapper's add-reduce followed by a true divide by the count, so every
+# result is bit-identical.
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(x, axis=-1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=16)
+def _causal_mask(t: int) -> np.ndarray:
+    """Lower-triangular (t, t) mask, shared by every call of one length and
+    so read-only."""
+    mask = np.tril(np.ones((t, t), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 class InvalidConfig(InputError):
@@ -130,20 +172,19 @@ class LayerNorm:
         self.eps = eps
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        centered = x - _row_mean(x)
+        inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + self.eps)
         xhat = centered * inv_std
-        self._cache = (xhat, inv_std)
+        if cache:
+            self._cache = (xhat, inv_std)
         return self.gamma.value * xhat + self.beta.value
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._cache
         d_xhat = d_out * self.gamma.value
-        mean_d = d_xhat.mean(axis=-1, keepdims=True)
-        mean_dx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        mean_d = _row_mean(d_xhat)
+        mean_dx = _row_mean(d_xhat * xhat)
         return inv_std * (d_xhat - mean_d - xhat * mean_dx)
 
     def parameters(self) -> list[Parameter]:
@@ -178,21 +219,19 @@ class Attention:
         b, h, t, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
-    def forward(self, x_q: np.ndarray, x_kv: np.ndarray) -> np.ndarray:
+    def forward(self, x_q: np.ndarray, x_kv: np.ndarray, cache: bool = True) -> np.ndarray:
         q = self._split(self.q_proj.forward(x_q))
         k = self._split(self.k_proj.forward(x_kv))
         v = self._split(self.v_proj.forward(x_kv))
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
         scores = (q @ k.transpose(0, 1, 3, 2)) * inv_sqrt
         if self.causal:
-            t = scores.shape[-1]
-            mask = np.tril(np.ones((t, t), dtype=bool))
-            scores = np.where(mask, scores, -np.inf)
-        scores_max = scores.max(axis=-1, keepdims=True)
-        exp_scores = np.exp(scores - scores_max)
-        attn = exp_scores / exp_scores.sum(axis=-1, keepdims=True)
+            scores = np.where(_causal_mask(scores.shape[-1]), scores, -np.inf)
+        exp_scores = np.exp(scores - _row_max(scores))
+        attn = exp_scores / _row_sum(exp_scores)
         context = attn @ v
-        self._cache = (q, k, v, attn, inv_sqrt)
+        if cache:
+            self._cache = (q, k, v, attn, inv_sqrt)
         return self.o_proj.forward(self._merge(context))
 
     def backward(self, d_out: np.ndarray,
@@ -202,7 +241,7 @@ class Attention:
         q, k, v, attn, inv_sqrt = self._cache
         d_context = self._split(self.o_proj.backward(d_out))
         d_attn = d_context @ v.transpose(0, 1, 3, 2)
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = attn * (d_attn - _row_sum(d_attn * attn))
         d_q = (d_scores @ k) * inv_sqrt
         d_xq = self.q_proj.backward(self._merge(d_q))
         if not need_kv:
@@ -229,9 +268,10 @@ class FeedForward:
         self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model, dtype=dtype))
         self._cache: np.ndarray | None = None  # where the rectifier passed
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         pre = self.lin_in.forward(x)
-        self._cache = pre > 0
+        if cache:
+            self._cache = pre > 0
         return self.lin_out.forward(np.maximum(pre, 0.0))
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -256,20 +296,21 @@ class AdapterModule:
         self.b_up = Parameter(f"{name}.up.b", self.params.b_up, trainable=True)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         out, hidden = adapter_activations(x, self.params)
-        self._cache = (x, hidden)
+        if cache:
+            self._cache = (x, hidden)
         return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         x, hidden = self._cache
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
         self.w_up.grad = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
-        self.b_up.grad = flat_d_out.sum(axis=0)
+        self.b_up.grad = np.add.reduce(flat_d_out, axis=0)
         d_hidden = (d_out @ self.w_up.value.T) * (hidden > 0)
         flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
         self.w_down.grad = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
-        self.b_down.grad = flat_d_hidden.sum(axis=0)
+        self.b_down.grad = np.add.reduce(flat_d_hidden, axis=0)
         return d_out + d_hidden @ self.w_down.value.T
 
     def parameters(self) -> list[Parameter]:
@@ -281,6 +322,7 @@ class ResidualBlock:
 
     The sublayer is a ``FeedForward`` or an ``Attention``; attention
     attends to its own input, or to ``memory`` when ``cross`` is set.
+    A forward with ``cache=False`` stores nothing for ``backward``.
     """
 
     def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
@@ -289,13 +331,14 @@ class ResidualBlock:
         self.cross = cross
         self.adapter: AdapterModule | None = None
 
-    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
+                cache: bool = True) -> np.ndarray:
         if isinstance(self.sublayer, FeedForward):
-            out = self.sublayer.forward(x)
+            out = self.sublayer.forward(x, cache)
         else:
-            out = self.sublayer.forward(x, memory if self.cross else x)
-        h = self.norm.forward(x + out)
-        return h if self.adapter is None else self.adapter.forward(h)
+            out = self.sublayer.forward(x, memory if self.cross else x, cache)
+        h = self.norm.forward(x + out, cache)
+        return h if self.adapter is None else self.adapter.forward(h, cache)
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input; cross-attention adds the gradient of
@@ -352,9 +395,10 @@ class Layer:
         self.blocks[-1].adapter = AdapterModule(
             f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng, dtype)
 
-    def forward(self, x: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
+                cache: bool = True) -> np.ndarray:
         for block in self.blocks:
-            x = block.forward(x, memory)
+            x = block.forward(x, memory, cache)
         return x
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
@@ -401,9 +445,9 @@ class Prefix:
 def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-probabilities over the last axis, with the shifted exponentials
     and their sums that the softmax needs."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)
     exp_z = np.exp(z)
-    sum_exp = exp_z.sum(axis=-1, keepdims=True)
+    sum_exp = _row_sum(exp_z)
     return z - np.log(sum_exp), exp_z, sum_exp
 
 
@@ -519,13 +563,14 @@ class ToyModel:
         return self.tok_emb.value[ids] + self.pos_emb.value[: ids.shape[1]][None, :, :]
 
     def _run_layers(self, enc_x: np.ndarray, dec_x: np.ndarray | None, target_ids: np.ndarray,
-                    start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+                    start: int, stop: int, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Run layers ``start`` to ``stop - 1`` on the streams that enter
-        ``start``. A ``dec_x`` of None is embedded once the encoder is done,
-        so the two embeddings are never held together."""
+        ``start``, storing backward caches only with ``cache``. A ``dec_x``
+        of None is embedded once the encoder is done, so the two embeddings
+        are never held together."""
         n_enc = len(self.encoder)
         for layer in self.encoder[start:stop]:
-            enc_x = layer.forward(enc_x)
+            enc_x = layer.forward(enc_x, None, cache)
         if dec_x is None:
             decoder_input = np.concatenate(
                 [np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype),
@@ -534,15 +579,17 @@ class ToyModel:
             )
             dec_x = self._embed(decoder_input)
         for layer in self.decoder[max(start - n_enc, 0):max(stop - n_enc, 0)]:
-            dec_x = layer.forward(dec_x, enc_x)
+            dec_x = layer.forward(dec_x, enc_x, cache)
         return enc_x, dec_x
 
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
-        """The streams that enter layer ``start`` for these ids."""
+        """The streams that enter layer ``start`` for these ids. It stores no
+        backward cache, so those of an earlier forward stay in place."""
         if check_int("prefix start", start, InputError, allow_zero=True) > self.n_layers:
             raise InputError(f"prefix start must be at most {self.n_layers}, got {start}")
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
-        enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids, 0, start)
+        enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids, 0, start,
+                                        cache=False)
         return Prefix(start, source_ids, target_ids, enc_x, dec_x)
 
     def forward(self, source_ids: np.ndarray, target_ids: np.ndarray,
@@ -608,7 +655,8 @@ class ToyModel:
         the decoder embedding. The copies are folded into the batch axis,
         copy-major, and the prefix streams are tiled to match; the blocks
         above the adapter and every layer above run their own forward on
-        them, and each loss is the mean over its own copy.
+        them, storing no backward cache, and each loss is the mean over its
+        own copy.
         """
         out, _ = adapter_activations(h, params)
         n_copies = out.shape[0]
@@ -616,9 +664,10 @@ class ToyModel:
         in_encoder = index < len(self.encoder)
         memory = None if in_encoder else np.tile(prefix.enc, (n_copies, 1, 1))
         for later in [*self.encoder, *self.decoder][index].blocks[block + 1:]:
-            x = later.forward(x, memory)
+            x = later.forward(x, memory, cache=False)
         enc_x, dec_x = (x, np.tile(prefix.dec, (n_copies, 1, 1))) if in_encoder else (memory, x)
-        _, x = self._run_layers(enc_x, dec_x, prefix.target_ids, index + 1, self.n_layers)
+        _, x = self._run_layers(enc_x, dec_x, prefix.target_ids, index + 1, self.n_layers,
+                                cache=False)
         log_probs, _, _ = _log_softmax(self.out_proj.forward(x))
         labels = np.tile(prefix.target_ids.reshape(-1), n_copies)
         # One contiguous row per copy, so each mean sums its row in the
@@ -813,6 +862,35 @@ def _check_loss(loss: float, log: TrainLog, where: str):
                          f"the initial loss {log.initial_loss:.6g}")
 
 
+def _adam_runs(params: list[Parameter], dtype) -> list[tuple]:
+    """Adam's zeroed state for ``params``: its two moments are flat vectors
+    of ``dtype``, cut into runs of consecutive tensors of at most
+    ``ADAM_RUN_SCALARS`` scalars in all (a larger tensor runs alone).
+
+    Each run is its tensors, their offsets in the run (ending with its
+    length) and its views of the two moments. Adam is elementwise, so one
+    pass over a run's concatenated gradients gives each tensor the bytes of
+    its own update.
+    """
+    cuts: list[tuple[list[Parameter], list[int]]] = []
+    for p in params:
+        if not cuts or cuts[-1][1][-1] + p.value.size > ADAM_RUN_SCALARS:
+            cuts.append(([], [0]))
+        tensors, offsets = cuts[-1]
+        tensors.append(p)
+        offsets.append(offsets[-1] + p.value.size)
+    # One buffer per moment, viewed by every run: a pair of buffers per run
+    # left peak RSS 0.6 MB higher on a width-128 toy.
+    adam_m = np.zeros(sum(offsets[-1] for _, offsets in cuts), dtype=dtype)
+    adam_v = np.zeros_like(adam_m)
+    runs, start = [], 0
+    for tensors, offsets in cuts:
+        stop = start + offsets[-1]
+        runs.append((tensors, offsets, adam_m[start:stop], adam_v[start:stop]))
+        start = stop
+    return runs
+
+
 def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
                    cfg: TrainConfig) -> TrainLog:
     """Full-batch gradient descent on the trainable parameters only.
@@ -832,8 +910,7 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
         raise InvalidConfig(
             f"learning_rate must be finite and positive, got {cfg.learning_rate!r}")
     params = model.trainable_parameters()
-    adam_m = [np.zeros_like(p.value) for p in params]
-    adam_v = [np.zeros_like(p.value) for p in params]
+    runs = _adam_runs(params, model.cfg.dtype())
     lowest = model.lowest_trainable
     # At layer 0 the prefix would only hold the embeddings, so none is kept.
     prefix = model.prefix(source_ids, target_ids, lowest) if lowest > 0 else None
@@ -849,14 +926,17 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
                     p.value -= cfg.learning_rate * p.grad
             else:
                 t = step + 1
-                for p, m, v in zip(params, adam_m, adam_v):
+                for tensors, offsets, m, v in runs:
+                    grad = np.concatenate([p.grad for p in tensors], axis=None)
                     m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * p.grad
+                    m += (1 - ADAM_BETA1) * grad
                     v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * (p.grad * p.grad)
+                    v += (1 - ADAM_BETA2) * (grad * grad)
                     m_hat = m / (1 - ADAM_BETA1 ** t)
                     v_hat = v / (1 - ADAM_BETA2 ** t)
-                    p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                    update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                    for p, start, stop in zip(tensors, offsets, offsets[1:]):
+                        p.value -= update[start:stop].reshape(p.value.shape)
 
         final_loss, _ = model.forward(source_ids, target_ids, prefix)
         _check_loss(final_loss, log, "after the last step")

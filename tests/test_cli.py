@@ -260,59 +260,72 @@ PREPARE = ["prepare", "--in", "FILE", "--modality", "table"]
 STATS = ["stats", "--in", "FILE", "--modality", "table"]
 
 
+def rejected(argv, file_obj, id, names=None):
+    """A case of ``test_rejected_inputs_exit_2_with_json_error``; the error
+    message must contain ``names`` when it is given."""
+    return pytest.param(argv, file_obj, names, id=id)
+
+
 @pytest.mark.parametrize(
-    "argv, file_obj",
+    "argv, file_obj, names",
     [
-        pytest.param(["count-params", "--config", "FILE"], {**DIMS, "base_total_params": "x"},
-                     id="count-params-string-base"),
-        pytest.param(["count-params", "--config", "FILE"],
-                     {"d_model": True, "bottleneck": True, "n_encoder_layers": 1,
-                      "n_decoder_layers": 1}, id="count-params-bool-dims"),
-        pytest.param(["count-params", "--config", "FILE"], {}, id="count-params-missing-dims"),
-        pytest.param(["train-toy", "--steps", "0"], None, id="train-toy-steps-0"),
-        pytest.param(["train-toy", "--steps", "-3"], None, id="train-toy-steps-neg"),
-        pytest.param(["train-toy", "--lr", "0"], None, id="train-toy-lr-0"),
-        pytest.param(["train-toy", "--lr", "-0.01"], None, id="train-toy-lr-neg"),
-        pytest.param(["train-toy", "--lr", "nan"], None, id="train-toy-lr-nan"),
-        pytest.param(["train-toy", "--lr", "inf"], None, id="train-toy-lr-inf"),
-        pytest.param(["gradcheck", "--eps", "0"], None, id="gradcheck-eps-0"),
-        pytest.param(["gradcheck", "--eps", "nan"], None, id="gradcheck-eps-nan"),
-        pytest.param(["gradcheck", "--batch", "-1"], None, id="gradcheck-batch-neg"),
-        pytest.param(["gradcheck", "--seq-len", "-1"], None, id="gradcheck-seq-len-neg"),
-        pytest.param(["gradcheck", "--seed", "-1"], None, id="gradcheck-seed-neg"),
-        pytest.param(["train-toy", "--examples", "-1"], None, id="train-toy-examples-neg"),
-        pytest.param(["train-toy", "--seq-len", "-3"], None, id="train-toy-seq-len-neg"),
-        pytest.param(["train-toy", "--seed", "-1"], None, id="train-toy-seed-neg"),
-        pytest.param([*PREPARE, "--max-target-tokens", "0"], RECORD, id="prepare-target-0"),
-        pytest.param([*PREPARE, "--max-target-tokens", "-1"], RECORD, id="prepare-target-neg"),
-        pytest.param(["assemble", "--batch", "FILE"], {"question": 5}, id="assemble-question"),
-        pytest.param(["assemble", "--batch", "FILE"], {"question": "q", "title": 3},
-                     id="assemble-title"),
-        pytest.param(["assemble", "--batch", "FILE"], {"question": "q", "context": ["c"]},
-                     id="assemble-context"),
+        rejected(["count-params", "--config", "FILE"], {**DIMS, "base_total_params": "x"},
+                 id="count-params-string-base"),
+        rejected(["count-params", "--config", "FILE"],
+                 {"d_model": True, "bottleneck": True, "n_encoder_layers": 1,
+                  "n_decoder_layers": 1}, id="count-params-bool-dims"),
+        rejected(["count-params", "--config", "FILE"], {}, id="count-params-missing-dims"),
+        rejected(["train-toy", "--steps", "0"], None, id="train-toy-steps-0"),
+        rejected(["train-toy", "--steps", "-3"], None, id="train-toy-steps-neg"),
+        rejected(["train-toy", "--lr", "0"], None, id="train-toy-lr-0"),
+        rejected(["train-toy", "--lr", "-0.01"], None, id="train-toy-lr-neg"),
+        rejected(["train-toy", "--lr", "nan"], None, id="train-toy-lr-nan"),
+        rejected(["train-toy", "--lr", "inf"], None, id="train-toy-lr-inf"),
+        rejected(["gradcheck", "--eps", "0"], None, id="gradcheck-eps-0"),
+        rejected(["gradcheck", "--eps", "nan"], None, id="gradcheck-eps-nan"),
+        rejected(["gradcheck", "--batch", "-1"], None, id="gradcheck-batch-neg"),
+        rejected(["gradcheck", "--seq-len", "-1"], None, id="gradcheck-seq-len-neg"),
+        rejected(["gradcheck", "--seed", "-1"], None, id="gradcheck-seed-neg"),
+        rejected(["train-toy", "--examples", "-1"], None, id="train-toy-examples-neg"),
+        rejected(["train-toy", "--seq-len", "-3"], None, id="train-toy-seq-len-neg"),
+        rejected(["train-toy", "--seed", "-1"], None, id="train-toy-seed-neg"),
+        rejected([*PREPARE, "--max-target-tokens", "0"], RECORD, id="prepare-target-0"),
+        rejected([*PREPARE, "--max-target-tokens", "-1"], RECORD, id="prepare-target-neg"),
+        # Named as the option, not as the PrepareLimits field.
+        rejected([*PREPARE, "--max-tokens", "-1"], RECORD, id="prepare-max-tokens-neg",
+                 names="--max-tokens must be"),
+        rejected([*PREPARE, "--max-target-tokens", "0"], RECORD,
+                 id="prepare-max-target-tokens-zero", names="--max-target-tokens must be"),
+        rejected(["assemble", "--batch", "FILE"], {"question": 5}, id="assemble-question"),
+        rejected(["assemble", "--batch", "FILE"], {"question": "q", "title": 3},
+                 id="assemble-title"),
+        rejected(["assemble", "--batch", "FILE"], {"question": "q", "context": ["c"]},
+                 id="assemble-context"),
         # Checked before any input is read: FILE is empty here.
-        pytest.param(["assemble", "--batch", "FILE", "--max-tokens", "-1"], None,
-                     id="assemble-max-tokens-neg"),
-        pytest.param(["assemble", "--question", "q", "--max-tokens", "0"], None,
-                     id="assemble-max-tokens-zero"),
-        pytest.param(STATS, {**RECORD, "question": 5}, id="stats-question"),
-        pytest.param(STATS, {**RECORD, "title": 5}, id="stats-title"),
-        pytest.param(PREPARE, {**RECORD, "question": None}, id="prepare-question"),
-        pytest.param(PREPARE, {**RECORD, "title": ["Films"]}, id="prepare-title"),
-        pytest.param(STATS, {**RECORD, "question": " \n "}, id="stats-empty-question"),
-        pytest.param(["count-params", "--ablation", "FILE"], {"label": 5},
-                     id="count-params-int-label"),
-        pytest.param(["count-params", "--ablation", "FILE"], {"removed_encoder": [], "label": []},
-                     id="count-params-list-label"),
+        rejected(["assemble", "--batch", "FILE", "--max-tokens", "-1"], None,
+                 id="assemble-max-tokens-neg"),
+        rejected(["assemble", "--question", "q", "--max-tokens", "0"], None,
+                 id="assemble-max-tokens-zero"),
+        rejected(STATS, {**RECORD, "question": 5}, id="stats-question"),
+        rejected(STATS, {**RECORD, "title": 5}, id="stats-title"),
+        rejected(PREPARE, {**RECORD, "question": None}, id="prepare-question"),
+        rejected(PREPARE, {**RECORD, "title": ["Films"]}, id="prepare-title"),
+        rejected(STATS, {**RECORD, "question": " \n "}, id="stats-empty-question"),
+        rejected(["count-params", "--ablation", "FILE"], {"label": 5},
+                 id="count-params-int-label"),
+        rejected(["count-params", "--ablation", "FILE"], {"removed_encoder": [], "label": []},
+                 id="count-params-list-label"),
     ],
 )
-def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj):
+def test_rejected_inputs_exit_2_with_json_error(tmp_path, capsys, argv, file_obj, names):
     path = tmp_path / "input.jsonl"
     path.write_text("" if file_obj is None else json.dumps(file_obj) + "\n", encoding="utf-8")
     code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
     assert code == 2
     assert out == ""
-    assert set(json.loads(err.strip())) == {"error", "message"}
+    payload = json.loads(err.strip())
+    assert set(payload) == {"error", "message"}
+    assert names is None or names in payload["message"]
 
 
 @pytest.mark.parametrize(
