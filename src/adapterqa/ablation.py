@@ -68,10 +68,7 @@ def grid_ablation_plan(dims: ModelDims = REFERENCE_DIMS) -> list[AblationConfig]
 
 def apply_ablation(adapter_set: AdapterSet, config: AblationConfig) -> AdapterSet:
     """Drop the removed layers from the set; idempotent."""
-    return AdapterSet(
-        encoder_layers=adapter_set.encoder_layers - set(config.removed_encoder),
-        decoder_layers=adapter_set.decoder_layers - set(config.removed_decoder),
-    )
+    return adapter_set - AdapterSet.of(config.removed_encoder, config.removed_decoder)
 
 
 def cost_plan(plan: list[AblationConfig], dims: ModelDims = REFERENCE_DIMS) -> list[dict]:

@@ -122,6 +122,10 @@ class AdapterSet:
     def n_active_layers(self) -> int:
         return len(self.encoder_layers) + len(self.decoder_layers)
 
+    def __sub__(self, other: "AdapterSet") -> "AdapterSet":
+        return AdapterSet(self.encoder_layers - other.encoder_layers,
+                          self.decoder_layers - other.decoder_layers)
+
 
 def count_adapter_params(dims: ModelDims, adapter_set: AdapterSet) -> tuple[int, float]:
     """Exact trainable-parameter count and percentage of the base model.

@@ -9,6 +9,7 @@ usage errors), 1 internal error. Failures print a machine-readable
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -39,8 +40,6 @@ from .toymodel import (
     make_copy_task,
     train_adapters,
 )
-
-DEFAULT_SEED = 6
 
 
 class UsageError(InputError):
@@ -129,13 +128,8 @@ def cmd_count_params(args) -> tuple[str, str]:
             # type(...) is int: JSON true/false would otherwise pass as layers 1/0.
             if not isinstance(indices, list) or not all(type(i) is int for i in indices):
                 raise SchemaError(f"'{key}' must be a list of integer layer indices")
-        AdapterSet.of(removed["removed_encoder"], removed["removed_decoder"]).check(dims)
-        config = ablation_mod.AblationConfig(
-            removed_encoder=tuple(removed["removed_encoder"]),
-            removed_decoder=tuple(removed["removed_decoder"]),
-            label=string_field(obj, "label", ""),
-        )
-        active = ablation_mod.apply_ablation(active, config)
+        active -= AdapterSet.of(removed["removed_encoder"], removed["removed_decoder"]).check(dims)
+        string_field(obj, "label", "")  # the label only has to be a string
     count, percent = count_adapter_params(dims, active)
     payload = {"trainable": count, "percent": percent,
                "active_layers": active.n_active_layers}
@@ -241,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearize", help="flatten a table JSON file to key:value text")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_linearize)
 
     p = sub.add_parser("assemble", help="build a prompted input sequence")
@@ -254,56 +247,51 @@ def build_parser() -> argparse.ArgumentParser:
     context.add_argument("--context", default=None)
     context.add_argument("--context-file", default=None)
     p.add_argument("--max-tokens", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_assemble, usage_error=p.error)
 
     p = sub.add_parser("eval", help="ROUGE and BLEU of line-aligned files")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("count-params", help="trainable-parameter accounting")
     p.add_argument("--config", default=None, help="dims JSON (defaults to the reference dims)")
     p.add_argument("--ablation", default=None, help="JSON with removed_encoder/removed_decoder")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count_params)
 
     p = sub.add_parser("plan-ablation", help="enumerate pruning experiments with costs")
     p.add_argument("--mode", choices=("uniform", "grid"), required=True)
     p.add_argument("--dims", dest="config", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan_ablation)
 
     def add_toy_flags(p):
-        p.add_argument("--d-model", type=int, default=32)
-        p.add_argument("--bottleneck", type=int, default=8)
-        p.add_argument("--enc-layers", type=int, default=2)
-        p.add_argument("--dec-layers", type=int, default=2)
-        p.add_argument("--vocab", type=int, default=64)
+        p.add_argument("--d-model", type=int, default=ToyConfig.d_model)
+        p.add_argument("--bottleneck", type=int, default=ToyConfig.bottleneck)
+        p.add_argument("--enc-layers", type=int, default=ToyConfig.n_encoder_layers)
+        p.add_argument("--dec-layers", type=int, default=ToyConfig.n_decoder_layers)
+        p.add_argument("--vocab", type=int, default=ToyConfig.vocab_size)
         p.add_argument("--seq-len", type=int, default=6)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=ToyConfig.seed)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of adapter gradients")
     add_toy_flags(p)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float,
+                   default=inspect.signature(grad_check).parameters["eps"].default)
     p.add_argument("--batch", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train adapters on the synthetic copy task")
     add_toy_flags(p)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
     p.add_argument("--examples", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--precision", choices=("single", "double"), default="double")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default=TrainConfig.optimizer)
+    p.add_argument("--precision", choices=("single", "double"), default=ToyConfig.precision)
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("stats", help="dataset statistics from a JSONL record file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--modality", choices=("table", "text"), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("prepare", help="records -> prompted (input, target) JSONL")
@@ -312,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--max-target-tokens", type=int, default=None)
     p.add_argument("--answer-index", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prepare)
 
+    for p in sub.choices.values():  # main writes every command's output to --out
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -366,25 +367,22 @@ class Layer:
         self.blocks = blocks
 
     @classmethod
-    def encoder(cls, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype) -> "Layer":
+    def build(cls, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype,
+              decoder: bool = False) -> "Layer":
+        """The encoder recipe; a ``decoder`` layer has causal self-attention
+        and a cross-attention block before the feed-forward block."""
         d = cfg.d_model
-        return cls(name, [
-            ResidualBlock(Attention(f"{name}.self_attn", d, cfg.n_heads, rng, dtype),
-                          LayerNorm(f"{name}.norm_attn", d, dtype)),
-            ResidualBlock(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng, dtype),
-                          LayerNorm(f"{name}.norm_ffn", d, dtype)),
-        ])
 
-    @classmethod
-    def decoder(cls, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype) -> "Layer":
-        d = cfg.d_model
+        def block(sublayer: Attention | FeedForward, norm: str, cross: bool = False):
+            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", d, dtype), cross)
+
+        def attention(part: str, causal: bool = False) -> Attention:
+            return Attention(f"{name}.{part}", d, cfg.n_heads, rng, dtype, causal)
+
         return cls(name, [
-            ResidualBlock(Attention(f"{name}.self_attn", d, cfg.n_heads, rng, dtype, causal=True),
-                          LayerNorm(f"{name}.norm_self", d, dtype)),
-            ResidualBlock(Attention(f"{name}.cross_attn", d, cfg.n_heads, rng, dtype),
-                          LayerNorm(f"{name}.norm_cross", d, dtype), cross=True),
-            ResidualBlock(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng, dtype),
-                          LayerNorm(f"{name}.norm_ffn", d, dtype)),
+            block(attention("self_attn", causal=decoder), "norm_self" if decoder else "norm_attn"),
+            *([block(attention("cross_attn"), "norm_cross", cross=True)] if decoder else []),
+            block(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng, dtype), "norm_ffn"),
         ])
 
     def add_adapters(self, cfg: ToyConfig, rng: np.random.Generator, dtype):
@@ -409,14 +407,10 @@ class Layer:
         return d_out
 
     def parameters(self) -> list[Parameter]:
-        params = []
-        for block in self.blocks:
-            params.extend(block.sublayer.parameters())
-            params.extend(block.norm.parameters())
-        for block in self.blocks:
-            if block.adapter is not None:
-                params.extend(block.adapter.parameters())
-        return params
+        """Each block's frozen tensors, then each adapter's tensors."""
+        modules = [m for b in self.blocks for m in (b.sublayer, b.norm)]
+        modules += [b.adapter for b in self.blocks if b.adapter is not None]
+        return [p for m in modules for p in m.parameters()]
 
 
 @dataclass(frozen=True)
@@ -451,17 +445,20 @@ def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return z - np.log(sum_exp), exp_z, sum_exp
 
 
+def _label_log_probs(log_probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Each label's log-probability, in the row-major order of ``labels``,
+    and the index of those entries in ``log_probs`` folded to (positions, vocab)."""
+    at_labels = (np.arange(labels.size), labels.reshape(-1))
+    return log_probs.reshape(labels.size, -1)[at_labels], at_labels
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over all positions plus the logits gradient."""
     log_probs, exp_z, sum_exp = _log_softmax(logits)
-    n = labels.size
-    vocab = logits.shape[-1]
-    flat_labels = labels.reshape(-1)
-    flat_log_probs = log_probs.reshape(-1, vocab)
-    loss = -flat_log_probs[np.arange(n), flat_labels].mean()
-    d_flat = (exp_z / sum_exp).reshape(-1, vocab)
-    d_flat[np.arange(n), flat_labels] -= 1.0
-    return float(loss), (d_flat / n).reshape(logits.shape)
+    picked, at_labels = _label_log_probs(log_probs, labels)
+    d_flat = (exp_z / sum_exp).reshape(labels.size, -1)
+    d_flat[at_labels] -= 1.0
+    return float(-picked.mean()), (d_flat / labels.size).reshape(logits.shape)
 
 
 class ToyModel:
@@ -482,15 +479,19 @@ class ToyModel:
         self.pos_emb = Parameter(
             "embed.positions", (rng.standard_normal((cfg.max_len, d)) / math.sqrt(d)).astype(dtype)
         )
-        self.encoder = [Layer.encoder(f"encoder.{i}", cfg, rng, dtype)
+        self.encoder = [Layer.build(f"encoder.{i}", cfg, rng, dtype)
                         for i in range(cfg.n_encoder_layers)]
-        self.decoder = [Layer.decoder(f"decoder.{i}", cfg, rng, dtype)
+        self.decoder = [Layer.build(f"decoder.{i}", cfg, rng, dtype, decoder=True)
                         for i in range(cfg.n_decoder_layers)]
         self.out_proj = Linear(
             "output",
             (rng.standard_normal((d, cfg.vocab_size)) / math.sqrt(d)).astype(dtype),
             np.zeros(cfg.vocab_size, dtype=dtype),
         )
+        # Counted before any adapter exists, so every tensor is frozen.
+        self.dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers,
+                              cfg.n_decoder_layers, adapters_per_layer=2,
+                              base_total_params=sum(p.value.size for p in self.parameters()))
 
         self.adapter_set = (
             cfg.adapter_set if cfg.adapter_set is not None else AdapterSet.full(self.dims)
@@ -508,17 +509,6 @@ class ToyModel:
         self._d_logits: np.ndarray | None = None
         self._enc_shape: tuple | None = None
 
-    @property
-    def dims(self) -> ModelDims:
-        return ModelDims(
-            d_model=self.cfg.d_model,
-            bottleneck=self.cfg.bottleneck,
-            n_encoder_layers=self.cfg.n_encoder_layers,
-            n_decoder_layers=self.cfg.n_decoder_layers,
-            adapters_per_layer=2,
-            base_total_params=sum(p.value.size for p in self.parameters() if not p.trainable),
-        )
-
     def parameters(self) -> list[Parameter]:
         params = [self.tok_emb, self.pos_emb]
         for layer in [*self.encoder, *self.decoder]:
@@ -526,8 +516,16 @@ class ToyModel:
         params.extend(self.out_proj.parameters())
         return params
 
+    def adapters(self) -> Iterator[tuple[int, int, AdapterModule]]:
+        """Each adapter, from the bottom up, with the index of its layer
+        and of its block in that layer."""
+        for index, layer in enumerate([*self.encoder, *self.decoder]):
+            for block_index, block in enumerate(layer.blocks):
+                if block.adapter is not None:
+                    yield index, block_index, block.adapter
+
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if p.trainable]
+        return [p for _, _, adapter in self.adapters() for p in adapter.parameters()]
 
     def randomize_adapters(self, seed: int, scale: float = 0.1):
         """Replace every adapter tensor with random values (for gradient
@@ -669,10 +667,9 @@ class ToyModel:
         _, x = self._run_layers(enc_x, dec_x, prefix.target_ids, index + 1, self.n_layers,
                                 cache=False)
         log_probs, _, _ = _log_softmax(self.out_proj.forward(x))
-        labels = np.tile(prefix.target_ids.reshape(-1), n_copies)
+        picked, _ = _label_log_probs(log_probs, np.tile(prefix.target_ids, (n_copies, 1)))
         # One contiguous row per copy, so each mean sums its row in the
         # order of a one-copy loss.
-        picked = log_probs.reshape(labels.size, -1)[np.arange(labels.size), labels]
         return -picked.reshape(n_copies, -1).mean(axis=1)
 
 
@@ -800,9 +797,8 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
     # Each adapter's input, taken before the prefix and the copy forwards replace the caches.
-    reads = [(index, block_index, block.adapter, block.adapter._cache[0])
-             for index, layer in enumerate([*model.encoder, *model.decoder])
-             for block_index, block in enumerate(layer.blocks) if block.adapter is not None]
+    reads = [(index, block, adapter, adapter._cache[0])
+             for index, block, adapter in model.adapters()]
     prefix = model.prefix(source_ids, target_ids, len(model.encoder))
 
     per_parameter: dict[str, float] = {}
@@ -813,12 +809,13 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
         # In ``AdapterModule.parameters()`` order.
         for name in ("w_down", "b_down", "w_up", "b_up"):
             errors = _relative_errors(model, prefix, index, block, h, adapter, name, eps)
-            # Python's max from 0.0 is a running maximum that NaN never wins.
-            param_err = max(0.0, *errors)
+            # Python's max never picks NaN; a NaN error fails the audit.
+            param_err = math.nan if np.isnan(errors).any() else max(0.0, *errors)
             n_checked += errors.size
             param = getattr(adapter, name)
             per_parameter[param.name] = param_err
-            if param_err >= worst_err:
+            # The last tensor with the largest error, or the first with NaN.
+            if param_err >= worst_err or (math.isnan(param_err) and not math.isnan(worst_err)):
                 worst_err = param_err
                 worst_name = param.name
     return GradCheckReport(

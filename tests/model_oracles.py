@@ -9,6 +9,8 @@ two reports must agree exactly, never approximately.
 
 from __future__ import annotations
 
+import math
+
 from adapterqa.toymodel import GradCheckReport, ToyModel
 
 
@@ -39,10 +41,13 @@ def grad_check_per_scalar(model: ToyModel, source_ids, target_ids,
                 numeric = (loss_plus - loss_minus) / (2.0 * eps)
                 a = flat_analytic[i]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-                param_err = max(param_err, err)
+                # A NaN error fails the audit: once seen, the tensor reports NaN.
+                if math.isnan(err) or err > param_err:
+                    param_err = err
                 n_checked += 1
             per_parameter[param.name] = param_err
-            if param_err >= worst_err:
+            # The first NaN tensor is the worst; before one, the last largest.
+            if not math.isnan(worst_err) and (math.isnan(param_err) or param_err >= worst_err):
                 worst_err = param_err
                 worst_name = param.name
     return GradCheckReport(

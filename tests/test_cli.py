@@ -189,6 +189,25 @@ def test_plan_ablation_grid_jsonl(tmp_path, capsys):
     assert first["trainable"] == 2_643_200
 
 
+@pytest.mark.parametrize("argv", [
+    ["assemble", "--question", "Who?", "--title", "T"],
+    ["count-params"],
+    ["plan-ablation", "--mode", "uniform"],
+    ["gradcheck", "--d-model", "4", "--bottleneck", "1", "--enc-layers", "1",
+     "--dec-layers", "1", "--vocab", "8", "--seq-len", "2", "--batch", "1"],
+    ["train-toy", "--d-model", "4", "--bottleneck", "1", "--enc-layers", "1",
+     "--dec-layers", "1", "--vocab", "8", "--seq-len", "2", "--examples", "2", "--steps", "2"],
+], ids=lambda argv: argv[0])
+def test_out_file_holds_what_stdout_shows(tmp_path, capsys, argv):
+    code, shown, _ = run(capsys, argv)
+    assert code == 0
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, [*argv, "--out", str(out)])
+    assert code == 0
+    assert stdout == ""
+    assert out.read_text(encoding="utf-8") == shown
+
+
 def test_plan_ablation_uniform_stdout(capsys):
     code, out, _ = run(capsys, ["plan-ablation", "--mode", "uniform"])
     assert code == 0

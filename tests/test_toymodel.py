@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from adapterqa import toymodel
 from adapterqa.adapters import AdapterSet, count_adapter_params
 from adapterqa.errors import InputError
 from adapterqa.toymodel import (
@@ -15,6 +18,7 @@ from adapterqa.toymodel import (
     make_copy_task,
     train_adapters,
 )
+from model_oracles import grad_check_per_scalar
 
 GRADCHECK_CONFIG = ToyConfig(
     d_model=8, bottleneck=4, n_encoder_layers=1, n_decoder_layers=1,
@@ -58,6 +62,55 @@ def test_grad_check_small_config():
     assert report.n_params_checked == sum(
         p.value.size for p in model.trainable_parameters()
     )
+
+
+def test_grad_check_reports_nan_gradients_as_failure():
+    model = build_toy_model(ToyConfig())
+    model.randomize_adapters(seed=7)
+    model.trainable_parameters()[0].value.flat[0] = np.nan
+    report = grad_check(model, *sample_batch(model.cfg))
+    assert math.isnan(report.max_rel_error)
+    assert report.worst_parameter == "encoder.0.adapter_attn.down.w"
+    assert len(report.per_parameter) == 32
+    assert all(math.isnan(err) for err in report.per_parameter.values())
+
+
+def test_grad_check_names_the_first_nan_tensor(monkeypatch):
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    batch = sample_batch(GRADCHECK_CONFIG)
+    clean = grad_check(model, *batch)
+    names = list(clean.per_parameter)
+    relative_errors = toymodel._relative_errors
+    tensor_index = iter(range(len(names)))
+
+    def one_nan_in_tensors_1_and_5(*args):
+        errors = relative_errors(*args)
+        if next(tensor_index) in (1, 5):
+            errors[-1] = np.nan
+        return errors
+
+    monkeypatch.setattr(toymodel, "_relative_errors", one_nan_in_tensors_1_and_5)
+    report = grad_check(model, *batch)
+    assert math.isnan(report.max_rel_error)
+    assert report.worst_parameter == names[1]
+    for i, name in enumerate(names):
+        if i in (1, 5):
+            assert math.isnan(report.per_parameter[name])
+        else:
+            assert repr(report.per_parameter[name]) == repr(clean.per_parameter[name])
+
+
+def test_per_scalar_oracle_reports_nan_as_the_audit_does():
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    model.trainable_parameters()[0].value.flat[0] = np.nan
+    batch = sample_batch(GRADCHECK_CONFIG)
+    report, oracle = grad_check(model, *batch), grad_check_per_scalar(model, *batch)
+    assert oracle.worst_parameter == report.worst_parameter == "encoder.0.adapter_attn.down.w"
+    assert math.isnan(oracle.max_rel_error)
+    assert list(oracle.per_parameter) == list(report.per_parameter)
+    assert all(math.isnan(err) for err in oracle.per_parameter.values())
 
 
 def test_frozen_parameters_receive_exactly_zero_gradient():
