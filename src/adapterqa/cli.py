@@ -32,6 +32,7 @@ from .errors import AdapterQaError, InputError, SchemaError, check_int
 from .linearize import linearize
 from .tables import validate_table
 from .toymodel import (
+    BOS_ID,
     ToyConfig,
     TrainConfig,
     build_toy_model,
@@ -170,8 +171,8 @@ def cmd_gradcheck(args) -> tuple[str, str]:
     model = build_toy_model(_toy_config(args))
     model.randomize_adapters(seed=args.seed + 1, scale=0.1)
     rng = np.random.default_rng(args.seed + 2)
-    source = rng.integers(2, model.cfg.vocab_size, size=(args.batch, args.seq_len))
-    target = rng.integers(2, model.cfg.vocab_size, size=(args.batch, args.seq_len))
+    source = rng.integers(BOS_ID + 1, model.cfg.vocab_size, size=(args.batch, args.seq_len))
+    target = rng.integers(BOS_ID + 1, model.cfg.vocab_size, size=(args.batch, args.seq_len))
     report = grad_check(model, source, target, eps=args.eps)
     payload = report.to_json_dict()
     del payload["per_parameter"]  # keep stdout compact; the maximum is what matters
@@ -225,6 +226,12 @@ def cmd_prepare(args) -> tuple[str, str]:
     return lines, f"prepared {len(examples)} examples"
 
 
+def _default(function, name: str):
+    """The default of ``function``'s parameter ``name``, so that an option
+    states it nowhere else."""
+    return inspect.signature(function).parameters[name].default
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="adapterqa",
@@ -270,20 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enc-layers", type=int, default=ToyConfig.n_encoder_layers)
         p.add_argument("--dec-layers", type=int, default=ToyConfig.n_decoder_layers)
         p.add_argument("--vocab", type=int, default=ToyConfig.vocab_size)
-        p.add_argument("--seq-len", type=int, default=6)
+        p.add_argument("--seq-len", type=int, default=_default(make_copy_task, "seq_len"))
         p.add_argument("--seed", type=int, default=ToyConfig.seed)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of adapter gradients")
     add_toy_flags(p)
-    p.add_argument("--eps", type=float,
-                   default=inspect.signature(grad_check).parameters["eps"].default)
+    p.add_argument("--eps", type=float, default=_default(grad_check, "eps"))
     p.add_argument("--batch", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train adapters on the synthetic copy task")
     add_toy_flags(p)
     p.add_argument("--steps", type=int, default=TrainConfig.steps)
-    p.add_argument("--examples", type=int, default=32)
+    p.add_argument("--examples", type=int, default=_default(make_copy_task, "n_examples"))
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default=TrainConfig.optimizer)
     p.add_argument("--precision", choices=("single", "double"), default=ToyConfig.precision)

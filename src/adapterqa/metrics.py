@@ -9,7 +9,21 @@ denominator is zero, and multiplies by the brevity penalty.
 
 The public scorers take strings; each tokenizes and then runs the same
 token-level kernel that ``evaluate_pairs`` runs on tokens it computes
-once per side and scheme.
+once per side and scheme. ROUGE-1, ROUGE-2 and every BLEU order count
+their clipped n-gram matches with one kernel, ``_clipped_matches``: the
+hypothesis n-grams stream against a ``Counter`` of the reference's.
+
+``bleu_tokenize`` applies the 13a punctuation rules (Post 2018) token by
+token. It splits on whitespace first, keeps a token without split
+characters as it is, and runs the rule chain on each other token padded
+with one space on each side. This equals the chain on the whole text
+because no match spans two tokens. Every rule reads whitespace as a
+non-digit. A period/comma-after match may start on the whitespace before
+a token but ends on that token's period or comma; a period/comma-before
+match starts on a token's period or comma and may end on the whitespace
+after it; the dash rule never touches whitespace. The padding stands in
+for that whitespace, and each rule step is skipped when the token lacks
+the characters it reacts to.
 """
 
 from __future__ import annotations
@@ -24,13 +38,17 @@ from pathlib import Path
 from .errors import AdapterQaError, InputError
 
 MAX_BLEU_ORDER = 4
+_BLEU_ORDERS = range(1, MAX_BLEU_ORDER + 1)
 
 _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
-# Punctuation splitting before whitespace tokenization (13a-style rules):
-# most punctuation is always split off; period/comma stay attached between
-# digits; a dash splits only after a digit.
-_SPLIT_PUNCT = str.maketrans({c: f" {c} " for c in ' !"#$%&()*+/:;<=>?@[\\]^_`{|}~'})
+# Punctuation splitting (13a-style rules): most punctuation is always split
+# off; period/comma stay attached between digits; a dash splits only after a
+# digit. A token holding none of the split characters needs no rule.
+_PUNCT = '!"#$%&()*+/:;<=>?@[\\]^_`{|}~'
+_SPLIT_PUNCT = str.maketrans({c: f" {c} " for c in _PUNCT})
+_PUNCT_CHAR = re.compile(f"[{re.escape(_PUNCT)}]").search
+_SPLIT_CHAR = re.compile(f"[{re.escape(_PUNCT)}.,-]").search
 _PERIOD_COMMA_AFTER = re.compile(r"([^0-9])([\.,])")
 _PERIOD_COMMA_BEFORE = re.compile(r"([\.,])([^0-9])")
 _DASH_AFTER_DIGIT = re.compile(r"([0-9])(-)")
@@ -89,25 +107,67 @@ def metric_tokenize(text: str) -> list[str]:
     return _ALNUM_RUN.findall(text.lower())
 
 
-def bleu_tokenize(text: str) -> list[str]:
-    """Case-sensitive tokens with punctuation split from words."""
-    text = f" {text} ".translate(_SPLIT_PUNCT)
-    # Callables, not group templates: Python 3.11 expands a template once per match.
-    text = _PERIOD_COMMA_AFTER.sub(lambda m: f"{m[1]} {m[2]} ", text)
-    text = _PERIOD_COMMA_BEFORE.sub(lambda m: f" {m[1]} {m[2]}", text)
-    text = _DASH_AFTER_DIGIT.sub(lambda m: f"{m[1]} {m[2]} ", text)
+# Callables, not group templates: Python 3.11 expands a template once per match.
+def _space_after(match: re.Match) -> str:
+    return f"{match[1]} {match[2]} "
+
+
+def _space_before(match: re.Match) -> str:
+    return f" {match[1]} {match[2]}"
+
+
+def _split_token(token: str) -> list[str]:
+    """The 13a chain on one whitespace-free token, padded as at a text's edges."""
+    text = f" {token} "
+    if _PUNCT_CHAR(token) is not None:
+        text = text.translate(_SPLIT_PUNCT)
+    if "." in token or "," in token:
+        text = _PERIOD_COMMA_AFTER.sub(_space_after, text)
+        text = _PERIOD_COMMA_BEFORE.sub(_space_before, text)
+    if "-" in token:
+        text = _DASH_AFTER_DIGIT.sub(_space_after, text)
     return text.split()
+
+
+def bleu_tokenize(text: str) -> list[str]:
+    """Case-sensitive tokens with punctuation split from words, one
+    whitespace-separated token at a time (see the module docstring)."""
+    tokens = []
+    for token in text.split():
+        if _SPLIT_CHAR(token) is None:
+            tokens.append(token)
+        else:
+            tokens += _split_token(token)
+    return tokens
+
+
+def _ngrams(tokens: list[str], n: int):
+    """The n-grams of ``tokens`` in order: the tokens themselves for n = 1,
+    tuples of length n above."""
+    return tokens if n == 1 else zip(*[tokens[i:] for i in range(n)])
+
+
+def _clipped_matches(hyp_grams, left: Counter) -> int:
+    """Sum over n-grams of min(hypothesis count, reference count).
+
+    ``left`` counts the reference n-grams. Each hypothesis n-gram, streamed
+    in order, takes one that is still left, so ``left`` is consumed and no
+    hypothesis ``Counter`` is built.
+    """
+    count_left = left.get
+    matches = 0
+    for gram in hyp_grams:
+        count = count_left(gram)
+        if count:
+            left[gram] = count - 1
+            matches += 1
+    return matches
 
 
 def _rouge_n_tokens(hyp: list[str], ref: list[str], n: int) -> PRF:
     if len(hyp) < n or len(ref) < n:
         return PRF(0.0, 0.0, 0.0)
-    if n == 1:
-        hyp_grams, ref_grams = Counter(hyp), Counter(ref)
-    else:
-        hyp_grams, ref_grams = Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:]))
-    ref_count = ref_grams.get
-    overlap = sum(min(count, ref_count(gram, 0)) for gram, count in hyp_grams.items())
+    overlap = _clipped_matches(_ngrams(hyp, n), Counter(_ngrams(ref, n)))
     return PRF.from_pr(overlap / (len(hyp) - n + 1), overlap / (len(ref) - n + 1))
 
 
@@ -153,19 +213,16 @@ def rouge_l(hyp: str, ref: str) -> PRF:
 
 
 def _bleu_ngrams(tokens: list[str]) -> Counter:
-    """All n-grams of orders 1..MAX_BLEU_ORDER, keyed by tuples of length n."""
-    return Counter(chain.from_iterable(zip(*[tokens[i:] for i in range(n)])
-                                       for n in range(1, MAX_BLEU_ORDER + 1)))
+    """All n-grams of orders 1..MAX_BLEU_ORDER in one ``Counter``. Unigrams
+    are strings and longer n-grams tuples of length n, so no two orders share
+    a key."""
+    return Counter(chain.from_iterable(_ngrams(tokens, n) for n in _BLEU_ORDERS))
 
 
 def _bleu_stats_tokens(hyp: list[str], ref: list[str]) -> tuple[list[int], list[int], int, int]:
-    matches = [0] * MAX_BLEU_ORDER
-    ref_count = _bleu_ngrams(ref).get
-    for gram, count in _bleu_ngrams(hyp).items():
-        clip = ref_count(gram)
-        if clip:
-            matches[len(gram) - 1] += min(count, clip)
-    totals = [max(len(hyp) - n + 1, 0) for n in range(1, MAX_BLEU_ORDER + 1)]
+    left = _bleu_ngrams(ref)
+    matches = [_clipped_matches(_ngrams(hyp, n), left) for n in _BLEU_ORDERS]
+    totals = [max(len(hyp) - n + 1, 0) for n in _BLEU_ORDERS]
     return matches, totals, len(hyp), len(ref)
 
 

@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from adapterqa.cli import main
+from adapterqa.cli import build_parser, main
+from adapterqa.toymodel import grad_check, make_copy_task
 
 from cli_runner import run_cli_limited
 
@@ -645,3 +647,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trainable"] == 6_343_680
+
+
+def test_toy_option_defaults_are_the_library_defaults():
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    parser = build_parser()
+    gradcheck = parser.parse_args(["gradcheck"])
+    train_toy = parser.parse_args(["train-toy"])
+    assert gradcheck.seq_len == train_toy.seq_len == default(make_copy_task, "seq_len")
+    assert train_toy.examples == default(make_copy_task, "n_examples")
+    assert gradcheck.eps == default(grad_check, "eps")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adapterqa import metrics
 from adapterqa.metrics import (
     EmptyCorpus,
     IoError,
@@ -282,3 +283,58 @@ def test_evaluate_pairs_equals_string_level_oracle(pairs):
                           (rouge_n(hyp, ref, 2), oracle.rouge_n(hyp, ref, 2)),
                           (rouge_l(hyp, ref), oracle.rouge_l(hyp, ref))):
             assert (got.precision, got.recall, got.f1) == want
+
+
+# Every whitespace character str.split() knows below U+3100, and the
+# characters the 13a rules react to around it: the token-by-token tokenizer
+# is exact only if no rule match spans two whitespace-separated tokens.
+WHITESPACE_ALPHABET = [c for c in map(chr, range(0x3100)) if c.isspace()] + list(".,-1a(")
+
+
+@settings(max_examples=1000)
+@given(st.text(st.sampled_from(WHITESPACE_ALPHABET), max_size=30))
+@example("a .b")
+@example(". ,")
+@example("x\x1c.5")
+@example("1\u2028-2")
+@example("1 -2")
+@example("-.5")
+@example(".,")
+def test_token_by_token_bleu_tokenize_equals_regex(text):
+    assert bleu_tokenize(text) == oracle.bleu_tokenize_regex(text)
+
+
+# Few distinct words and many repeats, so that clipping decides most counts.
+repeated_word_pairs = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(*[st.lists(st.sampled_from("abcde"[:k]), max_size=60)] * 2))
+
+
+@settings(max_examples=300)
+@given(repeated_word_pairs)
+@example(([], []))
+@example((["a"], ["a", "a"]))
+@example((["a"] * 60, ["a"] * 3))
+@example((["a", "b"] * 30, ["b", "a"] * 30))
+def test_clipped_matches_equal_oracle_counts(pair):
+    hyp, ref = (" ".join(tokens) for tokens in pair)
+    assert bleu_segment_stats(hyp, ref) == oracle.bleu_segment_stats(hyp, ref)
+    for n in (1, 2):
+        got = rouge_n(hyp, ref, n)
+        assert (got.precision, got.recall, got.f1) == oracle.rouge_n(hyp, ref, n)
+
+
+def test_evaluate_pairs_tokenizes_each_side_once_per_scheme(monkeypatch):
+    calls = {"metric": 0, "bleu": 0}
+
+    def counted(name, tokenize):
+        def wrapper(text):
+            calls[name] += 1
+            return tokenize(text)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "metric_tokenize", counted("metric", metrics.metric_tokenize))
+    monkeypatch.setattr(metrics, "bleu_tokenize", counted("bleu", metrics.bleu_tokenize))
+    hyps = ["The cat sat, 3.50 - 4-5.", "a (b) c", ""]
+    refs = ["the cat sat on the mat.", "a b d", "x"]
+    metrics.evaluate_pairs(hyps, refs)
+    assert calls == {"metric": 2 * len(hyps), "bleu": 2 * len(hyps)}
