@@ -6,11 +6,9 @@ parameter accounting, adapter-ablation planning, and ROUGE/BLEU metrics.
 """
 
 from .adapters import (
-    AdapterParams,
     AdapterSet,
     ModelDims,
     REFERENCE_DIMS,
-    adapter_forward,
     count_adapter_params,
 )
 from .assembly import InputSequence, assemble, truncate
@@ -44,7 +42,6 @@ from .toymodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdapterParams",
     "AdapterSet",
     "Cell",
     "FlattenedTableText",
@@ -57,7 +54,6 @@ __all__ = [
     "ToyModel",
     "TrainConfig",
     "ValidatedTable",
-    "adapter_forward",
     "assemble",
     "build_toy_model",
     "count_adapter_params",

@@ -1,23 +1,18 @@
-"""Bottleneck adapter blocks and exact trainable-parameter accounting.
+"""Exact trainable-parameter accounting for bottleneck adapters.
 
-An adapter is a residual two-layer bottleneck: down-project the model
-width d to a narrow b, apply a rectifier, project back up, add the input.
-One adapter holds 2*d*b + b + d parameters; a transformer layer carries
-two of them (after the attention block and after the feed-forward block),
-so accounting reduces to counting active layers.
+An adapter (``toymodel.AdapterModule``) is a residual two-layer
+bottleneck: down-project the model width d to a narrow b, apply a
+rectifier, project back up, add the input. One adapter holds
+2*d*b + b + d parameters; a transformer layer carries two of them (after
+the attention block and after the feed-forward block), so accounting
+reduces to counting active layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 
-import numpy as np
-
 from .errors import InputError, check_int
-
-
-class DimensionMismatch(InputError):
-    """Adapter parameters do not agree with the input width."""
 
 
 @dataclass(frozen=True)
@@ -141,70 +136,3 @@ def count_adapter_params(dims: ModelDims, adapter_set: AdapterSet) -> tuple[int,
         percent = 0.0
     return count, percent
 
-
-@dataclass
-class AdapterParams:
-    """Weights of one bottleneck adapter: w_down (d, b), b_down (b,),
-    w_up (b, d), b_up (d,).
-
-    A tensor may carry leading axes that stack copies of it, one per copy
-    of the adapter (``toymodel.grad_check`` stacks perturbed copies this
-    way); they broadcast against the batch axes of the input.
-    """
-
-    w_down: np.ndarray
-    b_down: np.ndarray
-    w_up: np.ndarray
-    b_up: np.ndarray
-
-    def __post_init__(self):
-        d, b = self.w_down.shape[-2:]
-        if (self.b_down.shape[-1:] != (b,) or self.w_up.shape[-2:] != (b, d)
-                or self.b_up.shape[-1:] != (d,)):
-            raise DimensionMismatch(
-                f"inconsistent adapter shapes: w_down {self.w_down.shape}, "
-                f"b_down {self.b_down.shape}, w_up {self.w_up.shape}, b_up {self.b_up.shape}"
-            )
-
-    @property
-    def d_model(self) -> int:
-        return self.w_down.shape[-2]
-
-    @property
-    def bottleneck(self) -> int:
-        return self.w_down.shape[-1]
-
-    @property
-    def n_params(self) -> int:
-        return self.w_down.size + self.b_down.size + self.w_up.size + self.b_up.size
-
-    @classmethod
-    def near_identity(cls, d: int, b: int, rng: np.random.Generator, dtype=np.float64) -> "AdapterParams":
-        """Random down-projection, zero up-projection: the adapter starts as
-        an exact identity map."""
-        return cls(
-            w_down=(rng.standard_normal((d, b)) / np.sqrt(d)).astype(dtype),
-            b_down=np.zeros(b, dtype=dtype),
-            w_up=np.zeros((b, d), dtype=dtype),
-            b_up=np.zeros(d, dtype=dtype),
-        )
-
-
-def adapter_forward(x: np.ndarray, params: AdapterParams) -> np.ndarray:
-    """Residual bottleneck map: x + (relu(x @ w_down + b_down) @ w_up + b_up).
-
-    Accepts a single vector of width d or any batch shaped (..., d).
-    """
-    return adapter_activations(x, params)[0]
-
-
-def adapter_activations(x: np.ndarray, params: AdapterParams) -> tuple[np.ndarray, np.ndarray]:
-    """The adapter output together with its rectified bottleneck
-    activation, which a hand-written backward pass needs."""
-    x = np.asarray(x)
-    if x.shape[-1] != params.d_model:
-        raise DimensionMismatch(
-            f"input width {x.shape[-1]} does not match adapter width {params.d_model}"
-        )
-    hidden = np.maximum(x @ params.w_down + params.b_down, 0.0)
-    return x + (hidden @ params.w_up + params.b_up), hidden

@@ -160,10 +160,10 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
 
 
 def _check_toy_ints(args, *sizes: str):
-    """The named size options are positive and ``--seed`` is non-negative."""
+    """The named size options are positive; ``build_toy_model`` checks
+    ``--seed``."""
     for name in sizes:
         check_int("--" + name.replace("_", "-"), getattr(args, name))
-    check_int("--seed", args.seed, allow_zero=True)
 
 
 def cmd_gradcheck(args) -> tuple[str, str]:

@@ -90,15 +90,6 @@ class ValidatedTable:
     def n_body_rows(self) -> int:
         return len(self.body_grid)
 
-    def logical_cells(self) -> list[Cell]:
-        """Unique cells in first-occurrence (row-major) order."""
-        seen: dict[int, Cell] = {}
-        for grid in (self.header_grid, self.body_grid):
-            for row in grid:
-                for cell in row:
-                    seen.setdefault(id(cell), cell)
-        return list(seen.values())
-
 
 def _cell_rows(obj: dict, key: str) -> list[list[Cell]]:
     """The cells of one section of a table's JSON, row by row, each checked:

@@ -11,7 +11,8 @@ finite differences.
 Base parameters are drawn from the seed before any adapter parameters, so
 two models built from the same seed share an identical base regardless of
 which layers carry adapters. Up-projections start at zero, making a freshly
-built adapted model bit-identical to its adapter-free twin.
+built adapted model bit-identical to its adapter-free twin. Weights are
+drawn in float64 and cast once, at the end of ``ToyModel.__init__``.
 
 Work that cannot change a result is skipped, and each skip is exact because
 it leaves out whole layer computations without reordering any arithmetic.
@@ -50,11 +51,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterParams, AdapterSet, ModelDims, adapter_activations
+from .adapters import AdapterSet, ModelDims
 from .errors import AdapterQaError, InputError, check_int
 
 BOS_ID = 1
@@ -88,6 +89,15 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(x, axis=-1, keepdims=True)
+
+
+def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.ndarray,
+                b_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x + (relu(x @ w_down + b_down) @ w_up + b_up) and the rectified
+    bottleneck activation. A weight may carry leading axes that stack
+    copies of the adapter; they broadcast against the batch axes of ``x``."""
+    hidden = np.maximum(x @ w_down + b_down, 0.0)
+    return x + (hidden @ w_up + b_up), hidden
 
 
 @functools.lru_cache(maxsize=16)
@@ -167,9 +177,9 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, name: str, d: int, dtype, eps: float = 1e-5):
-        self.gamma = Parameter(f"{name}.gamma", np.ones(d, dtype=dtype))
-        self.beta = Parameter(f"{name}.beta", np.zeros(d, dtype=dtype))
+    def __init__(self, name: str, d: int, eps: float = 1e-5):
+        self.gamma = Parameter(f"{name}.gamma", np.ones(d))
+        self.beta = Parameter(f"{name}.beta", np.zeros(d))
         self.eps = eps
         self._cache: tuple | None = None
 
@@ -196,12 +206,12 @@ class Attention:
     """Multi-head scaled dot-product attention with frozen projections."""
 
     def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator,
-                 dtype, causal: bool = False):
+                 causal: bool = False):
         scale = 1.0 / math.sqrt(d_model)
 
         def proj(suffix: str) -> Linear:
-            w = (rng.standard_normal((d_model, d_model)) * scale).astype(dtype)
-            return Linear(f"{name}.{suffix}", w, np.zeros(d_model, dtype=dtype))
+            w = rng.standard_normal((d_model, d_model)) * scale
+            return Linear(f"{name}.{suffix}", w, np.zeros(d_model))
 
         self.q_proj = proj("w_q")
         self.k_proj = proj("w_k")
@@ -262,11 +272,11 @@ class Attention:
 
 
 class FeedForward:
-    def __init__(self, name: str, d_model: int, d_ff: int, rng: np.random.Generator, dtype):
-        w_in = (rng.standard_normal((d_model, d_ff)) / math.sqrt(d_model)).astype(dtype)
-        w_out = (rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)).astype(dtype)
-        self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(d_ff, dtype=dtype))
-        self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model, dtype=dtype))
+    def __init__(self, name: str, d_model: int, d_ff: int, rng: np.random.Generator):
+        w_in = rng.standard_normal((d_model, d_ff)) / math.sqrt(d_model)
+        w_out = rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)
+        self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(d_ff))
+        self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model))
         self._cache: np.ndarray | None = None  # where the rectifier passed
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
@@ -284,21 +294,22 @@ class FeedForward:
 
 
 class AdapterModule:
-    """Trainable residual bottleneck (``adapters.adapter_forward``) with a
-    hand-written backward pass. Its four parameters share memory with the
-    ``AdapterParams`` the forward pass reads. It runs once per forward, so
-    ``backward`` sets its four gradients rather than accumulating them."""
+    """The one adapter: a trainable residual bottleneck (``_bottleneck``)
+    with a hand-written backward pass. A zero up-projection makes it start
+    as an exact identity map. It runs once per forward, so ``backward``
+    sets its four gradients rather than accumulating them."""
 
-    def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator, dtype):
-        self.params = AdapterParams.near_identity(d_model, bottleneck, rng, dtype)
-        self.w_down = Parameter(f"{name}.down.w", self.params.w_down, trainable=True)
-        self.b_down = Parameter(f"{name}.down.b", self.params.b_down, trainable=True)
-        self.w_up = Parameter(f"{name}.up.w", self.params.w_up, trainable=True)
-        self.b_up = Parameter(f"{name}.up.b", self.params.b_up, trainable=True)
+    def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
+        w_down = rng.standard_normal((d_model, bottleneck)) / np.sqrt(d_model)
+        self.w_down = Parameter(f"{name}.down.w", w_down, trainable=True)
+        self.b_down = Parameter(f"{name}.down.b", np.zeros(bottleneck), trainable=True)
+        self.w_up = Parameter(f"{name}.up.w", np.zeros((bottleneck, d_model)), trainable=True)
+        self.b_up = Parameter(f"{name}.up.b", np.zeros(d_model), trainable=True)
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        out, hidden = adapter_activations(x, self.params)
+        out, hidden = _bottleneck(x, self.w_down.value, self.b_down.value,
+                                  self.w_up.value, self.b_up.value)
         if cache:
             self._cache = (x, hidden)
         return out
@@ -367,31 +378,31 @@ class Layer:
         self.blocks = blocks
 
     @classmethod
-    def build(cls, name: str, cfg: ToyConfig, rng: np.random.Generator, dtype,
+    def build(cls, name: str, cfg: ToyConfig, rng: np.random.Generator,
               decoder: bool = False) -> "Layer":
         """The encoder recipe; a ``decoder`` layer has causal self-attention
         and a cross-attention block before the feed-forward block."""
         d = cfg.d_model
 
         def block(sublayer: Attention | FeedForward, norm: str, cross: bool = False):
-            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", d, dtype), cross)
+            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", d), cross)
 
         def attention(part: str, causal: bool = False) -> Attention:
-            return Attention(f"{name}.{part}", d, cfg.n_heads, rng, dtype, causal)
+            return Attention(f"{name}.{part}", d, cfg.n_heads, rng, causal)
 
         return cls(name, [
             block(attention("self_attn", causal=decoder), "norm_self" if decoder else "norm_attn"),
             *([block(attention("cross_attn"), "norm_cross", cross=True)] if decoder else []),
-            block(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng, dtype), "norm_ffn"),
+            block(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng), "norm_ffn"),
         ])
 
-    def add_adapters(self, cfg: ToyConfig, rng: np.random.Generator, dtype):
+    def add_adapters(self, cfg: ToyConfig, rng: np.random.Generator):
         """Adapters after the self-attention block and after the
         feed-forward block; cross-attention carries none."""
         self.blocks[0].adapter = AdapterModule(
-            f"{self.name}.adapter_attn", cfg.d_model, cfg.bottleneck, rng, dtype)
+            f"{self.name}.adapter_attn", cfg.d_model, cfg.bottleneck, rng)
         self.blocks[-1].adapter = AdapterModule(
-            f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng, dtype)
+            f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
                 cache: bool = True) -> np.ndarray:
@@ -466,7 +477,6 @@ class ToyModel:
     ``build_toy_model`` so the configuration is validated."""
 
     def __init__(self, cfg: ToyConfig):
-        dtype = cfg.dtype()
         rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
         d = cfg.d_model
@@ -474,19 +484,17 @@ class ToyModel:
         # Base parameters first, in a fixed order, so the frozen model is
         # identical for every adapter configuration under one seed.
         self.tok_emb = Parameter(
-            "embed.tokens", (rng.standard_normal((cfg.vocab_size, d)) / math.sqrt(d)).astype(dtype)
-        )
+            "embed.tokens", rng.standard_normal((cfg.vocab_size, d)) / math.sqrt(d))
         self.pos_emb = Parameter(
-            "embed.positions", (rng.standard_normal((cfg.max_len, d)) / math.sqrt(d)).astype(dtype)
-        )
-        self.encoder = [Layer.build(f"encoder.{i}", cfg, rng, dtype)
+            "embed.positions", rng.standard_normal((cfg.max_len, d)) / math.sqrt(d))
+        self.encoder = [Layer.build(f"encoder.{i}", cfg, rng)
                         for i in range(cfg.n_encoder_layers)]
-        self.decoder = [Layer.build(f"decoder.{i}", cfg, rng, dtype, decoder=True)
+        self.decoder = [Layer.build(f"decoder.{i}", cfg, rng, decoder=True)
                         for i in range(cfg.n_decoder_layers)]
         self.out_proj = Linear(
             "output",
-            (rng.standard_normal((d, cfg.vocab_size)) / math.sqrt(d)).astype(dtype),
-            np.zeros(cfg.vocab_size, dtype=dtype),
+            rng.standard_normal((d, cfg.vocab_size)) / math.sqrt(d),
+            np.zeros(cfg.vocab_size),
         )
         # Counted before any adapter exists, so every tensor is frozen.
         self.dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers,
@@ -500,11 +508,15 @@ class ToyModel:
         active = self.adapter_set.encoder_layers | self.adapter_set.decoder_layers
         for index, layer in enumerate([*self.encoder, *self.decoder]):
             if index in active:
-                layer.add_adapters(cfg, rng, dtype)
+                layer.add_adapters(cfg, rng)
         self.n_layers = len(self.encoder) + len(self.decoder)
         # Index of the lowest layer with a trainable tensor; n_layers when
         # nothing is trainable.
         self.lowest_trainable = min(active, default=self.n_layers)
+        # The one cast of the float64 draws (a no-op in double precision).
+        dtype = cfg.dtype()
+        for param in self.parameters():
+            param.value = param.value.astype(dtype, copy=False)
 
         self._d_logits: np.ndarray | None = None
         self._enc_shape: tuple | None = None
@@ -644,9 +656,10 @@ class ToyModel:
         return loss
 
     def _copy_losses(self, prefix: Prefix, index: int, block: int, h: np.ndarray,
-                     params: AdapterParams) -> np.ndarray:
+                     weights: list[np.ndarray]) -> np.ndarray:
         """Loss of each copy of the model whose adapter in block ``block``
-        of layer ``index`` has the stacked weights ``params``.
+        of layer ``index`` runs on ``weights`` (in ``parameters()`` order,
+        one of them stacked per copy).
 
         ``h`` is the (batch, length, d) stream that adapter reads, and
         ``prefix`` starts at the decoder: it holds the encoder output and
@@ -656,7 +669,7 @@ class ToyModel:
         them, storing no backward cache, and each loss is the mean over its
         own copy.
         """
-        out, _ = adapter_activations(h, params)
+        out, _ = _bottleneck(h, *weights)
         n_copies = out.shape[0]
         x = out.reshape(n_copies * h.shape[0], *h.shape[1:])
         in_encoder = index < len(self.encoder)
@@ -678,6 +691,7 @@ def build_toy_model(cfg: ToyConfig) -> ToyModel:
     for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers",
                  "n_heads", "vocab_size", "max_len"):
         check_int(name, getattr(cfg, name), InvalidConfig)
+    check_int("seed", cfg.seed, InvalidConfig, allow_zero=True)
     if cfg.d_model % cfg.n_heads != 0:
         raise InvalidConfig(f"d_model {cfg.d_model} is not divisible by n_heads {cfg.n_heads}")
     if cfg.vocab_size <= BOS_ID + 1:
@@ -741,12 +755,14 @@ class GradCheckReport:
 
 
 def _relative_errors(model: ToyModel, prefix: Prefix, index: int, block: int, h: np.ndarray,
-                     adapter: AdapterModule, name: str, eps: float) -> np.ndarray:
+                     adapter: AdapterModule, which: int, eps: float) -> np.ndarray:
     """Relative error of the central difference of every scalar of tensor
-    ``name`` of ``adapter``, the adapter in block ``block`` of layer
-    ``index``, ``GRAD_CHECK_CHUNK`` scalars per forward. ``h`` is the
-    stream that adapter reads."""
-    param = getattr(adapter, name)
+    ``which`` of ``adapter.parameters()``, the adapter in block ``block``
+    of layer ``index``, ``GRAD_CHECK_CHUNK`` scalars per forward. ``h`` is
+    the stream that adapter reads."""
+    params = adapter.parameters()
+    param = params[which]
+    weights = [p.value for p in params]
     flat = param.value.reshape(-1)
     analytic = param.grad.reshape(-1)
     # Copies broadcast against the (batch, length) axes of ``h``.
@@ -758,9 +774,8 @@ def _relative_errors(model: ToyModel, prefix: Prefix, index: int, block: int, h:
         copies = np.repeat(flat[None], 2 * chunk.size, axis=0)
         copies[2 * rows, chunk] = flat[chunk] + eps
         copies[2 * rows + 1, chunk] = flat[chunk] - eps
-        stacked = copies.reshape(2 * chunk.size, *stack_shape)
-        losses = model._copy_losses(prefix, index, block, h,
-                                    replace(adapter.params, **{name: stacked}))
+        weights[which] = copies.reshape(2 * chunk.size, *stack_shape)
+        losses = model._copy_losses(prefix, index, block, h, weights)
         numeric = (losses[0::2] - losses[1::2]) / (2.0 * eps)
         a = analytic[chunk]
         errors.append(np.abs(a - numeric)
@@ -806,13 +821,11 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     worst_err = 0.0
     n_checked = 0
     for index, block, adapter, h in reads:
-        # In ``AdapterModule.parameters()`` order.
-        for name in ("w_down", "b_down", "w_up", "b_up"):
-            errors = _relative_errors(model, prefix, index, block, h, adapter, name, eps)
+        for which, param in enumerate(adapter.parameters()):
+            errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
             # Python's max never picks NaN; a NaN error fails the audit.
             param_err = math.nan if np.isnan(errors).any() else max(0.0, *errors)
             n_checked += errors.size
-            param = getattr(adapter, name)
             per_parameter[param.name] = param_err
             # The last tensor with the largest error, or the first with NaN.
             if param_err >= worst_err or (math.isnan(param_err) and not math.isnan(worst_err)):

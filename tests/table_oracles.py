@@ -11,6 +11,9 @@ them first (``from_json_dict``), then ``validate_table_oracle`` resolves
 the parsed cells onto occupancy grids in a second walk. Tests build tables
 with these types and send them through ``to_json_dict()`` into the real
 one-pass ingest, whose errors and grids must equal this two-step path's.
+
+``logical_cells`` lists the unique cells of a validated table, each
+spanning cell once.
 """
 
 from __future__ import annotations
@@ -124,6 +127,17 @@ class HierarchicalTable:
 def resolve(table: HierarchicalTable) -> ValidatedTable:
     """The real ingest of a table built with the oracle types."""
     return validate_table(table.to_json_dict())
+
+
+def logical_cells(table: ValidatedTable) -> list:
+    """The unique cells of a validated table's grids (each spanning cell
+    appears once), in first-occurrence (row-major) order."""
+    seen = {}
+    for grid in (table.header_grid, table.body_grid):
+        for row in grid:
+            for cell in row:
+                seen.setdefault(id(cell), cell)
+    return list(seen.values())
 
 
 def _resolve_section_oracle(rows: list[list[Cell]], what: str, width: int | None,

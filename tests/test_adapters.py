@@ -4,102 +4,77 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adapterqa.adapters import (
-    AdapterParams,
     AdapterSet,
-    DimensionMismatch,
     ModelDims,
     REFERENCE_DIMS,
-    adapter_forward,
     count_adapter_params,
 )
 from adapterqa.errors import InputError
+from adapterqa.toymodel import AdapterModule, _bottleneck
 
 
 def test_zero_up_projection_is_exact_identity():
     rng = np.random.default_rng(0)
-    params = AdapterParams.near_identity(d=6, b=3, rng=rng)
+    adapter = AdapterModule("a", 6, 3, rng)
     x = rng.standard_normal(6)
-    y = adapter_forward(x, params)
+    y = adapter.forward(x)
     assert np.array_equal(x, y)
 
 
 def test_hand_computed_two_by_one():
     # pre = 2*0.5 + 0.5*(-1) + 0.25 = 0.75; relu passes it through;
     # up = 0.75*[2, -3] + [0.1, 0.2] = [1.6, -2.05]; y = x + up.
-    params = AdapterParams(
-        w_down=np.array([[0.5], [-1.0]]),
-        b_down=np.array([0.25]),
-        w_up=np.array([[2.0, -3.0]]),
-        b_up=np.array([0.1, 0.2]),
-    )
-    y = adapter_forward(np.array([2.0, 0.5]), params)
+    weights = (np.array([[0.5], [-1.0]]), np.array([0.25]),
+               np.array([[2.0, -3.0]]), np.array([0.1, 0.2]))
+    y, hidden = _bottleneck(np.array([2.0, 0.5]), *weights)
     assert np.allclose(y, [3.6, -1.55])
+    assert np.allclose(hidden, [0.75])
     # dead rectifier: pre = 0.5 - 2 + 0.25 < 0, so only the bias remains
-    y = adapter_forward(np.array([1.0, 2.0]), params)
+    y, hidden = _bottleneck(np.array([1.0, 2.0]), *weights)
     assert np.allclose(y, [1.1, 2.2])
+    assert np.array_equal(hidden, [0.0])
 
 
 def test_matches_straight_line_reimplementation():
     rng = np.random.default_rng(7)
     d, b = 8, 4
-    params = AdapterParams(
-        w_down=rng.standard_normal((d, b)),
-        b_down=rng.standard_normal(b),
-        w_up=rng.standard_normal((b, d)),
-        b_up=rng.standard_normal(d),
-    )
+    w_down, b_down = rng.standard_normal((d, b)), rng.standard_normal(b)
+    w_up, b_up = rng.standard_normal((b, d)), rng.standard_normal(d)
     for _ in range(20):
         x = rng.standard_normal(d)
-        hidden = np.array([max(0.0, sum(x[i] * params.w_down[i, j] for i in range(d)) + params.b_down[j])
+        hidden = np.array([max(0.0, sum(x[i] * w_down[i, j] for i in range(d)) + b_down[j])
                            for j in range(b)])
-        expected = np.array([x[i] + sum(hidden[j] * params.w_up[j, i] for j in range(b)) + params.b_up[i]
+        expected = np.array([x[i] + sum(hidden[j] * w_up[j, i] for j in range(b)) + b_up[i]
                              for i in range(d)])
-        assert np.allclose(adapter_forward(x, params), expected)
+        assert np.allclose(_bottleneck(x, w_down, b_down, w_up, b_up)[0], expected)
 
 
 def test_batched_input_supported():
     rng = np.random.default_rng(1)
-    params = AdapterParams.near_identity(4, 2, rng)
+    adapter = AdapterModule("a", 4, 2, rng)
     x = rng.standard_normal((3, 5, 4))
-    assert adapter_forward(x, params).shape == (3, 5, 4)
+    assert adapter.forward(x).shape == (3, 5, 4)
 
 
 def test_stacked_copies_equal_one_adapter_each():
     rng = np.random.default_rng(4)
-    base = AdapterParams.near_identity(4, 2, rng)
+    base = [p.value for p in AdapterModule("a", 4, 2, rng).parameters()]
     x = rng.standard_normal((3, 5, 4))
-    for name in ("w_down", "b_down", "w_up", "b_up"):
-        value = getattr(base, name)
+    for which, value in enumerate(base):
         copies = value + rng.standard_normal((6, *value.shape))
         stacked = copies.reshape(6, *(1,) * (x.ndim - value.ndim), *value.shape)
-        out = adapter_forward(x, AdapterParams(**{**vars(base), name: stacked}))
+        out, _ = _bottleneck(x, *base[:which], stacked, *base[which + 1:])
         assert out.shape == (6, 3, 5, 4)
         for copy, one in zip(out, copies):
-            assert np.array_equal(copy, adapter_forward(x, AdapterParams(**{**vars(base), name: one})))
-    with pytest.raises(DimensionMismatch):
-        AdapterParams(**{**vars(base), "w_up": np.zeros((6, 1, 3, 4))})
-
-
-def test_dimension_mismatch():
-    rng = np.random.default_rng(2)
-    params = AdapterParams.near_identity(4, 2, rng)
-    with pytest.raises(DimensionMismatch):
-        adapter_forward(np.zeros(5), params)
-    with pytest.raises(DimensionMismatch):
-        AdapterParams(
-            w_down=np.zeros((4, 2)),
-            b_down=np.zeros(3),
-            w_up=np.zeros((2, 4)),
-            b_up=np.zeros(4),
-        )
+            solo, _ = _bottleneck(x, *base[:which], one, *base[which + 1:])
+            assert np.array_equal(copy, solo)
 
 
 def test_params_per_adapter_formula():
     assert REFERENCE_DIMS.params_per_adapter == 2 * 1024 * 64 + 64 + 1024 == 132_160
     assert REFERENCE_DIMS.params_per_layer == 264_320
-    rng = np.random.default_rng(3)
-    params = AdapterParams.near_identity(1024, 64, rng)
-    assert params.n_params == REFERENCE_DIMS.params_per_adapter
+    adapter = AdapterModule("a", 1024, 64, np.random.default_rng(3))
+    assert sum(p.value.size for p in adapter.parameters()) == REFERENCE_DIMS.params_per_adapter
 
 
 FULL_SCALE_ROWS = [

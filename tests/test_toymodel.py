@@ -101,6 +101,27 @@ def test_grad_check_names_the_first_nan_tensor(monkeypatch):
             assert repr(report.per_parameter[name]) == repr(clean.per_parameter[name])
 
 
+@pytest.mark.parametrize("which", range(4), ids=["down.w", "down.b", "up.w", "up.b"])
+def test_grad_check_names_a_wrong_gradient(monkeypatch, which):
+    """One tensor of one adapter gets a gradient 1% too large; at eps 1e-6
+    no copy crosses a rectifier kink, so the audit names exactly that one."""
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    _, _, chosen = list(model.adapters())[2]
+    backward = toymodel.AdapterModule.backward
+
+    def scaled_backward(self, d_out):
+        d_in = backward(self, d_out)
+        if self is chosen:
+            self.parameters()[which].grad *= 1.01
+        return d_in
+
+    monkeypatch.setattr(toymodel.AdapterModule, "backward", scaled_backward)
+    report = grad_check(model, *sample_batch(GRADCHECK_CONFIG), eps=1e-6)
+    assert report.worst_parameter == chosen.parameters()[which].name
+    assert report.max_rel_error > 1e-4
+
+
 def test_per_scalar_oracle_reports_nan_as_the_audit_does():
     model = build_toy_model(GRADCHECK_CONFIG)
     model.randomize_adapters(seed=7)
@@ -265,6 +286,11 @@ def test_invalid_configs_rejected():
         build_toy_model(ToyConfig(precision="half"))
     with pytest.raises(InvalidConfig):
         build_toy_model(ToyConfig(d_model=0))
+    # One seed rule: a non-negative int, never a bool.
+    with pytest.raises(InvalidConfig):
+        build_toy_model(ToyConfig(seed=-1))
+    with pytest.raises(InvalidConfig):
+        build_toy_model(ToyConfig(seed=True))
 
 
 def test_bad_ids_rejected():
@@ -286,3 +312,20 @@ def test_single_precision_runs():
     assert np.isfinite(loss)
     with pytest.raises(InvalidConfig):
         grad_check(model, source, target)
+
+
+@pytest.mark.parametrize("seed", [0, 6, 11])
+@pytest.mark.parametrize("adapter_set", [
+    None, AdapterSet.of(encoder_layers=[0, 1]), AdapterSet.of(decoder_layers=[2, 3]),
+    AdapterSet.empty(),
+], ids=["full", "encoder-only", "decoder-only", "empty"])
+def test_single_precision_holds_the_double_weights_rounded(adapter_set, seed):
+    """Weights are drawn in float64 and cast once, so every tensor of a
+    single-precision model is the same-seed double tensor, rounded."""
+    cfg = ToyConfig(seed=seed, adapter_set=adapter_set)
+    single = build_toy_model(ToyConfig(**{**cfg.__dict__, "precision": "single"}))
+    double = build_toy_model(cfg)
+    for mine, theirs in zip(single.parameters(), double.parameters(), strict=True):
+        assert mine.name == theirs.name
+        assert mine.value.dtype == np.float32, mine.name
+        assert mine.value.tobytes() == theirs.value.astype(np.float32).tobytes(), mine.name
