@@ -72,9 +72,11 @@ def apply_ablation(adapter_set: AdapterSet, config: AblationConfig) -> AdapterSe
 
 
 def cost_plan(plan: list[AblationConfig], dims: ModelDims = REFERENCE_DIMS) -> list[dict]:
-    """Attach (trainable count, percent) to each config, as manifest rows."""
+    """Attach (trainable count, percent) to each config, as manifest rows.
+    A config that removes a layer ``dims`` lacks raises ``InputError``."""
     rows = []
     for config in plan:
+        AdapterSet.of(config.removed_encoder, config.removed_decoder).check(dims)
         remaining = apply_ablation(AdapterSet.full(dims), config)
         count, percent = count_adapter_params(dims, remaining)
         rows.append(

@@ -122,17 +122,18 @@ class AdapterSet:
                           self.decoder_layers - other.decoder_layers)
 
 
-def count_adapter_params(dims: ModelDims, adapter_set: AdapterSet) -> tuple[int, float]:
-    """Exact trainable-parameter count and percentage of the base model.
+def percent_of_base(count: int, base: int) -> float:
+    """100 * count / base rounded to 2 decimals, or 0.0 with no base."""
+    return round(100.0 * count / base, 2) if base > 0 else 0.0
 
-    count = active layers * adapters per layer * (2*d*b + b + d); the
-    percentage is 100 * count / base_total_params rounded to 2 decimals.
+
+def count_adapter_params(dims: ModelDims, adapter_set: AdapterSet) -> tuple[int, float]:
+    """Exact trainable-parameter count and its ``percent_of_base`` of
+    ``base_total_params``.
+
+    count = active layers * adapters per layer * (2*d*b + b + d).
     """
     adapter_set.check(dims)
     count = adapter_set.n_active_layers * dims.params_per_layer
-    if dims.base_total_params > 0:
-        percent = round(100.0 * count / dims.base_total_params, 2)
-    else:
-        percent = 0.0
-    return count, percent
+    return count, percent_of_base(count, dims.base_total_params)
 

@@ -160,8 +160,7 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
 
 
 def _check_toy_ints(args, *sizes: str):
-    """The named size options are positive; ``build_toy_model`` checks
-    ``--seed``."""
+    """The named size options are positive; ``ToyModel`` checks ``--seed``."""
     for name in sizes:
         check_int("--" + name.replace("_", "-"), getattr(args, name))
 
@@ -169,7 +168,7 @@ def _check_toy_ints(args, *sizes: str):
 def cmd_gradcheck(args) -> tuple[str, str]:
     _check_toy_ints(args, "batch", "seq_len")
     model = build_toy_model(_toy_config(args))
-    model.randomize_adapters(seed=args.seed + 1, scale=0.1)
+    model.randomize_adapters(seed=args.seed + 1)
     rng = np.random.default_rng(args.seed + 2)
     source = rng.integers(BOS_ID + 1, model.cfg.vocab_size, size=(args.batch, args.seq_len))
     target = rng.integers(BOS_ID + 1, model.cfg.vocab_size, size=(args.batch, args.seq_len))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .errors import AdapterQaError, InputError
+from .errors import InputError
 
 MAX_BLEU_ORDER = 4
 _BLEU_ORDERS = range(1, MAX_BLEU_ORDER + 1)
@@ -60,10 +60,6 @@ class LengthMismatch(InputError):
 
 class EmptyCorpus(InputError):
     """An evaluation was requested over zero examples."""
-
-
-class IoError(AdapterQaError):
-    """A metric input file could not be read."""
 
 
 @dataclass(frozen=True)
@@ -318,11 +314,7 @@ def evaluate_pairs(hyps: list[str], refs: list[str]) -> MetricReport:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = text.split("\n")
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines

@@ -55,13 +55,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSet, ModelDims
+from .adapters import AdapterSet, ModelDims, percent_of_base
 from .errors import AdapterQaError, InputError, check_int
 
 BOS_ID = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LAYER_NORM_EPS = 1e-5
+# randomize_adapters draws every adapter scalar from N(0, this**2).
+RANDOM_ADAPTER_SCALE = 0.1
 # train_adapters raises Divergence once a loss exceeds this multiple of the
 # initial loss.
 LOSS_GROWTH_LIMIT = 100.0
@@ -177,15 +180,14 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, name: str, d: int, eps: float = 1e-5):
+    def __init__(self, name: str, d: int):
         self.gamma = Parameter(f"{name}.gamma", np.ones(d))
         self.beta = Parameter(f"{name}.beta", np.zeros(d))
-        self.eps = eps
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         centered = x - _row_mean(x)
-        inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + self.eps)
+        inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + LAYER_NORM_EPS)
         xhat = centered * inv_std
         if cache:
             self._cache = (xhat, inv_std)
@@ -473,10 +475,20 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 
 class ToyModel:
-    """Frozen encoder-decoder plus trainable adapters. Build via
-    ``build_toy_model`` so the configuration is validated."""
+    """Frozen encoder-decoder plus trainable adapters; a configuration it
+    cannot build raises ``InvalidConfig`` before any weight is drawn."""
 
     def __init__(self, cfg: ToyConfig):
+        for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers",
+                     "n_heads", "vocab_size", "max_len"):
+            check_int(name, getattr(cfg, name), InvalidConfig)
+        check_int("seed", cfg.seed, InvalidConfig, allow_zero=True)
+        if cfg.d_model % cfg.n_heads != 0:
+            raise InvalidConfig(f"d_model {cfg.d_model} is not divisible by n_heads {cfg.n_heads}")
+        if cfg.vocab_size <= BOS_ID + 1:
+            raise InvalidConfig(
+                f"vocab_size must exceed {BOS_ID + 1} to leave room for content tokens")
+        dtype = cfg.dtype()
         rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
         d = cfg.d_model
@@ -514,7 +526,6 @@ class ToyModel:
         # nothing is trainable.
         self.lowest_trainable = min(active, default=self.n_layers)
         # The one cast of the float64 draws (a no-op in double precision).
-        dtype = cfg.dtype()
         for param in self.parameters():
             param.value = param.value.astype(dtype, copy=False)
 
@@ -539,15 +550,14 @@ class ToyModel:
     def trainable_parameters(self) -> list[Parameter]:
         return [p for _, _, adapter in self.adapters() for p in adapter.parameters()]
 
-    def randomize_adapters(self, seed: int, scale: float = 0.1):
+    def randomize_adapters(self, seed: int):
         """Replace every adapter tensor with random values (for gradient
         audits; zero up-projections would hide the down-projection
         gradients). The adapters are the only trainable tensors."""
         rng = np.random.default_rng(seed)
         for param in self.trainable_parameters():
-            param.value[...] = (rng.standard_normal(param.value.shape) * scale).astype(
-                param.value.dtype
-            )
+            # Assignment casts to the parameter's dtype.
+            param.value[...] = rng.standard_normal(param.value.shape) * RANDOM_ADAPTER_SCALE
 
     def _check_ids(self, ids: np.ndarray, what: str) -> np.ndarray:
         ids = np.asarray(ids)
@@ -687,16 +697,7 @@ class ToyModel:
 
 
 def build_toy_model(cfg: ToyConfig) -> ToyModel:
-    """Validate the configuration and build the model deterministically."""
-    for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers",
-                 "n_heads", "vocab_size", "max_len"):
-        check_int(name, getattr(cfg, name), InvalidConfig)
-    check_int("seed", cfg.seed, InvalidConfig, allow_zero=True)
-    if cfg.d_model % cfg.n_heads != 0:
-        raise InvalidConfig(f"d_model {cfg.d_model} is not divisible by n_heads {cfg.n_heads}")
-    if cfg.vocab_size <= BOS_ID + 1:
-        raise InvalidConfig(f"vocab_size must exceed {BOS_ID + 1} to leave room for content tokens")
-    cfg.dtype()  # validates precision
+    """Build the model deterministically; ``ToyModel`` checks ``cfg``."""
     return ToyModel(cfg)
 
 
@@ -715,9 +716,7 @@ class FreezeReport:
 
     @property
     def trainable_percent_of_base(self) -> float:
-        if self.frozen_total == 0:
-            return 0.0
-        return round(100.0 * self.trainable_total / self.frozen_total, 2)
+        return percent_of_base(self.trainable_total, self.frozen_total)
 
     def to_json_dict(self) -> dict:
         return {
@@ -784,7 +783,7 @@ def _relative_errors(model: ToyModel, prefix: Prefix, index: int, block: int, h:
 
 
 def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
-               eps: float = 1e-5) -> GradCheckReport:
+               eps: float = 1e-6) -> GradCheckReport:
     """Compare analytic gradients of every trainable scalar against central
     finite differences.
 
@@ -811,7 +810,7 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
-    # Each adapter's input, taken before the prefix and the copy forwards replace the caches.
+    # Each adapter's input, from the cache of the forward that gave the gradients.
     reads = [(index, block, adapter, adapter._cache[0])
              for index, block, adapter in model.adapters()]
     prefix = model.prefix(source_ids, target_ids, len(model.encoder))

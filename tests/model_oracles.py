@@ -15,7 +15,7 @@ from adapterqa.toymodel import GradCheckReport, ToyModel
 
 
 def grad_check_per_scalar(model: ToyModel, source_ids, target_ids,
-                          eps: float = 1e-5) -> GradCheckReport:
+                          eps: float = 1e-6) -> GradCheckReport:
     model.forward_backward(source_ids, target_ids)
     analytic = {p.name: p.grad for p in model.trainable_parameters()}
     per_parameter: dict[str, float] = {}

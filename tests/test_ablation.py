@@ -95,6 +95,17 @@ def test_plans_scale_to_toy_dims():
     assert grid[0].label == "(0-1, 2-3)"
 
 
+def test_cost_plan_refuses_a_plan_for_other_dims():
+    """A reference plan costed against a 4+4-layer toy would remove layers
+    the toy lacks; its last row would claim every adapter gone yet count
+    trainable scalars."""
+    with pytest.raises(InputError, match="decoder layer indices out of range"):
+        cost_plan(uniform_ablation_plan(REFERENCE_DIMS), ModelDims(8, 2, 4, 4))
+    # Decoder layers 4..23 cover the plan's 12..23; encoder layers 0..3 do not.
+    with pytest.raises(InputError, match="encoder layer indices out of range"):
+        cost_plan(grid_ablation_plan(REFERENCE_DIMS), ModelDims(8, 2, 4, 20))
+
+
 def test_manifest_lines_are_deterministic_jsonl():
     rows = cost_plan(grid_ablation_plan())
     text_a = manifest_lines(rows)

@@ -184,7 +184,7 @@ def test_criterion_6_adapter_numerics():
 
     # gradient check on the default toy configuration, double precision
     model = build_toy_model(ToyConfig(seed=6))
-    model.randomize_adapters(seed=7, scale=0.1)
+    model.randomize_adapters(seed=7)
     check = grad_check(model, source[:2], target[:2], eps=1e-5)
     assert check.max_rel_error < 1e-4
 

@@ -597,10 +597,32 @@ def test_non_utf8_input_exits_2_with_json_error(tmp_path, capsys, command):
         assert payload["message"].startswith("line 1: ")
 
 
-def test_missing_file_is_internal_error(capsys):
-    code, _, err = run(capsys, ["linearize", "--in", "/nonexistent/table.json"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["linearize", "--in", "{missing}"], id="linearize"),
+    pytest.param(["stats", "--in", "{missing}", "--modality", "table"], id="stats"),
+    pytest.param(["prepare", "--in", "{missing}", "--modality", "text"], id="prepare"),
+    pytest.param(["eval", "--pred", "{missing}", "--ref", "{present}"], id="eval-pred"),
+    pytest.param(["eval", "--pred", "{present}", "--ref", "{missing}"], id="eval-ref"),
+    pytest.param(["count-params", "--config", "{missing}"], id="count-params-config"),
+    pytest.param(["count-params", "--ablation", "{missing}"], id="count-params-ablation"),
+    pytest.param(["plan-ablation", "--mode", "grid", "--dims", "{missing}"],
+                 id="plan-ablation-dims"),
+    pytest.param(["assemble", "--batch", "{missing}"], id="assemble-batch"),
+    pytest.param(["assemble", "--question", "q", "--context-file", "{missing}"],
+                 id="assemble-context-file"),
+])
+def test_missing_file_is_internal_error(tmp_path, capsys, argv):
+    """Every command reports an unreadable input file alike: exit 1 and
+    the ``OSError`` subclass that names the cause."""
+    present = tmp_path / "present.txt"
+    present.write_text("a b\n", encoding="utf-8")
+    paths = {"{missing}": str(tmp_path / "missing"), "{present}": str(present)}
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
     assert code == 1
-    assert "message" in json.loads(err.strip())
+    assert out == ""
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("lr", ["1e4", "1e160"])
@@ -647,6 +669,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trainable"] == 6_343_680
+
+
+@pytest.mark.parametrize("seed", [21, 159])
+def test_gradcheck_default_step_passes_where_1e_5_crossed_a_kink(capsys, seed):
+    """At eps 1e-5 these seeds report 0.22 and 0.97: a copy crosses a
+    rectifier kink. The default step of 1e-6 stays on one side."""
+    code, out, _ = run(capsys, ["gradcheck", "--seed", str(seed)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["eps"] == 1e-6
+    assert report["max_rel_error"] < 1e-4
 
 
 def test_toy_option_defaults_are_the_library_defaults():

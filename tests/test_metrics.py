@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from adapterqa import metrics
 from adapterqa.metrics import (
     EmptyCorpus,
-    IoError,
     LengthMismatch,
     PRF,
     bleu_segment_stats,
@@ -220,7 +219,7 @@ def test_evaluate_predictions_length_mismatch(tmp_path):
 
 
 def test_evaluate_predictions_missing_file(tmp_path):
-    with pytest.raises(IoError):
+    with pytest.raises(OSError):
         evaluate_predictions(tmp_path / "nope.txt", tmp_path / "nope2.txt")
 
 

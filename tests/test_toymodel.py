@@ -11,6 +11,7 @@ from adapterqa.toymodel import (
     Divergence,
     InvalidConfig,
     ToyConfig,
+    ToyModel,
     TrainConfig,
     build_toy_model,
     freeze_report,
@@ -55,7 +56,7 @@ def test_forward_is_deterministic():
 
 def test_grad_check_small_config():
     model = build_toy_model(GRADCHECK_CONFIG)
-    model.randomize_adapters(seed=7, scale=0.1)
+    model.randomize_adapters(seed=7)
     source, target = sample_batch(GRADCHECK_CONFIG)
     report = grad_check(model, source, target, eps=1e-5)
     assert report.max_rel_error < 1e-4
@@ -103,8 +104,9 @@ def test_grad_check_names_the_first_nan_tensor(monkeypatch):
 
 @pytest.mark.parametrize("which", range(4), ids=["down.w", "down.b", "up.w", "up.b"])
 def test_grad_check_names_a_wrong_gradient(monkeypatch, which):
-    """One tensor of one adapter gets a gradient 1% too large; at eps 1e-6
-    no copy crosses a rectifier kink, so the audit names exactly that one."""
+    """One tensor of one adapter gets a gradient 1% too large; at the
+    default step (1e-6) no copy crosses a rectifier kink, so the audit
+    names exactly that one."""
     model = build_toy_model(GRADCHECK_CONFIG)
     model.randomize_adapters(seed=7)
     _, _, chosen = list(model.adapters())[2]
@@ -117,7 +119,7 @@ def test_grad_check_names_a_wrong_gradient(monkeypatch, which):
         return d_in
 
     monkeypatch.setattr(toymodel.AdapterModule, "backward", scaled_backward)
-    report = grad_check(model, *sample_batch(GRADCHECK_CONFIG), eps=1e-6)
+    report = grad_check(model, *sample_batch(GRADCHECK_CONFIG))
     assert report.worst_parameter == chosen.parameters()[which].name
     assert report.max_rel_error > 1e-4
 
@@ -278,19 +280,21 @@ def test_loss_spike_below_the_growth_limit_recovers():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(InvalidConfig):
-        build_toy_model(ToyConfig(d_model=10, n_heads=3))
-    with pytest.raises(InvalidConfig):
-        build_toy_model(ToyConfig(vocab_size=2))
-    with pytest.raises(InvalidConfig):
-        build_toy_model(ToyConfig(precision="half"))
-    with pytest.raises(InvalidConfig):
-        build_toy_model(ToyConfig(d_model=0))
-    # One seed rule: a non-negative int, never a bool.
-    with pytest.raises(InvalidConfig):
-        build_toy_model(ToyConfig(seed=-1))
-    with pytest.raises(InvalidConfig):
-        build_toy_model(ToyConfig(seed=True))
+    """``ToyModel`` checks its own config, so building it directly refuses
+    what ``build_toy_model`` refuses."""
+    invalid = [
+        ToyConfig(d_model=10, n_heads=3),
+        ToyConfig(vocab_size=2),
+        ToyConfig(precision="half"),
+        ToyConfig(d_model=0),
+        # One seed rule: a non-negative int, never a bool.
+        ToyConfig(seed=-1),
+        ToyConfig(seed=True),
+    ]
+    for build in (build_toy_model, ToyModel):
+        for cfg in invalid:
+            with pytest.raises(InvalidConfig):
+                build(cfg)
 
 
 def test_bad_ids_rejected():
