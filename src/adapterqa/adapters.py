@@ -14,6 +14,17 @@ from dataclasses import MISSING, dataclass, fields
 
 from .errors import InputError, check_int
 
+# Layers per stack (encoder or decoder) at most. Layer sets and plans grow
+# with the count: the grid manifest is 4.0 MB at 128 a side, 31.5 MB at 256.
+MAX_STACK_LAYERS = 128
+
+
+def check_layer_count(name: str, value: object, error: type[InputError] = InputError) -> int:
+    """A positive layer count of at most ``MAX_STACK_LAYERS``."""
+    if check_int(name, value, error) > MAX_STACK_LAYERS:
+        raise error(f"{name} must be at most {MAX_STACK_LAYERS}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -27,8 +38,10 @@ class ModelDims:
     base_total_params: int = 0
 
     def __post_init__(self):
-        for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers", "adapters_per_layer"):
+        for name in ("d_model", "bottleneck", "adapters_per_layer"):
             check_int(name, getattr(self, name))
+        for name in ("n_encoder_layers", "n_decoder_layers"):
+            check_layer_count(name, getattr(self, name))
         check_int("base_total_params", self.base_total_params, allow_zero=True)
 
     @property

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import ablation as ablation_mod
 from . import metrics as metrics_mod
-from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
+from .adapters import (
+    AdapterSet,
+    ModelDims,
+    REFERENCE_DIMS,
+    check_layer_count,
+    count_adapter_params,
+)
 from .assembly import InputSequence, assemble, truncate
 from .data import (
     PrepareLimits,
@@ -33,6 +39,7 @@ from .linearize import linearize
 from .tables import validate_table
 from .toymodel import (
     BOS_ID,
+    InvalidConfig,
     ToyConfig,
     TrainConfig,
     build_toy_model,
@@ -160,9 +167,19 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
 
 
 def _check_toy_ints(args, *sizes: str):
-    """The named size options are positive; ``ToyModel`` checks ``--seed``."""
+    """Every integer option of a toy command, checked under its own name
+    before the model is built: the named sizes are positive, and so are the
+    model's options (``InvalidConfig``), except that ``--seed`` may be 0."""
+    def option(name: str) -> tuple[str, int]:
+        return "--" + name.replace("_", "-"), getattr(args, name)
+
     for name in sizes:
-        check_int("--" + name.replace("_", "-"), getattr(args, name))
+        check_int(*option(name))
+    for name in ("d_model", "bottleneck", "vocab"):
+        check_int(*option(name), InvalidConfig)
+    for name in ("enc_layers", "dec_layers"):
+        check_layer_count(*option(name), InvalidConfig)
+    check_int(*option("seed"), InvalidConfig, allow_zero=True)
 
 
 def cmd_gradcheck(args) -> tuple[str, str]:

@@ -14,6 +14,13 @@ which layers carry adapters. Up-projections start at zero, making a freshly
 built adapted model bit-identical to its adapter-free twin. Weights are
 drawn in float64 and cast once, at the end of ``ToyModel.__init__``.
 
+The trainable state is two flat vectors of the model's dtype,
+``ToyModel.theta`` and ``ToyModel.theta_grad``, laid out in
+``trainable_parameters()`` order: each adapter tensor's ``value`` and
+``grad`` is a reshaped view of them at consecutive offsets. Backward
+writes each adapter gradient in place, so the optimizer and
+``randomize_adapters`` act on the two vectors with no copy in or out.
+
 Work that cannot change a result is skipped, and each skip is exact because
 it leaves out whole layer computations without reordering any arithmetic.
 Layers are numbered as in ``AdapterSet`` (decoder after encoder); the
@@ -38,9 +45,7 @@ At the toy's widths the hot path is bound by per-call overhead, so it
 makes fewer calls without changing any arithmetic. Row means, sums and
 maxima call numpy's ufunc reductions directly (``_row_mean`` and its
 siblings). Every causal attention of one length shares one read-only mask.
-``train_adapters`` runs Adam once per step over each run of consecutive
-trainable tensors as one flat vector; one run holds every tensor of a small
-toy. The audit's copy forwards and ``ToyModel.prefix`` run with
+The audit's copy forwards and ``ToyModel.prefix`` run with
 ``cache=False`` and store no backward cache, since no backward reads one.
 Every matrix product keeps its operands and every reduction its order, so
 each of these is bit-identical to the path it replaces.
@@ -55,7 +60,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSet, ModelDims, percent_of_base
+from .adapters import AdapterSet, ModelDims, check_layer_count, percent_of_base
 from .errors import AdapterQaError, InputError, check_int
 
 BOS_ID = 1
@@ -71,9 +76,9 @@ LOSS_GROWTH_LIMIT = 100.0
 # grad_check evaluates this many scalars of one tensor per forward, as
 # twice as many perturbed copies of the model.
 GRAD_CHECK_CHUNK = 8
-# train_adapters runs Adam once per step over each run of consecutive
-# trainable tensors of at most this many scalars in all. One run over all
-# 101,760 adapter scalars of a width-128 toy raised peak RSS by 3.7 MB.
+# train_adapters runs Adam once per step over each slice of this many
+# scalars of the flat trainable vector. One pass over all 101,760 scalars
+# of a width-128 toy raised the traced peak of training by 1.6 MB.
 ADAM_RUN_SCALARS = 8192
 
 
@@ -147,7 +152,9 @@ class ToyConfig:
 
 
 class Parameter:
-    """Named tensor with a frozen/trainable tag; only backward sets ``grad``."""
+    """Named tensor with a frozen/trainable tag. A frozen tensor's ``grad``
+    stays None; a trainable one's ``value`` and ``grad`` are views of the
+    model's flat vectors, and each backward overwrites ``grad`` in place."""
 
     __slots__ = ("name", "value", "grad", "trainable")
 
@@ -299,7 +306,7 @@ class AdapterModule:
     """The one adapter: a trainable residual bottleneck (``_bottleneck``)
     with a hand-written backward pass. A zero up-projection makes it start
     as an exact identity map. It runs once per forward, so ``backward``
-    sets its four gradients rather than accumulating them."""
+    writes its four gradients in place rather than accumulating them."""
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
         w_down = rng.standard_normal((d_model, bottleneck)) / np.sqrt(d_model)
@@ -319,12 +326,12 @@ class AdapterModule:
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         x, hidden = self._cache
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
-        self.w_up.grad = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
-        self.b_up.grad = np.add.reduce(flat_d_out, axis=0)
+        self.w_up.grad[...] = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
+        self.b_up.grad[...] = np.add.reduce(flat_d_out, axis=0)
         d_hidden = (d_out @ self.w_up.value.T) * (hidden > 0)
         flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
-        self.w_down.grad = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
-        self.b_down.grad = np.add.reduce(flat_d_hidden, axis=0)
+        self.w_down.grad[...] = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
+        self.b_down.grad[...] = np.add.reduce(flat_d_hidden, axis=0)
         return d_out + d_hidden @ self.w_down.value.T
 
     def parameters(self) -> list[Parameter]:
@@ -479,9 +486,10 @@ class ToyModel:
     cannot build raises ``InvalidConfig`` before any weight is drawn."""
 
     def __init__(self, cfg: ToyConfig):
-        for name in ("d_model", "bottleneck", "n_encoder_layers", "n_decoder_layers",
-                     "n_heads", "vocab_size", "max_len"):
+        for name in ("d_model", "bottleneck", "n_heads", "vocab_size", "max_len"):
             check_int(name, getattr(cfg, name), InvalidConfig)
+        for name in ("n_encoder_layers", "n_decoder_layers"):
+            check_layer_count(name, getattr(cfg, name), InvalidConfig)
         check_int("seed", cfg.seed, InvalidConfig, allow_zero=True)
         if cfg.d_model % cfg.n_heads != 0:
             raise InvalidConfig(f"d_model {cfg.d_model} is not divisible by n_heads {cfg.n_heads}")
@@ -528,6 +536,17 @@ class ToyModel:
         # The one cast of the float64 draws (a no-op in double precision).
         for param in self.parameters():
             param.value = param.value.astype(dtype, copy=False)
+        # Each trainable tensor and its gradient views the two flat vectors.
+        trainable = self.trainable_parameters()
+        self.theta = np.zeros(sum(p.value.size for p in trainable), dtype)
+        self.theta_grad = np.zeros_like(self.theta)
+        start = 0
+        for param in trainable:
+            part = slice(start, start + param.value.size)
+            self.theta[part] = param.value.reshape(-1)
+            param.value = self.theta[part].reshape(param.value.shape)
+            param.grad = self.theta_grad[part].reshape(param.value.shape)
+            start = part.stop
 
         self._d_logits: np.ndarray | None = None
         self._enc_shape: tuple | None = None
@@ -555,9 +574,8 @@ class ToyModel:
         audits; zero up-projections would hide the down-projection
         gradients). The adapters are the only trainable tensors."""
         rng = np.random.default_rng(seed)
-        for param in self.trainable_parameters():
-            # Assignment casts to the parameter's dtype.
-            param.value[...] = rng.standard_normal(param.value.shape) * RANDOM_ADAPTER_SCALE
+        # Assignment casts to the model's dtype.
+        self.theta[...] = rng.standard_normal(self.theta.size) * RANDOM_ADAPTER_SCALE
 
     def _check_ids(self, ids: np.ndarray, what: str) -> np.ndarray:
         ids = np.asarray(ids)
@@ -871,35 +889,6 @@ def _check_loss(loss: float, log: TrainLog, where: str):
                          f"the initial loss {log.initial_loss:.6g}")
 
 
-def _adam_runs(params: list[Parameter], dtype) -> list[tuple]:
-    """Adam's zeroed state for ``params``: its two moments are flat vectors
-    of ``dtype``, cut into runs of consecutive tensors of at most
-    ``ADAM_RUN_SCALARS`` scalars in all (a larger tensor runs alone).
-
-    Each run is its tensors, their offsets in the run (ending with its
-    length) and its views of the two moments. Adam is elementwise, so one
-    pass over a run's concatenated gradients gives each tensor the bytes of
-    its own update.
-    """
-    cuts: list[tuple[list[Parameter], list[int]]] = []
-    for p in params:
-        if not cuts or cuts[-1][1][-1] + p.value.size > ADAM_RUN_SCALARS:
-            cuts.append(([], [0]))
-        tensors, offsets = cuts[-1]
-        tensors.append(p)
-        offsets.append(offsets[-1] + p.value.size)
-    # One buffer per moment, viewed by every run: a pair of buffers per run
-    # left peak RSS 0.6 MB higher on a width-128 toy.
-    adam_m = np.zeros(sum(offsets[-1] for _, offsets in cuts), dtype=dtype)
-    adam_v = np.zeros_like(adam_m)
-    runs, start = [], 0
-    for tensors, offsets in cuts:
-        stop = start + offsets[-1]
-        runs.append((tensors, offsets, adam_m[start:stop], adam_v[start:stop]))
-        start = stop
-    return runs
-
-
 def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
                    cfg: TrainConfig) -> TrainLog:
     """Full-batch gradient descent on the trainable parameters only.
@@ -918,8 +907,8 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
         raise InvalidConfig(
             f"learning_rate must be finite and positive, got {cfg.learning_rate!r}")
-    params = model.trainable_parameters()
-    runs = _adam_runs(params, model.cfg.dtype())
+    theta, grad = model.theta, model.theta_grad
+    adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     lowest = model.lowest_trainable
     # At layer 0 the prefix would only hold the embeddings, so none is kept.
     prefix = model.prefix(source_ids, target_ids, lowest) if lowest > 0 else None
@@ -931,21 +920,19 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
             _check_loss(loss, log, f"at step {step}")
             log.losses.append(loss)
             if cfg.optimizer == "sgd":
-                for p in params:
-                    p.value -= cfg.learning_rate * p.grad
+                theta -= cfg.learning_rate * grad
             else:
                 t = step + 1
-                for tensors, offsets, m, v in runs:
-                    grad = np.concatenate([p.grad for p in tensors], axis=None)
+                for start in range(0, theta.size, ADAM_RUN_SCALARS):
+                    part = slice(start, start + ADAM_RUN_SCALARS)
+                    g, m, v = grad[part], adam_m[part], adam_v[part]
                     m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * grad
+                    m += (1 - ADAM_BETA1) * g
                     v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * (grad * grad)
+                    v += (1 - ADAM_BETA2) * (g * g)
                     m_hat = m / (1 - ADAM_BETA1 ** t)
                     v_hat = v / (1 - ADAM_BETA2 ** t)
-                    update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                    for p, start, stop in zip(tensors, offsets, offsets[1:]):
-                        p.value -= update[start:stop].reshape(p.value.shape)
+                    theta[part] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         final_loss, _ = model.forward(source_ids, target_ids, prefix)
         _check_loss(final_loss, log, "after the last step")

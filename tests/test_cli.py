@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from adapterqa.adapters import MAX_STACK_LAYERS
 from adapterqa.cli import build_parser, main
 from adapterqa.toymodel import grad_check, make_copy_task
 
@@ -306,10 +307,29 @@ def rejected(argv, file_obj, id, names=None):
         rejected(["gradcheck", "--eps", "nan"], None, id="gradcheck-eps-nan"),
         rejected(["gradcheck", "--batch", "-1"], None, id="gradcheck-batch-neg"),
         rejected(["gradcheck", "--seq-len", "-1"], None, id="gradcheck-seq-len-neg"),
-        rejected(["gradcheck", "--seed", "-1"], None, id="gradcheck-seed-neg"),
+        rejected(["gradcheck", "--seed", "-1"], None, id="gradcheck-seed-neg",
+                 names="--seed must be"),
         rejected(["train-toy", "--examples", "-1"], None, id="train-toy-examples-neg"),
         rejected(["train-toy", "--seq-len", "-3"], None, id="train-toy-seq-len-neg"),
-        rejected(["train-toy", "--seed", "-1"], None, id="train-toy-seed-neg"),
+        rejected(["train-toy", "--seed", "-1"], None, id="train-toy-seed-neg",
+                 names="--seed must be"),
+        # Named as the option, not as the ToyConfig field.
+        rejected(["gradcheck", "--enc-layers", "0"], None, id="gradcheck-enc-layers-0",
+                 names="--enc-layers must be"),
+        rejected(["gradcheck", "--vocab", "0"], None, id="gradcheck-vocab-0",
+                 names="--vocab must be"),
+        rejected(["train-toy", "--d-model", "0"], None, id="train-toy-d-model-0",
+                 names="--d-model must be"),
+        rejected(["train-toy", "--bottleneck", "-1"], None, id="train-toy-bottleneck-neg",
+                 names="--bottleneck must be"),
+        rejected(["train-toy", "--dec-layers", str(MAX_STACK_LAYERS + 1)], None,
+                 id="train-toy-dec-layers-over", names="--dec-layers must be at most"),
+        rejected(["count-params", "--config", "FILE"],
+                 {**DIMS, "n_decoder_layers": MAX_STACK_LAYERS + 1},
+                 id="count-params-layers-over", names="n_decoder_layers must be at most"),
+        rejected(["plan-ablation", "--mode", "grid", "--dims", "FILE"],
+                 {**DIMS, "n_encoder_layers": MAX_STACK_LAYERS + 1},
+                 id="plan-ablation-layers-over", names="n_encoder_layers must be at most"),
         rejected([*PREPARE, "--max-target-tokens", "0"], RECORD, id="prepare-target-0"),
         rejected([*PREPARE, "--max-target-tokens", "-1"], RECORD, id="prepare-target-neg"),
         # Named as the option, not as the PrepareLimits field.
@@ -453,6 +473,29 @@ def test_oversized_tables_are_refused_under_a_memory_cap(tmp_path, argv, table):
     payload = json.loads(proc.stderr)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == "LinearizedTextTooLarge"
+
+
+@pytest.mark.parametrize("argv, layers, max_bytes", [
+    pytest.param(["count-params", "--config"], (10**8, 1), 2 * 1024**3, id="count-params"),
+    pytest.param(["plan-ablation", "--mode", "grid", "--dims"], (1000, 1000), 3 * 1024**3,
+                 id="plan-ablation-grid"),
+    pytest.param(["plan-ablation", "--mode", "uniform", "--dims"], (3000, 3000), 1024**3,
+                 id="plan-ablation-uniform"),
+])
+def test_layer_counts_are_bounded_under_a_memory_cap(tmp_path, argv, layers, max_bytes):
+    # Unbounded, the first file builds a 10^8-element layer set and the
+    # grid plan runs out of memory under these caps; the uniform plan
+    # writes a 51.5 MB manifest.
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({**DIMS, "n_encoder_layers": layers[0],
+                                "n_decoder_layers": layers[1]}), encoding="utf-8")
+    proc = run_cli_limited([*argv, str(path)], max_bytes=max_bytes)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "InputError"
+    assert f"must be at most {MAX_STACK_LAYERS}" in payload["message"]
 
 
 def test_stacked_header_over_an_empty_body_builds_no_key(tmp_path):

@@ -18,6 +18,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adapterqa.adapters import MAX_STACK_LAYERS
 from adapterqa.cli import main
 
 sizes = st.integers(-1000, 1000)
@@ -48,8 +49,9 @@ records = shaped({
     "answers": st.lists(short_text, max_size=3),
     "context": shaped({"table": tables, "passage": short_text}),
 })
-# At most 48 layers a side keeps a grid plan small.
-layers = st.integers(-2, 48)
+# Mostly small layer counts, which keep a grid plan cheap, and counts at
+# and past the bound that refuses a larger plan.
+layers = st.integers(-2, 48) | st.sampled_from([MAX_STACK_LAYERS, MAX_STACK_LAYERS + 1, 10**8])
 dims = shaped({"d_model": sizes, "bottleneck": sizes, "n_encoder_layers": layers,
                "n_decoder_layers": layers, "adapters_per_layer": sizes,
                "base_total_params": sizes})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adapterqa import toymodel
-from adapterqa.adapters import AdapterSet, count_adapter_params
+from adapterqa.ablation import apply_ablation, grid_ablation_plan
+from adapterqa.adapters import MAX_STACK_LAYERS, AdapterSet, count_adapter_params
 from adapterqa.errors import InputError
 from adapterqa.toymodel import (
     LOSS_GROWTH_LIMIT,
@@ -20,6 +21,7 @@ from adapterqa.toymodel import (
     train_adapters,
 )
 from model_oracles import grad_check_per_scalar
+import test_trainability as trainability
 
 GRADCHECK_CONFIG = ToyConfig(
     d_model=8, bottleneck=4, n_encoder_layers=1, n_decoder_layers=1,
@@ -158,9 +160,52 @@ def test_each_backward_sets_the_adapter_gradients():
         grads.append([p.grad.tobytes() for p in model.trainable_parameters()])
     assert grads[0] == grads[1]
     fresh = build_toy_model(GRADCHECK_CONFIG)
-    assert all(p.grad is None for p in fresh.parameters())
+    assert all(p.grad is None for p in fresh.parameters() if not p.trainable)
     train_adapters(fresh, source, target, TrainConfig(steps=2))
     assert all(p.grad is None for p in fresh.parameters() if not p.trainable)
+
+
+def assert_views_of_the_flat_vectors(model):
+    """Each trainable tensor and its gradient view ``theta`` and
+    ``theta_grad`` at consecutive offsets, in ``trainable_parameters()``
+    order, and together cover them."""
+    offset = 0
+    for p in model.trainable_parameters():
+        for view, vector in ((p.value, model.theta), (p.grad, model.theta_grad)):
+            assert np.shares_memory(view, vector), p.name
+            assert view.flags.c_contiguous and view.dtype == vector.dtype, p.name
+            byte_offset = view.ctypes.data - vector.ctypes.data
+            assert byte_offset == offset * vector.itemsize, p.name
+        assert p.grad.shape == p.value.shape, p.name
+        offset += p.value.size
+    assert offset == model.theta.size == model.theta_grad.size
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_trainable_tensors_are_views_of_two_flat_vectors(precision):
+    cfg = ToyConfig(**{**GRADCHECK_CONFIG.__dict__, "precision": precision})
+    model = build_toy_model(cfg)
+    assert_views_of_the_flat_vectors(model)
+    model.randomize_adapters(seed=7)
+    assert_views_of_the_flat_vectors(model)
+    train_adapters(model, *sample_batch(cfg), TrainConfig(steps=2))
+    assert_views_of_the_flat_vectors(model)
+
+
+@pytest.mark.parametrize("adapter_set", [
+    trainability.FULL,
+    AdapterSet.of(encoder_layers=trainability.DIMS.encoder_layer_indices()),
+    AdapterSet.of(decoder_layers=trainability.DIMS.decoder_layer_indices()),
+    *(apply_ablation(trainability.FULL, row) for row in grid_ablation_plan(trainability.DIMS)),
+], ids=["full", "encoder-only", "decoder-only", *(f"grid-row-{i}" for i in range(4))])
+def test_every_backward_writes_every_adapter_gradient(adapter_set):
+    """A gradient slot that the truncated backward skipped would keep a
+    stale value; poisoned with NaN, it shows."""
+    model = trainability.build(adapter_set)
+    for _ in range(2):
+        model.theta_grad[...] = np.nan
+        model.forward_backward(*trainability.batch())
+        assert np.isfinite(model.theta_grad).all()
 
 
 def test_removing_a_layer_shrinks_gradient_vector_exactly():
@@ -290,6 +335,9 @@ def test_invalid_configs_rejected():
         # One seed rule: a non-negative int, never a bool.
         ToyConfig(seed=-1),
         ToyConfig(seed=True),
+        # Layer counts are bounded before any weight is drawn.
+        ToyConfig(n_encoder_layers=MAX_STACK_LAYERS + 1),
+        ToyConfig(n_decoder_layers=10**8),
     ]
     for build in (build_toy_model, ToyModel):
         for cfg in invalid:
