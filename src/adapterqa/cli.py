@@ -168,18 +168,29 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
 
 def _check_toy_ints(args, *sizes: str):
     """Every integer option of a toy command, checked under its own name
-    before the model is built: the named sizes are positive, and so are the
-    model's options (``InvalidConfig``), except that ``--seed`` may be 0."""
+    before the model is built: the named sizes are positive (``--seq-len``
+    at most the model's ``max_len``), and so are the model's options
+    (``InvalidConfig``), except that ``--seed`` may be 0; ``--vocab`` must
+    leave room for content tokens and ``--d-model`` must split into the
+    model's heads."""
     def option(name: str) -> tuple[str, int]:
         return "--" + name.replace("_", "-"), getattr(args, name)
 
     for name in sizes:
         check_int(*option(name))
+    if args.seq_len > ToyConfig.max_len:
+        raise InputError(f"--seq-len must be at most {ToyConfig.max_len}, got {args.seq_len}")
     for name in ("d_model", "bottleneck", "vocab"):
         check_int(*option(name), InvalidConfig)
     for name in ("enc_layers", "dec_layers"):
         check_layer_count(*option(name), InvalidConfig)
     check_int(*option("seed"), InvalidConfig, allow_zero=True)
+    if args.vocab <= BOS_ID + 1:
+        raise InvalidConfig(f"--vocab must exceed {BOS_ID + 1} to leave room for content "
+                            f"tokens, got {args.vocab}")
+    if args.d_model % ToyConfig.n_heads:
+        raise InvalidConfig(f"--d-model must be divisible by the {ToyConfig.n_heads} "
+                            f"attention heads, got {args.d_model}")
 
 
 def cmd_gradcheck(args) -> tuple[str, str]:

@@ -22,24 +22,27 @@ writes each adapter gradient in place, so the optimizer and
 ``randomize_adapters`` act on the two vectors with no copy in or out.
 
 Work that cannot change a result is skipped, and each skip is exact because
-it leaves out whole layer computations without reordering any arithmetic.
+it leaves out whole block computations without reordering any arithmetic.
 Layers are numbered as in ``AdapterSet`` (decoder after encoder); the
 lowest one that carries an adapter is ``ToyModel.lowest_trainable``.
-``backward`` stops there: layers below it own no trainable tensor, and the
-gradient of their inputs feeds nothing; when only decoder layers are
-adapted, no cross-attention computes the gradient of the encoder output.
-Layers below it are also fixed, so ``train_adapters`` computes the streams
-that enter it once (a ``Prefix``) and starts every step from them.
+``backward`` stops below the lowest adapter: in the bottom layer of each
+stack, block 0 runs its adapter but not its sublayer and norm, which read
+only frozen streams. The work below owns no trainable tensor, and the
+gradient of its input feeds nothing; when only decoder layers are adapted,
+no cross-attention computes the gradient of the encoder output. That work
+is also fixed, so ``train_adapters`` computes its output once (a
+``Prefix``) and resumes every step there, at block 0's adapter.
 
 ``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
 of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
 copy of each, stacked on a new leading axis that is folded into the batch
 axis. Only the perturbed adapter sees per-copy weights. It reads the
 stream it read in the audit's own unperturbed forward, and one prefix
-gives the encoder output and the decoder embedding; the blocks and layers
-above it run unchanged on the tiled streams. Every matrix product keeps
-the shape it has in a one-copy forward and every loss is the mean over its
-own copy, so each copy's loss is bit-identical to a separate forward.
+gives the encoder output and decoder layer 0's stream below its lowest
+adapter; the blocks and layers above run unchanged on the tiled streams.
+Every matrix product keeps the shape it has in a one-copy forward and
+every loss is the mean over its own copy, so each copy's loss is
+bit-identical to a separate forward.
 
 At the toy's widths the hot path is bound by per-call overhead, so it
 makes fewer calls without changing any arithmetic. Row means, sums and
@@ -352,20 +355,30 @@ class ResidualBlock:
         self.cross = cross
         self.adapter: AdapterModule | None = None
 
-    def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                cache: bool = True) -> np.ndarray:
+    def normed(self, x: np.ndarray, memory: np.ndarray | None = None,
+               cache: bool = True) -> np.ndarray:
+        """Sublayer, then add & norm: the stream the adapter reads."""
         if isinstance(self.sublayer, FeedForward):
             out = self.sublayer.forward(x, cache)
         else:
             out = self.sublayer.forward(x, memory if self.cross else x, cache)
-        h = self.norm.forward(x + out, cache)
+        return self.norm.forward(x + out, cache)
+
+    def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
+                cache: bool = True, resume: bool = False) -> np.ndarray:
+        """With ``resume``, ``x`` is already ``normed``'s output."""
+        h = x if resume else self.normed(x, memory, cache)
         return h if self.adapter is None else self.adapter.forward(h, cache)
 
-    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None,
+                 resume: bool = False) -> np.ndarray:
         """Gradient of the input; cross-attention adds the gradient of
-        ``memory`` into ``d_memory``, and skips it when that is None."""
+        ``memory`` into ``d_memory``, and skips it when that is None. With
+        ``resume``, only the adapter runs, as in ``forward``."""
         if self.adapter is not None:
             d_out = self.adapter.backward(d_out)
+        if resume:
+            return d_out
         d_sum = self.norm.backward(d_out)
         if isinstance(self.sublayer, FeedForward):
             return d_sum + self.sublayer.backward(d_sum)
@@ -414,17 +427,22 @@ class Layer:
             f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                cache: bool = True) -> np.ndarray:
-        for block in self.blocks:
+                cache: bool = True, resume: bool = False) -> np.ndarray:
+        """With ``resume``, ``x`` is block 0's add&norm output, as a
+        ``Prefix`` holds it, and the layer runs from block 0's adapter."""
+        x = self.blocks[0].forward(x, memory, cache, resume)
+        for block in self.blocks[1:]:
             x = block.forward(x, memory, cache)
         return x
 
-    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None,
+                 resume: bool = False) -> np.ndarray:
         """Gradient of the input; a decoder layer also adds the gradient of
-        ``memory`` into ``d_memory`` unless that is None."""
-        for block in reversed(self.blocks):
+        ``memory`` into ``d_memory`` unless that is None. With ``resume``,
+        block 0 runs only its adapter."""
+        for block in reversed(self.blocks[1:]):
             d_out = block.backward(d_out, d_memory)
-        return d_out
+        return self.blocks[0].backward(d_out, d_memory, resume)
 
     def parameters(self) -> list[Parameter]:
         """Each block's frozen tensors, then each adapter's tensors."""
@@ -435,20 +453,21 @@ class Layer:
 
 @dataclass(frozen=True)
 class Prefix:
-    """The encoder and decoder streams that enter layer ``start`` of a
-    model for one pair of id arrays (``ToyModel.prefix``).
+    """The streams of a model at layer ``start`` for one pair of id arrays
+    (``ToyModel.prefix``): on each side, block 0's add&norm output in the
+    first layer that runs from ``start``, below the lowest adapter.
 
-    Only the layers below ``start`` produced them, so a forward from a
-    prefix is bit-identical to a full forward as long as those layers are
-    unchanged. ``start`` runs from 0 to the number of layers; at the top,
-    ``dec`` is the decoder output.
+    Only frozen work produced them, so a forward from a prefix, which
+    resumes at that block's adapter, is bit-identical to a full forward as
+    long as that work is unchanged. ``start`` runs from 0 to the number of
+    layers; at the top, ``dec`` is the decoder output.
     """
 
     start: int
     source_ids: np.ndarray
     target_ids: np.ndarray
-    enc: np.ndarray  # entering encoder layer ``start``, or the encoder output
-    dec: np.ndarray  # entering decoder layer ``start - n_encoder_layers``, or the embedding
+    enc: np.ndarray  # block 0 of encoder layer ``start`` normed, or the encoder output
+    dec: np.ndarray  # block 0 of decoder layer ``max(start - n_encoder_layers, 0)`` normed
 
     def check(self, source_ids, target_ids):
         for mine, theirs in ((self.source_ids, source_ids), (self.target_ids, target_ids)):
@@ -601,14 +620,16 @@ class ToyModel:
         return self.tok_emb.value[ids] + self.pos_emb.value[: ids.shape[1]][None, :, :]
 
     def _run_layers(self, enc_x: np.ndarray, dec_x: np.ndarray | None, target_ids: np.ndarray,
-                    start: int, stop: int, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                    start: int, stop: int, cache: bool = True,
+                    resume: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Run layers ``start`` to ``stop - 1`` on the streams that enter
         ``start``, storing backward caches only with ``cache``. A ``dec_x``
         of None is embedded once the encoder is done, so the two embeddings
-        are never held together."""
+        are never held together. The layer where a ``Prefix`` at layer
+        ``resume`` ends a side's stream resumes at block 0's adapter."""
         n_enc = len(self.encoder)
-        for layer in self.encoder[start:stop]:
-            enc_x = layer.forward(enc_x, None, cache)
+        for index, layer in enumerate(self.encoder[start:stop], start):
+            enc_x = layer.forward(enc_x, None, cache, index == resume)
         if dec_x is None:
             decoder_input = np.concatenate(
                 [np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype),
@@ -616,27 +637,34 @@ class ToyModel:
                 axis=1,
             )
             dec_x = self._embed(decoder_input)
-        for layer in self.decoder[max(start - n_enc, 0):max(stop - n_enc, 0)]:
-            dec_x = layer.forward(dec_x, enc_x, cache)
+        first = max(start - n_enc, 0)
+        resumed = -1 if resume is None else max(resume - n_enc, 0)
+        for index, layer in enumerate(self.decoder[first:max(stop - n_enc, 0)], first):
+            dec_x = layer.forward(dec_x, enc_x, cache, index == resumed)
         return enc_x, dec_x
 
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
-        """The streams that enter layer ``start`` for these ids. It stores no
+        """The ``Prefix`` at layer ``start`` for these ids. It stores no
         backward cache, so those of an earlier forward stay in place."""
         if check_int("prefix start", start, InputError, allow_zero=True) > self.n_layers:
             raise InputError(f"prefix start must be at most {self.n_layers}, got {start}")
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids, 0, start,
                                         cache=False)
+        n_enc = len(self.encoder)
+        if start < n_enc:
+            enc_x = self.encoder[start].blocks[0].normed(enc_x, cache=False)
+        if start < self.n_layers:
+            dec_x = self.decoder[max(start - n_enc, 0)].blocks[0].normed(dec_x, cache=False)
         return Prefix(start, source_ids, target_ids, enc_x, dec_x)
 
     def forward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                 prefix: Prefix | None = None) -> tuple[float, np.ndarray]:
         """Teacher-forced cross-entropy and logits; caches for backward().
 
-        With a ``prefix`` of the same ids, only the layers from
-        ``prefix.start`` up run; the result is bit-identical to a full
-        forward while the layers below are unchanged.
+        With a ``prefix`` of the same ids, the forward resumes where the
+        prefix ends its streams; the result is bit-identical to a full
+        forward while the frozen work below is unchanged.
         """
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         if prefix is None:
@@ -645,7 +673,7 @@ class ToyModel:
         else:
             prefix.check(source_ids, target_ids)
             enc_x, dec_x = self._run_layers(prefix.enc, prefix.dec, target_ids,
-                                            prefix.start, self.n_layers)
+                                            prefix.start, self.n_layers, resume=prefix.start)
         self._enc_shape = enc_x.shape
         logits = self.out_proj.forward(dec_x)
         loss, self._d_logits = softmax_cross_entropy(logits, target_ids)
@@ -655,12 +683,14 @@ class ToyModel:
         """Set the gradient of every trainable parameter; frozen tensors
         get none.
 
-        The reverse pass stops at ``lowest_trainable``: the decoder layers
-        run down to it (all of them when the encoder has adapters, because
-        each one's cross-attention feeds the encoder gradient), and the
-        encoder is entered only when it has adapters; without them, no
-        cross-attention computes the gradient of the encoder output. The
-        layers below own nothing trainable and their input gradients feed
+        The reverse pass stops below the lowest adapter, where a ``Prefix``
+        at ``lowest_trainable`` ends each side's stream: the decoder layers
+        run down to that layer (all of them when the encoder has adapters,
+        because each one's cross-attention feeds the encoder gradient), and
+        the encoder is entered only when it has adapters; without them, no
+        cross-attention computes the gradient of the encoder output. In the
+        bottom layer of each stack, block 0 runs only its adapter. The work
+        left out owns nothing trainable and its input gradients feed
         nothing, so the trainable gradients are those of a full reverse
         pass, bit for bit. With nothing trainable it returns at once.
         """
@@ -671,11 +701,13 @@ class ToyModel:
         d = self.out_proj.backward(self._d_logits)
         d_enc_total = (np.zeros(self._enc_shape, dtype=self._d_logits.dtype)
                        if lowest < n_enc else None)
-        for layer in reversed(self.decoder[max(lowest - n_enc, 0):]):
-            d = layer.backward(d, d_enc_total)
+        decoder = self.decoder[max(lowest - n_enc, 0):]
+        for layer in reversed(decoder):
+            d = layer.backward(d, d_enc_total, layer is decoder[0])
         d = d_enc_total
-        for layer in reversed(self.encoder[lowest:]):
-            d = layer.backward(d)
+        encoder = self.encoder[lowest:]
+        for layer in reversed(encoder):
+            d = layer.backward(d, None, layer is encoder[0])
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                          prefix: Prefix | None = None) -> float:
@@ -691,11 +723,11 @@ class ToyModel:
 
         ``h`` is the (batch, length, d) stream that adapter reads, and
         ``prefix`` starts at the decoder: it holds the encoder output and
-        the decoder embedding. The copies are folded into the batch axis,
-        copy-major, and the prefix streams are tiled to match; the blocks
-        above the adapter and every layer above run their own forward on
-        them, storing no backward cache, and each loss is the mean over its
-        own copy.
+        decoder layer 0's normed self-attention output. The copies are
+        folded into the batch axis, copy-major, and the prefix streams are
+        tiled to match; the blocks above the adapter and every layer above
+        run their own forward on them, storing no backward cache, and each
+        loss is the mean over its own copy.
         """
         out, _ = _bottleneck(h, *weights)
         n_copies = out.shape[0]
@@ -706,7 +738,7 @@ class ToyModel:
             x = later.forward(x, memory, cache=False)
         enc_x, dec_x = (x, np.tile(prefix.dec, (n_copies, 1, 1))) if in_encoder else (memory, x)
         _, x = self._run_layers(enc_x, dec_x, prefix.target_ids, index + 1, self.n_layers,
-                                cache=False)
+                                cache=False, resume=prefix.start)
         log_probs, _, _ = _log_softmax(self.out_proj.forward(x))
         picked, _ = _label_log_probs(log_probs, np.tile(prefix.target_ids, (n_copies, 1)))
         # One contiguous row per copy, so each mean sums its row in the
@@ -813,16 +845,16 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
 
     Tensors are audited in ``trainable_parameters()`` order. The stream
     each adapter reads is taken from the unperturbed forward that gives
-    the analytic gradients, and one prefix gives the encoder output and
-    the decoder embedding: perturbing an adapter changes neither what it
-    reads nor the embedding, and a decoder adapter cannot change the
-    encoder output. One forward then evaluates up to ``GRAD_CHECK_CHUNK``
-    scalars of a tensor, as a ``+eps`` and a ``-eps`` copy of each, stacked
-    on an outer axis (``ToyModel._copy_losses``). Every matrix product and
-    reduction keeps its one-copy shape and order, so each loss is that of
-    a full forward, bit for bit.
+    the analytic gradients, and a prefix at the decoder gives the encoder
+    output and decoder layer 0's stream below its lowest adapter: an
+    adapter changes neither what it reads nor that stream, and a decoder
+    adapter cannot change the encoder output. One forward then evaluates
+    up to ``GRAD_CHECK_CHUNK`` scalars of a tensor, as a ``+eps`` and a
+    ``-eps`` copy of each, stacked on an outer axis (``_copy_losses``).
+    Every matrix product and reduction keeps its one-copy shape and order,
+    so each loss is that of a full forward, bit for bit.
     """
-    if not (math.isfinite(eps) and eps > 0):
+    if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
         raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
     if model.cfg.precision != "double":
         raise InvalidConfig(
@@ -893,9 +925,9 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
                    cfg: TrainConfig) -> TrainLog:
     """Full-batch gradient descent on the trainable parameters only.
 
-    The layers below ``model.lowest_trainable`` never change, so the
-    streams that enter it are computed once and every step and the final
-    loss run forward from them (with nothing trainable, a step is the
+    The work below the lowest adapter never changes, so a ``Prefix`` at
+    ``model.lowest_trainable`` is computed once and every step and the
+    final loss run forward from it (with nothing trainable, a step is the
     output projection and the loss). The losses are those of full forwards,
     bit for bit. Raises ``Divergence`` when a loss is non-finite or exceeds
     ``LOSS_GROWTH_LIMIT`` times the initial loss; numpy's overflow warnings
@@ -904,14 +936,12 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     if cfg.optimizer not in ("adam", "sgd"):
         raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
     check_int("steps", cfg.steps, InvalidConfig)
-    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
-        raise InvalidConfig(
-            f"learning_rate must be finite and positive, got {cfg.learning_rate!r}")
+    lr = cfg.learning_rate
+    if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
+        raise InvalidConfig(f"learning_rate must be finite and positive, got {lr!r}")
     theta, grad = model.theta, model.theta_grad
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
-    lowest = model.lowest_trainable
-    # At layer 0 the prefix would only hold the embeddings, so none is kept.
-    prefix = model.prefix(source_ids, target_ids, lowest) if lowest > 0 else None
+    prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
 
     log = TrainLog()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

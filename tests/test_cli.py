@@ -324,6 +324,14 @@ def rejected(argv, file_obj, id, names=None):
                  names="--bottleneck must be"),
         rejected(["train-toy", "--dec-layers", str(MAX_STACK_LAYERS + 1)], None,
                  id="train-toy-dec-layers-over", names="--dec-layers must be at most"),
+        rejected(["gradcheck", "--vocab", "2"], None, id="gradcheck-vocab-2",
+                 names="--vocab must exceed 2"),
+        rejected(["gradcheck", "--d-model", "3"], None, id="gradcheck-d-model-3",
+                 names="--d-model must be divisible by the 2 attention heads"),
+        rejected(["gradcheck", "--seq-len", "40"], None, id="gradcheck-seq-len-over",
+                 names="--seq-len must be at most 32"),
+        rejected(["train-toy", "--seq-len", "40"], None, id="train-toy-seq-len-over",
+                 names="--seq-len must be at most 32"),
         rejected(["count-params", "--config", "FILE"],
                  {**DIMS, "n_decoder_layers": MAX_STACK_LAYERS + 1},
                  id="count-params-layers-over", names="n_decoder_layers must be at most"),

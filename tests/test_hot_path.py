@@ -2,7 +2,9 @@
 
 The row reductions, the shared causal mask, the fused Adam pass and the
 cache-free copy forwards each replace a simpler path; each is checked
-here bit for bit against the path it replaces.
+here bit for bit against the path it replaces. Training runs the frozen
+work below the lowest adapter once, in a prefix that stores no cache;
+a test of the caches left after training pins where that work ends.
 """
 
 from unittest import mock
@@ -28,7 +30,7 @@ from adapterqa.toymodel import (
     grad_check,
     train_adapters,
 )
-from test_trainability import DIMS, FULL, batch, reference_train
+from test_trainability import DIMS, FULL, batch, build, reference_train
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
@@ -77,7 +79,8 @@ def build_single(adapter_set: AdapterSet):
     ))
 
 
-GRID_ROW_3 = apply_ablation(FULL, grid_ablation_plan(DIMS)[3])
+GRID_ROWS = [apply_ablation(FULL, row) for row in grid_ablation_plan(DIMS)]
+GRID_ROW_3 = GRID_ROWS[3]
 
 
 @pytest.mark.parametrize("run_scalars", [ADAM_RUN_SCALARS, 20, 7, 1])
@@ -146,3 +149,32 @@ def test_prefix_keeps_the_caches_of_an_earlier_forward():
     for start in range(model.n_layers + 1):
         model.prefix(source[:, :4], target[:, :4], start)
     assert all(m._cache is cache for m, cache in before)
+
+
+@pytest.mark.parametrize("adapter_set, bottoms", [
+    (FULL, (0, 0)),
+    (AdapterSet.of(encoder_layers=DIMS.encoder_layer_indices()), (0, 0)),
+    (AdapterSet.of(decoder_layers=DIMS.decoder_layer_indices()), (None, 0)),
+    (GRID_ROWS[0], (3, 0)),
+    (GRID_ROWS[1], (None, 3)),
+    (GRID_ROWS[2], (3, 0)),
+    (GRID_ROW_3, (None, None)),
+], ids=["full", "encoder-only", "decoder-only", "grid-row-0", "grid-row-1", "grid-row-2",
+        "grid-row-3"])
+def test_training_caches_nothing_below_the_lowest_adapter(adapter_set, bottoms):
+    """After ``train_adapters`` on a fresh model, block 0's sublayer and
+    norm in the bottom layer of each stack that runs (``bottoms``, the
+    encoder's and the decoder's; None when no layer of that stack runs),
+    and every layer below it, hold no cache: that work ran once, in the
+    prefix, and never backward. Every block above holds one. Grid row 3
+    has no adapters, so nothing holds a cache."""
+    model = build(adapter_set, randomize=False)
+    train_adapters(model, *batch(), TrainConfig(steps=2))
+    for stack, bottom in zip((model.encoder, model.decoder), bottoms, strict=True):
+        bottom = len(stack) if bottom is None else bottom
+        for index, layer in enumerate(stack):
+            for block_index, block in enumerate(layer.blocks):
+                below = index < bottom or (index == bottom and block_index == 0)
+                for module in (block.sublayer, block.norm):
+                    assert (module._cache is None) == below, (layer.name, block_index)
+                assert block.adapter is None or block.adapter._cache is not None

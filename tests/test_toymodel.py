@@ -258,6 +258,23 @@ def test_zero_learning_rate_changes_nothing():
                 assert np.array_equal(param.value, before[param.name]), param.name
 
 
+def test_bool_learning_rate_and_audit_step_are_refused():
+    # True is an int: taken as a number it would train at rate 1.0 and
+    # audit at step 1.0. Both are refused before any work.
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    before = model.theta.copy()
+    source, target = sample_batch(GRADCHECK_CONFIG)
+    for optimizer in ("sgd", "adam"):
+        with pytest.raises(InvalidConfig, match="learning_rate"):
+            train_adapters(model, source, target,
+                           TrainConfig(learning_rate=True, steps=1, optimizer=optimizer))
+    for eps in (True, False):
+        with pytest.raises(InvalidConfig, match="eps"):
+            grad_check(model, source, target, eps=eps)
+    assert model.theta.tobytes() == before.tobytes()
+
+
 def test_no_adapters_means_constant_loss():
     cfg = ToyConfig(**{**GRADCHECK_CONFIG.__dict__, "adapter_set": AdapterSet.empty()})
     model = build_toy_model(cfg)

@@ -1,9 +1,11 @@
 """Differential tests of the trainability-aware paths of the toy model.
 
-``ToyModel.backward`` stops at the lowest adapted layer, and forwards can
-start from a ``Prefix``. Each is checked bit for bit against the simple
-path it replaces, written out here: a full forward, a reverse loop over
-every layer, and a training loop built from those two.
+``ToyModel.backward`` stops below the lowest adapter (in the bottom layer
+of each stack, block 0 runs only its adapter), and forwards can resume
+from a ``Prefix``, which ends each side's stream at that point. Each is
+checked bit for bit against the simple path it replaces, written out here:
+a full forward, a reverse loop over every block of every layer, and a
+training loop built from those two.
 """
 
 import numpy as np
