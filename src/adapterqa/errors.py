@@ -1,9 +1,13 @@
-"""Shared exception types and the one integer rule for sizes and budgets.
+"""Shared exception types, the one integer rule for sizes and budgets,
+and the one rule for real-valued steps and rates.
 
 Errors caused by bad user input (malformed tables, schema violations,
 impossible budgets) derive from ``InputError`` and map to CLI exit code 2;
 everything else is treated as an internal error (exit code 1).
 """
+
+import math
+from numbers import Real
 
 
 class AdapterQaError(Exception):
@@ -29,4 +33,14 @@ def check_int(name: str, value: object, error: type[InputError] = InputError,
     if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
         kind = "non-negative" if allow_zero else "positive"
         raise error(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def check_positive_real(name: str, value: object,
+                        error: type[InputError] = InputError) -> float:
+    """The one rule for steps and rates: a real number (never a ``bool``)
+    that is finite and positive."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+            math.isfinite(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value!r}")
     return value

@@ -33,11 +33,25 @@ no cross-attention computes the gradient of the encoder output. That work
 is also fixed, so ``train_adapters`` computes its output once (a
 ``Prefix``) and resumes every step there, at block 0's adapter.
 
+Each training activation is held once. An adapter reads the output of the
+norm below it, so it caches only its bottleneck activation, and backward
+hands it its input (``ResidualBlock.adapter_input``): recomputed from the
+norm's cache as ``gamma * xhat + beta``, by the same two ufuncs on the same
+operands, or, in a block that resumed from a ``Prefix``, the prefix's own
+array. The loss writes the log-probabilities and the logits gradient over
+arrays it allocated, and ``backward`` drops the logits gradient once the
+output projection has used it. The large elementwise tails (bias adds,
+the norm, the attention softmax, the rectifier, the residual gradient
+sums) write into an array their own step allocated, never into an input.
+Each keeps its ufuncs and operands, at most swapping the two sides of a
+``+`` or ``*``, so every value is unchanged.
+
 ``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
 of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
 copy of each, stacked on a new leading axis that is folded into the batch
 axis. Only the perturbed adapter sees per-copy weights. It reads the
-stream it read in the audit's own unperturbed forward, and one prefix
+stream it read in the audit's own unperturbed forward, recomputed from
+that forward's norm cache, and one prefix
 gives the encoder output and decoder layer 0's stream below its lowest
 adapter; the blocks and layers above run unchanged on the tiled streams.
 Every matrix product keeps the shape it has in a one-copy forward and
@@ -64,7 +78,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .adapters import AdapterSet, ModelDims, check_layer_count, percent_of_base
-from .errors import AdapterQaError, InputError, check_int
+from .errors import AdapterQaError, InputError, check_int, check_positive_real
 
 BOS_ID = 1
 ADAM_BETA1 = 0.9
@@ -78,7 +92,7 @@ RANDOM_ADAPTER_SCALE = 0.1
 LOSS_GROWTH_LIMIT = 100.0
 # grad_check evaluates this many scalars of one tensor per forward, as
 # twice as many perturbed copies of the model.
-GRAD_CHECK_CHUNK = 8
+GRAD_CHECK_CHUNK = 16
 # train_adapters runs Adam once per step over each slice of this many
 # scalars of the flat trainable vector. One pass over all 101,760 scalars
 # of a width-128 toy raised the traced peak of training by 1.6 MB.
@@ -107,8 +121,11 @@ def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.
     """x + (relu(x @ w_down + b_down) @ w_up + b_up) and the rectified
     bottleneck activation. A weight may carry leading axes that stack
     copies of the adapter; they broadcast against the batch axes of ``x``."""
-    hidden = np.maximum(x @ w_down + b_down, 0.0)
-    return x + (hidden @ w_up + b_up), hidden
+    hidden = x @ w_down + b_down
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w_up + b_up
+    out += x
+    return out, hidden
 
 
 @functools.lru_cache(maxsize=16)
@@ -126,6 +143,11 @@ class InvalidConfig(InputError):
 
 class Divergence(AdapterQaError):
     """Training loss became non-finite or grew past the growth limit."""
+
+
+class ForwardNeeded(AdapterQaError):
+    """``backward()`` ran with no ``forward()`` since the model was built
+    or since the last ``backward()``."""
 
 
 @dataclass
@@ -180,7 +202,9 @@ class Linear:
         self.b = Parameter(f"{name}.b", b)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w.value + self.b.value
+        y = x @ self.w.value
+        y += self.b.value
+        return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         return d_out @ self.w.value.T
@@ -196,19 +220,36 @@ class LayerNorm:
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        centered = x - _row_mean(x)
-        inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + LAYER_NORM_EPS)
-        xhat = centered * inv_std
+        xhat = x - _row_mean(x)
+        inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LAYER_NORM_EPS)
+        xhat *= inv_std
         if cache:
             self._cache = (xhat, inv_std)
-        return self.gamma.value * xhat + self.beta.value
+            return self.output()
+        return self._affine(xhat, out=xhat)
+
+    def output(self) -> np.ndarray:
+        """The output of the last cached forward, recomputed from its
+        cache by the same two ufuncs on the same operands: bit-identical."""
+        return self._affine(self._cache[0])
+
+    def _affine(self, xhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        y = np.multiply(xhat, self.gamma.value, out=out)
+        y += self.beta.value
+        return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
+        """inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)),
+        written in place into ``d_xhat``."""
         xhat, inv_std = self._cache
         d_xhat = d_out * self.gamma.value
         mean_d = _row_mean(d_xhat)
-        mean_dx = _row_mean(d_xhat * xhat)
-        return inv_std * (d_xhat - mean_d - xhat * mean_dx)
+        scratch = d_xhat * xhat
+        mean_dx = _row_mean(scratch)
+        d_xhat -= mean_d
+        d_xhat -= np.multiply(xhat, mean_dx, out=scratch)
+        d_xhat *= inv_std
+        return d_xhat
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -247,11 +288,14 @@ class Attention:
         k = self._split(self.k_proj.forward(x_kv))
         v = self._split(self.v_proj.forward(x_kv))
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * inv_sqrt
+        # The softmax is written in place: scores become the probabilities.
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn *= inv_sqrt
         if self.causal:
-            scores = np.where(_causal_mask(scores.shape[-1]), scores, -np.inf)
-        exp_scores = np.exp(scores - _row_max(scores))
-        attn = exp_scores / _row_sum(exp_scores)
+            np.copyto(attn, -np.inf, where=~_causal_mask(attn.shape[-1]))
+        attn -= _row_max(attn)
+        np.exp(attn, out=attn)
+        attn /= _row_sum(attn)
         context = attn @ v
         if cache:
             self._cache = (q, k, v, attn, inv_sqrt)
@@ -263,15 +307,20 @@ class Attention:
         second is None, and not computed, unless ``need_kv``."""
         q, k, v, attn, inv_sqrt = self._cache
         d_context = self._split(self.o_proj.backward(d_out))
-        d_attn = d_context @ v.transpose(0, 1, 3, 2)
-        d_scores = attn * (d_attn - _row_sum(d_attn * attn))
-        d_q = (d_scores @ k) * inv_sqrt
+        # attn * (d_attn - row_sum(d_attn * attn)), in place in d_attn.
+        d_scores = d_context @ v.transpose(0, 1, 3, 2)
+        d_scores -= _row_sum(d_scores * attn)
+        d_scores *= attn
+        d_q = d_scores @ k
+        d_q *= inv_sqrt
         d_xq = self.q_proj.backward(self._merge(d_q))
         if not need_kv:
             return d_xq, None
         d_v = attn.transpose(0, 1, 3, 2) @ d_context
-        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * inv_sqrt
-        d_xkv = self.k_proj.backward(self._merge(d_k)) + self.v_proj.backward(self._merge(d_v))
+        d_k = d_scores.transpose(0, 1, 3, 2) @ q
+        d_k *= inv_sqrt
+        d_xkv = self.k_proj.backward(self._merge(d_k))
+        d_xkv += self.v_proj.backward(self._merge(d_v))
         return d_xq, d_xkv
 
     def parameters(self) -> list[Parameter]:
@@ -295,10 +344,11 @@ class FeedForward:
         pre = self.lin_in.forward(x)
         if cache:
             self._cache = pre > 0
-        return self.lin_out.forward(np.maximum(pre, 0.0))
+        return self.lin_out.forward(np.maximum(pre, 0.0, out=pre))
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_hidden = self.lin_out.backward(d_out) * self._cache
+        d_hidden = self.lin_out.backward(d_out)
+        d_hidden *= self._cache
         return self.lin_in.backward(d_hidden)
 
     def parameters(self) -> list[Parameter]:
@@ -309,7 +359,12 @@ class AdapterModule:
     """The one adapter: a trainable residual bottleneck (``_bottleneck``)
     with a hand-written backward pass. A zero up-projection makes it start
     as an exact identity map. It runs once per forward, so ``backward``
-    writes its four gradients in place rather than accumulating them."""
+    writes its four gradients in place rather than accumulating them.
+
+    A forward caches only the rectified bottleneck activation. Its input
+    is already held below it (``ResidualBlock.adapter_input``), so
+    ``backward`` is handed that input rather than caching a second copy.
+    """
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
         w_down = rng.standard_normal((d_model, bottleneck)) / np.sqrt(d_model)
@@ -323,19 +378,24 @@ class AdapterModule:
         out, hidden = _bottleneck(x, self.w_down.value, self.b_down.value,
                                   self.w_up.value, self.b_up.value)
         if cache:
-            self._cache = (x, hidden)
+            self._cache = hidden
         return out
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        x, hidden = self._cache
+    def backward(self, d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Gradient of the input; ``x`` is the input of the last cached
+        forward."""
+        hidden = self._cache
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
         self.w_up.grad[...] = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
         self.b_up.grad[...] = np.add.reduce(flat_d_out, axis=0)
-        d_hidden = (d_out @ self.w_up.value.T) * (hidden > 0)
+        d_hidden = d_out @ self.w_up.value.T
+        d_hidden *= hidden > 0
         flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
         self.w_down.grad[...] = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
         self.b_down.grad[...] = np.add.reduce(flat_d_hidden, axis=0)
-        return d_out + d_hidden @ self.w_down.value.T
+        d_x = d_hidden @ self.w_down.value.T
+        d_x += d_out
+        return d_x
 
     def parameters(self) -> list[Parameter]:
         return [self.w_down, self.b_down, self.w_up, self.b_up]
@@ -347,6 +407,10 @@ class ResidualBlock:
     The sublayer is a ``FeedForward`` or an ``Attention``; attention
     attends to its own input, or to ``memory`` when ``cross`` is set.
     A forward with ``cache=False`` stores nothing for ``backward``.
+
+    The stream the adapter reads is held once: backward recomputes it from
+    the norm's cache, or, when the last cached forward resumed from a
+    ``Prefix``, reads the prefix's array, kept by reference.
     """
 
     def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
@@ -354,6 +418,7 @@ class ResidualBlock:
         self.norm = norm
         self.cross = cross
         self.adapter: AdapterModule | None = None
+        self._resumed_from: np.ndarray | None = None
 
     def normed(self, x: np.ndarray, memory: np.ndarray | None = None,
                cache: bool = True) -> np.ndarray:
@@ -362,13 +427,22 @@ class ResidualBlock:
             out = self.sublayer.forward(x, cache)
         else:
             out = self.sublayer.forward(x, memory if self.cross else x, cache)
-        return self.norm.forward(x + out, cache)
+        out += x
+        return self.norm.forward(out, cache)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
                 cache: bool = True, resume: bool = False) -> np.ndarray:
         """With ``resume``, ``x`` is already ``normed``'s output."""
         h = x if resume else self.normed(x, memory, cache)
+        if cache:
+            self._resumed_from = x if resume else None
         return h if self.adapter is None else self.adapter.forward(h, cache)
+
+    def adapter_input(self) -> np.ndarray:
+        """The stream the adapter read in the last cached forward: the
+        prefix array it resumed from, or the norm's output recomputed from
+        the norm's cache, bit for bit."""
+        return self.norm.output() if self._resumed_from is None else self._resumed_from
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None,
                  resume: bool = False) -> np.ndarray:
@@ -376,19 +450,21 @@ class ResidualBlock:
         ``memory`` into ``d_memory``, and skips it when that is None. With
         ``resume``, only the adapter runs, as in ``forward``."""
         if self.adapter is not None:
-            d_out = self.adapter.backward(d_out)
+            d_out = self.adapter.backward(d_out, self.adapter_input())
         if resume:
             return d_out
         d_sum = self.norm.backward(d_out)
         if isinstance(self.sublayer, FeedForward):
-            return d_sum + self.sublayer.backward(d_sum)
+            d_x = self.sublayer.backward(d_sum)
+            d_x += d_sum
+            return d_x
+        d_x, d_kv = self.sublayer.backward(d_sum, need_kv=not self.cross or d_memory is not None)
+        d_x += d_sum
         if not self.cross:
-            d_q, d_kv = self.sublayer.backward(d_sum)
-            return d_sum + d_q + d_kv
-        d_q, d_kv = self.sublayer.backward(d_sum, need_kv=d_memory is not None)
-        if d_memory is not None:
+            d_x += d_kv
+        elif d_memory is not None:
             d_memory += d_kv
-        return d_sum + d_q
+        return d_x
 
 
 class Layer:
@@ -476,12 +552,14 @@ class Prefix:
 
 
 def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-probabilities over the last axis, with the shifted exponentials
-    and their sums that the softmax needs."""
+    """Log-probabilities over the last axis, written over the shifted
+    logits, with the shifted exponentials and their sums that the softmax
+    needs."""
     z = logits - _row_max(logits)
     exp_z = np.exp(z)
     sum_exp = _row_sum(exp_z)
-    return z - np.log(sum_exp), exp_z, sum_exp
+    z -= np.log(sum_exp)
+    return z, exp_z, sum_exp
 
 
 def _label_log_probs(log_probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -492,12 +570,15 @@ def _label_log_probs(log_probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over all positions plus the logits gradient."""
-    log_probs, exp_z, sum_exp = _log_softmax(logits)
+    """Mean cross-entropy over all positions plus the logits gradient,
+    written over the shifted exponentials."""
+    log_probs, d_logits, sum_exp = _log_softmax(logits)
     picked, at_labels = _label_log_probs(log_probs, labels)
-    d_flat = (exp_z / sum_exp).reshape(labels.size, -1)
+    d_logits /= sum_exp
+    d_flat = d_logits.reshape(labels.size, -1)
     d_flat[at_labels] -= 1.0
-    return float(-picked.mean()), (d_flat / labels.size).reshape(logits.shape)
+    d_flat /= labels.size
+    return float(-picked.mean()), d_logits
 
 
 class ToyModel:
@@ -693,14 +774,20 @@ class ToyModel:
         left out owns nothing trainable and its input gradients feed
         nothing, so the trainable gradients are those of a full reverse
         pass, bit for bit. With nothing trainable it returns at once.
+
+        It uses up the logits gradient of the forward, so each backward
+        needs a forward of its own; without one it raises ``ForwardNeeded``.
         """
+        d_logits, self._d_logits = self._d_logits, None
+        if d_logits is None:
+            raise ForwardNeeded("backward() needs a forward() since the last backward()")
         lowest = self.lowest_trainable
         if lowest == self.n_layers:
             return
         n_enc = len(self.encoder)
-        d = self.out_proj.backward(self._d_logits)
-        d_enc_total = (np.zeros(self._enc_shape, dtype=self._d_logits.dtype)
-                       if lowest < n_enc else None)
+        d = self.out_proj.backward(d_logits)
+        del d_logits
+        d_enc_total = np.zeros(self._enc_shape, dtype=d.dtype) if lowest < n_enc else None
         decoder = self.decoder[max(lowest - n_enc, 0):]
         for layer in reversed(decoder):
             d = layer.backward(d, d_enc_total, layer is decoder[0])
@@ -711,7 +798,7 @@ class ToyModel:
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                          prefix: Prefix | None = None) -> float:
-        loss, _ = self.forward(source_ids, target_ids, prefix)
+        loss = self.forward(source_ids, target_ids, prefix)[0]  # the logits are freed before backward
         self.backward()
         return loss
 
@@ -844,8 +931,10 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     differences cannot resolve these gradients.
 
     Tensors are audited in ``trainable_parameters()`` order. The stream
-    each adapter reads is taken from the unperturbed forward that gives
-    the analytic gradients, and a prefix at the decoder gives the encoder
+    each adapter reads is that of the unperturbed forward that gives the
+    analytic gradients, recomputed from its block's norm cache
+    (``ResidualBlock.adapter_input``); the copy forwards store no cache,
+    so that cache stays in place. A prefix at the decoder gives the encoder
     output and decoder layer 0's stream below its lowest adapter: an
     adapter changes neither what it reads nor that stream, and a decoder
     adapter cannot change the encoder output. One forward then evaluates
@@ -854,22 +943,20 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     Every matrix product and reduction keeps its one-copy shape and order,
     so each loss is that of a full forward, bit for bit.
     """
-    if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
-        raise InvalidConfig(f"eps must be finite and positive, got {eps!r}")
+    check_positive_real("eps", eps, InvalidConfig)
     if model.cfg.precision != "double":
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
-    # Each adapter's input, from the cache of the forward that gave the gradients.
-    reads = [(index, block, adapter, adapter._cache[0])
-             for index, block, adapter in model.adapters()]
     prefix = model.prefix(source_ids, target_ids, len(model.encoder))
+    layers = [*model.encoder, *model.decoder]
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
     worst_err = 0.0
     n_checked = 0
-    for index, block, adapter, h in reads:
+    for index, block, adapter in model.adapters():
+        h = layers[index].blocks[block].adapter_input()
         for which, param in enumerate(adapter.parameters()):
             errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
             # Python's max never picks NaN; a NaN error fails the audit.
@@ -936,9 +1023,7 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     if cfg.optimizer not in ("adam", "sgd"):
         raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
     check_int("steps", cfg.steps, InvalidConfig)
-    lr = cfg.learning_rate
-    if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
-        raise InvalidConfig(f"learning_rate must be finite and positive, got {lr!r}")
+    check_positive_real("learning_rate", cfg.learning_rate, InvalidConfig)
     theta, grad = model.theta, model.theta_grad
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)

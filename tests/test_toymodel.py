@@ -10,6 +10,7 @@ from adapterqa.errors import InputError
 from adapterqa.toymodel import (
     LOSS_GROWTH_LIMIT,
     Divergence,
+    ForwardNeeded,
     InvalidConfig,
     ToyConfig,
     ToyModel,
@@ -114,8 +115,8 @@ def test_grad_check_names_a_wrong_gradient(monkeypatch, which):
     _, _, chosen = list(model.adapters())[2]
     backward = toymodel.AdapterModule.backward
 
-    def scaled_backward(self, d_out):
-        d_in = backward(self, d_out)
+    def scaled_backward(self, d_out, x):
+        d_in = backward(self, d_out, x)
         if self is chosen:
             self.parameters()[which].grad *= 1.01
         return d_in
@@ -163,6 +164,24 @@ def test_each_backward_sets_the_adapter_gradients():
     assert all(p.grad is None for p in fresh.parameters() if not p.trainable)
     train_adapters(fresh, source, target, TrainConfig(steps=2))
     assert all(p.grad is None for p in fresh.parameters() if not p.trainable)
+
+
+def test_backward_needs_a_forward_of_its_own():
+    # The forward's logits gradient is used up by its backward, so a
+    # backward on a new model, or a second one after the same forward, is
+    # refused by name rather than failing inside a matrix product.
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    with pytest.raises(ForwardNeeded, match="forward"):
+        model.backward()
+    model.forward_backward(*sample_batch(GRADCHECK_CONFIG))
+    grads = model.theta_grad.tobytes()
+    with pytest.raises(ForwardNeeded, match="forward"):
+        model.backward()
+    assert model.theta_grad.tobytes() == grads
+    model.forward(*sample_batch(GRADCHECK_CONFIG))
+    model.backward()
+    assert model.theta_grad.tobytes() == grads
 
 
 def assert_views_of_the_flat_vectors(model):
@@ -272,6 +291,21 @@ def test_bool_learning_rate_and_audit_step_are_refused():
     for eps in (True, False):
         with pytest.raises(InvalidConfig, match="eps"):
             grad_check(model, source, target, eps=eps)
+    assert model.theta.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("value", ["0.1", None, [1e-6]], ids=["str", "None", "list"])
+def test_non_number_learning_rate_and_audit_step_are_refused(value):
+    model = build_toy_model(GRADCHECK_CONFIG)
+    model.randomize_adapters(seed=7)
+    before = model.theta.copy()
+    source, target = sample_batch(GRADCHECK_CONFIG)
+    for optimizer in ("sgd", "adam"):
+        with pytest.raises(InvalidConfig, match="learning_rate"):
+            train_adapters(model, source, target,
+                           TrainConfig(learning_rate=value, steps=1, optimizer=optimizer))
+    with pytest.raises(InvalidConfig, match="eps"):
+        grad_check(model, source, target, eps=value)
     assert model.theta.tobytes() == before.tobytes()
 
 
