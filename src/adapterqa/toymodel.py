@@ -21,42 +21,40 @@ The trainable state is two flat vectors of the model's dtype,
 writes each adapter gradient in place, so the optimizer and
 ``randomize_adapters`` act on the two vectors with no copy in or out.
 
-Work that cannot change a result is skipped, and each skip is exact because
-it leaves out whole block computations without reordering any arithmetic.
-Layers are numbered as in ``AdapterSet`` (decoder after encoder); the
-lowest one that carries an adapter is ``ToyModel.lowest_trainable``.
-``backward`` stops below the lowest adapter: in the bottom layer of each
-stack, block 0 runs its adapter but not its sublayer and norm, which read
-only frozen streams. The work below owns no trainable tensor, and the
-gradient of its input feeds nothing; when only decoder layers are adapted,
-no cross-attention computes the gradient of the encoder output. That work
-is also fixed, so ``train_adapters`` computes its output once (a
-``Prefix``) and resumes every step there, at block 0's adapter.
+Every forward runs from a ``Prefix``: on each side, the stream that block
+0's add&norm gives in the bottom layer the forward runs. Layers are
+numbered as in ``AdapterSet`` (decoder after encoder), and by default the
+prefix is at the lowest one that carries an adapter,
+``ToyModel.lowest_trainable``. One walk, ``ToyModel._walk``, runs a stack
+from any block of any layer up; ``prefix``, ``forward`` and the audit's
+copy forwards all use it, and ``backward`` is its reverse, down to where
+the last forward began. The work below the lowest adapter owns no
+trainable tensor and the gradient of its input feeds nothing, so
+``train_adapters`` computes that prefix once, and no skip reorders any
+arithmetic.
 
-Each training activation is held once. An adapter reads the output of the
-norm below it, so it caches only its bottleneck activation, and backward
-hands it its input (``ResidualBlock.adapter_input``): recomputed from the
-norm's cache as ``gamma * xhat + beta``, by the same two ufuncs on the same
-operands, or, in a block that resumed from a ``Prefix``, the prefix's own
-array. The loss writes the log-probabilities and the logits gradient over
-arrays it allocated, and ``backward`` drops the logits gradient once the
-output projection has used it. The large elementwise tails (bias adds,
-the norm, the attention softmax, the rectifier, the residual gradient
-sums) write into an array their own step allocated, never into an input.
-Each keeps its ufuncs and operands, at most swapping the two sides of a
-``+`` or ``*``, so every value is unchanged.
+Each training activation is held once. An adapter caches only its
+bottleneck activation, and backward hands it the stream it read
+(``ToyModel.adapter_input``): the prefix's own array where the forward
+began, and elsewhere the norm's output recomputed from the norm's cache
+by the same two ufuncs on the same operands. The loss writes the
+log-probabilities and the logits gradient over arrays it allocated, and
+``backward`` drops the logits gradient once the output projection has
+used it. The large elementwise tails (bias adds, the norm, the attention
+softmax, the rectifier, the residual gradient sums) write into an array
+their own step allocated, never into an input. Each keeps its ufuncs and
+operands, at most swapping the two sides of a ``+`` or ``*``, so every
+value is unchanged.
 
 ``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
 of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
 copy of each, stacked on a new leading axis that is folded into the batch
-axis. Only the perturbed adapter sees per-copy weights. It reads the
-stream it read in the audit's own unperturbed forward, recomputed from
-that forward's norm cache, and one prefix
-gives the encoder output and decoder layer 0's stream below its lowest
-adapter; the blocks and layers above run unchanged on the tiled streams.
-Every matrix product keeps the shape it has in a one-copy forward and
-every loss is the mean over its own copy, so each copy's loss is
-bit-identical to a separate forward.
+axis. Only the perturbed adapter sees per-copy weights, on the stream it
+read in the audit's own unperturbed forward; the walk then runs the
+blocks and layers above on the copies, and a prefix at the decoder gives
+the streams of the other side, tiled. Every matrix product keeps the shape
+it has in a one-copy forward and every loss is the mean over its own copy,
+so each copy's loss is bit-identical to a separate forward.
 
 At the toy's widths the hot path is bound by per-call overhead, so it
 makes fewer calls without changing any arithmetic. Row means, sums and
@@ -362,8 +360,8 @@ class AdapterModule:
     writes its four gradients in place rather than accumulating them.
 
     A forward caches only the rectified bottleneck activation. Its input
-    is already held below it (``ResidualBlock.adapter_input``), so
-    ``backward`` is handed that input rather than caching a second copy.
+    is already held below it (``ToyModel.adapter_input``), so ``backward``
+    is handed that input rather than caching a second copy.
     """
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
@@ -406,11 +404,8 @@ class ResidualBlock:
 
     The sublayer is a ``FeedForward`` or an ``Attention``; attention
     attends to its own input, or to ``memory`` when ``cross`` is set.
-    A forward with ``cache=False`` stores nothing for ``backward``.
-
-    The stream the adapter reads is held once: backward recomputes it from
-    the norm's cache, or, when the last cached forward resumed from a
-    ``Prefix``, reads the prefix's array, kept by reference.
+    A forward with ``cache=False`` stores nothing for ``backward``, which
+    hands the adapter the stream it read, recomputed from the norm's cache.
     """
 
     def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
@@ -418,7 +413,6 @@ class ResidualBlock:
         self.norm = norm
         self.cross = cross
         self.adapter: AdapterModule | None = None
-        self._resumed_from: np.ndarray | None = None
 
     def normed(self, x: np.ndarray, memory: np.ndarray | None = None,
                cache: bool = True) -> np.ndarray:
@@ -431,28 +425,15 @@ class ResidualBlock:
         return self.norm.forward(out, cache)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                cache: bool = True, resume: bool = False) -> np.ndarray:
-        """With ``resume``, ``x`` is already ``normed``'s output."""
-        h = x if resume else self.normed(x, memory, cache)
-        if cache:
-            self._resumed_from = x if resume else None
+                cache: bool = True) -> np.ndarray:
+        h = self.normed(x, memory, cache)
         return h if self.adapter is None else self.adapter.forward(h, cache)
 
-    def adapter_input(self) -> np.ndarray:
-        """The stream the adapter read in the last cached forward: the
-        prefix array it resumed from, or the norm's output recomputed from
-        the norm's cache, bit for bit."""
-        return self.norm.output() if self._resumed_from is None else self._resumed_from
-
-    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None,
-                 resume: bool = False) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input; cross-attention adds the gradient of
-        ``memory`` into ``d_memory``, and skips it when that is None. With
-        ``resume``, only the adapter runs, as in ``forward``."""
+        ``memory`` into ``d_memory``, and skips it when that is None."""
         if self.adapter is not None:
-            d_out = self.adapter.backward(d_out, self.adapter_input())
-        if resume:
-            return d_out
+            d_out = self.adapter.backward(d_out, self.norm.output())
         d_sum = self.norm.backward(d_out)
         if isinstance(self.sublayer, FeedForward):
             d_x = self.sublayer.backward(d_sum)
@@ -503,22 +484,20 @@ class Layer:
             f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                cache: bool = True, resume: bool = False) -> np.ndarray:
-        """With ``resume``, ``x`` is block 0's add&norm output, as a
-        ``Prefix`` holds it, and the layer runs from block 0's adapter."""
-        x = self.blocks[0].forward(x, memory, cache, resume)
-        for block in self.blocks[1:]:
+                cache: bool = True, first: int = 0) -> np.ndarray:
+        """Run the blocks from block ``first`` up; ``x`` enters that block."""
+        for block in self.blocks[first:]:
             x = block.forward(x, memory, cache)
         return x
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None,
-                 resume: bool = False) -> np.ndarray:
-        """Gradient of the input; a decoder layer also adds the gradient of
-        ``memory`` into ``d_memory`` unless that is None. With ``resume``,
-        block 0 runs only its adapter."""
-        for block in reversed(self.blocks[1:]):
+                 first: int = 0) -> np.ndarray:
+        """Gradient of the stream that entered block ``first``; a decoder
+        layer also adds the gradient of ``memory`` into ``d_memory`` unless
+        that is None."""
+        for block in reversed(self.blocks[first:]):
             d_out = block.backward(d_out, d_memory)
-        return self.blocks[0].backward(d_out, d_memory, resume)
+        return d_out
 
     def parameters(self) -> list[Parameter]:
         """Each block's frozen tensors, then each adapter's tensors."""
@@ -531,12 +510,13 @@ class Layer:
 class Prefix:
     """The streams of a model at layer ``start`` for one pair of id arrays
     (``ToyModel.prefix``): on each side, block 0's add&norm output in the
-    first layer that runs from ``start``, below the lowest adapter.
+    first layer that runs from ``start``, below that block's adapter.
 
-    Only frozen work produced them, so a forward from a prefix, which
-    resumes at that block's adapter, is bit-identical to a full forward as
-    long as that work is unchanged. ``start`` runs from 0 to the number of
-    layers; at the top, ``dec`` is the decoder output.
+    Every forward runs from a prefix, starting at those adapters. Only
+    frozen work produced the streams, so the result is bit-identical to a
+    forward from any other prefix as long as that work is unchanged.
+    ``start`` runs from 0 to the number of layers; at the top, ``dec`` is
+    the decoder output.
     """
 
     start: int
@@ -649,7 +629,7 @@ class ToyModel:
             start = part.stop
 
         self._d_logits: np.ndarray | None = None
-        self._enc_shape: tuple | None = None
+        self._prefix: Prefix | None = None  # the one the last forward ran from
 
     def parameters(self) -> list[Parameter]:
         params = [self.tok_emb, self.pos_emb]
@@ -681,6 +661,8 @@ class ToyModel:
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.size == 0:
             raise InputError(f"{what} ids must be a nonempty (batch, length) array, got shape {ids.shape}")
+        if ids.dtype.kind not in "iu":  # signed or unsigned integers; a bool array is a mask
+            raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
         if ids.shape[1] > self.cfg.max_len:
             raise InputError(
                 f"{what} length {ids.shape[1]} exceeds maximum sequence length {self.cfg.max_len}"
@@ -700,29 +682,31 @@ class ToyModel:
     def _embed(self, ids: np.ndarray) -> np.ndarray:
         return self.tok_emb.value[ids] + self.pos_emb.value[: ids.shape[1]][None, :, :]
 
-    def _run_layers(self, enc_x: np.ndarray, dec_x: np.ndarray | None, target_ids: np.ndarray,
-                    start: int, stop: int, cache: bool = True,
-                    resume: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Run layers ``start`` to ``stop - 1`` on the streams that enter
-        ``start``, storing backward caches only with ``cache``. A ``dec_x``
-        of None is embedded once the encoder is done, so the two embeddings
-        are never held together. The layer where a ``Prefix`` at layer
-        ``resume`` ends a side's stream resumes at block 0's adapter."""
+    def _bottoms(self, start: int) -> tuple[int, int]:
+        """The layer of each stack in which a ``Prefix`` at layer ``start``
+        ends the stream, or the stack's length for its output."""
         n_enc = len(self.encoder)
-        for index, layer in enumerate(self.encoder[start:stop], start):
-            enc_x = layer.forward(enc_x, None, cache, index == resume)
-        if dec_x is None:
-            decoder_input = np.concatenate(
-                [np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype),
-                 target_ids[:, :-1]],
-                axis=1,
-            )
-            dec_x = self._embed(decoder_input)
-        first = max(start - n_enc, 0)
-        resumed = -1 if resume is None else max(resume - n_enc, 0)
-        for index, layer in enumerate(self.decoder[first:max(stop - n_enc, 0)], first):
-            dec_x = layer.forward(dec_x, enc_x, cache, index == resumed)
-        return enc_x, dec_x
+        return min(start, n_enc), max(start - n_enc, 0)
+
+    @staticmethod
+    def _walk(stack: list[Layer], x: np.ndarray, at: int, first: int = 0, stop: int | None = None,
+              memory: np.ndarray | None = None, cache: bool = True) -> np.ndarray:
+        """Run ``stack`` from block ``first`` of layer ``at``, where ``x``
+        enters, up to layer ``stop``, storing caches only with ``cache``."""
+        for layer in stack[at:stop]:
+            x = layer.forward(x, memory, cache, first)
+            first = 0
+        return x
+
+    def _resume(self, prefix: Prefix, cache: bool = True) -> list[np.ndarray]:
+        """Each side's stream of ``prefix`` after the adapter of the block
+        where the prefix ends it: the streams that enter block 1 there."""
+        streams = []
+        for stack, at, x in zip((self.encoder, self.decoder), self._bottoms(prefix.start),
+                                (prefix.enc, prefix.dec)):
+            adapter = stack[at].blocks[0].adapter if at < len(stack) else None
+            streams.append(x if adapter is None else adapter.forward(x, cache))
+        return streams
 
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
         """The ``Prefix`` at layer ``start`` for these ids. It stores no
@@ -730,71 +714,88 @@ class ToyModel:
         if check_int("prefix start", start, InputError, allow_zero=True) > self.n_layers:
             raise InputError(f"prefix start must be at most {self.n_layers}, got {start}")
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
-        enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids, 0, start,
-                                        cache=False)
-        n_enc = len(self.encoder)
-        if start < n_enc:
-            enc_x = self.encoder[start].blocks[0].normed(enc_x, cache=False)
-        if start < self.n_layers:
-            dec_x = self.decoder[max(start - n_enc, 0)].blocks[0].normed(dec_x, cache=False)
+        enc_at, dec_at = self._bottoms(start)
+        enc_x = self._walk(self.encoder, self._embed(source_ids), 0, stop=enc_at, cache=False)
+        # Embedded once the encoder is done, so the two embeddings are never
+        # held together.
+        bos = np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype)
+        dec_x = self._embed(np.concatenate([bos, target_ids[:, :-1]], axis=1))
+        dec_x = self._walk(self.decoder, dec_x, 0, stop=dec_at, memory=enc_x, cache=False)
+        if enc_at < len(self.encoder):
+            enc_x = self.encoder[enc_at].blocks[0].normed(enc_x, cache=False)
+        if dec_at < len(self.decoder):
+            dec_x = self.decoder[dec_at].blocks[0].normed(dec_x, cache=False)
         return Prefix(start, source_ids, target_ids, enc_x, dec_x)
 
     def forward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                 prefix: Prefix | None = None) -> tuple[float, np.ndarray]:
         """Teacher-forced cross-entropy and logits; caches for backward().
 
-        With a ``prefix`` of the same ids, the forward resumes where the
-        prefix ends its streams; the result is bit-identical to a full
-        forward while the frozen work below is unchanged.
+        The forward runs from ``prefix``, which must hold the same ids, or
+        by default from the prefix at ``lowest_trainable``. Each is
+        bit-identical to a forward from layer 0 while the frozen work below
+        is unchanged. Only the blocks the forward runs store a cache.
         """
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         if prefix is None:
-            enc_x, dec_x = self._run_layers(self._embed(source_ids), None, target_ids,
-                                            0, self.n_layers)
+            prefix = self.prefix(source_ids, target_ids, self.lowest_trainable)
         else:
             prefix.check(source_ids, target_ids)
-            enc_x, dec_x = self._run_layers(prefix.enc, prefix.dec, target_ids,
-                                            prefix.start, self.n_layers, resume=prefix.start)
-        self._enc_shape = enc_x.shape
+        enc_at, dec_at = self._bottoms(prefix.start)
+        enc_x, dec_x = self._resume(prefix)
+        enc_x = self._walk(self.encoder, enc_x, enc_at, 1)
+        dec_x = self._walk(self.decoder, dec_x, dec_at, 1, memory=enc_x)
+        self._prefix = prefix
         logits = self.out_proj.forward(dec_x)
         loss, self._d_logits = softmax_cross_entropy(logits, target_ids)
         return loss, logits
+
+    def adapter_input(self, index: int, block: int) -> np.ndarray:
+        """The stream the adapter in block ``block`` of layer ``index`` read
+        in the last forward: the array of that forward's ``Prefix`` where it
+        ends a stream, or else the norm's output, recomputed bit for bit."""
+        start, n_enc = self._prefix.start, len(self.encoder)
+        if block == 0 and index in (start, max(start, n_enc)):
+            return self._prefix.enc if index < n_enc else self._prefix.dec
+        return [*self.encoder, *self.decoder][index].blocks[block].norm.output()
 
     def backward(self):
         """Set the gradient of every trainable parameter; frozen tensors
         get none.
 
-        The reverse pass stops below the lowest adapter, where a ``Prefix``
-        at ``lowest_trainable`` ends each side's stream: the decoder layers
-        run down to that layer (all of them when the encoder has adapters,
-        because each one's cross-attention feeds the encoder gradient), and
-        the encoder is entered only when it has adapters; without them, no
-        cross-attention computes the gradient of the encoder output. In the
-        bottom layer of each stack, block 0 runs only its adapter. The work
-        left out owns nothing trainable and its input gradients feed
-        nothing, so the trainable gradients are those of a full reverse
-        pass, bit for bit. With nothing trainable it returns at once.
-
-        It uses up the logits gradient of the forward, so each backward
-        needs a forward of its own; without one it raises ``ForwardNeeded``.
+        The reverse of the last forward's walk: it stops at that forward's
+        ``Prefix``, handing the adapter of each block 0 there the prefix's
+        array. The work left out owns nothing trainable and its input
+        gradients feed nothing, so the gradients are those of a reverse
+        pass through every layer, bit for bit. With nothing trainable it
+        returns at once. Each backward needs a forward of its own, from a
+        prefix at or below ``lowest_trainable``; otherwise it raises
+        ``ForwardNeeded`` and writes no gradient.
         """
         d_logits, self._d_logits = self._d_logits, None
         if d_logits is None:
             raise ForwardNeeded("backward() needs a forward() since the last backward()")
-        lowest = self.lowest_trainable
-        if lowest == self.n_layers:
+        prefix = self._prefix
+        if prefix.start > self.lowest_trainable:
+            raise ForwardNeeded(
+                f"backward() needs a forward from a prefix at or below layer "
+                f"{self.lowest_trainable}, the lowest adapter; the last began at layer "
+                f"{prefix.start}")
+        if self.lowest_trainable == self.n_layers:
             return
-        n_enc = len(self.encoder)
         d = self.out_proj.backward(d_logits)
         del d_logits
-        d_enc_total = np.zeros(self._enc_shape, dtype=d.dtype) if lowest < n_enc else None
-        decoder = self.decoder[max(lowest - n_enc, 0):]
-        for layer in reversed(decoder):
-            d = layer.backward(d, d_enc_total, layer is decoder[0])
-        d = d_enc_total
-        encoder = self.encoder[lowest:]
-        for layer in reversed(encoder):
-            d = layer.backward(d, None, layer is encoder[0])
+        enc_at, dec_at = self._bottoms(prefix.start)
+        d_enc = np.zeros_like(prefix.enc) if enc_at < len(self.encoder) else None
+        for stack, at, x, d_memory in ((self.decoder, dec_at, prefix.dec, d_enc),
+                                       (self.encoder, enc_at, prefix.enc, None)):
+            if d is None:  # no gradient of the encoder output is needed
+                return
+            for index in reversed(range(at, len(stack))):
+                d = stack[index].backward(d, d_memory, 1 if index == at else 0)
+            if stack[at].blocks[0].adapter is not None:
+                stack[at].blocks[0].adapter.backward(d, x)
+            d = d_enc
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                          prefix: Prefix | None = None) -> float:
@@ -809,24 +810,23 @@ class ToyModel:
         one of them stacked per copy).
 
         ``h`` is the (batch, length, d) stream that adapter reads, and
-        ``prefix`` starts at the decoder: it holds the encoder output and
-        decoder layer 0's normed self-attention output. The copies are
-        folded into the batch axis, copy-major, and the prefix streams are
-        tiled to match; the blocks above the adapter and every layer above
-        run their own forward on them, storing no backward cache, and each
-        loss is the mean over its own copy.
+        ``prefix`` starts at the decoder. The copies are folded into the
+        batch axis, copy-major, and the prefix's streams are tiled to
+        match; the walk from the adapter's next block stores no backward
+        cache, and each loss is the mean over its own copy.
         """
         out, _ = _bottleneck(h, *weights)
         n_copies = out.shape[0]
         x = out.reshape(n_copies * h.shape[0], *h.shape[1:])
-        in_encoder = index < len(self.encoder)
-        memory = None if in_encoder else np.tile(prefix.enc, (n_copies, 1, 1))
-        for later in [*self.encoder, *self.decoder][index].blocks[block + 1:]:
-            x = later.forward(x, memory, cache=False)
-        enc_x, dec_x = (x, np.tile(prefix.dec, (n_copies, 1, 1))) if in_encoder else (memory, x)
-        _, x = self._run_layers(enc_x, dec_x, prefix.target_ids, index + 1, self.n_layers,
-                                cache=False, resume=prefix.start)
-        log_probs, _, _ = _log_softmax(self.out_proj.forward(x))
+        n_enc = len(self.encoder)
+        if index < n_enc:
+            enc_x = self._walk(self.encoder, x, index, block + 1, cache=False)
+            dec_x = np.tile(self._resume(prefix, cache=False)[1], (n_copies, 1, 1))
+            dec_x = self._walk(self.decoder, dec_x, 0, 1, memory=enc_x, cache=False)
+        else:
+            dec_x = self._walk(self.decoder, x, index - n_enc, block + 1,
+                               memory=np.tile(prefix.enc, (n_copies, 1, 1)), cache=False)
+        log_probs, _, _ = _log_softmax(self.out_proj.forward(dec_x))
         picked, _ = _label_log_probs(log_probs, np.tile(prefix.target_ids, (n_copies, 1)))
         # One contiguous row per copy, so each mean sums its row in the
         # order of a one-copy loss.
@@ -930,18 +930,16 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     check is vacuous there. Double precision only: float32 central
     differences cannot resolve these gradients.
 
-    Tensors are audited in ``trainable_parameters()`` order. The stream
-    each adapter reads is that of the unperturbed forward that gives the
-    analytic gradients, recomputed from its block's norm cache
-    (``ResidualBlock.adapter_input``); the copy forwards store no cache,
-    so that cache stays in place. A prefix at the decoder gives the encoder
-    output and decoder layer 0's stream below its lowest adapter: an
-    adapter changes neither what it reads nor that stream, and a decoder
-    adapter cannot change the encoder output. One forward then evaluates
-    up to ``GRAD_CHECK_CHUNK`` scalars of a tensor, as a ``+eps`` and a
-    ``-eps`` copy of each, stacked on an outer axis (``_copy_losses``).
-    Every matrix product and reduction keeps its one-copy shape and order,
-    so each loss is that of a full forward, bit for bit.
+    Tensors are audited in ``trainable_parameters()`` order. Each adapter
+    reads the stream it read in the unperturbed forward that gives the
+    analytic gradients (``ToyModel.adapter_input``); the copy forwards
+    store no cache, so that forward's stay in place. A prefix at the
+    decoder gives the streams of the other side, which no adapter of this
+    side changes. One forward then evaluates up to ``GRAD_CHECK_CHUNK``
+    scalars of a tensor, as a ``+eps`` and a ``-eps`` copy of each, stacked
+    on an outer axis (``_copy_losses``). Every matrix product and reduction
+    keeps its one-copy shape and order, so each loss is that of a full
+    forward, bit for bit.
     """
     check_positive_real("eps", eps, InvalidConfig)
     if model.cfg.precision != "double":
@@ -949,14 +947,13 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     model.forward_backward(source_ids, target_ids)
     prefix = model.prefix(source_ids, target_ids, len(model.encoder))
-    layers = [*model.encoder, *model.decoder]
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
     worst_err = 0.0
     n_checked = 0
     for index, block, adapter in model.adapters():
-        h = layers[index].blocks[block].adapter_input()
+        h = model.adapter_input(index, block)
         for which, param in enumerate(adapter.parameters()):
             errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
             # Python's max never picks NaN; a NaN error fails the audit.

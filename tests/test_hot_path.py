@@ -8,7 +8,7 @@ a test of the caches left after training pins where that work ends.
 
 Each training activation is held once: an adapter caches only its
 bottleneck activation and is handed its input in backward, recomputed
-from the norm below it or read from the prefix it resumed from. Tests
+from the norm below it or read from the prefix its forward began at. Tests
 pin that saving, bit for bit and by a traced memory bound, and check
 that the tails written in place never write into an input, a returned
 array or a cache.
@@ -166,8 +166,8 @@ def test_prefix_keeps_the_caches_of_an_earlier_forward():
 
 
 # Every adapted set of the 4+4 toy that the saving tests run on, with the
-# bottom layer of each stack whose block 0 a prefix at the lowest adapter
-# resumes.
+# bottom layer of each stack, in which a prefix at the lowest adapter ends
+# the stream after block 0's add&norm.
 ADAPTED = [
     (FULL, (0, 0)),
     (AdapterSet.of(encoder_layers=DIMS.encoder_layer_indices()), (0, 0)),
@@ -202,11 +202,6 @@ def test_training_caches_nothing_below_the_lowest_adapter(adapter_set, bottoms):
                 assert block.adapter is None or block.adapter._cache is not None
 
 
-def adapted_blocks(model):
-    return [block for layer in [*model.encoder, *model.decoder] for block in layer.blocks
-            if block.adapter is not None]
-
-
 @over_adapted_sets
 def test_no_adapter_caches_the_stream_it_reads(adapter_set):
     """After a cached forward, full or from a prefix, each adapter holds
@@ -225,14 +220,14 @@ def test_no_adapter_caches_the_stream_it_reads(adapter_set):
 @over_adapted_sets
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
-    """The stream a block hands its adapter in backward is byte-equal to
-    the array its last cached forward handed it: a full forward, then one
-    from a prefix, then a full one again, so neither a stale norm cache nor
-    a stale prefix array is read."""
+    """The stream ``ToyModel.adapter_input`` gives each adapter is
+    byte-equal to the array the last forward handed it: a forward from
+    layer 0, then one from the default prefix, then one from layer 0
+    again, so neither a stale norm cache nor a stale prefix array is read."""
     model = build_single(adapter_set) if precision == "single" else build(adapter_set)
     model.randomize_adapters(seed=7)
     source, target = batch()
-    prefix = model.prefix(source, target, model.lowest_trainable)
+    prefix = model.prefix(source, target, 0)
     forward = AdapterModule.forward
     handed = {}
 
@@ -240,32 +235,33 @@ def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
         handed[id(self)] = x.copy()
         return forward(self, x, cache)
 
-    for run_prefix in (None, prefix, None):
+    for run_prefix in (prefix, None, prefix):
         handed.clear()
         with mock.patch.object(AdapterModule, "forward", recording):
             model.forward(source, target, run_prefix)
-        blocks = adapted_blocks(model)
-        assert len(handed) == len(blocks) > 0
-        for block in blocks:
-            got, want = block.adapter_input(), handed[id(block.adapter)]
+        adapters = list(model.adapters())
+        assert len(handed) == len(adapters) > 0
+        for index, block, adapter in adapters:
+            got, want = model.adapter_input(index, block), handed[id(adapter)]
             assert got.dtype == want.dtype == model.theta.dtype
             assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("adapter_set, bottoms", ADAPTED, ids=ADAPTED_IDS)
 def test_a_resumed_bottom_block_reads_the_prefix_array(adapter_set, bottoms):
-    """In the bottom layer of each stack that a prefix resumes, block 0
-    hands its adapter the prefix's own array, not a copy of it; the
-    truncated backward then matches a full one (test_trainability)."""
+    """In the bottom layer of each stack where the prefix at the lowest
+    adapter ends the stream, block 0's adapter is handed the prefix's own
+    array, not a copy of it; the truncated backward then matches a full
+    one (test_trainability)."""
     model = build(adapter_set)
     source, target = batch()
     prefix = model.prefix(source, target, model.lowest_trainable)
     model.forward_backward(source, target, prefix)
     resumed = 0
-    for stack, bottom, stream in zip((model.encoder, model.decoder), bottoms,
-                                     (prefix.enc, prefix.dec), strict=True):
+    for offset, bottom, stream in zip((0, DIMS.n_encoder_layers), bottoms,
+                                      (prefix.enc, prefix.dec), strict=True):
         if bottom is not None:
-            assert stack[bottom].blocks[0].adapter_input() is stream
+            assert model.adapter_input(offset + bottom, 0) is stream
             resumed += 1
     assert resumed > 0
 

@@ -183,6 +183,22 @@ def test_backward_needs_a_forward_of_its_own():
     model.backward()
     assert model.theta_grad.tobytes() == grads
 
+    # So is a backward after a forward from a prefix above the lowest
+    # adapter (layer 0 of the default toy), whose caches do not reach every
+    # adapter: on a new model, and after an update, when the blocks below
+    # the prefix still hold the caches of an earlier forward.
+    model = build_toy_model(ToyConfig())
+    source, target = sample_batch(ToyConfig())
+    for update in (False, True):
+        if update:
+            model.forward_backward(source, target)
+            model.theta -= 0.1 * model.theta_grad
+        grads = model.theta_grad.tobytes()
+        model.forward(source, target, model.prefix(source, target, 3))
+        with pytest.raises(ForwardNeeded, match="layer 3"):
+            model.backward()
+        assert model.theta_grad.tobytes() == grads
+
 
 def assert_views_of_the_flat_vectors(model):
     """Each trainable tensor and its gradient view ``theta`` and
@@ -404,6 +420,15 @@ def test_bad_ids_rejected():
         model.forward(np.zeros((1, 100), dtype=int), np.zeros((1, 4), dtype=int))
     with pytest.raises(InputError):
         model.forward(np.zeros((2, 4), dtype=int), np.zeros((1, 4), dtype=int))
+    # Only integer ids index the embeddings; a bool array would be taken
+    # as a mask.
+    for bad in (np.ones((1, 4)), np.ones((1, 4), dtype=object), np.ones((1, 4), dtype=bool)):
+        with pytest.raises(InputError, match="integer"):
+            model.forward(bad, np.ones((1, 4), dtype=int))
+        with pytest.raises(InputError, match="integer"):
+            model.forward(np.ones((1, 4), dtype=int), bad)
+    loss, _ = model.forward(np.full((1, 4), 3, dtype=np.uint8), np.full((1, 4), 2, dtype=np.uint8))
+    assert np.isfinite(loss)
 
 
 def test_single_precision_runs():

@@ -1,11 +1,11 @@
 """Differential tests of the trainability-aware paths of the toy model.
 
-``ToyModel.backward`` stops below the lowest adapter (in the bottom layer
-of each stack, block 0 runs only its adapter), and forwards can resume
-from a ``Prefix``, which ends each side's stream at that point. Each is
+Every forward runs from a ``Prefix``, by default the one at the lowest
+adapter, which ends each side's stream after the add&norm of the bottom
+layer's block 0, and ``ToyModel.backward`` stops there again. Each is
 checked bit for bit against the simple path it replaces, written out here:
-a full forward, a reverse loop over every block of every layer, and a
-training loop built from those two.
+a forward that runs and caches every layer, a reverse loop over every
+block of every layer, and a training loop built from those two.
 """
 
 import numpy as np
@@ -20,9 +20,11 @@ from adapterqa.toymodel import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BOS_ID,
     ToyConfig,
     TrainConfig,
     build_toy_model,
+    softmax_cross_entropy,
     train_adapters,
 )
 
@@ -71,10 +73,29 @@ def batch():
     return rng.integers(2, 16, size=(3, 6)), rng.integers(2, 16, size=(3, 5))
 
 
-def full_backward(model):
-    """The reverse pass through every layer, as before truncation."""
-    d = model.out_proj.backward(model._d_logits)
-    d_enc_total = np.zeros(model._enc_shape, dtype=model._d_logits.dtype)
+def full_forward(model, source, target):
+    """The loss of a forward that runs and caches every layer, as before
+    prefixes, with the logits gradient and the encoder output's shape that
+    ``full_backward`` needs."""
+
+    def embed(ids):
+        return model.tok_emb.value[ids] + model.pos_emb.value[: ids.shape[1]][None, :, :]
+
+    enc = embed(source)
+    for layer in model.encoder:
+        enc = layer.forward(enc)
+    dec = embed(np.concatenate([np.full((len(target), 1), BOS_ID), target[:, :-1]], axis=1))
+    for layer in model.decoder:
+        dec = layer.forward(dec, enc)
+    loss, d_logits = softmax_cross_entropy(model.out_proj.forward(dec), target)
+    return loss, d_logits, enc.shape
+
+
+def full_backward(model, d_logits, enc_shape):
+    """The reverse pass through every layer, as before truncation, after
+    ``full_forward``."""
+    d = model.out_proj.backward(d_logits)
+    d_enc_total = np.zeros(enc_shape, dtype=d_logits.dtype)
     for layer in reversed(model.decoder):
         d = layer.backward(d, d_enc_total)
     d = d_enc_total
@@ -89,8 +110,8 @@ def reference_train(model, source, target, cfg: TrainConfig):
     adam_v = [np.zeros_like(p.value) for p in params]
     losses = []
     for step in range(cfg.steps):
-        loss = model.forward(source, target)[0]
-        full_backward(model)
+        loss, *grad_inputs = full_forward(model, source, target)
+        full_backward(model, *grad_inputs)
         losses.append(loss)
         if cfg.optimizer == "sgd":
             for p in params:
@@ -105,7 +126,7 @@ def reference_train(model, source, target, cfg: TrainConfig):
                 m_hat = m / (1 - ADAM_BETA1 ** t)
                 v_hat = v / (1 - ADAM_BETA2 ** t)
                 p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return losses, model.forward(source, target)[0]
+    return losses, full_forward(model, source, target)[0]
 
 
 @over_adapter_sets
@@ -121,16 +142,22 @@ def test_forward_from_any_prefix_matches_full_forward(adapter_set):
 
 @over_adapter_sets
 def test_truncated_backward_matches_full_reverse_pass(adapter_set):
+    """A backward after a forward from the default prefix, or from any
+    prefix at or below the lowest adapter, stops where that forward began
+    and gives the gradients of a reverse pass through every layer."""
     truncated, full = build(adapter_set), build(adapter_set)
     source, target = batch()
-    for model, backward in ((truncated, truncated.backward), (full, lambda: full_backward(full))):
-        model.forward(source, target)
-        backward()
-    for mine, theirs in zip(truncated.parameters(), full.parameters()):
-        if mine.trainable:
-            assert mine.grad.tobytes() == theirs.grad.tobytes(), mine.name
-        else:
-            assert mine.grad is None and theirs.grad is None, mine.name
+    _, *grad_inputs = full_forward(full, source, target)
+    full_backward(full, *grad_inputs)
+    for start in (None, *range(truncated.lowest_trainable + 1)):
+        truncated.theta_grad[...] = np.nan
+        prefix = None if start is None else truncated.prefix(source, target, start)
+        truncated.forward_backward(source, target, prefix)
+        for mine, theirs in zip(truncated.parameters(), full.parameters()):
+            if mine.trainable:
+                assert mine.grad.tobytes() == theirs.grad.tobytes(), (start, mine.name)
+            else:
+                assert mine.grad is None and theirs.grad is None, mine.name
 
 
 @over_adapter_sets
