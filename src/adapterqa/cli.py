@@ -50,6 +50,12 @@ from .toymodel import (
 )
 
 
+# Most copy-task tokens (--examples times --seq-len) train-toy may ask for.
+# One step over this many at the default width takes a few seconds; the ids
+# of 10^8 six-token examples alone would take 4.47 GiB.
+MAX_COPY_TASK_TOKENS = 65_536
+
+
 class UsageError(InputError):
     """The command line does not parse."""
 
@@ -172,7 +178,8 @@ def _check_toy_ints(args, *sizes: str):
     at most the model's ``max_len``), and so are the model's options
     (``InvalidConfig``), except that ``--seed`` may be 0; ``--vocab`` must
     leave room for content tokens and ``--d-model`` must split into the
-    model's heads."""
+    model's heads. With ``--examples``, the copy task may hold at most
+    ``MAX_COPY_TASK_TOKENS`` tokens, checked before any array exists."""
     def option(name: str) -> tuple[str, int]:
         return "--" + name.replace("_", "-"), getattr(args, name)
 
@@ -180,6 +187,9 @@ def _check_toy_ints(args, *sizes: str):
         check_int(*option(name))
     if args.seq_len > ToyConfig.max_len:
         raise InputError(f"--seq-len must be at most {ToyConfig.max_len}, got {args.seq_len}")
+    if "examples" in sizes and args.examples * args.seq_len > MAX_COPY_TASK_TOKENS:
+        raise InputError(f"--examples * --seq-len must be at most {MAX_COPY_TASK_TOKENS}, "
+                         f"got {args.examples} * {args.seq_len}")
     for name in ("d_model", "bottleneck", "vocab"):
         check_int(*option(name), InvalidConfig)
     for name in ("enc_layers", "dec_layers"):

@@ -7,11 +7,18 @@ over the whole corpus on case-sensitive, punctuation-split tokens, applies
 exponential smoothing to zero match counts, skips orders whose pooled
 denominator is zero, and multiplies by the brevity penalty.
 
-The public scorers take strings; each tokenizes and then runs the same
-token-level kernel that ``evaluate_pairs`` runs on tokens it computes
-once per side and scheme. ROUGE-1, ROUGE-2 and every BLEU order count
-their clipped n-gram matches with one kernel, ``_clipped_matches``: the
-hypothesis n-grams stream against a ``Counter`` of the reference's.
+Every scorer counts clipped n-gram matches with one kernel,
+``_ngram_matches``, over a block of aligned pairs: ROUGE-1 and ROUGE-2 on
+metric tokens, and each BLEU order on BLEU tokens. It maps the block's
+tokens to integer ids and counts with sorts over arrays (``np.unique``),
+not with one ``Counter`` per pair. ``evaluate_pairs`` and
+``sacrebleu_corpus`` walk the corpus in blocks of ``EVAL_BLOCK_PAIRS``
+pairs, and the single-pair scorers run a block of one. The block size is
+a constant, not an option, because it bounds the memory of one block's
+token lists and arrays. Each side of a pair is tokenized once per scheme.
+ROUGE scores are exact per pair; a corpus mean adds them as Python floats
+in pair order, and BLEU statistics pool as Python ints, so no result
+depends on the block size.
 
 ``bleu_tokenize`` applies the 13a punctuation rules (Post 2018) token by
 token. It splits on whitespace first, keeps a token without split
@@ -30,15 +37,20 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InputError
 
 MAX_BLEU_ORDER = 4
 _BLEU_ORDERS = range(1, MAX_BLEU_ORDER + 1)
+
+# Pairs scored per block. A block's token lists and count arrays grow with
+# it; 64 pairs of 10-80-token answers keep them near 1 MB.
+EVAL_BLOCK_PAIRS = 64
 
 _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
@@ -67,14 +79,6 @@ class PRF:
     precision: float
     recall: float
     f1: float
-
-    @classmethod
-    def from_pr(cls, precision: float, recall: float) -> "PRF":
-        if precision + recall > 0:
-            f1 = 2 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-        return cls(precision=precision, recall=recall, f1=f1)
 
     def to_json_dict(self) -> dict:
         return {"p": self.precision, "r": self.recall, "f": self.f1}
@@ -137,41 +141,93 @@ def bleu_tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _ngrams(tokens: list[str], n: int):
-    """The n-grams of ``tokens`` in order: the tokens themselves for n = 1,
-    tuples of length n above."""
-    return tokens if n == 1 else zip(*[tokens[i:] for i in range(n)])
+def _blocks(hyps: list[str], refs: list[str]):
+    """Aligned slices of at most ``EVAL_BLOCK_PAIRS`` pairs, in order."""
+    size = EVAL_BLOCK_PAIRS
+    for start in range(0, len(hyps), size):
+        yield hyps[start:start + size], refs[start:start + size]
 
 
-def _clipped_matches(hyp_grams, left: Counter) -> int:
-    """Sum over n-grams of min(hypothesis count, reference count).
+def _ngram_matches(hyps: list[list[str]], refs: list[list[str]], max_order: int) -> np.ndarray:
+    """Clipped n-gram matches of orders 1..max_order for aligned token
+    lists: entry ``[n - 1, i]`` sums min(hypothesis count, reference count)
+    over the n-grams of pair i.
 
-    ``left`` counts the reference n-grams. Each hypothesis n-gram, streamed
-    in order, takes one that is still left, so ``left`` is consumed and no
-    hypothesis ``Counter`` is built.
+    The segments hyp 0, ref 0, hyp 1, ... are laid end to end, and each
+    token gets the index of its first occurrence as its id. An n-gram starts
+    only where at least n tokens are left in its segment, so none crosses a
+    pair or side. Order n's n-grams get ids from one ``np.unique`` over
+    (order n - 1 id, last token) keys, so every id stays below the block's
+    token count T and every key below T * max(T, segments), whatever the
+    vocabulary. One more ``np.unique`` counts each (n-gram, segment) key. A
+    hypothesis key directly followed by its key + 1 is the same n-gram in
+    the pair's reference, and the smaller of the two counts is a match.
     """
-    count_left = left.get
-    matches = 0
-    for gram in hyp_grams:
-        count = count_left(gram)
-        if count:
-            left[gram] = count - 1
-            matches += 1
+    segments = [tokens for pair in zip(hyps, refs) for tokens in pair]
+    lengths = np.fromiter(map(len, segments), np.int64, len(segments))
+    n_tokens = int(lengths.sum())
+    first_seen: dict[str, int] = {}
+    tokens = np.fromiter(map(first_seen.setdefault, chain.from_iterable(segments), count()),
+                         np.int64, n_tokens)
+    segment = np.repeat(np.arange(len(segments)), lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
+    matches = np.zeros((max_order, len(hyps)), np.int64)
+    starts = np.arange(n_tokens)
+    grams = tokens
+    for n in range(1, max_order + 1):
+        if n > 1:
+            keep = left[starts] >= n
+            starts = starts[keep]
+            _, grams = np.unique(grams[keep] * n_tokens + tokens[starts + n - 1],
+                                 return_inverse=True)
+        keys, counts = np.unique(grams * len(segments) + segment[starts], return_counts=True)
+        hyp = np.flatnonzero((keys[:-1] % 2 == 0) & (keys[:-1] + 1 == keys[1:]))
+        clipped = np.minimum(counts[hyp], counts[hyp + 1])
+        pair = keys[hyp] % len(segments) // 2
+        # float64 sums, exact for any count below 2^53
+        matches[n - 1] = np.bincount(pair, weights=clipped, minlength=len(hyps))
     return matches
 
 
-def _rouge_n_tokens(hyp: list[str], ref: list[str], n: int) -> PRF:
-    if len(hyp) < n or len(ref) < n:
-        return PRF(0.0, 0.0, 0.0)
-    overlap = _clipped_matches(_ngrams(hyp, n), Counter(_ngrams(ref, n)))
-    return PRF.from_pr(overlap / (len(hyp) - n + 1), overlap / (len(ref) - n + 1))
+def _prf_arrays(matches: np.ndarray, hyp_totals: np.ndarray,
+                ref_totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair precision, recall and F1 of matches over each side's count
+    of n-grams. A side with no n-gram (count 0 or below) has no match
+    either, so each of its pair's scores is 0."""
+    precision = matches / np.maximum(hyp_totals, 1)
+    recall = matches / np.maximum(ref_totals, 1)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(both), where=both > 0)
+    return precision, recall, f1
+
+
+def _pair_prf(matches: int, hyp_total: int, ref_total: int) -> PRF:
+    """``_prf_arrays`` for one pair."""
+    scores = _prf_arrays(np.array([matches]), np.array([hyp_total]), np.array([ref_total]))
+    return PRF(*(float(score[0]) for score in scores))
+
+
+def _rouge_block(hyps: list[str], refs: list[str]) -> list[np.ndarray]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L precision, recall and F1 of each aligned
+    pair, as nine arrays in that order."""
+    hyp_tokens = [metric_tokenize(hyp) for hyp in hyps]
+    ref_tokens = [metric_tokenize(ref) for ref in refs]
+    hyp_lens = np.fromiter(map(len, hyp_tokens), np.int64, len(hyps))
+    ref_lens = np.fromiter(map(len, ref_tokens), np.int64, len(refs))
+    matches = _ngram_matches(hyp_tokens, ref_tokens, 2)
+    lcs = np.fromiter(map(lcs_length, hyp_tokens, ref_tokens), np.int64, len(hyps))
+    return [*_prf_arrays(matches[0], hyp_lens, ref_lens),
+            *_prf_arrays(matches[1], hyp_lens - 1, ref_lens - 1),
+            *_prf_arrays(lcs, hyp_lens, ref_lens)]
 
 
 def rouge_n(hyp: str, ref: str, n: int) -> PRF:
     """Clipped n-gram overlap precision/recall/F1 for n in {1, 2}."""
-    if n not in (1, 2):
-        raise InputError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    return _rouge_n_tokens(metric_tokenize(hyp), metric_tokenize(ref), n)
+    if type(n) is not int or n not in (1, 2):
+        raise InputError(f"rouge_n supports n in {{1, 2}}, got {n!r}")
+    hyp_tokens, ref_tokens = metric_tokenize(hyp), metric_tokenize(ref)
+    matches = _ngram_matches([hyp_tokens], [ref_tokens], n)
+    return _pair_prf(int(matches[n - 1, 0]), len(hyp_tokens) - n + 1, len(ref_tokens) - n + 1)
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
@@ -196,30 +252,34 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def _rouge_l_tokens(hyp: list[str], ref: list[str]) -> PRF:
-    if not hyp or not ref:
-        return PRF(0.0, 0.0, 0.0)
-    lcs = lcs_length(hyp, ref)
-    return PRF.from_pr(lcs / len(hyp), lcs / len(ref))
-
-
 def rouge_l(hyp: str, ref: str) -> PRF:
     """Sentence-level LCS precision/recall/F1 over metric tokens."""
-    return _rouge_l_tokens(metric_tokenize(hyp), metric_tokenize(ref))
+    hyp_tokens, ref_tokens = metric_tokenize(hyp), metric_tokenize(ref)
+    return _pair_prf(lcs_length(hyp_tokens, ref_tokens), len(hyp_tokens), len(ref_tokens))
 
 
-def _bleu_ngrams(tokens: list[str]) -> Counter:
-    """All n-grams of orders 1..MAX_BLEU_ORDER in one ``Counter``. Unigrams
-    are strings and longer n-grams tuples of length n, so no two orders share
-    a key."""
-    return Counter(chain.from_iterable(_ngrams(tokens, n) for n in _BLEU_ORDERS))
+def _bleu_block(hyps: list[str], refs: list[str]) -> list[int]:
+    """BLEU statistics summed over aligned strings, as Python ints: the
+    clipped matches of orders 1..4, the hypothesis n-gram totals of the same
+    orders, the hypothesis length and the reference length. The lists of two
+    blocks add element-wise."""
+    hyp_tokens = [bleu_tokenize(hyp) for hyp in hyps]
+    ref_tokens = [bleu_tokenize(ref) for ref in refs]
+    hyp_lens = [len(tokens) for tokens in hyp_tokens]
+    matches = _ngram_matches(hyp_tokens, ref_tokens, MAX_BLEU_ORDER).sum(axis=1).tolist()
+    totals = [sum(max(length - n + 1, 0) for length in hyp_lens) for n in _BLEU_ORDERS]
+    return [*matches, *totals, sum(hyp_lens), sum(map(len, ref_tokens))]
 
 
-def _bleu_stats_tokens(hyp: list[str], ref: list[str]) -> tuple[list[int], list[int], int, int]:
-    left = _bleu_ngrams(ref)
-    matches = [_clipped_matches(_ngrams(hyp, n), left) for n in _BLEU_ORDERS]
-    totals = [max(len(hyp) - n + 1, 0) for n in _BLEU_ORDERS]
-    return matches, totals, len(hyp), len(ref)
+def _bleu_fields(stats: list[int]) -> tuple[list[int], list[int], int, int]:
+    """A flat statistics list as (matches, totals, hyp length, ref length)."""
+    k = MAX_BLEU_ORDER
+    return stats[:k], stats[k:2 * k], stats[2 * k], stats[2 * k + 1]
+
+
+def _bleu_score(blocks: list[list[int]]) -> float:
+    """Pool the blocks' statistics and score them."""
+    return bleu_from_stats(*_bleu_fields([sum(column) for column in zip(*blocks)]))
 
 
 def bleu_segment_stats(hyp: str, ref: str) -> tuple[list[int], list[int], int, int]:
@@ -228,7 +288,7 @@ def bleu_segment_stats(hyp: str, ref: str) -> tuple[list[int], list[int], int, i
     These tuples add component-wise, so corpus pooling is an associative,
     order-independent reduction.
     """
-    return _bleu_stats_tokens(bleu_tokenize(hyp), bleu_tokenize(ref))
+    return _bleu_fields(_bleu_block([hyp], [ref]))
 
 
 def bleu_from_stats(matches: list[int], totals: list[int], hyp_len: int, ref_len: int) -> float:
@@ -255,60 +315,37 @@ def bleu_from_stats(matches: list[int], totals: list[int], hyp_len: int, ref_len
     return 100.0 * brevity * math.exp(log_sum / effective_orders)
 
 
-def _pooled_bleu(segments) -> float:
-    """Sum per-segment statistics over the corpus and score the totals."""
-    matches = [0] * MAX_BLEU_ORDER
-    totals = [0] * MAX_BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for seg_matches, seg_totals, seg_hyp_len, seg_ref_len in segments:
-        matches = [a + b for a, b in zip(matches, seg_matches)]
-        totals = [a + b for a, b in zip(totals, seg_totals)]
-        hyp_len += seg_hyp_len
-        ref_len += seg_ref_len
-    return bleu_from_stats(matches, totals, hyp_len, ref_len)
-
-
 def sacrebleu_corpus(hyps: list[str], refs: list[str]) -> float:
     """Corpus BLEU in [0, 100] over aligned single-reference segments."""
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not hyps:
         raise EmptyCorpus("corpus BLEU needs at least one segment pair")
-    return _pooled_bleu(bleu_segment_stats(hyp, ref) for hyp, ref in zip(hyps, refs))
-
-
-def _mean_prf(scores: list[PRF]) -> PRF:
-    n = len(scores)
-    return PRF(
-        precision=sum(s.precision for s in scores) / n,
-        recall=sum(s.recall for s in scores) / n,
-        f1=sum(s.f1 for s in scores) / n,
-    )
+    return _bleu_score([_bleu_block(*block) for block in _blocks(hyps, refs)])
 
 
 def evaluate_pairs(hyps: list[str], refs: list[str]) -> MetricReport:
     """Per-example ROUGE means plus corpus BLEU for aligned pairs.
 
     Each side is tokenized once per scheme, and every metric reads those
-    tokens.
+    tokens. A mean adds the per-pair scores as Python floats in pair order.
     """
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} predictions vs {len(refs)} references")
     if not hyps:
         raise EmptyCorpus("evaluation needs at least one example")
-    r1, r2, rl, bleu_segments = [], [], [], []
-    for hyp, ref in zip(hyps, refs):
-        hyp_tokens, ref_tokens = metric_tokenize(hyp), metric_tokenize(ref)
-        r1.append(_rouge_n_tokens(hyp_tokens, ref_tokens, 1))
-        r2.append(_rouge_n_tokens(hyp_tokens, ref_tokens, 2))
-        rl.append(_rouge_l_tokens(hyp_tokens, ref_tokens))
-        bleu_segments.append(_bleu_stats_tokens(bleu_tokenize(hyp), bleu_tokenize(ref)))
+    rouge: list[list[float]] = [[] for _ in range(9)]
+    bleu_blocks = []
+    for block in _blocks(hyps, refs):
+        for column, scores in zip(rouge, _rouge_block(*block)):
+            column += scores.tolist()
+        bleu_blocks.append(_bleu_block(*block))
+    means = [sum(column) / len(hyps) for column in rouge]
     return MetricReport(
-        rouge1=_mean_prf(r1),
-        rouge2=_mean_prf(r2),
-        rougeL=_mean_prf(rl),
-        bleu=_pooled_bleu(bleu_segments),
+        rouge1=PRF(*means[0:3]),
+        rouge2=PRF(*means[3:6]),
+        rougeL=PRF(*means[6:9]),
+        bleu=_bleu_score(bleu_blocks),
         n_examples=len(hyps),
     )
 

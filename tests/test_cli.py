@@ -4,7 +4,7 @@ import json
 import pytest
 
 from adapterqa.adapters import MAX_STACK_LAYERS
-from adapterqa.cli import build_parser, main
+from adapterqa.cli import MAX_COPY_TASK_TOKENS, _check_toy_ints, build_parser, main
 from adapterqa.toymodel import grad_check, make_copy_task
 
 from cli_runner import run_cli_limited
@@ -704,6 +704,30 @@ def test_memory_error_exits_1_with_only_the_json_error():
     payload = json.loads(proc.stderr)
     assert set(payload) == {"error", "message"}
     assert "MemoryError" in payload["error"]
+
+
+def test_copy_task_is_bounded_before_it_allocates():
+    # Unbounded, 10^8 six-token examples ask for 4.47 GiB of ids and exit 1
+    # under this cap.
+    proc = run_cli_limited(["train-toy", "--examples", "100000000", "--steps", "1"],
+                           max_bytes=2 * 1024**3)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "InputError"
+    assert f"must be at most {MAX_COPY_TASK_TOKENS}" in payload["message"]
+
+
+def test_copy_task_bound_is_inclusive(capsys):
+    examples = MAX_COPY_TASK_TOKENS // 32
+    argv = ["train-toy", "--examples", str(examples), "--seq-len", "32"]
+    _check_toy_ints(build_parser().parse_args(argv), "examples", "seq_len")
+    code, out, err = run(capsys, ["train-toy", "--examples", str(examples + 1),
+                                  "--seq-len", "32", "--steps", "1"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InputError"
 
 
 def test_module_entry_point_runs():
