@@ -39,10 +39,12 @@ from .linearize import linearize
 from .tables import validate_table
 from .toymodel import (
     BOS_ID,
+    GRAD_CHECK_CHUNK,
     InvalidConfig,
     ToyConfig,
     TrainConfig,
     build_toy_model,
+    check_toy_size,
     freeze_report,
     grad_check,
     make_copy_task,
@@ -205,7 +207,10 @@ def _check_toy_ints(args, *sizes: str):
 
 def cmd_gradcheck(args) -> tuple[str, str]:
     _check_toy_ints(args, "batch", "seq_len")
-    model = build_toy_model(_toy_config(args))
+    cfg = _toy_config(args)
+    # The audit's copy forwards stack a +eps and a -eps copy per scalar.
+    check_toy_size(cfg, args.batch, args.seq_len, 2 * GRAD_CHECK_CHUNK)
+    model = build_toy_model(cfg)
     model.randomize_adapters(seed=args.seed + 1)
     rng = np.random.default_rng(args.seed + 2)
     source = rng.integers(BOS_ID + 1, model.cfg.vocab_size, size=(args.batch, args.seq_len))
@@ -222,7 +227,9 @@ def cmd_gradcheck(args) -> tuple[str, str]:
 
 def cmd_train_toy(args) -> tuple[str, str]:
     _check_toy_ints(args, "examples", "seq_len")
-    model = build_toy_model(_toy_config(args, args.precision))
+    cfg = _toy_config(args, args.precision)
+    check_toy_size(cfg, args.examples, args.seq_len)
+    model = build_toy_model(cfg)
     source, target = make_copy_task(
         n_examples=args.examples, seq_len=args.seq_len,
         vocab_size=model.cfg.vocab_size, seed=args.seed,

@@ -52,6 +52,12 @@ _BLEU_ORDERS = range(1, MAX_BLEU_ORDER + 1)
 # it; 64 pairs of 10-80-token answers keep them near 1 MB.
 EVAL_BLOCK_PAIRS = 64
 
+# Longest line, in characters, that ``evaluate_predictions`` scores.
+# ROUGE-L's LCS takes time that grows with the product of a pair's token
+# counts: a pair of 20,000-character lines of one-letter words takes about
+# 18 ms, one of 100,000-character lines 0.22 s, and a few-MB line minutes.
+MAX_EVAL_LINE_CHARS = 20_000
+
 _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 # Punctuation splitting (13a-style rules): most punctuation is always split
@@ -68,6 +74,10 @@ _DASH_AFTER_DIGIT = re.compile(r"([0-9])(-)")
 
 class LengthMismatch(InputError):
     """Prediction and reference collections differ in size."""
+
+
+class LineTooLong(InputError):
+    """An ``eval`` input line is longer than ``MAX_EVAL_LINE_CHARS``."""
 
 
 class EmptyCorpus(InputError):
@@ -354,9 +364,14 @@ def _read_lines(path: str | Path) -> list[str]:
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    for number, line in enumerate(lines, start=1):
+        if len(line) > MAX_EVAL_LINE_CHARS:
+            raise LineTooLong(f"{path}: line {number} holds {len(line):,} characters; "
+                              f"eval scores lines of at most {MAX_EVAL_LINE_CHARS:,}")
     return lines
 
 
 def evaluate_predictions(pred_path: str | Path, ref_path: str | Path) -> MetricReport:
-    """Score line-aligned prediction and reference files."""
+    """Score line-aligned prediction and reference files. Both are read,
+    and a line over ``MAX_EVAL_LINE_CHARS`` refused, before any scoring."""
     return evaluate_pairs(_read_lines(pred_path), _read_lines(ref_path))

@@ -5,7 +5,8 @@ import pytest
 
 from adapterqa.adapters import MAX_STACK_LAYERS
 from adapterqa.cli import MAX_COPY_TASK_TOKENS, _check_toy_ints, build_parser, main
-from adapterqa.toymodel import grad_check, make_copy_task
+from adapterqa.metrics import MAX_EVAL_LINE_CHARS
+from adapterqa.toymodel import MAX_TOY_SCALARS, grad_check, make_copy_task
 
 from cli_runner import run_cli_limited
 
@@ -697,13 +698,53 @@ def test_diverging_training_exits_1_with_only_the_json_error(lr):
 
 
 def test_memory_error_exits_1_with_only_the_json_error():
-    # A 60,000-wide toy asks for a 26.8 GiB weight matrix.
-    proc = run_cli_limited(["gradcheck", "--d-model", "60000"], max_bytes=2 * 1024**3)
+    # Within every bound, and so past the size check: 2,048 copies of 32
+    # tokens (MAX_COPY_TASK_TOKENS) over a 4,096-word vocabulary give
+    # logits of exactly MAX_TOY_SCALARS float64s, 2 GiB, over the cap.
+    argv = ["train-toy", "--vocab", "4096", "--examples", "2048", "--seq-len", "32",
+            "--steps", "1"]
+    assert 2048 * 32 == MAX_COPY_TASK_TOKENS and 2048 * 32 * 4096 == MAX_TOY_SCALARS
+    proc = run_cli_limited(argv, max_bytes=2 * 1024**3)
     assert proc.returncode == 1
     assert proc.stdout == ""
     payload = json.loads(proc.stderr)
     assert set(payload) == {"error", "message"}
     assert "MemoryError" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--d-model", "60000"],  # asked for 26.8 GiB of weights, unbounded
+    ["train-toy", "--vocab", "300000000", "--steps", "1"],  # asked for 71.5 GiB
+    ["gradcheck", "--vocab", "4096", "--batch", "65", "--seq-len", "32"],  # audit copies
+    ["train-toy", "--vocab", "4097", "--examples", "2048", "--seq-len", "32", "--steps", "1"],
+], ids=["gradcheck-width", "train-toy-vocab", "gradcheck-copies", "train-toy-logits"])
+def test_toy_size_is_bounded_before_it_allocates(argv):
+    proc = run_cli_limited(argv, max_bytes=2 * 1024**3)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "InvalidConfig"
+    assert f"at most {MAX_TOY_SCALARS:,} are allowed" in payload["message"]
+
+
+@pytest.mark.parametrize("length, code", [(MAX_EVAL_LINE_CHARS, 0),
+                                           (MAX_EVAL_LINE_CHARS + 1, 2), (3 * 10**6, 2)])
+def test_eval_line_length_is_bounded_before_scoring(tmp_path, length, code):
+    # Unbounded, a pair of 3 MB lines runs ROUGE-L's LCS for minutes.
+    line = ("a b " * length)[:length]
+    pred, ref = tmp_path / "pred.txt", tmp_path / "ref.txt"
+    pred.write_text(f"x\n{line}\n", encoding="utf-8")
+    ref.write_text(f"x\n{line}\n", encoding="utf-8")
+    proc = run_cli_limited(["eval", "--pred", str(pred), "--ref", str(ref)],
+                           max_bytes=1024**3, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        payload = json.loads(proc.stderr)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "LineTooLong"
+        assert payload["message"].startswith(f"{pred}: line 2 holds {length:,} characters")
 
 
 def test_copy_task_is_bounded_before_it_allocates():

@@ -195,3 +195,16 @@ def test_prepare_with_token_budget_is_pinned(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(prepared.read_bytes()).hexdigest() == GOLDEN_PREPARE
+
+
+@pytest.mark.usefixtures("three_shards")
+class TestThreeShards:
+    """The model pins above, with every batch split into up to three row
+    shards: the same digests, bit for bit."""
+
+    test_copy_task_train_log_and_logits_are_pinned = staticmethod(
+        test_copy_task_train_log_and_logits_are_pinned)
+    test_grad_check_on_toy_grid_row_is_pinned = staticmethod(
+        test_grad_check_on_toy_grid_row_is_pinned)
+    test_train_log_and_grad_check_on_other_grid_rows_are_pinned = staticmethod(
+        test_train_log_and_grad_check_on_other_grid_rows_are_pinned)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterqa import toymodel
 from adapterqa.ablation import apply_ablation, grid_ablation_plan
@@ -16,6 +18,7 @@ from adapterqa.toymodel import (
     ToyModel,
     TrainConfig,
     build_toy_model,
+    check_toy_size,
     freeze_report,
     grad_check,
     make_copy_task,
@@ -457,3 +460,24 @@ def test_single_precision_holds_the_double_weights_rounded(adapter_set, seed):
         assert mine.name == theirs.name
         assert mine.value.dtype == np.float32, mine.name
         assert mine.value.tobytes() == theirs.value.astype(np.float32).tobytes(), mine.name
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(3, 40), st.integers(1, 12))
+def test_size_bound_counts_the_model_it_would_build(half_width, bottleneck, n_enc, n_dec,
+                                                    vocab, max_len):
+    """``check_toy_size`` counts the parameters from the config alone:
+    they are the built model's, with adapters on every layer."""
+    cfg = ToyConfig(d_model=2 * half_width, bottleneck=bottleneck, n_encoder_layers=n_enc,
+                    n_decoder_layers=n_dec, n_heads=2, vocab_size=vocab, max_len=max_len)
+    report = freeze_report(ToyModel(cfg))
+    assert cfg.base_parameters() == report.frozen_total
+    total = report.frozen_total + report.trainable_total
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toymodel, "MAX_TOY_SCALARS", total)
+        check_toy_size(cfg)
+        ToyModel(cfg)
+        patch.setattr(toymodel, "MAX_TOY_SCALARS", total - 1)
+        with pytest.raises(InvalidConfig, match="parameters"):
+            ToyModel(cfg)

@@ -189,3 +189,17 @@ def test_prefix_rejects_other_ids_and_out_of_range_starts():
     for start in (-1, N_LAYERS + 1, 2.0, True):
         with pytest.raises(InputError):
             model.prefix(source, target, start)
+
+
+@pytest.mark.usefixtures("three_shards")
+class TestThreeShards:
+    """The differential tests above, with every forward and backward of
+    the model split into three row shards; the full paths they compare
+    against call the layers directly, on the whole batch."""
+
+    test_forward_from_any_prefix_matches_full_forward = staticmethod(
+        test_forward_from_any_prefix_matches_full_forward)
+    test_truncated_backward_matches_full_reverse_pass = staticmethod(
+        test_truncated_backward_matches_full_reverse_pass)
+    test_train_logs_match_full_forward_and_backward_loop = staticmethod(
+        test_train_logs_match_full_forward_and_backward_loop)
