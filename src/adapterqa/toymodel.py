@@ -75,17 +75,17 @@ gives one shard), at most one per row, and each carrying at least
 shard this is the whole path. Shard 0 runs on the calling thread on the
 model's own layers; each other shard runs on a thread of its own, on twins
 of every layer that share each ``Parameter`` and own only their backward
-caches. Twins are built fresh, never copied, so nothing set on one of the
-model's own instances runs off the calling thread. Only two results mix
-rows: the loss, the mean over every shard's label log-probabilities,
-joined; and the adapters' weight gradients, which the last shard to reach
-an adapter computes from the shards' joined rows (``_Meeting``), so no
-shard waits for another. Everything else acts row by row: numpy runs a
-batched matrix product as one product per batch slice, and row reductions
-and ufuncs act per row. So every value equals the one-shard value bit for
-bit. Measured on a 2-core host with one-thread OpenBLAS, two shards made a
-width-128, 6+6-layer step on 16 x 32 tokens 1.8x faster, while two BLAS
-threads on one shard made it no faster.
+caches (``_twin``). A twin carries over no callable attribute, so a
+wrapper set on one of the model's own instances runs only on the calling
+thread. Only two results mix rows: the loss, the mean over every shard's
+label log-probabilities, joined; and the adapters' weight gradients,
+which the last shard to reach an adapter computes from the shards' joined
+rows (``_Meeting``), so no shard waits for another. Everything else acts
+row by row: numpy runs a batched matrix product as one product per batch
+slice, and row reductions and ufuncs act per row. So every value equals
+the one-shard value bit for bit. Measured on a 2-core host with one-thread
+OpenBLAS, two shards made a width-128, 6+6-layer step on 16 x 32 tokens
+1.8x faster, while two BLAS threads on one shard made it no faster.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ GRAD_CHECK_CHUNK = 16
 # of a width-128 toy raised the traced peak of training by 1.6 MB.
 ADAM_RUN_SCALARS = 8192
 # Most scalars a toy model may hold in its parameters, and in its largest
-# activation: batch x length x max(d_ff, vocab) x stacked copies, the
-# feed-forward hidden or logits of a step or of an audit's copy forward.
-# 2**28 float64 scalars take 2 GiB.
+# activation: batch x length x max(d_ff, vocab, n_heads x length) x stacked
+# copies, the feed-forward hidden, logits or attention scores of a step or
+# of an audit's copy forward. 2**28 float64 scalars take 2 GiB.
 MAX_TOY_SCALARS = 2**28
 # Stream elements (rows x length x d_model) a batch shard must carry before a
 # second shard pays off: below it, per-call overhead on two threads costs more
@@ -169,16 +169,6 @@ def _causal_mask(t: int) -> np.ndarray:
     return mask
 
 
-def _fresh(like, **attributes):
-    """A new instance of ``like``'s class holding ``attributes`` only.
-    Nothing set on ``like`` itself is carried over, such as a per-instance
-    wrapper of one of its methods."""
-    twin = object.__new__(type(like))
-    for name, value in attributes.items():
-        setattr(twin, name, value)
-    return twin
-
-
 def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """The shards' rows of one batch array, joined in row order; a lone
     shard's array as it is."""
@@ -186,7 +176,11 @@ def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on; every CPU where the platform has
+    no ``os.sched_getaffinity`` (it is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _blas_threads(cpus: int) -> int:
@@ -213,11 +207,15 @@ def shard_count(batch: int, length: int, d_model: int) -> int:
 
 def _in_shards(calls: list[Callable[[], object]]) -> list:
     """Run ``calls[0]`` on this thread and each other call on a thread of
-    its own, each in a copy of this thread's context, where numpy keeps its
-    error state. Returns the results in order once every call has ended,
-    or raises the error of the lowest-numbered shard that failed."""
+    its own, each in a copy of this thread's context and under its numpy
+    error state (numpy 2 keeps that state in the context, numpy 1 per
+    thread). Returns the results in order once every call has ended, or
+    raises the error of the lowest-numbered shard that failed."""
+    if len(calls) == 1:
+        return [calls[0]()]
     results: list = [None] * len(calls)
     errors: list[BaseException | None] = [None] * len(calls)
+    errstate = {**np.geterr(), "call": np.geterrcall()}
 
     def run(k: int):
         try:
@@ -225,7 +223,11 @@ def _in_shards(calls: list[Callable[[], object]]) -> list:
         except BaseException as exc:  # re-raised below, on the calling thread
             errors[k] = exc
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+    def run_off_thread(k: int):
+        with np.errstate(**errstate):
+            run(k)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run_off_thread, k))
                for k in range(1, len(calls))]
     for thread in threads:
         thread.start()
@@ -316,7 +318,9 @@ def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int 
     """Refuse with ``InvalidConfig``, before any array exists, a toy whose
     parameters (with adapters on every layer) or whose largest activation
     on a (batch, length) batch of ``copies`` stacked copies would hold more
-    than ``MAX_TOY_SCALARS`` scalars. ``cfg``'s sizes are positive ints."""
+    than ``MAX_TOY_SCALARS`` scalars: a feed-forward hidden, the logits, or
+    the attention scores, (batch, n_heads, length, length) per copy, with
+    ``length`` the longer side. ``cfg``'s sizes are positive ints."""
     dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers, cfg.n_decoder_layers)
     n_params = cfg.base_parameters() + dims.n_layers * dims.params_per_layer
     if n_params > MAX_TOY_SCALARS:
@@ -324,12 +328,12 @@ def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int 
             f"a toy with d_model {cfg.d_model}, vocab_size {cfg.vocab_size} and "
             f"{cfg.n_encoder_layers}+{cfg.n_decoder_layers} layers would hold {n_params:,} "
             f"parameters; at most {MAX_TOY_SCALARS:,} are allowed")
-    width = max(cfg.resolved_d_ff(), cfg.vocab_size)
+    width = max(cfg.resolved_d_ff(), cfg.vocab_size, cfg.n_heads * length)
     if batch * length * width * copies > MAX_TOY_SCALARS:
         raise InvalidConfig(
-            f"the largest activation, batch {batch} x length {length} x max(d_ff, vocab_size) "
-            f"{width} x {copies} copies, would hold {batch * length * width * copies:,} "
-            f"scalars; at most {MAX_TOY_SCALARS:,} are allowed")
+            f"the largest activation, batch {batch} x length {length} x max(d_ff, vocab_size, "
+            f"n_heads x length) {width} x {copies} copies, would hold "
+            f"{batch * length * width * copies:,} scalars; at most {MAX_TOY_SCALARS:,} are allowed")
 
 
 class Parameter:
@@ -368,9 +372,6 @@ class Linear:
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def twin(self) -> "Linear":
-        return _fresh(self, w=self.w, b=self.b)
-
 
 class LayerNorm:
     def __init__(self, name: str, d: int):
@@ -396,9 +397,6 @@ class LayerNorm:
         y = np.multiply(xhat, self.gamma.value, out=out)
         y += self.beta.value
         return y
-
-    def twin(self) -> "LayerNorm":
-        return _fresh(self, gamma=self.gamma, beta=self.beta, _cache=None)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)),
@@ -493,11 +491,6 @@ class Attention:
             *self.o_proj.parameters(),
         ]
 
-    def twin(self) -> "Attention":
-        return _fresh(self, q_proj=self.q_proj.twin(), k_proj=self.k_proj.twin(),
-                      v_proj=self.v_proj.twin(), o_proj=self.o_proj.twin(),
-                      n_heads=self.n_heads, d_head=self.d_head, causal=self.causal, _cache=None)
-
 
 class FeedForward:
     def __init__(self, name: str, d_model: int, d_ff: int, rng: np.random.Generator):
@@ -520,9 +513,6 @@ class FeedForward:
 
     def parameters(self) -> list[Parameter]:
         return [*self.lin_in.parameters(), *self.lin_out.parameters()]
-
-    def twin(self) -> "FeedForward":
-        return _fresh(self, lin_in=self.lin_in.twin(), lin_out=self.lin_out.twin(), _cache=None)
 
 
 class AdapterModule:
@@ -550,10 +540,6 @@ class AdapterModule:
         self._cache: np.ndarray | None = None
         self.shard = 0
         self.meeting = _Meeting()
-
-    def twin(self, shard: int) -> "AdapterModule":
-        return _fresh(self, w_down=self.w_down, b_down=self.b_down, w_up=self.w_up,
-                      b_up=self.b_up, _cache=None, shard=shard, meeting=self.meeting)
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         out, hidden = _bottleneck(x, self.w_down.value, self.b_down.value,
@@ -615,11 +601,6 @@ class ResidualBlock:
                 cache: bool = True) -> np.ndarray:
         h = self.normed(x, memory, cache)
         return h if self.adapter is None else self.adapter.forward(h, cache)
-
-    def twin(self, shard: int) -> "ResidualBlock":
-        twin = ResidualBlock(self.sublayer.twin(), self.norm.twin(), self.cross)
-        twin.adapter = None if self.adapter is None else self.adapter.twin(shard)
-        return twin
 
     def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input; cross-attention adds the gradient of
@@ -691,14 +672,38 @@ class Layer:
             d_out = block.backward(d_out, d_memory)
         return d_out
 
-    def twin(self, shard: int) -> "Layer":
-        return Layer(self.name, [block.twin(shard) for block in self.blocks])
-
     def parameters(self) -> list[Parameter]:
         """Each block's frozen tensors, then each adapter's tensors."""
         modules = [m for b in self.blocks for m in (b.sublayer, b.norm)]
         modules += [b.adapter for b in self.blocks if b.adapter is not None]
         return [p for m in modules for p in m.parameters()]
+
+
+_LAYER_PARTS = (Layer, ResidualBlock, Attention, FeedForward, LayerNorm, Linear, AdapterModule)
+
+
+def _twin(part, shard: int):
+    """The twin of ``part`` (a layer or any part of one, or a list of them)
+    that batch shard ``shard`` runs on: a fresh instance of each part's
+    class, holding the original's attributes with each part below twinned,
+    no backward cache, and an adapter's ``shard`` set. Every ``Parameter``
+    and ``_Meeting`` is shared. A callable attribute, such as a wrapper set
+    on one of the original's methods, is left out, so it runs only for
+    the original, on the calling thread."""
+    if isinstance(part, list):
+        return [_twin(item, shard) for item in part]
+    if not isinstance(part, _LAYER_PARTS):
+        return part
+    twin = object.__new__(type(part))
+    for name, value in vars(part).items():
+        if name == "_cache":
+            value = None
+        elif name == "shard":
+            value = shard
+        elif callable(value):
+            continue
+        setattr(twin, name, _twin(value, shard))
+    return twin
 
 
 @dataclass(frozen=True)
@@ -844,11 +849,10 @@ class ToyModel:
         holds only ``encoder``, ``decoder`` and ``out_proj``: a twin of every
         layer, sharing each ``Parameter``, with backward caches of its own."""
         while len(self._twins) < n - 1:
-            shard = len(self._twins) + 1
-            self._twins.append(_fresh(
-                self, encoder=[layer.twin(shard) for layer in self.encoder],
-                decoder=[layer.twin(shard) for layer in self.decoder],
-                out_proj=self.out_proj.twin()))
+            twin = object.__new__(ToyModel)
+            twin.encoder, twin.decoder, twin.out_proj = _twin(
+                [self.encoder, self.decoder, self.out_proj], len(self._twins) + 1)
+            self._twins.append(twin)
         return [self, *self._twins[:n - 1]]
 
     def parameters(self) -> list[Parameter]:
@@ -960,7 +964,9 @@ class ToyModel:
 
         The rows run in ``shard_count`` shards (``_forward_rows``), each on
         layers of its own (``_shards``), and the loss is the mean over their
-        label log-probabilities, joined.
+        label log-probabilities, joined. Each shard takes the softmax of its
+        own rows: on a 2-core host, one softmax of the whole batch on the
+        calling thread made the benchmark's ``train-full`` steps 2.7% slower.
         """
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         if prefix is None:
@@ -972,15 +978,14 @@ class ToyModel:
         n = shard_count(batch, max(source_ids.shape[1], target_ids.shape[1]), self.cfg.d_model)
         rows = [slice(k * batch // n, (k + 1) * batch // n) for k in range(n)]
         logits = np.empty((*target_ids.shape, self.cfg.vocab_size), self.theta.dtype)
-        parts = _in_shards([functools.partial(shard._forward_rows, prefix, part, logits,
-                                              target_ids.size)
+        parts = _in_shards([functools.partial(shard._forward_rows, prefix, part, logits)
                             for shard, part in zip(self._shards(n), rows)])
         self._prefix, self._rows = prefix, rows
         self._d_logits = [d_logits for _, d_logits in parts]
         return float(-_join([picked for picked, _ in parts]).mean()), logits
 
-    def _forward_rows(self, prefix: Prefix, rows: slice, logits: np.ndarray,
-                      n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    def _forward_rows(self, prefix: Prefix, rows: slice,
+                      logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The forward of rows ``rows`` of ``prefix``'s batch on this shard's
         layers: writes their logits into those rows of ``logits`` and
         returns their label log-probabilities and logits gradient."""
@@ -989,7 +994,7 @@ class ToyModel:
         enc_x = self._walk(self.encoder, enc_x, enc_at, 1)
         dec_x = self._walk(self.decoder, dec_x, dec_at, 1, memory=enc_x)
         out = self.out_proj.forward(dec_x, out=logits[rows])
-        return _cross_entropy_rows(out, prefix.target_ids[rows], n_labels)
+        return _cross_entropy_rows(out, prefix.target_ids[rows], prefix.target_ids.size)
 
     def adapter_input(self, index: int, block: int) -> np.ndarray:
         """The stream the adapter in block ``block`` of layer ``index`` read

@@ -717,7 +717,10 @@ def test_memory_error_exits_1_with_only_the_json_error():
     ["train-toy", "--vocab", "300000000", "--steps", "1"],  # asked for 71.5 GiB
     ["gradcheck", "--vocab", "4096", "--batch", "65", "--seq-len", "32"],  # audit copies
     ["train-toy", "--vocab", "4097", "--examples", "2048", "--seq-len", "32", "--steps", "1"],
-], ids=["gradcheck-width", "train-toy-vocab", "gradcheck-copies", "train-toy-logits"])
+    # 2 heads x 32 positions outgrow d_ff and vocab 16: 8 GiB of attention scores.
+    ["gradcheck", "--d-model", "8", "--vocab", "16", "--batch", "16384", "--seq-len", "32"],
+], ids=["gradcheck-width", "train-toy-vocab", "gradcheck-copies", "train-toy-logits",
+        "gradcheck-scores"])
 def test_toy_size_is_bounded_before_it_allocates(argv):
     proc = run_cli_limited(argv, max_bytes=2 * 1024**3)
     assert proc.returncode == 2, proc.stderr

@@ -8,6 +8,7 @@ never run a wrapper set on one of the model's own instances.
 """
 
 import contextlib
+import contextvars
 import os
 import sys
 import threading
@@ -139,6 +140,68 @@ def test_a_sharded_divergence_raises_it_and_no_warning():
             train_adapters(model, source, target,
                            TrainConfig(learning_rate=1e160, steps=5, optimizer="sgd"))
         assert len(model._rows) == 3
+
+
+def test_workers_run_under_the_callers_numpy_error_state(monkeypatch):
+    """numpy 1 keeps its error state per thread, outside the context, so
+    each worker enters the caller's state itself. An empty context stands
+    in for numpy 1 here: a copied one would carry numpy 2's state alone."""
+    monkeypatch.setattr(contextvars, "copy_context", contextvars.Context)
+    with np.errstate(over="ignore", divide="raise", invalid="warn", under="ignore"):
+        want = np.geterr()
+        states = toymodel._in_shards([np.geterr] * 3)
+    assert want != np.geterr()
+    assert states == [want] * 3
+
+
+@pytest.mark.parametrize("cpu_count, shards", [(3, 3), (None, 1)])
+def test_without_sched_getaffinity_every_cpu_is_usable(monkeypatch, cpu_count, shards):
+    """``os.sched_getaffinity`` is Linux-only. Elsewhere every CPU counts
+    as usable, and a host that cannot count its CPUs runs one shard."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(toymodel, "SHARD_MIN_STREAM", 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    source, target = batch(5)
+    with host(cpus=1):
+        want = ToyModel(config(AdapterSet.full(DIMS))).forward(source, target)[0]
+    model = ToyModel(config(AdapterSet.full(DIMS)))
+    assert model.forward_backward(source, target) == want
+    assert len(model._rows) == shards
+
+
+def test_twins_hold_every_attribute_of_their_originals():
+    """A twin holds each attribute its original holds, shares every
+    ``Parameter`` and meeting, and numbers its adapters by its shard."""
+    with host(cpus=3):
+        model = ToyModel(config(AdapterSet.full(DIMS)))
+        model.forward_backward(*batch(4))
+    shared: set[int] = set()
+
+    def compare(original, twin, shard):
+        if isinstance(original, list):
+            assert len(twin) == len(original)
+            for pair in zip(original, twin):
+                compare(*pair, shard)
+        elif isinstance(original, (toymodel.Parameter, toymodel._Meeting)):
+            assert twin is original
+            shared.add(id(original))
+        elif type(original).__module__ == toymodel.__name__:
+            assert type(twin) is type(original) and twin is not original
+            assert vars(twin).keys() == vars(original).keys()
+            for name, value in vars(original).items():
+                if name == "shard":
+                    assert (value, twin.shard) == (0, shard)
+                elif name != "_cache":
+                    compare(value, getattr(twin, name), shard)
+        else:
+            assert twin == original
+
+    for shard, twin in enumerate(model._twins, start=1):
+        for name in ("encoder", "decoder", "out_proj"):
+            compare(getattr(model, name), getattr(twin, name), shard)
+    params = model.parameters()[2:]  # the embeddings run before any shard
+    assert shared == {id(p) for p in params} | {id(m) for m in model._meetings}
 
 
 def fail_once_off_the_calling_thread(method: str):
