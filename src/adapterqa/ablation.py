@@ -9,10 +9,11 @@ the last-half levels of the encoder with those of the decoder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
-from .errors import InputError
+from .data import string_field
+from .errors import InputError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,30 @@ class AblationConfig:
             removed_decoder=tuple(removed_decoder),
             label=f"({fmt(removed_encoder)}, {fmt(removed_decoder)})",
         )
+
+    @classmethod
+    def from_json_dict(cls, obj: object) -> "AblationConfig":
+        """The config an ablation file states in the keys of a ``cost_plan``
+        row: ``removed_encoder`` and ``removed_decoder``, lists of layer
+        indices, and ``label``, a string; each may be absent (empty)."""
+        if not isinstance(obj, dict):
+            raise SchemaError("ablation config must be a JSON object")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise SchemaError(f"unknown ablation keys: {sorted(unknown)}")
+        removed = []
+        for key in ("removed_encoder", "removed_decoder"):
+            indices = obj.get(key, [])
+            # type(...) is int: JSON true/false would otherwise pass as layers 1/0.
+            if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+                raise SchemaError(f"'{key}' must be a list of integer layer indices")
+            removed.append(tuple(indices))
+        return cls(*removed, label=string_field(obj, "label", ""))
+
+    def removed(self, dims: ModelDims) -> AdapterSet:
+        """The layers this config strips; one that ``dims`` lacks raises
+        ``InputError``."""
+        return AdapterSet.of(self.removed_encoder, self.removed_decoder).check(dims)
 
 
 def uniform_ablation_plan(dims: ModelDims = REFERENCE_DIMS) -> list[AblationConfig]:
@@ -76,8 +101,7 @@ def cost_plan(plan: list[AblationConfig], dims: ModelDims = REFERENCE_DIMS) -> l
     A config that removes a layer ``dims`` lacks raises ``InputError``."""
     rows = []
     for config in plan:
-        AdapterSet.of(config.removed_encoder, config.removed_decoder).check(dims)
-        remaining = apply_ablation(AdapterSet.full(dims), config)
+        remaining = AdapterSet.full(dims) - config.removed(dims)
         count, percent = count_adapter_params(dims, remaining)
         rows.append(
             {

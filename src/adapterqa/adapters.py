@@ -12,18 +12,11 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import InputError, check_int
+from .errors import InputError, SchemaError, check_int
 
 # Layers per stack (encoder or decoder) at most. Layer sets and plans grow
 # with the count: the grid manifest is 4.0 MB at 128 a side, 31.5 MB at 256.
 MAX_STACK_LAYERS = 128
-
-
-def check_layer_count(name: str, value: object, error: type[InputError] = InputError) -> int:
-    """A positive layer count of at most ``MAX_STACK_LAYERS``."""
-    if check_int(name, value, error) > MAX_STACK_LAYERS:
-        raise error(f"{name} must be at most {MAX_STACK_LAYERS}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class ModelDims:
         for name in ("d_model", "bottleneck", "adapters_per_layer"):
             check_int(name, getattr(self, name))
         for name in ("n_encoder_layers", "n_decoder_layers"):
-            check_layer_count(name, getattr(self, name))
+            check_int(name, getattr(self, name), at_most=MAX_STACK_LAYERS)
         check_int("base_total_params", self.base_total_params, allow_zero=True)
 
     @property
@@ -69,7 +62,9 @@ class ModelDims:
         return range(self.first_decoder_layer, self.first_decoder_layer + self.n_decoder_layers)
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "ModelDims":
+    def from_json_dict(cls, obj: object) -> "ModelDims":
+        if not isinstance(obj, dict):
+            raise SchemaError("dims config must be a JSON object")
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown dims keys: {sorted(unknown)}")

@@ -4,6 +4,11 @@ Structured results (JSON/JSONL) go to stdout or ``--out``; human-readable
 summaries go to stderr. Exit codes: 0 success, 2 invalid input (including
 usage errors), 1 internal error. Failures print a machine-readable
 ``{"error": ..., "message": ...}`` object on stderr.
+
+Each rule on an input lives in the library module that owns it, whose
+error begins with the field at fault; ``main`` puts the option that sets
+the field in its place (``OPTIONS``). The CLI states only what no library
+function does: ``assemble --max-tokens`` and ``MAX_COPY_TASK_TOKENS``.
 """
 
 from __future__ import annotations
@@ -18,13 +23,7 @@ import numpy as np
 
 from . import ablation as ablation_mod
 from . import metrics as metrics_mod
-from .adapters import (
-    AdapterSet,
-    ModelDims,
-    REFERENCE_DIMS,
-    check_layer_count,
-    count_adapter_params,
-)
+from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
 from .assembly import InputSequence, assemble, truncate
 from .data import (
     PrepareLimits,
@@ -39,8 +38,7 @@ from .linearize import linearize
 from .tables import validate_table
 from .toymodel import (
     BOS_ID,
-    GRAD_CHECK_CHUNK,
-    InvalidConfig,
+    GRAD_CHECK_COPIES,
     ToyConfig,
     TrainConfig,
     build_toy_model,
@@ -56,6 +54,18 @@ from .toymodel import (
 # One step over this many at the default width takes a few seconds; the ids
 # of 10^8 six-token examples alone would take 4.47 GiB.
 MAX_COPY_TASK_TOKENS = 65_536
+
+# Per command, the option that sets each library field or argument: main
+# names the option where a library error begins with the field.
+_TOY_OPTIONS = {"d_model": "--d-model", "bottleneck": "--bottleneck",
+                "n_encoder_layers": "--enc-layers", "n_decoder_layers": "--dec-layers",
+                "vocab_size": "--vocab", "seed": "--seed", "length": "--seq-len"}
+OPTIONS = {
+    "gradcheck": {**_TOY_OPTIONS, "batch": "--batch", "eps": "--eps"},
+    "train-toy": {**_TOY_OPTIONS, "batch": "--examples", "steps": "--steps",
+                  "learning_rate": "--lr"},
+    "prepare": {"max_input_tokens": "--max-tokens", "max_target_tokens": "--max-target-tokens"},
+}
 
 
 class UsageError(InputError):
@@ -123,29 +133,15 @@ def cmd_eval(args) -> tuple[str, str]:
 def _dims_from_args(args) -> ModelDims:
     if args.config is None:
         return REFERENCE_DIMS
-    obj = _load_json(args.config)
-    if not isinstance(obj, dict):
-        raise SchemaError("dims config must be a JSON object")
-    return ModelDims.from_json_dict(obj)
+    return ModelDims.from_json_dict(_load_json(args.config))
 
 
 def cmd_count_params(args) -> tuple[str, str]:
     dims = _dims_from_args(args)
     active = AdapterSet.full(dims)
     if args.ablation is not None:
-        obj = _load_json(args.ablation)
-        if not isinstance(obj, dict):
-            raise SchemaError("ablation config must be a JSON object")
-        unknown = set(obj) - {"removed_encoder", "removed_decoder", "label"}
-        if unknown:
-            raise SchemaError(f"unknown ablation keys: {sorted(unknown)}")
-        removed = {key: obj.get(key, []) for key in ("removed_encoder", "removed_decoder")}
-        for key, indices in removed.items():
-            # type(...) is int: JSON true/false would otherwise pass as layers 1/0.
-            if not isinstance(indices, list) or not all(type(i) is int for i in indices):
-                raise SchemaError(f"'{key}' must be a list of integer layer indices")
-        active -= AdapterSet.of(removed["removed_encoder"], removed["removed_decoder"]).check(dims)
-        string_field(obj, "label", "")  # the label only has to be a string
+        config = ablation_mod.AblationConfig.from_json_dict(_load_json(args.ablation))
+        active -= config.removed(dims)
     count, percent = count_adapter_params(dims, active)
     payload = {"trainable": count, "percent": percent,
                "active_layers": active.n_active_layers}
@@ -174,42 +170,9 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
     )
 
 
-def _check_toy_ints(args, *sizes: str):
-    """Every integer option of a toy command, checked under its own name
-    before the model is built: the named sizes are positive (``--seq-len``
-    at most the model's ``max_len``), and so are the model's options
-    (``InvalidConfig``), except that ``--seed`` may be 0; ``--vocab`` must
-    leave room for content tokens and ``--d-model`` must split into the
-    model's heads. With ``--examples``, the copy task may hold at most
-    ``MAX_COPY_TASK_TOKENS`` tokens, checked before any array exists."""
-    def option(name: str) -> tuple[str, int]:
-        return "--" + name.replace("_", "-"), getattr(args, name)
-
-    for name in sizes:
-        check_int(*option(name))
-    if args.seq_len > ToyConfig.max_len:
-        raise InputError(f"--seq-len must be at most {ToyConfig.max_len}, got {args.seq_len}")
-    if "examples" in sizes and args.examples * args.seq_len > MAX_COPY_TASK_TOKENS:
-        raise InputError(f"--examples * --seq-len must be at most {MAX_COPY_TASK_TOKENS}, "
-                         f"got {args.examples} * {args.seq_len}")
-    for name in ("d_model", "bottleneck", "vocab"):
-        check_int(*option(name), InvalidConfig)
-    for name in ("enc_layers", "dec_layers"):
-        check_layer_count(*option(name), InvalidConfig)
-    check_int(*option("seed"), InvalidConfig, allow_zero=True)
-    if args.vocab <= BOS_ID + 1:
-        raise InvalidConfig(f"--vocab must exceed {BOS_ID + 1} to leave room for content "
-                            f"tokens, got {args.vocab}")
-    if args.d_model % ToyConfig.n_heads:
-        raise InvalidConfig(f"--d-model must be divisible by the {ToyConfig.n_heads} "
-                            f"attention heads, got {args.d_model}")
-
-
 def cmd_gradcheck(args) -> tuple[str, str]:
-    _check_toy_ints(args, "batch", "seq_len")
     cfg = _toy_config(args)
-    # The audit's copy forwards stack a +eps and a -eps copy per scalar.
-    check_toy_size(cfg, args.batch, args.seq_len, 2 * GRAD_CHECK_CHUNK)
+    check_toy_size(cfg, args.batch, args.seq_len, GRAD_CHECK_COPIES)
     model = build_toy_model(cfg)
     model.randomize_adapters(seed=args.seed + 1)
     rng = np.random.default_rng(args.seed + 2)
@@ -226,7 +189,12 @@ def cmd_gradcheck(args) -> tuple[str, str]:
 
 
 def cmd_train_toy(args) -> tuple[str, str]:
-    _check_toy_ints(args, "examples", "seq_len")
+    # Ahead of the size bound, which a copy task past it may also break; a
+    # size that is not positive is left to the library's rule.
+    tokens = args.examples * args.seq_len
+    if min(args.examples, args.seq_len) > 0 and tokens > MAX_COPY_TASK_TOKENS:
+        raise InputError(f"--examples * --seq-len must be at most {MAX_COPY_TASK_TOKENS}, "
+                         f"got {args.examples} * {args.seq_len}")
     cfg = _toy_config(args, args.precision)
     check_toy_size(cfg, args.examples, args.seq_len)
     model = build_toy_model(cfg)
@@ -252,10 +220,6 @@ def cmd_stats(args) -> tuple[str, str]:
 
 
 def cmd_prepare(args) -> tuple[str, str]:
-    for option, value in (("--max-tokens", args.max_tokens),
-                          ("--max-target-tokens", args.max_target_tokens)):
-        if value is not None:
-            check_int(option, value)
     limits = PrepareLimits(
         max_input_tokens=args.max_tokens,
         max_target_tokens=args.max_target_tokens,
@@ -357,13 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+def _error_payload(exc: Exception, options: dict[str, str]) -> str:
+    """The error as JSON, with the option in ``options`` that sets the field
+    the message begins with in place of that field."""
+    field, space, rest = str(exc).partition(" ")
+    message = options.get(field, field) + space + rest
+    return json.dumps({"error": type(exc).__name__, "message": message})
 
 
 def main(argv: list[str] | None = None) -> int:
+    options = {}
     try:
         args = build_parser().parse_args(argv)
+        options = OPTIONS.get(args.command, {})
         text, summary = args.func(args)
         if args.out is not None:
             Path(args.out).write_text(text, encoding="utf-8")
@@ -375,12 +345,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except (InputError, UnicodeDecodeError) as exc:
         # Undecodable bytes in an input file are bad input, whichever command reads it.
-        print(_error_payload(exc), file=sys.stderr)
+        print(_error_payload(exc, options), file=sys.stderr)
         return 2
     except (AdapterQaError, OSError, MemoryError) as exc:
         # MemoryError: an allocation larger than the process may take, such
         # as the weights of a toy far wider than the machine holds.
-        print(_error_payload(exc), file=sys.stderr)
+        print(_error_payload(exc, options), file=sys.stderr)
         return 1
 
 

@@ -27,12 +27,15 @@ class SchemaError(InputError):
 
 
 def check_int(name: str, value: object, error: type[InputError] = InputError,
-              allow_zero: bool = False) -> int:
+              allow_zero: bool = False, at_most: int | None = None) -> int:
     """The one rule for sizes, spans and budgets: an ``int`` (never a
-    ``bool``) that is positive, or non-negative with ``allow_zero``."""
+    ``bool``) that is positive, or non-negative with ``allow_zero``, and
+    at most ``at_most`` when that is given."""
     if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
         kind = "non-negative" if allow_zero else "positive"
         raise error(f"{name} must be a {kind} integer, got {value!r}")
+    if at_most is not None and value > at_most:
+        raise error(f"{name} must be at most {at_most}, got {value!r}")
     return value
 
 

@@ -100,7 +100,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSet, ModelDims, check_layer_count, percent_of_base
+from .adapters import MAX_STACK_LAYERS, AdapterSet, ModelDims, percent_of_base
 from .errors import AdapterQaError, InputError, check_int, check_positive_real
 
 BOS_ID = 1
@@ -114,8 +114,10 @@ RANDOM_ADAPTER_SCALE = 0.1
 # initial loss.
 LOSS_GROWTH_LIMIT = 100.0
 # grad_check evaluates this many scalars of one tensor per forward, as
-# twice as many perturbed copies of the model.
+# GRAD_CHECK_COPIES perturbed copies of the model: a +eps and a -eps copy
+# of each. Both bound the audit's size.
 GRAD_CHECK_CHUNK = 16
+GRAD_CHECK_COPIES = 2 * GRAD_CHECK_CHUNK
 # train_adapters runs Adam once per step over each slice of this many
 # scalars of the flat trainable vector. One pass over all 101,760 scalars
 # of a width-128 toy raised the traced peak of training by 1.6 MB.
@@ -315,12 +317,27 @@ class ToyConfig:
 
 
 def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int = 1):
-    """Refuse with ``InvalidConfig``, before any array exists, a toy whose
-    parameters (with adapters on every layer) or whose largest activation
-    on a (batch, length) batch of ``copies`` stacked copies would hold more
-    than ``MAX_TOY_SCALARS`` scalars: a feed-forward hidden, the logits, or
-    the attention scores, (batch, n_heads, length, length) per copy, with
-    ``length`` the longer side. ``cfg``'s sizes are positive ints."""
+    """Every rule on a toy and its (batch, length) batch, checked before
+    any array exists; each error begins with the field or argument at
+    fault. The config is what ``ToyModel`` can build (``InvalidConfig``),
+    the batch positive and at most ``max_len`` long (``InputError``). Then
+    the parameters (with adapters on every layer) and the largest
+    activation on ``copies`` stacked copies of the batch, a feed-forward
+    hidden, the logits or the attention scores (``length`` is the longer
+    side), may each hold at most ``MAX_TOY_SCALARS`` scalars."""
+    for name in ("d_model", "bottleneck", "n_heads", "vocab_size", "max_len"):
+        check_int(name, getattr(cfg, name), InvalidConfig)
+    for name in ("n_encoder_layers", "n_decoder_layers"):
+        check_int(name, getattr(cfg, name), InvalidConfig, at_most=MAX_STACK_LAYERS)
+    check_int("seed", cfg.seed, InvalidConfig, allow_zero=True)
+    if cfg.d_model % cfg.n_heads:
+        raise InvalidConfig(f"d_model must be divisible by the {cfg.n_heads} attention heads, "
+                            f"got {cfg.d_model}")
+    if cfg.vocab_size <= BOS_ID + 1:
+        raise InvalidConfig(f"vocab_size must exceed {BOS_ID + 1} to leave room for content "
+                            f"tokens, got {cfg.vocab_size}")
+    check_int("batch", batch)
+    check_int("length", length, at_most=cfg.max_len)
     dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers, cfg.n_decoder_layers)
     n_params = cfg.base_parameters() + dims.n_layers * dims.params_per_layer
     if n_params > MAX_TOY_SCALARS:
@@ -775,16 +792,6 @@ class ToyModel:
     cannot build raises ``InvalidConfig`` before any weight is drawn."""
 
     def __init__(self, cfg: ToyConfig):
-        for name in ("d_model", "bottleneck", "n_heads", "vocab_size", "max_len"):
-            check_int(name, getattr(cfg, name), InvalidConfig)
-        for name in ("n_encoder_layers", "n_decoder_layers"):
-            check_layer_count(name, getattr(cfg, name), InvalidConfig)
-        check_int("seed", cfg.seed, InvalidConfig, allow_zero=True)
-        if cfg.d_model % cfg.n_heads != 0:
-            raise InvalidConfig(f"d_model {cfg.d_model} is not divisible by n_heads {cfg.n_heads}")
-        if cfg.vocab_size <= BOS_ID + 1:
-            raise InvalidConfig(
-                f"vocab_size must exceed {BOS_ID + 1} to leave room for content tokens")
         check_toy_size(cfg)
         dtype = cfg.dtype()
         rng = np.random.default_rng(cfg.seed)
@@ -887,10 +894,7 @@ class ToyModel:
             raise InputError(f"{what} ids must be a nonempty (batch, length) array, got shape {ids.shape}")
         if ids.dtype.kind not in "iu":  # signed or unsigned integers; a bool array is a mask
             raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
-        if ids.shape[1] > self.cfg.max_len:
-            raise InputError(
-                f"{what} length {ids.shape[1]} exceeds maximum sequence length {self.cfg.max_len}"
-            )
+        check_int(f"{what} length", ids.shape[1], at_most=self.cfg.max_len)
         if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
             raise InputError(f"{what} ids out of vocabulary range [0, {self.cfg.vocab_size})")
         return ids
@@ -937,8 +941,7 @@ class ToyModel:
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
         """The ``Prefix`` at layer ``start`` for these ids. It stores no
         backward cache, so those of an earlier forward stay in place."""
-        if check_int("prefix start", start, InputError, allow_zero=True) > self.n_layers:
-            raise InputError(f"prefix start must be at most {self.n_layers}, got {start}")
+        check_int("prefix start", start, allow_zero=True, at_most=self.n_layers)
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         enc_at, dec_at = self._bottoms(start)
         enc_x = self._walk(self.encoder, self._embed(source_ids), 0, stop=enc_at, cache=False)
@@ -1202,7 +1205,8 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     scalars of a tensor, as a ``+eps`` and a ``-eps`` copy of each, stacked
     on an outer axis (``_copy_losses``). Every matrix product and reduction
     keeps its one-copy shape and order, so each loss is that of a full
-    forward, bit for bit.
+    forward, bit for bit. A step so large that a copy overflows gives a NaN
+    error, which fails the audit; numpy's warnings on the way are silenced.
     """
     check_positive_real("eps", eps, InvalidConfig)
     if model.cfg.precision != "double":
@@ -1215,18 +1219,19 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     worst_name = ""
     worst_err = 0.0
     n_checked = 0
-    for index, block, adapter in model.adapters():
-        h = model.adapter_input(index, block)
-        for which, param in enumerate(adapter.parameters()):
-            errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
-            # Python's max never picks NaN; a NaN error fails the audit.
-            param_err = math.nan if np.isnan(errors).any() else max(0.0, *errors)
-            n_checked += errors.size
-            per_parameter[param.name] = param_err
-            # The last tensor with the largest error, or the first with NaN.
-            if param_err >= worst_err or (math.isnan(param_err) and not math.isnan(worst_err)):
-                worst_err = param_err
-                worst_name = param.name
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for index, block, adapter in model.adapters():
+            h = model.adapter_input(index, block)
+            for which, param in enumerate(adapter.parameters()):
+                errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
+                # Python's max never picks NaN; a NaN error fails the audit.
+                param_err = math.nan if np.isnan(errors).any() else max(0.0, *errors)
+                n_checked += errors.size
+                per_parameter[param.name] = param_err
+                # The last tensor with the largest error, or the first with NaN.
+                if param_err >= worst_err or (math.isnan(param_err) and not math.isnan(worst_err)):
+                    worst_err = param_err
+                    worst_name = param.name
     return GradCheckReport(
         max_rel_error=worst_err,
         worst_parameter=worst_name,

@@ -1,10 +1,11 @@
 import inspect
 import json
+import math
 
 import pytest
 
 from adapterqa.adapters import MAX_STACK_LAYERS
-from adapterqa.cli import MAX_COPY_TASK_TOKENS, _check_toy_ints, build_parser, main
+from adapterqa.cli import MAX_COPY_TASK_TOKENS, build_parser, main
 from adapterqa.metrics import MAX_EVAL_LINE_CHARS
 from adapterqa.toymodel import MAX_TOY_SCALARS, grad_check, make_copy_task
 
@@ -731,6 +732,59 @@ def test_toy_size_is_bounded_before_it_allocates(argv):
     assert f"at most {MAX_TOY_SCALARS:,} are allowed" in payload["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--d-model", "60000"],
+    ["train-toy", "--vocab", "300000000", "--steps", "1"],
+    ["gradcheck", "--bottleneck", str(10**9)],
+    ["gradcheck", "--enc-layers", str(10**8)],
+    ["gradcheck", "--batch", str(10**9)],
+    ["train-toy", "--examples", str(10**9), "--steps", "1"],
+    ["train-toy", "--seq-len", str(10**6), "--steps", "1"],
+], ids=lambda argv: argv[0] + argv[1])
+def test_oversized_toy_options_exit_2_before_they_allocate(argv):
+    proc = run_cli_limited(argv, max_bytes=2 * 1024**3, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert set(json.loads(proc.stderr)) == {"error", "message"}
+
+
+@pytest.mark.parametrize("eps", ["1e200", "1e308"])
+def test_overflowing_audit_step_fails_the_audit_without_warnings(eps):
+    # The perturbed copies overflow; the NaN error fails the audit by rule.
+    proc = run_cli_limited(["gradcheck", "--eps", eps], max_bytes=2 * 1024**3, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert math.isnan(json.loads(proc.stdout)["max_rel_error"])
+    assert proc.stderr.startswith("checked 4416 trainable scalars, max relative error nan")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--d-model", "0"],
+    ["gradcheck", "--bottleneck", "0"],
+    ["gradcheck", "--enc-layers", "0"],
+    ["train-toy", "--dec-layers", "0"],
+    ["gradcheck", "--vocab", "0"],
+    ["train-toy", "--seed", "-1"],
+    ["gradcheck", "--seq-len", "0"],
+    ["gradcheck", "--batch", "0"],
+    ["train-toy", "--examples", "0"],
+    ["train-toy", "--lr", "0"],
+    ["train-toy", "--steps", "0"],
+    ["gradcheck", "--eps", "0"],
+    ["assemble", "--question", "q", "--max-tokens", "0"],
+    ["prepare", "--in", "FILE", "--modality", "text", "--max-tokens", "0"],
+    ["prepare", "--in", "FILE", "--modality", "text", "--max-target-tokens", "0"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_every_option_with_a_library_rule_names_itself(tmp_path, capsys, argv):
+    path = tmp_path / "records.jsonl"
+    path.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"].startswith(f"{argv[-2]} must ")
+
+
 @pytest.mark.parametrize("length, code", [(MAX_EVAL_LINE_CHARS, 0),
                                            (MAX_EVAL_LINE_CHARS + 1, 2), (3 * 10**6, 2)])
 def test_eval_line_length_is_bounded_before_scoring(tmp_path, length, code):
@@ -765,8 +819,11 @@ def test_copy_task_is_bounded_before_it_allocates():
 
 def test_copy_task_bound_is_inclusive(capsys):
     examples = MAX_COPY_TASK_TOKENS // 32
-    argv = ["train-toy", "--examples", str(examples), "--seq-len", "32"]
-    _check_toy_ints(build_parser().parse_args(argv), "examples", "seq_len")
+    # At the bound, the run gets as far as the step count.
+    code, out, err = run(capsys, ["train-toy", "--examples", str(examples), "--seq-len", "32",
+                                  "--steps", "0"])
+    assert code == 2
+    assert json.loads(err)["message"].startswith("--steps must be")
     code, out, err = run(capsys, ["train-toy", "--examples", str(examples + 1),
                                   "--seq-len", "32", "--steps", "1"])
     assert code == 2

@@ -90,7 +90,9 @@ TOY_OPTIONS = {
 }
 GRADCHECK_OPTIONS = {
     "--batch": st.integers(-3, 3),
-    "--eps": st.sampled_from([1e-6, 1e-5, 0.0, -1.0, float("nan"), float("inf")]),
+    # 1e200 and 1e308 pass the step rule but overflow the perturbed copies.
+    "--eps": st.sampled_from([1e-6, 1e-5, 1e200, 1e308, 0.0, -1.0, float("nan"),
+                              float("inf")]),
 }
 TRAIN_TOY_OPTIONS = {
     "--examples": st.integers(-3, 4),
@@ -169,6 +171,7 @@ SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50
 @example((["gradcheck", "--d-model", "8", "--batch", "-1"], {}))
 @example((["gradcheck", "--d-model", "8", "--seq-len", "-1"], {}))
 @example((["gradcheck", "--d-model", "8", "--seed", "-1"], {}))
+@example((["gradcheck", "--d-model", "8", "--seq-len", "4", "--eps", "1e308"], {}))
 @example((["train-toy", "--d-model", "8", "--steps", "2", "--examples", "-1"], {}))
 @example((["train-toy", "--d-model", "8", "--steps", "2", "--seq-len", "-3"], {}))
 @example((["train-toy", "--d-model", "8", "--steps", "2", "--seed", "-1"], {}))

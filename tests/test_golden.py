@@ -3,10 +3,11 @@
 Refactors of the model code must keep training logs, logits, freeze
 reports and gradient audits bit-identical, and rewrites of the metrics
 must keep the ``eval`` report bit-identical, and rewrites of the table
-linearizer must keep its text and the ``prepare`` output bit-identical. These SHA-256 digests pin
-them for float64 on the reference numpy/OpenBLAS build; a different BLAS
-may round matrix products differently and then needs its own digests,
-taken from a commit whose outputs are known good.
+linearizer must keep its text and the ``prepare`` output bit-identical.
+These SHA-256 digests pin them for float64, and one train log for float32,
+on the reference numpy/OpenBLAS build; a different BLAS may round matrix
+products differently and then needs its own digests, taken from a commit
+whose outputs are known good.
 """
 
 import hashlib
@@ -42,6 +43,12 @@ GOLDEN_TRAIN = {
     "sgd": ("f5738a978be7e1aeccccd6a483be7ab40f9954adab434de08665667627675748",
             "bbf35f1fadb99033fd19806c0ad198ada189073144f24708fb2f94c66833a788"),
 }
+# (train log, final logits) of TRAIN_STEPS_SINGLE Adam steps in float32; the
+# same under one and two OpenBLAS threads and under three row shards.
+TRAIN_STEPS_SINGLE = 20
+GOLDEN_TRAIN_SINGLE = (
+    "d7095a39bcbce6876857f8a44b11c6b15a2a000d1606b15bf22d25169e50eafb",
+    "b20a48650f4a00f059cce387381ceddbf922e7534e333e4e12d34a9dc11350f9")
 GOLDEN_FREEZE_REPORT = "f193937031e14c805a97427994b042f2ec72f9af30528be90678b92605c80177"
 GOLDEN_GRAD_CHECK = "02e698766a4bf75ba487c6db9541450b604157e25fb3f8d123841125b49a57eb"
 # (Adam train log, grad_check report) for the other rows of the toy grid
@@ -78,6 +85,18 @@ def test_copy_task_train_log_and_logits_are_pinned(optimizer):
     log_hash = sha256_json(log.to_json_dict())
     logits_hash = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
     assert (log_hash, logits_hash) == GOLDEN_TRAIN[optimizer]
+
+
+def test_single_precision_copy_task_train_log_and_logits_are_pinned():
+    cfg = ToyConfig(precision="single")
+    model = build_toy_model(cfg)
+    source, target = make_copy_task(vocab_size=cfg.vocab_size, seed=cfg.seed)
+    log = train_adapters(model, source, target, TrainConfig(steps=TRAIN_STEPS_SINGLE))
+    _, logits = model.forward(source, target)
+    assert logits.dtype == np.float32
+    log_hash = sha256_json(log.to_json_dict())
+    logits_hash = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+    assert (log_hash, logits_hash) == GOLDEN_TRAIN_SINGLE
 
 
 def test_freeze_report_is_pinned():
@@ -204,6 +223,8 @@ class TestThreeShards:
 
     test_copy_task_train_log_and_logits_are_pinned = staticmethod(
         test_copy_task_train_log_and_logits_are_pinned)
+    test_single_precision_copy_task_train_log_and_logits_are_pinned = staticmethod(
+        test_single_precision_copy_task_train_log_and_logits_are_pinned)
     test_grad_check_on_toy_grid_row_is_pinned = staticmethod(
         test_grad_check_on_toy_grid_row_is_pinned)
     test_train_log_and_grad_check_on_other_grid_rows_are_pinned = staticmethod(
