@@ -24,10 +24,11 @@ import numpy as np
 from . import ablation as ablation_mod
 from . import metrics as metrics_mod
 from .adapters import AdapterSet, ModelDims, REFERENCE_DIMS, count_adapter_params
-from .assembly import InputSequence, assemble, truncate
+from .assembly import assemble, truncate
 from .data import (
     PrepareLimits,
     compute_stats,
+    merge_stats,
     prepare_example,
     read_jsonl,
     read_records,
@@ -103,9 +104,13 @@ def cmd_assemble(args) -> tuple[str, str]:
     if args.max_tokens is not None:
         check_int("--max-tokens", args.max_tokens)
 
-    def build(question: str, title: str, context: str) -> InputSequence:
+    def build(question: str, title: str, context: str) -> tuple[str, int]:
+        """The rendered line and its token count; a worker sends back no
+        ``InputSequence``."""
         seq = assemble(question, title, context)
-        return seq if args.max_tokens is None else truncate(seq, args.max_tokens)
+        if args.max_tokens is not None:
+            seq = truncate(seq, args.max_tokens)
+        return seq.rendered + "\n", seq.n_tokens
 
     if args.batch is not None:
         seqs = read_jsonl(args.batch, lambda obj: build(
@@ -116,8 +121,8 @@ def cmd_assemble(args) -> tuple[str, str]:
         if args.context_file is not None:
             context = Path(args.context_file).read_text(encoding="utf-8")
         seqs = [build(args.question, args.title or "", context or "")]
-    return ("".join(seq.rendered + "\n" for seq in seqs),
-            f"assembled {len(seqs)} sequences, {sum(seq.n_tokens for seq in seqs)} tokens")
+    return ("".join(line for line, _ in seqs),
+            f"assembled {len(seqs)} sequences, {sum(n for _, n in seqs)} tokens")
 
 
 def cmd_eval(args) -> tuple[str, str]:
@@ -195,6 +200,7 @@ def cmd_train_toy(args) -> tuple[str, str]:
     if min(args.examples, args.seq_len) > 0 and tokens > MAX_COPY_TASK_TOKENS:
         raise InputError(f"--examples * --seq-len must be at most {MAX_COPY_TASK_TOKENS}, "
                          f"got {args.examples} * {args.seq_len}")
+    train_cfg = TrainConfig(learning_rate=args.lr, steps=args.steps, optimizer=args.optimizer)
     cfg = _toy_config(args, args.precision)
     check_toy_size(cfg, args.examples, args.seq_len)
     model = build_toy_model(cfg)
@@ -202,7 +208,6 @@ def cmd_train_toy(args) -> tuple[str, str]:
         n_examples=args.examples, seq_len=args.seq_len,
         vocab_size=model.cfg.vocab_size, seed=args.seed,
     )
-    train_cfg = TrainConfig(learning_rate=args.lr, steps=args.steps, optimizer=args.optimizer)
     log = train_adapters(model, source, target, train_cfg)
     report = freeze_report(model)
     return (
@@ -215,7 +220,9 @@ def cmd_train_toy(args) -> tuple[str, str]:
 
 
 def cmd_stats(args) -> tuple[str, str]:
-    stats = compute_stats(read_records(args.infile, args.modality))
+    # Each record's stats, merged: a worker sends back no record.
+    stats = merge_stats(read_records(args.infile, args.modality,
+                                     lambda record: compute_stats([record])))
     return json.dumps(stats.to_json_dict()) + "\n", f"{stats.n_samples} records"
 
 
@@ -225,13 +232,13 @@ def cmd_prepare(args) -> tuple[str, str]:
         max_target_tokens=args.max_target_tokens,
         answer_index=args.answer_index,
     )
-    examples = read_records(args.infile, args.modality,
-                            lambda record: prepare_example(record, limits))
-    lines = "".join(
-        json.dumps({"input": seq.rendered, "target": target}) + "\n"
-        for seq, target in examples
-    )
-    return lines, f"prepared {len(examples)} examples"
+
+    def line(record) -> str:  # a worker sends back each finished line
+        seq, target = prepare_example(record, limits)
+        return json.dumps({"input": seq.rendered, "target": target}) + "\n"
+
+    lines = read_records(args.infile, args.modality, line)
+    return "".join(lines), f"prepared {len(lines)} examples"
 
 
 def _default(function, name: str):

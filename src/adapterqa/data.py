@@ -8,17 +8,28 @@ that text and applies optional token budgets.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
+import math
+import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import workers
 from .assembly import EmptyQuestion, InputSequence, assemble, truncate
 from .errors import InputError, SchemaError, check_int
 from .linearize import linearize
 from .tables import ValidatedTable, validate_table
 
 MODALITIES = ("table", "text")
+
+# Bytes of a JSONL file each worker reads at least (``read_jsonl``). On a
+# 2-core host a second worker took table ingest of 256 KB from 13.6 to
+# 10.0 ms, while passages, about 4x cheaper a byte, gained nothing below
+# about 480 KB (6.2 against 6.5 ms for ``stats`` at 483 KB).
+JSONL_WORKER_BYTES = 256 * 1024
 
 
 @dataclass
@@ -54,6 +65,71 @@ class QaRecord:
         return "text" if self.passage is not None else "table"
 
 
+def _ranges(path: str | Path) -> list[tuple[int, int | None]]:
+    """Byte ranges ``[start, stop)`` that cover the file in order, one per
+    worker (``workers.worker_count`` of its size over
+    ``JSONL_WORKER_BYTES``), each but the last ending just after a newline
+    byte. The last one runs to the end of the file (``stop`` is None)."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        n = workers.worker_count(size, JSONL_WORKER_BYTES)
+        starts = [0]
+        for k in range(1, n):
+            handle.seek(max(k * size // n, starts[-1]))
+            handle.readline()
+            if starts[-1] < handle.tell() < size:
+                starts.append(handle.tell())
+    return list(zip(starts, [*starts[1:], None]))
+
+
+def _read_range(path: str | Path, start: int, stop: int | None,
+                build: Callable[[dict], object]) -> tuple[list, int, Exception | None]:
+    """``build(obj)`` for each non-blank line of bytes ``[start, stop)`` of
+    a JSONL file, in order: ``(values, lines read, error)``. The first
+    error stops the range at its line and is returned, not raised, so that
+    the caller can raise the first error of the file.
+
+    Lines split as a file opened in text mode splits them (universal
+    newlines), and each line end reads as one ``\n``. Undecodable bytes are
+    escaped when the range is read and decoded again per line, so the
+    error names its line and not an offset into the read buffer."""
+    values: list = []
+    line_no = 0
+    left = math.inf if stop is None else stop - start
+    try:
+        with open(path, "rb") as raw:
+            raw.seek(start)
+            with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape",
+                                  newline="") as lines:
+                for line in lines:
+                    line_no += 1
+                    data = line.encode("utf-8", "surrogateescape")
+                    left -= len(data)
+                    if line.strip():
+                        if data.endswith(b"\r\n"):
+                            data = data[:-2] + b"\n"
+                        elif data.endswith(b"\r"):
+                            data = data[:-1] + b"\n"
+                        values.append(build(_json_object(data)))
+                    if left <= 0:
+                        break
+    except Exception as exc:  # read_jsonl raises it if no earlier range failed
+        return values, line_no, exc
+    return values, line_no, None
+
+
+def _json_object(data: bytes) -> dict:
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"line must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     """``build(obj)`` for the JSON object on each non-blank line of a JSONL
     file, in order.
@@ -62,28 +138,26 @@ def read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     decoder, by ``build``, or by the table and record checks it runs) keeps
     its type and gets ``line = N`` and one ``line N: `` prefix. Bytes that
     are not UTF-8 are a ``SchemaError``, as a line that is not JSON is.
+
+    A file of at least twice ``JSONL_WORKER_BYTES`` is read in byte ranges
+    that end at a newline, one per worker (``workers.in_processes``), so
+    ``build`` should return something small: its values come back pickled.
+    Each range numbers its own lines, and the line counts of the ranges
+    before it are added, so the values and errors are those of one reader.
     """
-    built = []
-    # Undecodable bytes are escaped here and decoded again per line below,
-    # so the error names its line and not an offset into the read buffer.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                try:
-                    obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise SchemaError(f"invalid UTF-8: {exc}") from exc
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise SchemaError(f"invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise SchemaError(f"line must be a JSON object, got {type(obj).__name__}")
-                built.append(build(obj))
-            except InputError as exc:
-                exc.line = line_no
-                exc.args = (f"line {line_no}: {exc}",)
-                raise
+    ranges = _ranges(path)
+    parts = workers.in_processes([functools.partial(_read_range, path, start, stop, build)
+                                  for start, stop in ranges])
+    built: list = []
+    lines_before = 0
+    for values, n_lines, error in parts:
+        if error is not None:
+            if isinstance(error, InputError):
+                error.line = lines_before + n_lines
+                error.args = (f"line {error.line}: {error}",)
+            raise error
+        built += values
+        lines_before += n_lines
     return built
 
 
@@ -156,31 +230,42 @@ class DatasetStats:
 def compute_stats(records: list[QaRecord]) -> DatasetStats:
     """Whitespace-token maxima per field; table shapes from resolved grids.
 
-    Permutation-invariant: every aggregate is a max over records.
+    The stats of each record, merged (``merge_stats``), so every aggregate
+    is permutation-invariant.
     """
-    max_question = 0
-    max_target = 0
-    max_context: int | None = None
-    max_rows: int | None = None
-    max_cols: int | None = None
-    for record in records:
-        max_question = max(max_question, len(record.question.split()))
-        max_target = max(max_target, max(len(a.split()) for a in record.answers))
-        if record.passage is not None:
-            tokens = len(record.passage.split())
-            max_context = tokens if max_context is None else max(max_context, tokens)
-        else:
-            grid = record.grid
-            rows = grid.n_header_rows + grid.n_body_rows
-            max_rows = rows if max_rows is None else max(max_rows, rows)
-            max_cols = grid.width if max_cols is None else max(max_cols, grid.width)
+    return merge_stats([_record_stats(record) for record in records])
+
+
+def _record_stats(record: QaRecord) -> DatasetStats:
+    text, grid = record.passage is not None, record.grid
     return DatasetStats(
-        n_samples=len(records),
-        max_question_tokens=max_question,
-        max_target_tokens=max_target,
-        max_context_tokens=max_context,
-        max_table_rows=max_rows,
-        max_table_cols=max_cols,
+        n_samples=1,
+        max_question_tokens=len(record.question.split()),
+        max_target_tokens=max(len(a.split()) for a in record.answers),
+        max_context_tokens=len(record.passage.split()) if text else None,
+        max_table_rows=None if text else grid.n_header_rows + grid.n_body_rows,
+        max_table_cols=None if text else grid.width,
+    )
+
+
+def merge_stats(parts: list[DatasetStats]) -> DatasetStats:
+    """The stats of disjoint sets of records, from each set's stats: the
+    counts add, and each maximum is the largest one given (a modality's
+    field stays None when no set has one)."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def most(name: str, default: int | None) -> int | None:
+        return max((value for part in parts if (value := getattr(part, name)) is not None),
+                   default=default)
+
+    return DatasetStats(
+        n_samples=sum(part.n_samples for part in parts),
+        max_question_tokens=most("max_question_tokens", 0),
+        max_target_tokens=most("max_target_tokens", 0),
+        max_context_tokens=most("max_context_tokens", None),
+        max_table_rows=most("max_table_rows", None),
+        max_table_cols=most("max_table_cols", None),
     )
 
 

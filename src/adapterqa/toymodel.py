@@ -102,6 +102,7 @@ import numpy as np
 
 from .adapters import MAX_STACK_LAYERS, AdapterSet, ModelDims, percent_of_base
 from .errors import AdapterQaError, InputError, check_int, check_positive_real
+from .workers import usable_cpus as _usable_cpus
 
 BOS_ID = 1
 ADAM_BETA1 = 0.9
@@ -177,14 +178,6 @@ def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; every CPU where the platform has
-    no ``os.sched_getaffinity`` (it is Linux-only)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _blas_threads(cpus: int) -> int:
     """The threads OpenBLAS runs, from the variables it reads itself; with
     neither set, it runs one per usable CPU."""
@@ -246,14 +239,15 @@ class _Meeting:
     """Where the shards of one adapter's backward meet. Its weight
     gradients sum over every row of the batch, so each shard hands in its
     rows and the last to arrive gets all of them, in shard order; no shard
-    waits for another. It is ready for one shard until ``reset``, and again
-    once the last shard has arrived."""
+    waits for another. It is set for one shard, which meets no other, until
+    ``reset``, and again once the last shard has arrived."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.reset(1)
 
     def reset(self, n_shards: int):
+        self.n_shards = n_shards
         self._parts: list = [None] * n_shards
         self._waiting = n_shards
 
@@ -545,7 +539,8 @@ class AdapterModule:
     In a sharded backward each shard runs a twin of the adapter on its
     rows. The four weight gradients sum over every row, so the shards meet
     in one ``_Meeting``, and the last to arrive sets them from the joined
-    rows with the products and sums of a one-shard backward.
+    rows with the products and sums of a one-shard backward. A one-shard
+    backward sets them from its own arrays and meets no one.
     """
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
@@ -573,10 +568,11 @@ class AdapterModule:
         d_hidden *= hidden > 0
         d_x = d_hidden @ self.w_down.value.T
         d_x += d_out
-        parts = self.meeting.arrive(self.shard, (hidden, d_out, x, d_hidden))
-        if parts is None:
-            return d_x
-        hidden, d_out, x, d_hidden = map(_join, zip(*parts))
+        if self.meeting.n_shards > 1:
+            parts = self.meeting.arrive(self.shard, (hidden, d_out, x, d_hidden))
+            if parts is None:
+                return d_x
+            hidden, d_out, x, d_hidden = map(_join, zip(*parts))
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
         self.w_up.grad[...] = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
         self.b_up.grad[...] = np.add.reduce(flat_d_out, axis=0)
@@ -1025,7 +1021,9 @@ class ToyModel:
 
         Each shard of that forward runs back on its own layers
         (``_backward_rows``); they meet only at the adapters' weight
-        gradients (``_Meeting``), whose slots are emptied first.
+        gradients (``_Meeting``), which are set for that many shards first,
+        and for one again if a shard fails. A lone shard runs as a plain
+        call and meets no one.
         """
         d_logits, self._d_logits = self._d_logits, None
         if d_logits is None:
@@ -1038,11 +1036,19 @@ class ToyModel:
                 f"{prefix.start}")
         if self.lowest_trainable == self.n_layers:
             return
+        n = len(d_logits)
+        if n == 1:
+            self._backward_rows(prefix, self._rows[0], d_logits, 0)
+            return
         for meeting in self._meetings:
-            meeting.reset(len(d_logits))
-        _in_shards([functools.partial(shard._backward_rows, prefix, rows, d_logits, k)
-                    for k, (shard, rows) in enumerate(zip(self._shards(len(d_logits)),
-                                                          self._rows))])
+            meeting.reset(n)
+        try:
+            _in_shards([functools.partial(shard._backward_rows, prefix, rows, d_logits, k)
+                        for k, (shard, rows) in enumerate(zip(self._shards(n), self._rows))])
+        except BaseException:
+            for meeting in self._meetings:
+                meeting.reset(1)
+            raise
 
     def _backward_rows(self, prefix: Prefix, rows: slice, d_logits: list, k: int):
         """The backward of shard ``k``, rows ``rows`` of the batch, on this
@@ -1241,11 +1247,20 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """How ``train_adapters`` trains. Every rule on it is checked when it
+    is built, so a bad setting is refused before any model is."""
+
     learning_rate: float = 1e-2
     steps: int = 200
     optimizer: str = "adam"  # or "sgd"
+
+    def __post_init__(self):
+        if self.optimizer not in ("adam", "sgd"):
+            raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        check_int("steps", self.steps, InvalidConfig)
+        check_positive_real("learning_rate", self.learning_rate, InvalidConfig)
 
 
 @dataclass
@@ -1285,10 +1300,6 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     ``LOSS_GROWTH_LIMIT`` times the initial loss; numpy's overflow warnings
     on the way there are silenced, because that check reports them.
     """
-    if cfg.optimizer not in ("adam", "sgd"):
-        raise InvalidConfig(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
-    check_int("steps", cfg.steps, InvalidConfig)
-    check_positive_real("learning_rate", cfg.learning_rate, InvalidConfig)
     theta, grad = model.theta, model.theta_grad
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)

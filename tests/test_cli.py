@@ -1,9 +1,11 @@
 import inspect
 import json
 import math
+from unittest import mock
 
 import pytest
 
+from adapterqa import cli as cli_mod
 from adapterqa.adapters import MAX_STACK_LAYERS
 from adapterqa.cli import MAX_COPY_TASK_TOKENS, build_parser, main
 from adapterqa.metrics import MAX_EVAL_LINE_CHARS
@@ -829,6 +831,19 @@ def test_copy_task_bound_is_inclusive(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InputError"
+
+
+def test_a_bad_training_option_is_refused_before_the_model_is_built(capsys, monkeypatch):
+    # A width-256 toy over a 2048 x 32 copy task: built first, it would
+    # take its weights and ids before --steps 0 was refused.
+    monkeypatch.setattr(cli_mod, "build_toy_model",
+                        mock.Mock(side_effect=AssertionError("the model was built")))
+    for option in (["--steps", "0"], ["--lr", "0"], ["--lr", "nan"]):
+        code, out, err = run(capsys, ["train-toy", "--vocab", "4096", "--d-model", "256",
+                                      "--examples", "2048", "--seq-len", "32", *option])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(f"{option[0]} must be")
+    cli_mod.build_toy_model.assert_not_called()
 
 
 def test_module_entry_point_runs():

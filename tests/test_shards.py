@@ -311,3 +311,49 @@ def test_wrappers_on_the_model_run_only_on_the_calling_thread():
     assert wrapped[0] > 50
     assert len(model._twins) == 2
     assert calls and set(calls) == {threading.get_ident()}
+
+
+def test_one_shard_meets_no_one():
+    """With one shard, ``backward`` sets no meeting and each adapter sets
+    its gradients from its own arrays; they equal the sharded gradients."""
+    cfg = config(AdapterSet.full(DIMS))
+    source, target = batch(6)
+    with host(cpus=3):
+        model = ToyModel(cfg)
+        model.randomize_adapters(seed=3)
+        want = model.forward_backward(source, target), model.theta_grad.tobytes()
+    model = ToyModel(cfg)
+    model.randomize_adapters(seed=3)
+    model.theta_grad[...] = np.nan
+    met = AssertionError("a meeting was used")
+    with host(cpus=1), mock.patch.object(toymodel._Meeting, "arrive", side_effect=met), \
+            mock.patch.object(toymodel._Meeting, "reset", side_effect=met):
+        assert (model.forward_backward(source, target), model.theta_grad.tobytes()) == want
+
+
+def test_a_failed_sharded_backward_leaves_the_meetings_set_for_one_shard():
+    """A shard that fails mid-backward leaves arrivals at the meetings; the
+    meetings are set for one shard again, so a one-shard backward after it
+    gets its own gradients and not a join with the failed round's rows."""
+    cfg = config(AdapterSet.full(DIMS))
+    source, target = batch(6)
+    with host(cpus=1):
+        reference = ToyModel(cfg)
+        reference.randomize_adapters(seed=3)
+        want = reference.forward_backward(source, target), reference.theta_grad.tobytes()
+    real = ToyModel._backward_rows
+
+    def backward_rows(self, prefix, rows, d_logits, k):
+        if k == 1:
+            raise MemoryError("shard 1")
+        return real(self, prefix, rows, d_logits, k)
+
+    model = ToyModel(cfg)
+    model.randomize_adapters(seed=3)
+    with host(cpus=2), mock.patch.object(ToyModel, "_backward_rows", backward_rows), \
+            pytest.raises(MemoryError, match="shard 1"):
+        model.forward_backward(source, target)
+    assert all(meeting.n_shards == 1 for meeting in model._meetings)
+    with host(cpus=1):
+        model.theta_grad[...] = np.nan
+        assert (model.forward_backward(source, target), model.theta_grad.tobytes()) == want

@@ -481,3 +481,18 @@ def test_size_bound_counts_the_model_it_would_build(half_width, bottleneck, n_en
         patch.setattr(toymodel, "MAX_TOY_SCALARS", total - 1)
         with pytest.raises(InvalidConfig, match="parameters"):
             ToyModel(cfg)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"steps": 0}, "steps"), ({"steps": 2.0}, "steps"), ({"learning_rate": 0.0}, "learning_rate"),
+    ({"learning_rate": True}, "learning_rate"), ({"optimizer": "adamw"}, "optimizer"),
+])
+def test_train_config_refuses_a_bad_setting_when_built(fields, name):
+    with pytest.raises(InvalidConfig, match=f"^{name} must be"):
+        TrainConfig(**fields)
+
+
+def test_train_config_cannot_be_changed_after_its_check():
+    cfg = TrainConfig()
+    with pytest.raises(AttributeError):
+        cfg.steps = 0
