@@ -33,18 +33,21 @@ trainable tensor and the gradient of its input feeds nothing, so
 ``train_adapters`` computes that prefix once, and no skip reorders any
 arithmetic.
 
-Each training activation is held once. An adapter caches only its
-bottleneck activation, and backward hands it the stream it read
-(``ToyModel.adapter_input``): the prefix's own array where the forward
-began, and elsewhere the norm's output recomputed from the norm's cache
-by the same two ufuncs on the same operands. The loss writes the
-log-probabilities and the logits gradient over arrays it allocated, and
-``backward`` drops the logits gradient once the output projection has
-used it. The large elementwise tails (bias adds, the norm, the attention
-softmax, the rectifier, the residual gradient sums) write into an array
-their own step allocated, never into an input. Each keeps its ufuncs and
-operands, at most swapping the two sides of a ``+`` or ``*``, so every
-value is unchanged.
+Layers hold only their parameters. A forward given a tape, a list,
+appends to it what its backward needs, in walk order, and each backward
+takes its entry back off the end, so an entry is freed as soon as it has
+been used: the residual-passing form of reverse mode. Each training
+activation is held once. An adapter tapes only its bottleneck activation,
+and backward hands it the stream it read (``ToyModel.adapter_input``): the
+prefix's own array where the forward began, and elsewhere the norm's
+output recomputed from the norm's entry by the same two ufuncs on the
+same operands. The loss writes the log-probabilities and the logits
+gradient over arrays it allocated, and ``backward`` drops the logits
+gradient once the output projection has used it. The large elementwise
+tails (bias adds, the norm, the attention softmax, the rectifier, the
+residual gradient sums) write into an array their own step allocated,
+never into an input. Each keeps its ufuncs and operands, at most swapping
+the two sides of a ``+`` or ``*``, so every value is unchanged.
 
 ``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
 of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
@@ -60,10 +63,10 @@ At the toy's widths the hot path is bound by per-call overhead, so it
 makes fewer calls without changing any arithmetic. Row means, sums and
 maxima call numpy's ufunc reductions directly (``_row_mean`` and its
 siblings). Every causal attention of one length shares one read-only mask.
-The audit's copy forwards and ``ToyModel.prefix`` run with
-``cache=False`` and store no backward cache, since no backward reads one.
-Every matrix product keeps its operands and every reduction its order, so
-each of these is bit-identical to the path it replaces.
+The audit's copy forwards and ``ToyModel.prefix`` pass no tape and store
+nothing, since no backward follows them. Every matrix product keeps its
+operands and every reduction its order, so each of these is bit-identical
+to the path it replaces.
 
 At larger widths the frozen matrix products dominate a step, and BLAS
 gains nothing from a second thread at the toy's shapes. So ``forward`` and
@@ -72,36 +75,35 @@ that BLAS leaves idle (usable CPUs // BLAS threads, read from
 ``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, else one per CPU, which
 gives one shard), at most one per row, and each carrying at least
 ``SHARD_MIN_STREAM`` stream elements (rows x length x d_model). With one
-shard this is the whole path. Shard 0 runs on the calling thread on the
-model's own layers; each other shard runs on a thread of its own, on twins
-of every layer that share each ``Parameter`` and own only their backward
-caches (``_twin``). A twin carries over no callable attribute, so a
-wrapper set on one of the model's own instances runs only on the calling
-thread. Only two results mix rows: the loss, the mean over every shard's
-label log-probabilities, joined; and the adapters' weight gradients,
-which the last shard to reach an adapter computes from the shards' joined
-rows (``_Meeting``), so no shard waits for another. Everything else acts
-row by row: numpy runs a batched matrix product as one product per batch
-slice, and row reductions and ufuncs act per row. So every value equals
-the one-shard value bit for bit. Measured on a 2-core host with one-thread
-OpenBLAS, two shards made a width-128, 6+6-layer step on 16 x 32 tokens
-1.8x faster, while two BLAS threads on one shard made it no faster.
+shard this is the whole path. Every shard runs the model's own layers on a
+tape of its own: shard 0 on the calling thread, each other shard on a
+thread of its own (``workers.in_threads``). Only two results mix rows: the
+loss, the mean over every shard's label log-probabilities, joined; and the
+adapters' weight gradients. A sharded adapter backward hands back its
+rows of their operands, and once every shard's backward has ended, each
+adapter joins them in shard order and runs the products and sums of a
+one-shard backward; adapter k joins on shard k mod n's thread. Everything
+else acts row by row: numpy runs a batched matrix product as one product
+per batch slice, and row reductions and ufuncs act per row. So every
+value equals the one-shard value bit for bit. Measured on a 2-core host
+with one-thread OpenBLAS, two shards made a width-128, 6+6-layer step on
+16 x 32 tokens 1.8x faster, while two BLAS threads on one shard made it no
+faster.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import os
-import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .adapters import MAX_STACK_LAYERS, AdapterSet, ModelDims, percent_of_base
 from .errors import AdapterQaError, InputError, check_int, check_positive_real
+from .workers import in_threads
 from .workers import usable_cpus as _usable_cpus
 
 BOS_ID = 1
@@ -178,6 +180,14 @@ def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _set_grads(joins: list[tuple]):
+    """For each adapter in ``joins``, given as every shard's (adapter,
+    operands), set its weight gradients from the operands joined in shard
+    order."""
+    for shards in joins:
+        shards[0][0].set_grads(*map(_join, zip(*(operands for _, operands in shards))))
+
+
 def _blas_threads(cpus: int) -> int:
     """The threads OpenBLAS runs, from the variables it reads itself; with
     neither set, it runs one per usable CPU."""
@@ -198,68 +208,6 @@ def shard_count(batch: int, length: int, d_model: int) -> int:
     cpus = _usable_cpus()
     return max(1, min(batch, cpus // _blas_threads(cpus),
                       batch * length * d_model // SHARD_MIN_STREAM))
-
-
-def _in_shards(calls: list[Callable[[], object]]) -> list:
-    """Run ``calls[0]`` on this thread and each other call on a thread of
-    its own, each in a copy of this thread's context and under its numpy
-    error state (numpy 2 keeps that state in the context, numpy 1 per
-    thread). Returns the results in order once every call has ended, or
-    raises the error of the lowest-numbered shard that failed."""
-    if len(calls) == 1:
-        return [calls[0]()]
-    results: list = [None] * len(calls)
-    errors: list[BaseException | None] = [None] * len(calls)
-    errstate = {**np.geterr(), "call": np.geterrcall()}
-
-    def run(k: int):
-        try:
-            results[k] = calls[k]()
-        except BaseException as exc:  # re-raised below, on the calling thread
-            errors[k] = exc
-
-    def run_off_thread(k: int):
-        with np.errstate(**errstate):
-            run(k)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run_off_thread, k))
-               for k in range(1, len(calls))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
-
-
-class _Meeting:
-    """Where the shards of one adapter's backward meet. Its weight
-    gradients sum over every row of the batch, so each shard hands in its
-    rows and the last to arrive gets all of them, in shard order; no shard
-    waits for another. It is set for one shard, which meets no other, until
-    ``reset``, and again once the last shard has arrived."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.reset(1)
-
-    def reset(self, n_shards: int):
-        self.n_shards = n_shards
-        self._parts: list = [None] * n_shards
-        self._waiting = n_shards
-
-    def arrive(self, shard: int, part: tuple) -> list[tuple] | None:
-        with self._lock:
-            self._parts[shard] = part
-            self._waiting -= 1
-            if self._waiting:
-                return None
-            parts = self._parts
-            self.reset(1)
-        return parts
 
 
 class InvalidConfig(InputError):
@@ -388,31 +336,30 @@ class LayerNorm:
     def __init__(self, name: str, d: int):
         self.gamma = Parameter(f"{name}.gamma", np.ones(d))
         self.beta = Parameter(f"{name}.beta", np.zeros(d))
-        self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         xhat = x - _row_mean(x)
         inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LAYER_NORM_EPS)
         xhat *= inv_std
-        if cache:
-            self._cache = (xhat, inv_std)
-            return self.output()
-        return self._affine(xhat, out=xhat)
+        if tape is None:
+            return self._affine(xhat, out=xhat)
+        tape.append((xhat, inv_std))
+        return self._affine(xhat)
 
-    def output(self) -> np.ndarray:
-        """The output of the last cached forward, recomputed from its
-        cache by the same two ufuncs on the same operands: bit-identical."""
-        return self._affine(self._cache[0])
+    def output(self, cache: tuple) -> np.ndarray:
+        """The output of the forward that taped ``cache``, recomputed from
+        it by the same two ufuncs on the same operands: bit-identical."""
+        return self._affine(cache[0])
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.multiply(xhat, self.gamma.value, out=out)
         y += self.beta.value
         return y
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, cache: tuple) -> np.ndarray:
         """inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)),
         written in place into ``d_xhat``."""
-        xhat, inv_std = self._cache
+        xhat, inv_std = cache
         d_xhat = d_out * self.gamma.value
         mean_d = _row_mean(d_xhat)
         scratch = d_xhat * xhat
@@ -444,7 +391,6 @@ class Attention:
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.causal = causal
-        self._cache: tuple | None = None
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         b, t, d = x.shape
@@ -454,7 +400,7 @@ class Attention:
         b, h, t, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
-    def forward(self, x_q: np.ndarray, x_kv: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x_q: np.ndarray, x_kv: np.ndarray, tape: list | None = None) -> np.ndarray:
         q = self._split(self.q_proj.forward(x_q))
         k = self._split(self.k_proj.forward(x_kv))
         v = self._split(self.v_proj.forward(x_kv))
@@ -468,15 +414,15 @@ class Attention:
         np.exp(attn, out=attn)
         attn /= _row_sum(attn)
         context = attn @ v
-        if cache:
-            self._cache = (q, k, v, attn, inv_sqrt)
+        if tape is not None:
+            tape.append((q, k, v, attn, inv_sqrt))
         return self.o_proj.forward(self._merge(context))
 
-    def backward(self, d_out: np.ndarray,
+    def backward(self, d_out: np.ndarray, cache: tuple,
                  need_kv: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Gradients of the query input and of the key/value input; the
         second is None, and not computed, unless ``need_kv``."""
-        q, k, v, attn, inv_sqrt = self._cache
+        q, k, v, attn, inv_sqrt = cache
         d_context = self._split(self.o_proj.backward(d_out))
         # attn * (d_attn - row_sum(d_attn * attn)), in place in d_attn.
         d_scores = d_context @ v.transpose(0, 1, 3, 2)
@@ -509,17 +455,16 @@ class FeedForward:
         w_out = rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)
         self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(d_ff))
         self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model))
-        self._cache: np.ndarray | None = None  # where the rectifier passed
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         pre = self.lin_in.forward(x)
-        if cache:
-            self._cache = pre > 0
+        if tape is not None:
+            tape.append(pre > 0)  # where the rectifier passed
         return self.lin_out.forward(np.maximum(pre, 0.0, out=pre))
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, passed: np.ndarray) -> np.ndarray:
         d_hidden = self.lin_out.backward(d_out)
-        d_hidden *= self._cache
+        d_hidden *= passed
         return self.lin_in.backward(d_hidden)
 
     def parameters(self) -> list[Parameter]:
@@ -532,15 +477,15 @@ class AdapterModule:
     as an exact identity map. It runs once per forward, so ``backward``
     writes its four gradients in place rather than accumulating them.
 
-    A forward caches only the rectified bottleneck activation. Its input
+    A forward tapes only the rectified bottleneck activation. Its input
     is already held below it (``ToyModel.adapter_input``), so ``backward``
-    is handed that input rather than caching a second copy.
+    is handed that input rather than taping a second copy.
 
-    In a sharded backward each shard runs a twin of the adapter on its
-    rows. The four weight gradients sum over every row, so the shards meet
-    in one ``_Meeting``, and the last to arrive sets them from the joined
-    rows with the products and sums of a one-shard backward. A one-shard
-    backward sets them from its own arrays and meets no one.
+    The four weight gradients sum over every row of the batch. A one-shard
+    backward sets them from its own arrays at once. In a sharded backward,
+    each shard hands back its rows of their operands instead, and once
+    every shard has ended, ``set_grads`` runs on the rows joined in shard
+    order, with the products and sums of a one-shard backward.
     """
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
@@ -549,37 +494,40 @@ class AdapterModule:
         self.b_down = Parameter(f"{name}.down.b", np.zeros(bottleneck), trainable=True)
         self.w_up = Parameter(f"{name}.up.w", np.zeros((bottleneck, d_model)), trainable=True)
         self.b_up = Parameter(f"{name}.up.b", np.zeros(d_model), trainable=True)
-        self._cache: np.ndarray | None = None
-        self.shard = 0
-        self.meeting = _Meeting()
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         out, hidden = _bottleneck(x, self.w_down.value, self.b_down.value,
                                   self.w_up.value, self.b_up.value)
-        if cache:
-            self._cache = hidden
+        if tape is not None:
+            tape.append(hidden)
         return out
 
-    def backward(self, d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Gradient of the input; ``x`` is the input of the last cached
-        forward."""
-        hidden = self._cache
+    def backward(self, d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
+                 parts: list | None = None) -> np.ndarray:
+        """Gradient of the input; ``x`` and ``hidden`` are the input and the
+        taped activation of one forward. The weight gradients are set at
+        once, or, with ``parts``, their operands are appended there with
+        this adapter, for ``set_grads`` on every shard's rows."""
         d_hidden = d_out @ self.w_up.value.T
         d_hidden *= hidden > 0
         d_x = d_hidden @ self.w_down.value.T
         d_x += d_out
-        if self.meeting.n_shards > 1:
-            parts = self.meeting.arrive(self.shard, (hidden, d_out, x, d_hidden))
-            if parts is None:
-                return d_x
-            hidden, d_out, x, d_hidden = map(_join, zip(*parts))
+        if parts is None:
+            self.set_grads(hidden, d_out, x, d_hidden)
+        else:
+            parts.append((self, (hidden, d_out, x, d_hidden)))
+        return d_x
+
+    def set_grads(self, hidden: np.ndarray, d_out: np.ndarray, x: np.ndarray,
+                  d_hidden: np.ndarray):
+        """Write the four weight gradients from their operands over every
+        row of the batch."""
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
         self.w_up.grad[...] = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
         self.b_up.grad[...] = np.add.reduce(flat_d_out, axis=0)
         flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
         self.w_down.grad[...] = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
         self.b_down.grad[...] = np.add.reduce(flat_d_hidden, axis=0)
-        return d_x
 
     def parameters(self) -> list[Parameter]:
         return [self.w_down, self.b_down, self.w_up, self.b_up]
@@ -590,8 +538,9 @@ class ResidualBlock:
 
     The sublayer is a ``FeedForward`` or an ``Attention``; attention
     attends to its own input, or to ``memory`` when ``cross`` is set.
-    A forward with ``cache=False`` stores nothing for ``backward``, which
-    hands the adapter the stream it read, recomputed from the norm's cache.
+    A forward tapes the sublayer's, the norm's and the adapter's entries,
+    in that order; ``backward`` takes them back and hands the adapter the
+    stream it read, recomputed from the norm's entry.
     """
 
     def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
@@ -601,31 +550,35 @@ class ResidualBlock:
         self.adapter: AdapterModule | None = None
 
     def normed(self, x: np.ndarray, memory: np.ndarray | None = None,
-               cache: bool = True) -> np.ndarray:
+               tape: list | None = None) -> np.ndarray:
         """Sublayer, then add & norm: the stream the adapter reads."""
         if isinstance(self.sublayer, FeedForward):
-            out = self.sublayer.forward(x, cache)
+            out = self.sublayer.forward(x, tape)
         else:
-            out = self.sublayer.forward(x, memory if self.cross else x, cache)
+            out = self.sublayer.forward(x, memory if self.cross else x, tape)
         out += x
-        return self.norm.forward(out, cache)
+        return self.norm.forward(out, tape)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                cache: bool = True) -> np.ndarray:
-        h = self.normed(x, memory, cache)
-        return h if self.adapter is None else self.adapter.forward(h, cache)
+                tape: list | None = None) -> np.ndarray:
+        h = self.normed(x, memory, tape)
+        return h if self.adapter is None else self.adapter.forward(h, tape)
 
-    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of the input; cross-attention adds the gradient of
-        ``memory`` into ``d_memory``, and skips it when that is None."""
+    def backward(self, d_out: np.ndarray, tape: list, d_memory: np.ndarray | None = None,
+                 parts: list | None = None) -> np.ndarray:
+        """Gradient of the input, taking this block's entries off ``tape``;
+        cross-attention adds the gradient of ``memory`` into ``d_memory``,
+        and skips it when that is None. ``parts`` is the adapter's."""
         if self.adapter is not None:
-            d_out = self.adapter.backward(d_out, self.norm.output())
-        d_sum = self.norm.backward(d_out)
+            hidden = tape.pop()
+            d_out = self.adapter.backward(d_out, self.norm.output(tape[-1]), hidden, parts)
+        d_sum = self.norm.backward(d_out, tape.pop())
         if isinstance(self.sublayer, FeedForward):
-            d_x = self.sublayer.backward(d_sum)
+            d_x = self.sublayer.backward(d_sum, tape.pop())
             d_x += d_sum
             return d_x
-        d_x, d_kv = self.sublayer.backward(d_sum, need_kv=not self.cross or d_memory is not None)
+        d_x, d_kv = self.sublayer.backward(d_sum, tape.pop(),
+                                           need_kv=not self.cross or d_memory is not None)
         d_x += d_sum
         if not self.cross:
             d_x += d_kv
@@ -670,19 +623,19 @@ class Layer:
             f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                cache: bool = True, first: int = 0) -> np.ndarray:
+                tape: list | None = None, first: int = 0) -> np.ndarray:
         """Run the blocks from block ``first`` up; ``x`` enters that block."""
         for block in self.blocks[first:]:
-            x = block.forward(x, memory, cache)
+            x = block.forward(x, memory, tape)
         return x
 
-    def backward(self, d_out: np.ndarray, d_memory: np.ndarray | None = None,
-                 first: int = 0) -> np.ndarray:
-        """Gradient of the stream that entered block ``first``; a decoder
-        layer also adds the gradient of ``memory`` into ``d_memory`` unless
-        that is None."""
+    def backward(self, d_out: np.ndarray, tape: list, d_memory: np.ndarray | None = None,
+                 first: int = 0, parts: list | None = None) -> np.ndarray:
+        """Gradient of the stream that entered block ``first``, taking the
+        blocks' entries off ``tape``; a decoder layer also adds the gradient
+        of ``memory`` into ``d_memory`` unless that is None."""
         for block in reversed(self.blocks[first:]):
-            d_out = block.backward(d_out, d_memory)
+            d_out = block.backward(d_out, tape, d_memory, parts)
         return d_out
 
     def parameters(self) -> list[Parameter]:
@@ -690,33 +643,6 @@ class Layer:
         modules = [m for b in self.blocks for m in (b.sublayer, b.norm)]
         modules += [b.adapter for b in self.blocks if b.adapter is not None]
         return [p for m in modules for p in m.parameters()]
-
-
-_LAYER_PARTS = (Layer, ResidualBlock, Attention, FeedForward, LayerNorm, Linear, AdapterModule)
-
-
-def _twin(part, shard: int):
-    """The twin of ``part`` (a layer or any part of one, or a list of them)
-    that batch shard ``shard`` runs on: a fresh instance of each part's
-    class, holding the original's attributes with each part below twinned,
-    no backward cache, and an adapter's ``shard`` set. Every ``Parameter``
-    and ``_Meeting`` is shared. A callable attribute, such as a wrapper set
-    on one of the original's methods, is left out, so it runs only for
-    the original, on the calling thread."""
-    if isinstance(part, list):
-        return [_twin(item, shard) for item in part]
-    if not isinstance(part, _LAYER_PARTS):
-        return part
-    twin = object.__new__(type(part))
-    for name, value in vars(part).items():
-        if name == "_cache":
-            value = None
-        elif name == "shard":
-            value = shard
-        elif callable(value):
-            continue
-        setattr(twin, name, _twin(value, shard))
-    return twin
 
 
 @dataclass(frozen=True)
@@ -825,7 +751,6 @@ class ToyModel:
         # Index of the lowest layer with a trainable tensor; n_layers when
         # nothing is trainable.
         self.lowest_trainable = min(active, default=self.n_layers)
-        self._meetings = [adapter.meeting for _, _, adapter in self.adapters()]
         # The one cast of the float64 draws (a no-op in double precision).
         for param in self.parameters():
             param.value = param.value.astype(dtype, copy=False)
@@ -841,22 +766,10 @@ class ToyModel:
             param.grad = self.theta_grad[part].reshape(param.value.shape)
             start = part.stop
 
-        # Per shard of the last forward, its logits gradient, until backward.
-        self._d_logits: list[np.ndarray | None] | None = None
+        # Per shard of the last forward, its tape, until backward takes them.
+        self._tapes: list[list] | None = None
         self._prefix: Prefix | None = None  # the one the last forward ran from
         self._rows: list[slice] = []  # the rows of each of its shards
-        self._twins: list[ToyModel] = []  # the layers of shards 1, 2, ...
-
-    def _shards(self, n: int) -> list[ToyModel]:
-        """The model and ``n - 1`` twins, built once each and kept. A twin
-        holds only ``encoder``, ``decoder`` and ``out_proj``: a twin of every
-        layer, sharing each ``Parameter``, with backward caches of its own."""
-        while len(self._twins) < n - 1:
-            twin = object.__new__(ToyModel)
-            twin.encoder, twin.decoder, twin.out_proj = _twin(
-                [self.encoder, self.decoder, self.out_proj], len(self._twins) + 1)
-            self._twins.append(twin)
-        return [self, *self._twins[:n - 1]]
 
     def parameters(self) -> list[Parameter]:
         params = [self.tok_emb, self.pos_emb]
@@ -914,97 +827,111 @@ class ToyModel:
 
     @staticmethod
     def _walk(stack: list[Layer], x: np.ndarray, at: int, first: int = 0, stop: int | None = None,
-              memory: np.ndarray | None = None, cache: bool = True) -> np.ndarray:
+              memory: np.ndarray | None = None, tape: list | None = None) -> np.ndarray:
         """Run ``stack`` from block ``first`` of layer ``at``, where ``x``
-        enters, up to layer ``stop``, storing caches only with ``cache``."""
+        enters, up to layer ``stop``, taping caches only onto ``tape``."""
         for layer in stack[at:stop]:
-            x = layer.forward(x, memory, cache, first)
+            x = layer.forward(x, memory, tape, first)
             first = 0
         return x
 
-    def _resume(self, prefix: Prefix, rows: slice = slice(None),
-                cache: bool = True) -> list[np.ndarray]:
-        """Each side's stream of ``prefix`` (its rows ``rows``) after the
-        adapter of the block where the prefix ends it: the streams that
-        enter block 1 there."""
-        streams = []
-        for stack, at, x in zip((self.encoder, self.decoder), self._bottoms(prefix.start),
-                                (prefix.enc[rows], prefix.dec[rows])):
-            adapter = stack[at].blocks[0].adapter if at < len(stack) else None
-            streams.append(x if adapter is None else adapter.forward(x, cache))
-        return streams
+    @staticmethod
+    def _resume(stack: list[Layer], at: int, x: np.ndarray,
+                tape: list | None = None) -> np.ndarray:
+        """``x``, a prefix's stream in layer ``at`` of ``stack``, after the
+        adapter of block 0 there: the stream that enters block 1."""
+        adapter = stack[at].blocks[0].adapter if at < len(stack) else None
+        return x if adapter is None else adapter.forward(x, tape)
 
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
-        """The ``Prefix`` at layer ``start`` for these ids. It stores no
-        backward cache, so those of an earlier forward stay in place."""
+        """The ``Prefix`` at layer ``start`` for these ids. It tapes
+        nothing, so the tapes of an earlier forward stay as they are."""
         check_int("prefix start", start, allow_zero=True, at_most=self.n_layers)
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         enc_at, dec_at = self._bottoms(start)
-        enc_x = self._walk(self.encoder, self._embed(source_ids), 0, stop=enc_at, cache=False)
+        enc_x = self._walk(self.encoder, self._embed(source_ids), 0, stop=enc_at)
         # Embedded once the encoder is done, so the two embeddings are never
         # held together.
         bos = np.full((target_ids.shape[0], 1), BOS_ID, dtype=target_ids.dtype)
         dec_x = self._embed(np.concatenate([bos, target_ids[:, :-1]], axis=1))
-        dec_x = self._walk(self.decoder, dec_x, 0, stop=dec_at, memory=enc_x, cache=False)
+        dec_x = self._walk(self.decoder, dec_x, 0, stop=dec_at, memory=enc_x)
         if enc_at < len(self.encoder):
-            enc_x = self.encoder[enc_at].blocks[0].normed(enc_x, cache=False)
+            enc_x = self.encoder[enc_at].blocks[0].normed(enc_x)
         if dec_at < len(self.decoder):
-            dec_x = self.decoder[dec_at].blocks[0].normed(dec_x, cache=False)
+            dec_x = self.decoder[dec_at].blocks[0].normed(dec_x)
         return Prefix(start, source_ids, target_ids, enc_x, dec_x)
 
     def forward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                 prefix: Prefix | None = None) -> tuple[float, np.ndarray]:
-        """Teacher-forced cross-entropy and logits; caches for backward().
+        """Teacher-forced cross-entropy and logits; tapes for backward().
 
         The forward runs from ``prefix``, which must hold the same ids, or
         by default from the prefix at ``lowest_trainable``. Each is
         bit-identical to a forward from layer 0 while the frozen work below
-        is unchanged. Only the blocks the forward runs store a cache.
+        is unchanged. Only the blocks the forward runs tape a cache. The
+        tapes of the last forward are dropped first, unless ``backward``
+        took them.
 
         The rows run in ``shard_count`` shards (``_forward_rows``), each on
-        layers of its own (``_shards``), and the loss is the mean over their
-        label log-probabilities, joined. Each shard takes the softmax of its
-        own rows: on a 2-core host, one softmax of the whole batch on the
+        a tape of its own, and the loss is the mean over their label
+        log-probabilities, joined. Each shard takes the softmax of its own
+        rows: on a 2-core host, one softmax of the whole batch on the
         calling thread made the benchmark's ``train-full`` steps 2.7% slower.
         """
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
+        if prefix is not None:
+            prefix.check(source_ids, target_ids)
+        self._tapes = None
         if prefix is None:
             prefix = self.prefix(source_ids, target_ids, self.lowest_trainable)
-        else:
-            prefix.check(source_ids, target_ids)
-        self._d_logits = None
         batch = target_ids.shape[0]
         n = shard_count(batch, max(source_ids.shape[1], target_ids.shape[1]), self.cfg.d_model)
         rows = [slice(k * batch // n, (k + 1) * batch // n) for k in range(n)]
         logits = np.empty((*target_ids.shape, self.cfg.vocab_size), self.theta.dtype)
-        parts = _in_shards([functools.partial(shard._forward_rows, prefix, part, logits)
-                            for shard, part in zip(self._shards(n), rows)])
-        self._prefix, self._rows = prefix, rows
-        self._d_logits = [d_logits for _, d_logits in parts]
-        return float(-_join([picked for picked, _ in parts]).mean()), logits
+        tapes: list[list] = [[] for _ in rows]
+        picked = in_threads([functools.partial(self._forward_rows, prefix, part, logits, tape)
+                             for part, tape in zip(rows, tapes)])
+        self._prefix, self._rows, self._tapes = prefix, rows, tapes
+        return float(-_join(picked).mean()), logits
 
-    def _forward_rows(self, prefix: Prefix, rows: slice,
-                      logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The forward of rows ``rows`` of ``prefix``'s batch on this shard's
-        layers: writes their logits into those rows of ``logits`` and
-        returns their label log-probabilities and logits gradient."""
+    def _forward_rows(self, prefix: Prefix, rows: slice, logits: np.ndarray,
+                      tape: list) -> np.ndarray:
+        """The forward of rows ``rows`` of ``prefix``'s batch, onto ``tape``:
+        writes their logits into those rows of ``logits``, tapes their
+        logits gradient last and returns their label log-probabilities."""
         enc_at, dec_at = self._bottoms(prefix.start)
-        enc_x, dec_x = self._resume(prefix, rows)
-        enc_x = self._walk(self.encoder, enc_x, enc_at, 1)
-        dec_x = self._walk(self.decoder, dec_x, dec_at, 1, memory=enc_x)
+        enc_x = self._resume(self.encoder, enc_at, prefix.enc[rows], tape)
+        enc_x = self._walk(self.encoder, enc_x, enc_at, 1, tape=tape)
+        dec_x = self._resume(self.decoder, dec_at, prefix.dec[rows], tape)
+        dec_x = self._walk(self.decoder, dec_x, dec_at, 1, memory=enc_x, tape=tape)
         out = self.out_proj.forward(dec_x, out=logits[rows])
-        return _cross_entropy_rows(out, prefix.target_ids[rows], prefix.target_ids.size)
+        picked, d_logits = _cross_entropy_rows(out, prefix.target_ids[rows],
+                                               prefix.target_ids.size)
+        tape.append(d_logits)
+        return picked
 
     def adapter_input(self, index: int, block: int) -> np.ndarray:
         """The stream the adapter in block ``block`` of layer ``index`` read
         in the last forward: the array of that forward's ``Prefix`` where it
-        ends a stream, or else the norm's output, recomputed bit for bit and
-        joined over the shards."""
+        ends a stream, or else the norm's output, recomputed bit for bit
+        from each shard's tape and joined. ``backward`` takes the tapes, so
+        read it before that."""
         start, n_enc = self._prefix.start, len(self.encoder)
         if block == 0 and index in (start, max(start, n_enc)):
             return self._prefix.enc if index < n_enc else self._prefix.dec
-        return _join([[*shard.encoder, *shard.decoder][index].blocks[block].norm.output()
-                      for shard in self._shards(len(self._rows))])
+        if self._tapes is None:
+            raise ForwardNeeded("adapter_input() needs a forward() since the last backward()")
+        # Count the entries taped before that norm's: in the bottom layer of
+        # each side, block 0 tapes only its adapter's; every other block
+        # tapes its sublayer's, its norm's and its adapter's.
+        enc_at, dec_at = self._bottoms(start)
+        bottoms, layers, entry = (enc_at, n_enc + dec_at), [*self.encoder, *self.decoder], 0
+        for i in [*range(enc_at, n_enc), *range(n_enc + dec_at, self.n_layers)]:
+            for j, walked in enumerate(layers[i].blocks):
+                if (i, j) == (index, block):
+                    return _join([walked.norm.output(tape[entry + 1]) for tape in self._tapes])
+                entry += (walked.adapter is not None) + (0 if j == 0 and i in bottoms else 2)
+        raise InputError(f"the last forward did not run block {block} of layer {index}")
 
     def backward(self):
         """Set the gradient of every trainable parameter; frozen tensors
@@ -1019,14 +946,15 @@ class ToyModel:
         prefix at or below ``lowest_trainable``; otherwise it raises
         ``ForwardNeeded`` and writes no gradient.
 
-        Each shard of that forward runs back on its own layers
-        (``_backward_rows``); they meet only at the adapters' weight
-        gradients (``_Meeting``), which are set for that many shards first,
-        and for one again if a shard fails. A lone shard runs as a plain
-        call and meets no one.
+        Each shard of that forward runs back on its own tape
+        (``_backward_rows``), taking each entry off once it has used it. A
+        lone shard sets each adapter's weight gradients as it goes. With
+        more, each shard hands back its rows of their operands, and once
+        every shard has ended, each adapter joins them (``_set_grads``),
+        adapter k on shard k mod n's thread.
         """
-        d_logits, self._d_logits = self._d_logits, None
-        if d_logits is None:
+        tapes, self._tapes = self._tapes, None
+        if tapes is None:
             raise ForwardNeeded("backward() needs a forward() since the last backward()")
         prefix = self._prefix
         if prefix.start > self.lowest_trainable:
@@ -1036,26 +964,22 @@ class ToyModel:
                 f"{prefix.start}")
         if self.lowest_trainable == self.n_layers:
             return
-        n = len(d_logits)
+        n = len(tapes)
         if n == 1:
-            self._backward_rows(prefix, self._rows[0], d_logits, 0)
+            self._backward_rows(prefix, self._rows[0], tapes[0], None)
             return
-        for meeting in self._meetings:
-            meeting.reset(n)
-        try:
-            _in_shards([functools.partial(shard._backward_rows, prefix, rows, d_logits, k)
-                        for k, (shard, rows) in enumerate(zip(self._shards(n), self._rows))])
-        except BaseException:
-            for meeting in self._meetings:
-                meeting.reset(1)
-            raise
+        parts: list[list] = [[] for _ in tapes]
+        in_threads([functools.partial(self._backward_rows, prefix, rows, tape, shard_parts)
+                    for rows, tape, shard_parts in zip(self._rows, tapes, parts)])
+        joins = list(zip(*parts))  # per adapter, each shard's (adapter, operands)
+        in_threads([functools.partial(_set_grads, joins[k::n])
+                    for k in range(min(n, len(joins)))])
 
-    def _backward_rows(self, prefix: Prefix, rows: slice, d_logits: list, k: int):
-        """The backward of shard ``k``, rows ``rows`` of the batch, on this
-        shard's layers; its logits gradient, ``d_logits[k]``, is dropped
-        once the output projection has used it."""
-        d = self.out_proj.backward(d_logits[k])
-        d_logits[k] = None
+    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, parts: list | None):
+        """The backward of rows ``rows`` of the batch, taking every entry
+        off their ``tape``. Each adapter appends its weight gradients'
+        operands to ``parts``, or with None sets the gradients itself."""
+        d = self.out_proj.backward(tape.pop())
         enc_at, dec_at = self._bottoms(prefix.start)
         enc, dec = prefix.enc[rows], prefix.dec[rows]
         d_enc = np.zeros_like(enc) if enc_at < len(self.encoder) else None
@@ -1064,9 +988,9 @@ class ToyModel:
             if d is None:  # no gradient of the encoder output is needed
                 return
             for index in reversed(range(at, len(stack))):
-                d = stack[index].backward(d, d_memory, 1 if index == at else 0)
+                d = stack[index].backward(d, tape, d_memory, 1 if index == at else 0, parts)
             if stack[at].blocks[0].adapter is not None:
-                stack[at].blocks[0].adapter.backward(d, x)
+                stack[at].blocks[0].adapter.backward(d, x, tape.pop(), parts)
             d = d_enc
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
@@ -1084,20 +1008,20 @@ class ToyModel:
         ``h`` is the (batch, length, d) stream that adapter reads, and
         ``prefix`` starts at the decoder. The copies are folded into the
         batch axis, copy-major, and the prefix's streams are tiled to
-        match; the walk from the adapter's next block stores no backward
-        cache, and each loss is the mean over its own copy.
+        match; the walk from the adapter's next block tapes nothing, and
+        each loss is the mean over its own copy.
         """
         out, _ = _bottleneck(h, *weights)
         n_copies = out.shape[0]
         x = out.reshape(n_copies * h.shape[0], *h.shape[1:])
         n_enc = len(self.encoder)
         if index < n_enc:
-            enc_x = self._walk(self.encoder, x, index, block + 1, cache=False)
-            dec_x = np.tile(self._resume(prefix, cache=False)[1], (n_copies, 1, 1))
-            dec_x = self._walk(self.decoder, dec_x, 0, 1, memory=enc_x, cache=False)
+            enc_x = self._walk(self.encoder, x, index, block + 1)
+            dec_x = np.tile(self._resume(self.decoder, 0, prefix.dec), (n_copies, 1, 1))
+            dec_x = self._walk(self.decoder, dec_x, 0, 1, memory=enc_x)
         else:
             dec_x = self._walk(self.decoder, x, index - n_enc, block + 1,
-                               memory=np.tile(prefix.enc, (n_copies, 1, 1)), cache=False)
+                               memory=np.tile(prefix.enc, (n_copies, 1, 1)))
         log_probs, _, _ = _log_softmax(self.out_proj.forward(dec_x))
         picked, _ = _label_log_probs(log_probs, np.tile(prefix.target_ids, (n_copies, 1)))
         # One contiguous row per copy, so each mean sums its row in the
@@ -1204,21 +1128,23 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
 
     Tensors are audited in ``trainable_parameters()`` order. Each adapter
     reads the stream it read in the unperturbed forward that gives the
-    analytic gradients (``ToyModel.adapter_input``); the copy forwards
-    store no cache, so that forward's stay in place. A prefix at the
-    decoder gives the streams of the other side, which no adapter of this
-    side changes. One forward then evaluates up to ``GRAD_CHECK_CHUNK``
-    scalars of a tensor, as a ``+eps`` and a ``-eps`` copy of each, stacked
-    on an outer axis (``_copy_losses``). Every matrix product and reduction
-    keeps its one-copy shape and order, so each loss is that of a full
-    forward, bit for bit. A step so large that a copy overflows gives a NaN
+    analytic gradients, read from that forward's tapes before its backward
+    takes them (``ToyModel.adapter_input``); the copy forwards tape
+    nothing. A prefix at the decoder gives the streams of the other side,
+    which no adapter of this side changes. One forward then evaluates up to
+    ``GRAD_CHECK_CHUNK`` scalars of a tensor, as a ``+eps`` and a ``-eps``
+    copy of each, stacked on an outer axis (``_copy_losses``). Every matrix
+    product and reduction keeps its one-copy shape and order, so each loss
+    is that of a full forward, bit for bit. A step so large that a copy overflows gives a NaN
     error, which fails the audit; numpy's warnings on the way are silenced.
     """
     check_positive_real("eps", eps, InvalidConfig)
     if model.cfg.precision != "double":
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
-    model.forward_backward(source_ids, target_ids)
+    model.forward(source_ids, target_ids)
+    inputs = [model.adapter_input(index, block) for index, block, _ in model.adapters()]
+    model.backward()
     prefix = model.prefix(source_ids, target_ids, len(model.encoder))
 
     per_parameter: dict[str, float] = {}
@@ -1226,8 +1152,7 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     worst_err = 0.0
     n_checked = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for index, block, adapter in model.adapters():
-            h = model.adapter_input(index, block)
+        for (index, block, adapter), h in zip(model.adapters(), inputs):
             for which, param in enumerate(adapter.parameters()):
                 errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
                 # Python's max never picks NaN; a NaN error fails the audit.

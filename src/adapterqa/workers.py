@@ -1,23 +1,29 @@
-"""The CPUs this process may use, and calls split across forked processes.
+"""The CPUs this process may use, and calls split across threads or
+forked processes.
 
-Table ingest and scoring are pure Python, so threads cannot share them
-(the GIL); ``in_processes`` runs them in children made with ``os.fork``.
-A child shares the parent's memory as it was at the fork, so a call's
-arguments are never pickled (a spawned child would import the package
-again and be sent its inputs): only its result comes back, over a pipe.
-Each caller splits its work by a fixed minimum share per worker, so small
-inputs stay in this process, and joins the results in order, so every
-output equals the one-process output byte for byte.
+The toy model's row shards spend their time in numpy, which releases the
+GIL, so ``in_threads`` runs them on threads of this process. Table ingest
+and scoring are pure Python, so threads cannot share them (the GIL);
+``in_processes`` runs them in children made with ``os.fork``. A child
+shares the parent's memory as it was at the fork, so a call's arguments
+are never pickled (a spawned child would import the package again and be
+sent its inputs): only its result comes back, over a pipe. Each caller
+splits its work by a fixed minimum share per worker, so small inputs stay
+in this process, and joins the results in order, so every output equals
+the one-process output byte for byte.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import pickle
 import signal
 import threading
 from collections.abc import Callable
+
+import numpy as np
 
 from .errors import AdapterQaError
 
@@ -34,6 +40,42 @@ def worker_count(size: int, share: int) -> int:
     """Workers for ``size`` units of work when each must take at least
     ``share`` of them: at most one per usable CPU, and at least one."""
     return max(1, min(usable_cpus(), size // share))
+
+
+def in_threads(calls: list[Callable[[], object]]) -> list:
+    """Run ``calls[0]`` on this thread and each other call on a thread of
+    its own, each in a copy of this thread's context and under its numpy
+    error state (numpy 2 keeps that state in the context, numpy 1 per
+    thread). Returns the results in order once every call has ended, or
+    raises the error of the lowest-numbered call that failed. A lone call
+    runs as a plain call."""
+    if len(calls) == 1:
+        return [calls[0]()]
+    results: list = [None] * len(calls)
+    errors: list[BaseException | None] = [None] * len(calls)
+    errstate = {**np.geterr(), "call": np.geterrcall()}
+
+    def run(k: int):
+        try:
+            results[k] = calls[k]()
+        except BaseException as exc:  # re-raised below, on the calling thread
+            errors[k] = exc
+
+    def run_off_thread(k: int):
+        with np.errstate(**errstate):
+            run(k)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run_off_thread, k))
+               for k in range(1, len(calls))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def _child(call: Callable[[], object], write_fd: int):

@@ -1,19 +1,21 @@
 """Exact tests of the toy model's hot path.
 
 The row reductions, the shared causal mask, the fused Adam pass and the
-cache-free copy forwards each replace a simpler path; each is checked
+tape-free copy forwards each replace a simpler path; each is checked
 here bit for bit against the path it replaces. Training runs the frozen
-work below the lowest adapter once, in a prefix that stores no cache;
-a test of the caches left after training pins where that work ends.
+work below the lowest adapter once, in a prefix that tapes nothing; a
+test of what training tapes pins where that work ends.
 
-Each training activation is held once: an adapter caches only its
+Each training activation is held once: an adapter tapes only its
 bottleneck activation and is handed its input in backward, recomputed
-from the norm below it or read from the prefix its forward began at. Tests
-pin that saving, bit for bit and by a traced memory bound, and check
-that the tails written in place never write into an input, a returned
-array or a cache.
+from the norm's entry below it or read from the prefix its forward began
+at. Tests pin that saving, bit for bit and by a traced memory bound, and
+check that the tails written in place never write into an input, a
+returned array or a taped cache.
 """
 
+import contextlib
+import inspect
 import tracemalloc
 from unittest import mock
 
@@ -30,6 +32,7 @@ from adapterqa.toymodel import (
     ADAM_RUN_SCALARS,
     AdapterModule,
     Attention,
+    FeedForward,
     LayerNorm,
     Linear,
     ToyConfig,
@@ -123,16 +126,31 @@ def test_fused_adam_matches_per_tensor_adam_in_single_precision(adapter_set, run
         assert log.final_loss < log.initial_loss
 
 
-def modules(model):
-    for layer in [*model.encoder, *model.decoder]:
-        for block in layer.blocks:
-            yield from (m for m in (block.sublayer, block.norm, block.adapter) if m is not None)
+@contextlib.contextmanager
+def taped():
+    """Record every forward of a sublayer, norm or adapter made inside:
+    the module, its input's batch rows, and the entry it taped, or None
+    when it was handed no tape."""
+    records = []
+    with contextlib.ExitStack() as stack:
+        for cls in (Attention, FeedForward, LayerNorm, AdapterModule):
+            forward = cls.forward
+            signature = inspect.signature(forward)
+
+            def recording(self, *args, _forward=forward, _signature=signature, **kwargs):
+                tape = _signature.bind(self, *args, **kwargs).arguments.get("tape")
+                out = _forward(self, *args, **kwargs)
+                records.append((self, args[0].shape[0], None if tape is None else tape[-1]))
+                return out
+
+            stack.enter_context(mock.patch.object(cls, "forward", recording))
+        yield records
 
 
-def cached_arrays(module):
-    cache = module._cache
-    return [cache] if isinstance(cache, np.ndarray) else [
-        a for a in cache or () if isinstance(a, np.ndarray)]
+def taped_arrays(model):
+    """Every array on the tapes of the model's last forward."""
+    return [a for tape in model._tapes for entry in tape
+            for a in (entry if isinstance(entry, tuple) else (entry,)) if isinstance(a, np.ndarray)]
 
 
 def audit_model():
@@ -144,25 +162,33 @@ def audit_model():
 
 
 def test_audit_copy_forwards_store_no_caches():
-    """Every cache left after the audit is from its one unperturbed
-    forward, of batch ``B``; none has the copy batch ``2 * chunk * B``
-    (``GRAD_CHECK_CHUNK`` scalars per chunk)."""
+    """Only the audit's one unperturbed forward tapes, on batch ``B``; no
+    forward on the copy batch ``2 * chunk * B`` (``GRAD_CHECK_CHUNK``
+    scalars per chunk) is handed a tape, and the audit's backward takes
+    the tapes."""
     source, target = batch()
     model = audit_model()
-    grad_check(model, source, target, eps=1e-6)
-    arrays = [a for m in modules(model) for a in cached_arrays(m)]
-    assert len(arrays) > 0
-    assert {a.shape[0] for a in arrays} == {source.shape[0]}
+    with taped() as records:
+        grad_check(model, source, target, eps=1e-6)
+    assert {rows for _, rows, entry in records if entry is not None} == {source.shape[0]}
+    assert {rows for _, rows, _ in records} > {source.shape[0]}
+    assert model._tapes is None
 
 
 def test_prefix_keeps_the_caches_of_an_earlier_forward():
+    """``prefix()`` tapes nothing and leaves the tapes of the last forward
+    as they were."""
     source, target = batch()
     model = audit_model()
     model.forward(source, target)
-    before = [(m, m._cache) for m in modules(model)]
-    for start in range(model.n_layers + 1):
-        model.prefix(source[:, :4], target[:, :4], start)
-    assert all(m._cache is cache for m, cache in before)
+    before = [list(tape) for tape in model._tapes]
+    with taped() as records:
+        for start in range(model.n_layers + 1):
+            model.prefix(source[:, :4], target[:, :4], start)
+    assert records and all(entry is None for _, _, entry in records)
+    assert len(model._tapes) == len(before)
+    for tape, kept in zip(model._tapes, before, strict=True):
+        assert len(tape) == len(kept) and all(a is b for a, b in zip(tape, kept))
 
 
 # Every adapted set of the 4+4 toy that the saving tests run on, with the
@@ -184,37 +210,42 @@ over_adapted_sets = pytest.mark.parametrize(
 @pytest.mark.parametrize("adapter_set, bottoms", [*ADAPTED, (GRID_ROW_3, (None, None))],
                          ids=[*ADAPTED_IDS, "grid-row-3"])
 def test_training_caches_nothing_below_the_lowest_adapter(adapter_set, bottoms):
-    """After ``train_adapters`` on a fresh model, block 0's sublayer and
+    """During ``train_adapters`` on a fresh model, block 0's sublayer and
     norm in the bottom layer of each stack that runs (``bottoms``, the
     encoder's and the decoder's; None when no layer of that stack runs),
-    and every layer below it, hold no cache: that work ran once, in the
-    prefix, and never backward. Every block above holds one. Grid row 3
-    has no adapters, so nothing holds a cache."""
+    and every layer below it, tape nothing: that work ran once, in the
+    prefix, and never backward. Every block above tapes its caches. Grid
+    row 3 has no adapters, so nothing tapes a cache."""
     model = build(adapter_set, randomize=False)
-    train_adapters(model, *batch(), TrainConfig(steps=2))
+    with taped() as records:
+        train_adapters(model, *batch(), TrainConfig(steps=2))
+    cached = {id(module) for module, _, entry in records if entry is not None}
     for stack, bottom in zip((model.encoder, model.decoder), bottoms, strict=True):
         bottom = len(stack) if bottom is None else bottom
         for index, layer in enumerate(stack):
             for block_index, block in enumerate(layer.blocks):
                 below = index < bottom or (index == bottom and block_index == 0)
                 for module in (block.sublayer, block.norm):
-                    assert (module._cache is None) == below, (layer.name, block_index)
-                assert block.adapter is None or block.adapter._cache is not None
+                    assert (id(module) not in cached) == below, (layer.name, block_index)
+                assert block.adapter is None or id(block.adapter) in cached
 
 
 @over_adapted_sets
 def test_no_adapter_caches_the_stream_it_reads(adapter_set):
-    """After a cached forward, full or from a prefix, each adapter holds
-    only its (batch, length, bottleneck) activation, never a
-    (batch, length, d_model) array."""
+    """In a forward, full or from a prefix, each adapter tapes only its
+    (batch, length, bottleneck) activation, never a (batch, length,
+    d_model) array."""
     assert DIMS.bottleneck != DIMS.d_model
     model = build(adapter_set)
     source, target = batch()
     for prefix in (None, model.prefix(source, target, model.lowest_trainable)):
-        model.forward(source, target, prefix)
-        for _, _, adapter in model.adapters():
-            shapes = [a.shape for a in cached_arrays(adapter)]
-            assert [(s[0], s[-1]) for s in shapes] == [(source.shape[0], DIMS.bottleneck)]
+        with taped() as records:
+            model.forward(source, target, prefix)
+        adapters = {id(adapter) for _, _, adapter in model.adapters()}
+        entries = [entry for module, _, entry in records if id(module) in adapters]
+        assert len(entries) == len(adapters)
+        assert all(isinstance(entry, np.ndarray) for entry in entries)
+        assert {(e.shape[0], e.shape[-1]) for e in entries} == {(source.shape[0], DIMS.bottleneck)}
 
 
 @over_adapted_sets
@@ -231,9 +262,9 @@ def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
     forward = AdapterModule.forward
     handed = {}
 
-    def recording(self, x, cache=True):
+    def recording(self, x, tape=None):
         handed[id(self)] = x.copy()
-        return forward(self, x, cache)
+        return forward(self, x, tape)
 
     for run_prefix in (prefix, None, prefix):
         handed.clear()
@@ -324,8 +355,8 @@ def assert_leaves_alone(fn, *arrays):
 def test_in_place_tails_leave_their_inputs_alone(case, cache, causal):
     """The sublayers and the adapter formula write their elementwise tails
     into arrays of their own: every input and weight stays byte-identical,
-    with and without a cache, and a cached norm's output never shares
-    memory with its cache."""
+    with and without a tape, and a taping norm's output never shares
+    memory with its taped cache."""
     rng, dtype, copies, (b, t, d), n_heads = case
 
     def draw(*shape):
@@ -337,19 +368,21 @@ def test_in_place_tails_leave_their_inputs_alone(case, cache, causal):
 
     norm = LayerNorm("n", d)
     norm.gamma.value, norm.beta.value = draw(d), draw(d)
-    out = assert_leaves_alone(lambda: norm.forward(x, cache), x, norm.gamma.value,
+    tape = [] if cache else None
+    out = assert_leaves_alone(lambda: norm.forward(x, tape), x, norm.gamma.value,
                               norm.beta.value)
     if cache:
-        assert not np.shares_memory(out, norm._cache[0])
-        assert norm.output().tobytes() == out.tobytes()
+        assert not np.shares_memory(out, tape[0][0])
+        assert norm.output(tape[0]).tobytes() == out.tobytes()
 
     attention = Attention("a", d, n_heads, rng, causal)
     for p in attention.parameters():
         p.value = p.value.astype(dtype)
     weights = [p.value for p in attention.parameters()]
-    assert_leaves_alone(lambda: attention.forward(x, x, cache), x, *weights)
+    assert_leaves_alone(lambda: attention.forward(x, x, [] if cache else None), x, *weights)
     if not causal:
-        assert_leaves_alone(lambda: attention.forward(x, other, cache), x, other, *weights)
+        assert_leaves_alone(lambda: attention.forward(x, other, [] if cache else None),
+                            x, other, *weights)
 
     h = draw(b, t, d)
     adapter = [draw(d, 2), draw(2), draw(2, d), draw(d)]
@@ -363,7 +396,7 @@ def test_in_place_tails_leave_their_inputs_alone(case, cache, causal):
 @over_adapted_sets
 def test_returned_logits_and_cached_arrays_are_never_written(adapter_set):
     """The logits a forward returns survive its backward and the next
-    forward, and a forward's caches survive every ``prefix()``."""
+    forward, and a forward's taped caches survive every ``prefix()``."""
     model = build(adapter_set)
     source, target = batch()
     prefix = model.prefix(source, target, model.lowest_trainable)
@@ -373,7 +406,7 @@ def test_returned_logits_and_cached_arrays_are_never_written(adapter_set):
         model.backward()
         model.forward(source, target, run_prefix)
         assert logits.tobytes() == snapshot
-    cached = [a for m in modules(model) for a in cached_arrays(m)]
+    cached = taped_arrays(model)
     before = [a.tobytes() for a in cached]
     for start in range(model.n_layers + 1):
         model.prefix(source, target, start)

@@ -2,9 +2,10 @@
 
 ``shard_count`` splits a batch across the CPUs that BLAS leaves idle, and
 every result must equal the one-shard result bit for bit: train logs,
-adapter values, logits and gradient audits. Worker threads see the
-caller's numpy error state, their errors surface in the caller, and they
-never run a wrapper set on one of the model's own instances.
+adapter values, logits and gradient audits. Every shard runs the model's
+own layers, each on a tape of its own, so the layers hold no per-call
+state. Worker threads see the caller's numpy error state, and their
+errors surface in the caller.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapterqa import toymodel
+from adapterqa import toymodel, workers
 from adapterqa.adapters import AdapterSet, ModelDims
 from adapterqa.toymodel import (
     Divergence,
@@ -125,7 +126,6 @@ def test_without_blas_variables_no_worker_thread_starts():
         model = ToyModel(cfg)
         train_adapters(model, source, target, TrainConfig(steps=2))
         model.forward_backward(source, target)
-    assert model._twins == []
 
 
 def test_a_sharded_divergence_raises_it_and_no_warning():
@@ -149,7 +149,7 @@ def test_workers_run_under_the_callers_numpy_error_state(monkeypatch):
     monkeypatch.setattr(contextvars, "copy_context", contextvars.Context)
     with np.errstate(over="ignore", divide="raise", invalid="warn", under="ignore"):
         want = np.geterr()
-        states = toymodel._in_shards([np.geterr] * 3)
+        states = workers.in_threads([np.geterr] * 3)
     assert want != np.geterr()
     assert states == [want] * 3
 
@@ -170,38 +170,34 @@ def test_without_sched_getaffinity_every_cpu_is_usable(monkeypatch, cpu_count, s
     assert len(model._rows) == shards
 
 
-def test_twins_hold_every_attribute_of_their_originals():
-    """A twin holds each attribute its original holds, shares every
-    ``Parameter`` and meeting, and numbers its adapters by its shard."""
-    with host(cpus=3):
+def layer_parts(model: ToyModel) -> list:
+    """Every layer of the model, the output projection, and every block,
+    sublayer, norm, adapter and projection below them."""
+    parts, stack = [], [*model.encoder, *model.decoder, model.out_proj]
+    while stack:
+        part = stack.pop()
+        parts.append(part)
+        for value in vars(part).values():
+            for item in value if isinstance(value, list) else [value]:
+                if hasattr(item, "__dict__") and type(item).__module__ == toymodel.__name__:
+                    stack.append(item)
+    return parts
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_layers_hold_no_per_call_state(cpus):
+    """A forward and a backward, on one shard or three, leave every layer,
+    block and sublayer holding the same attributes, bound to the same
+    objects, as when the model was built."""
+    with host(cpus=cpus):
         model = ToyModel(config(AdapterSet.full(DIMS)))
-        model.forward_backward(*batch(4))
-    shared: set[int] = set()
-
-    def compare(original, twin, shard):
-        if isinstance(original, list):
-            assert len(twin) == len(original)
-            for pair in zip(original, twin):
-                compare(*pair, shard)
-        elif isinstance(original, (toymodel.Parameter, toymodel._Meeting)):
-            assert twin is original
-            shared.add(id(original))
-        elif type(original).__module__ == toymodel.__name__:
-            assert type(twin) is type(original) and twin is not original
-            assert vars(twin).keys() == vars(original).keys()
-            for name, value in vars(original).items():
-                if name == "shard":
-                    assert (value, twin.shard) == (0, shard)
-                elif name != "_cache":
-                    compare(value, getattr(twin, name), shard)
-        else:
-            assert twin == original
-
-    for shard, twin in enumerate(model._twins, start=1):
-        for name in ("encoder", "decoder", "out_proj"):
-            compare(getattr(model, name), getattr(twin, name), shard)
-    params = model.parameters()[2:]  # the embeddings run before any shard
-    assert shared == {id(p) for p in params} | {id(m) for m in model._meetings}
+        built = [(part, dict(vars(part))) for part in layer_parts(model)]
+        assert len(built) > 50
+        model.forward_backward(*batch(6))
+        assert len(model._rows) == cpus
+    for part, held in built:
+        assert vars(part).keys() == held.keys(), type(part).__name__
+        assert all(vars(part)[name] is value for name, value in held.items()), type(part).__name__
 
 
 def fail_once_off_the_calling_thread(method: str):
@@ -238,9 +234,9 @@ def test_a_worker_error_surfaces_and_the_next_step_is_unchanged(method):
     assert (loss, model.theta_grad.tobytes()) == want
 
 
-def test_meetings_hold_with_more_shards_than_cores_and_forced_switches():
+def test_joins_hold_with_more_shards_than_cores_and_forced_switches():
     """Four shards on two cores, with the interpreter switching threads
-    every microsecond: an arrival lost at a meeting would leave an
+    every microsecond: a shard's parts lost before the join would leave an
     adapter's gradients NaN, and a part joined out of order would change
     them."""
     cfg = config(AdapterSet.full(DIMS))
@@ -294,9 +290,10 @@ def instrument(model: ToyModel, calls: list) -> int:
     return wrapped
 
 
-def test_wrappers_on_the_model_run_only_on_the_calling_thread():
-    """Twins are built fresh, so a wrapper set on one of the model's own
-    instances stays on the calling thread and runs for shard 0 alone."""
+def test_wrappers_on_the_model_run_for_every_shard():
+    """Every shard runs the model's own layers, so a wrapper set on one of
+    their instances runs on the worker threads as well as on the calling
+    thread, and the outputs are unchanged."""
     cfg = config(AdapterSet.full(DIMS))
     source, target = batch(7)
     train_cfg = TrainConfig(steps=3)
@@ -309,51 +306,26 @@ def test_wrappers_on_the_model_run_only_on_the_calling_thread():
                               lambda model: wrapped.append(instrument(model, calls)))
     assert got == want
     assert wrapped[0] > 50
-    assert len(model._twins) == 2
-    assert calls and set(calls) == {threading.get_ident()}
+    assert len(model._rows) == 3
+    assert {ident == threading.get_ident() for ident in calls} == {True, False}
 
 
-def test_one_shard_meets_no_one():
-    """With one shard, ``backward`` sets no meeting and each adapter sets
-    its gradients from its own arrays; they equal the sharded gradients."""
-    cfg = config(AdapterSet.full(DIMS))
-    source, target = batch(6)
-    with host(cpus=3):
-        model = ToyModel(cfg)
-        model.randomize_adapters(seed=3)
-        want = model.forward_backward(source, target), model.theta_grad.tobytes()
-    model = ToyModel(cfg)
-    model.randomize_adapters(seed=3)
-    model.theta_grad[...] = np.nan
-    met = AssertionError("a meeting was used")
-    with host(cpus=1), mock.patch.object(toymodel._Meeting, "arrive", side_effect=met), \
-            mock.patch.object(toymodel._Meeting, "reset", side_effect=met):
-        assert (model.forward_backward(source, target), model.theta_grad.tobytes()) == want
-
-
-def test_a_failed_sharded_backward_leaves_the_meetings_set_for_one_shard():
-    """A shard that fails mid-backward leaves arrivals at the meetings; the
-    meetings are set for one shard again, so a one-shard backward after it
-    gets its own gradients and not a join with the failed round's rows."""
+def test_a_failed_sharded_backward_leaks_nothing_into_the_next():
+    """Shard 1 fails in its first feed-forward backward, after that
+    block's adapter has handed in its parts; they are dropped with that
+    backward, so a one-shard backward after it gets its own gradients and
+    not a join with the failed round's rows."""
     cfg = config(AdapterSet.full(DIMS))
     source, target = batch(6)
     with host(cpus=1):
         reference = ToyModel(cfg)
         reference.randomize_adapters(seed=3)
         want = reference.forward_backward(source, target), reference.theta_grad.tobytes()
-    real = ToyModel._backward_rows
-
-    def backward_rows(self, prefix, rows, d_logits, k):
-        if k == 1:
-            raise MemoryError("shard 1")
-        return real(self, prefix, rows, d_logits, k)
-
     model = ToyModel(cfg)
     model.randomize_adapters(seed=3)
-    with host(cpus=2), mock.patch.object(ToyModel, "_backward_rows", backward_rows), \
-            pytest.raises(MemoryError, match="shard 1"):
+    with host(cpus=2), fail_once_off_the_calling_thread("backward"), \
+            pytest.raises(ValueError, match="worker"):
         model.forward_backward(source, target)
-    assert all(meeting.n_shards == 1 for meeting in model._meetings)
     with host(cpus=1):
         model.theta_grad[...] = np.nan
         assert (model.forward_backward(source, target), model.theta_grad.tobytes()) == want

@@ -4,7 +4,7 @@ Every forward runs from a ``Prefix``, by default the one at the lowest
 adapter, which ends each side's stream after the add&norm of the bottom
 layer's block 0, and ``ToyModel.backward`` stops there again. Each is
 checked bit for bit against the simple path it replaces, written out here:
-a forward that runs and caches every layer, a reverse loop over every
+a forward that runs and tapes every layer, a reverse loop over every
 block of every layer, and a training loop built from those two.
 """
 
@@ -74,33 +74,34 @@ def batch():
 
 
 def full_forward(model, source, target):
-    """The loss of a forward that runs and caches every layer, as before
-    prefixes, with the logits gradient and the encoder output's shape that
-    ``full_backward`` needs."""
+    """The loss of a forward that runs and tapes every layer, as before
+    prefixes, with the logits gradient, the encoder output's shape and the
+    tape that ``full_backward`` needs."""
 
     def embed(ids):
         return model.tok_emb.value[ids] + model.pos_emb.value[: ids.shape[1]][None, :, :]
 
+    tape = []
     enc = embed(source)
     for layer in model.encoder:
-        enc = layer.forward(enc)
+        enc = layer.forward(enc, tape=tape)
     dec = embed(np.concatenate([np.full((len(target), 1), BOS_ID), target[:, :-1]], axis=1))
     for layer in model.decoder:
-        dec = layer.forward(dec, enc)
+        dec = layer.forward(dec, enc, tape)
     loss, d_logits = softmax_cross_entropy(model.out_proj.forward(dec), target)
-    return loss, d_logits, enc.shape
+    return loss, d_logits, enc.shape, tape
 
 
-def full_backward(model, d_logits, enc_shape):
+def full_backward(model, d_logits, enc_shape, tape):
     """The reverse pass through every layer, as before truncation, after
     ``full_forward``."""
     d = model.out_proj.backward(d_logits)
     d_enc_total = np.zeros(enc_shape, dtype=d_logits.dtype)
     for layer in reversed(model.decoder):
-        d = layer.backward(d, d_enc_total)
+        d = layer.backward(d, tape, d_enc_total)
     d = d_enc_total
     for layer in reversed(model.encoder):
-        d = layer.backward(d)
+        d = layer.backward(d, tape)
 
 
 def reference_train(model, source, target, cfg: TrainConfig):

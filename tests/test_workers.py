@@ -374,6 +374,20 @@ def big_corpus(base: Path) -> dict[str, Path]:
     return paths
 
 
+def test_read_records_without_then_reads_in_this_process(tmp_path):
+    """Without ``then``, a worker would send every record back pickled,
+    which costs more than reading it here: a file that ``read_jsonl``
+    splits across two workers is read in this process, forking nothing."""
+    path = big_corpus(tmp_path)["tables"]
+    assert path.stat().st_size >= 2 * data.JSONL_WORKER_BYTES
+    want = read_jsonl_oracle(path, data._record_from_json)
+    with mock.patch.object(workers, "usable_cpus", lambda: 2), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert len(data._ranges(path)) == 2
+        assert data.read_records(path, "table") == want
+    assert len(want) > 1000
+
+
 def test_the_command_line_splits_with_warnings_as_errors(capsys, tmp_path):
     """``python -W error -X dev``: an unclosed pipe (ResourceWarning) or a
     fork while threads run (a DeprecationWarning from Python 3.12) fails
