@@ -49,25 +49,10 @@ gradient sums) write into an array their own step made, never into an
 input. Each keeps its ufuncs and operands, at most swapping the two sides
 of a ``+`` or ``*``, so every value is unchanged.
 
-A row shard's training steps reuse their arrays (``_Spares``). glibc
-hands large freed blocks back to the kernel, so a step that allocated its
-tape anew faulted all of it in again: on a 2-core host, about 11,800
-minor page faults per forward of the benchmark's ``train-full`` toy.
-Every array that outlives the call making it (a tape entry, a stream or
-gradient passed between blocks, an adapter's weight-gradient operand) is
-written into a spare through ``out=``. Each backward gives its tape
-entries back once it has used them, each block gives back the streams
-and gradients it was handed once their last use has passed, and the next
-forward reclaims the rest, such as the operands of a sharded join. A
-call's own scratch is freed as it returns, and the heap hands it to the
-next call's scratch; as a spare it would hold the largest of each shape
-across the step. An array that leaves the model (the logits, a
-``Prefix`` stream, an ``adapter_input`` result, ``theta`` and the
-gradient views) is never a spare. Only a shard of at least
-``RECYCLE_MIN_STREAM`` stream elements keeps spares, and
-``train_adapters`` drops them, and the tapes, before it returns. A
-steady-state ``train-full`` forward then takes 3 faults, and every value
-is that of fresh arrays, bit for bit.
+Every step allocates its arrays anew. glibc would hand each freed block
+of 128 KiB or more back to the kernel and fault it in again on the next
+step, so ``train_adapters`` first has it keep freed blocks in the heap
+for the next step to reuse (``workers.keep_freed_heap``).
 
 ``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
 of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
@@ -123,7 +108,7 @@ import numpy as np
 
 from .adapters import MAX_STACK_LAYERS, AdapterSet, ModelDims, percent_of_base
 from .errors import AdapterQaError, InputError, check_int, check_positive_real
-from .workers import in_threads
+from .workers import in_threads, keep_freed_heap
 from .workers import usable_cpus as _usable_cpus
 
 BOS_ID = 1
@@ -154,11 +139,6 @@ MAX_TOY_SCALARS = 2**28
 # second shard pays off: below it, per-call overhead on two threads costs more
 # than the split matmuls save (``shard_count``).
 SHARD_MIN_STREAM = 8192
-# Stream elements a row shard must carry before it keeps its step arrays as
-# spares (``_Spares``). Below it the bookkeeping costs more than the fresh
-# pages it saves: on a 2-core host, a 4+4-layer step that kept spares ran
-# 7-13% slower at 512-2,048 stream elements and 5-10% faster at 4,096-8,192.
-RECYCLE_MIN_STREAM = 4096
 
 
 # Row reductions over the last axis. ``ndarray.mean``, ``.sum`` and ``.max``
@@ -178,6 +158,16 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(x, axis=-1, keepdims=True)
 
 
+def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.ndarray,
+                b_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x + (relu(x @ w_down + b_down) @ w_up + b_up) and the rectified
+    bottleneck activation. A weight may carry leading axes that stack
+    copies of the adapter; they broadcast against the batch axes of ``x``."""
+    hidden = x @ w_down + b_down
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w_up + b_up
+    out += x
+    return out, hidden
 
 
 @functools.lru_cache(maxsize=16)
@@ -187,69 +177,6 @@ def _causal_mask(t: int) -> np.ndarray:
     mask = np.tril(np.ones((t, t), dtype=bool))
     mask.flags.writeable = False
     return mask
-
-
-class _Spares:
-    """The arrays one row shard's steps write into, kept from step to step.
-
-    A step that allocated its tape anew would take fresh pages each time:
-    glibc hands large freed blocks back to the kernel, and the next step
-    faults them in again. ``take`` hands out a free array of one shape and
-    dtype, or makes one; ``give`` frees arrays whose last use has passed, a
-    view by the array it views, and ignores None and every array it did not
-    make, so an array that leaves the model never enters. ``reclaim`` frees
-    them all, at the start of a forward, when nothing of an earlier step is
-    read again."""
-
-    __slots__ = ("_made", "_free", "_free_ids")
-
-    def __init__(self):
-        self._made: dict[int, np.ndarray] = {}  # every array it made, by id
-        self._free: dict[tuple, list[np.ndarray]] = {}  # by (shape, dtype)
-        self._free_ids: set[int] = set()
-
-    def take(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        free = self._free.get((shape, dtype))
-        if free:
-            array = free.pop()
-            self._free_ids.remove(id(array))
-            return array
-        array = np.empty(shape, dtype)
-        self._made[id(array)] = array
-        return array
-
-    def give(self, *arrays: np.ndarray | None):
-        for array in arrays:
-            if array is None:
-                continue
-            if array.base is not None:
-                array = array.base
-            key = id(array)
-            if key in self._made and key not in self._free_ids:
-                self._free_ids.add(key)
-                self._free.setdefault((array.shape, array.dtype), []).append(array)
-
-    def reclaim(self):
-        self._free, self._free_ids = {}, set(self._made)
-        for array in self._made.values():
-            self._free.setdefault((array.shape, array.dtype), []).append(array)
-
-
-def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.ndarray,
-                b_up: np.ndarray, spares: _Spares | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """x + (relu(x @ w_down + b_down) @ w_up + b_up) and the rectified
-    bottleneck activation. A weight may carry leading axes that stack
-    copies of the adapter; they broadcast against the batch axes of ``x``.
-    With ``spares``, which only an unstacked adapter is handed, both
-    results are spares and each bias is added in place."""
-    take = spares and spares.take
-    hidden = np.matmul(x, w_down, out=take and take((*x.shape[:-1], w_down.shape[-1]), x.dtype))
-    hidden = np.add(hidden, b_down, out=take and hidden)
-    np.maximum(hidden, 0.0, out=hidden)
-    out = np.matmul(hidden, w_up, out=take and take(x.shape, x.dtype))
-    out = np.add(out, b_up, out=take and out)
-    out += x
-    return out, hidden
 
 
 def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
@@ -403,8 +330,8 @@ class Linear:
         y += self.b.value
         return y
 
-    def backward(self, d_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(d_out, self.w.value.T, out=out)
+    def backward(self, d_out: np.ndarray) -> np.ndarray:
+        return d_out @ self.w.value.T
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
@@ -415,43 +342,36 @@ class LayerNorm:
         self.gamma = Parameter(f"{name}.gamma", np.ones(d))
         self.beta = Parameter(f"{name}.beta", np.zeros(d))
 
-    def forward(self, x: np.ndarray, tape: list | None = None,
-                spares: _Spares | None = None) -> np.ndarray:
-        take = spares and spares.take
-        xhat = np.subtract(x, _row_mean(x), out=take and take(x.shape, x.dtype))
-        inv_std = np.divide(1.0, np.sqrt(_row_mean(xhat * xhat) + LAYER_NORM_EPS),
-                            out=take and take((*x.shape[:-1], 1), x.dtype))
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        xhat = x - _row_mean(x)
+        inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LAYER_NORM_EPS)
         xhat *= inv_std
         if tape is None:
             return self._affine(xhat, out=xhat)
         tape.append((xhat, inv_std))
-        return self._affine(xhat, take and take(x.shape, x.dtype))
+        return self._affine(xhat)
 
-    def output(self, cache: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    def output(self, cache: tuple) -> np.ndarray:
         """The output of the forward that taped ``cache``, recomputed from
         it by the same two ufuncs on the same operands: bit-identical."""
-        return self._affine(cache[0], out)
+        return self._affine(cache[0])
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.multiply(xhat, self.gamma.value, out=out)
         y += self.beta.value
         return y
 
-    def backward(self, d_out: np.ndarray, cache: tuple,
-                 spares: _Spares | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, cache: tuple) -> np.ndarray:
         """inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)),
         written in place into ``d_xhat``."""
         xhat, inv_std = cache
-        d_xhat = np.multiply(d_out, self.gamma.value,
-                             out=spares and spares.take(d_out.shape, d_out.dtype))
+        d_xhat = d_out * self.gamma.value
         mean_d = _row_mean(d_xhat)
         scratch = d_xhat * xhat
         mean_dx = _row_mean(scratch)
         d_xhat -= mean_d
         d_xhat -= np.multiply(xhat, mean_dx, out=scratch)
         d_xhat *= inv_std
-        if spares:
-            spares.give(xhat, inv_std)
         return d_xhat
 
     def parameters(self) -> list[Parameter]:
@@ -481,17 +401,13 @@ class Attention:
         b, t, d = x.shape
         return x.reshape(b, t, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def forward(self, x_q: np.ndarray, x_kv: np.ndarray, tape: list | None = None,
-                spares: _Spares | None = None) -> np.ndarray:
-        take = spares and spares.take
-        dtype = x_q.dtype
-        q = self._split(self.q_proj.forward(x_q, take and take(x_q.shape, dtype)))
-        k = self._split(self.k_proj.forward(x_kv, take and take(x_kv.shape, dtype)))
-        v = self._split(self.v_proj.forward(x_kv, take and take(x_kv.shape, dtype)))
+    def forward(self, x_q: np.ndarray, x_kv: np.ndarray, tape: list | None = None) -> np.ndarray:
+        q = self._split(self.q_proj.forward(x_q))
+        k = self._split(self.k_proj.forward(x_kv))
+        v = self._split(self.v_proj.forward(x_kv))
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
         # The softmax is written in place: scores become the probabilities.
-        attn = np.matmul(q, k.transpose(0, 1, 3, 2),
-                         out=take and take((*q.shape[:3], k.shape[2]), dtype))
+        attn = q @ k.transpose(0, 1, 3, 2)
         attn *= inv_sqrt
         if self.causal:
             np.copyto(attn, -np.inf, where=~_causal_mask(attn.shape[-1]))
@@ -499,14 +415,14 @@ class Attention:
         np.exp(attn, out=attn)
         attn /= _row_sum(attn)
         # Each head's context is written straight into the merged heads.
-        merged = np.empty(x_q.shape, dtype)
+        merged = np.empty(x_q.shape, x_q.dtype)
         np.matmul(attn, v, out=self._split(merged))
         if tape is not None:
             tape.append((q, k, v, attn, inv_sqrt))
-        return self.o_proj.forward(merged, take and take(x_q.shape, dtype))
+        return self.o_proj.forward(merged)
 
-    def backward(self, d_out: np.ndarray, cache: tuple, need_kv: bool = True,
-                 spares: _Spares | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    def backward(self, d_out: np.ndarray, cache: tuple,
+                 need_kv: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Gradients of the query input and of the key/value input; the
         second is None, and not computed, unless ``need_kv``. The gradients
         of the heads are written straight into their merged layout."""
@@ -519,11 +435,8 @@ class Attention:
         d_q = np.empty_like(d_out)
         np.matmul(d_scores, k, out=self._split(d_q))
         d_q *= inv_sqrt
-        take = spares and spares.take
-        d_xq = self.q_proj.backward(d_q, take and take(d_out.shape, d_out.dtype))
+        d_xq = self.q_proj.backward(d_q)
         if not need_kv:
-            if spares:
-                spares.give(q, k, v, attn)
             return d_xq, None
         kv_shape = (d_out.shape[0], k.shape[2], d_out.shape[2])
         d_v = np.empty(kv_shape, d_out.dtype)
@@ -531,9 +444,7 @@ class Attention:
         d_k = np.empty(kv_shape, d_out.dtype)
         np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=self._split(d_k))
         d_k *= inv_sqrt
-        if spares:
-            spares.give(q, k, v, attn)
-        d_xkv = self.k_proj.backward(d_k, take and take(kv_shape, d_out.dtype))
+        d_xkv = self.k_proj.backward(d_k)
         d_xkv += self.v_proj.backward(d_v)
         return d_xq, d_xkv
 
@@ -553,22 +464,16 @@ class FeedForward:
         self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(d_ff))
         self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model))
 
-    def forward(self, x: np.ndarray, tape: list | None = None,
-                spares: _Spares | None = None) -> np.ndarray:
-        take = spares and spares.take
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         pre = self.lin_in.forward(x)
-        if tape is not None:  # where the rectifier passed
-            tape.append(np.greater(pre, 0, out=take and take(pre.shape, np.dtype(bool))))
-        return self.lin_out.forward(np.maximum(pre, 0.0, out=pre), take and take(x.shape, x.dtype))
+        if tape is not None:
+            tape.append(pre > 0)  # where the rectifier passed
+        return self.lin_out.forward(np.maximum(pre, 0.0, out=pre))
 
-    def backward(self, d_out: np.ndarray, passed: np.ndarray,
-                 spares: _Spares | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, passed: np.ndarray) -> np.ndarray:
         d_hidden = self.lin_out.backward(d_out)
         d_hidden *= passed
-        d_x = self.lin_in.backward(d_hidden, spares and spares.take(d_out.shape, d_out.dtype))
-        if spares:
-            spares.give(passed)
-        return d_x
+        return self.lin_in.backward(d_hidden)
 
     def parameters(self) -> list[Parameter]:
         return [*self.lin_in.parameters(), *self.lin_out.parameters()]
@@ -598,32 +503,25 @@ class AdapterModule:
         self.w_up = Parameter(f"{name}.up.w", np.zeros((bottleneck, d_model)), trainable=True)
         self.b_up = Parameter(f"{name}.up.b", np.zeros(d_model), trainable=True)
 
-    def forward(self, x: np.ndarray, tape: list | None = None,
-                spares: _Spares | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         out, hidden = _bottleneck(x, self.w_down.value, self.b_down.value,
-                                  self.w_up.value, self.b_up.value, spares)
+                                  self.w_up.value, self.b_up.value)
         if tape is not None:
             tape.append(hidden)
         return out
 
     def backward(self, d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
-                 parts: list | None = None, spares: _Spares | None = None) -> np.ndarray:
+                 parts: list | None = None) -> np.ndarray:
         """Gradient of the input; ``x`` and ``hidden`` are the input and the
         taped activation of one forward. The weight gradients are set at
         once, or, with ``parts``, their operands are appended there with
-        this adapter, for ``set_grads`` on every shard's rows. With
-        ``spares``, the operands go back to them once the gradients are set;
-        parts wait for the join, and the next forward reclaims them."""
-        take = spares and spares.take
-        d_hidden = np.matmul(d_out, self.w_up.value.T,
-                             out=take and take(hidden.shape, d_out.dtype))
+        this adapter, for ``set_grads`` on every shard's rows."""
+        d_hidden = d_out @ self.w_up.value.T
         d_hidden *= hidden > 0
-        d_x = np.matmul(d_hidden, self.w_down.value.T, out=take and take(d_out.shape, d_out.dtype))
+        d_x = d_hidden @ self.w_down.value.T
         d_x += d_out
         if parts is None:
             self.set_grads(hidden, d_out, x, d_hidden)
-            if spares:
-                spares.give(hidden, d_out, x, d_hidden)
         else:
             parts.append((self, (hidden, d_out, x, d_hidden)))
         return d_x
@@ -650,9 +548,7 @@ class ResidualBlock:
     attends to its own input, or to ``memory`` when ``cross`` is set.
     A forward tapes the sublayer's, the norm's and the adapter's entries,
     in that order; ``backward`` takes them back and hands the adapter the
-    stream it read, recomputed from the norm's entry. With ``spares``, its
-    input stream and every array it made go back to them once their last
-    use has passed.
+    stream it read, recomputed from the norm's entry.
     """
 
     def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
@@ -662,55 +558,40 @@ class ResidualBlock:
         self.adapter: AdapterModule | None = None
 
     def normed(self, x: np.ndarray, memory: np.ndarray | None = None,
-               tape: list | None = None, spares: _Spares | None = None) -> np.ndarray:
+               tape: list | None = None) -> np.ndarray:
         """Sublayer, then add & norm: the stream the adapter reads."""
         if isinstance(self.sublayer, FeedForward):
-            out = self.sublayer.forward(x, tape, spares)
+            out = self.sublayer.forward(x, tape)
         else:
-            out = self.sublayer.forward(x, memory if self.cross else x, tape, spares)
+            out = self.sublayer.forward(x, memory if self.cross else x, tape)
         out += x
-        h = self.norm.forward(out, tape, spares)
-        if spares:
-            spares.give(x, out)
-        return h
+        return self.norm.forward(out, tape)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                tape: list | None = None, spares: _Spares | None = None) -> np.ndarray:
-        h = self.normed(x, memory, tape, spares)
-        if self.adapter is None:
-            return h
-        out = self.adapter.forward(h, tape, spares)
-        if spares:
-            spares.give(h)
-        return out
+                tape: list | None = None) -> np.ndarray:
+        h = self.normed(x, memory, tape)
+        return h if self.adapter is None else self.adapter.forward(h, tape)
 
     def backward(self, d_out: np.ndarray, tape: list, d_memory: np.ndarray | None = None,
-                 parts: list | None = None, spares: _Spares | None = None) -> np.ndarray:
+                 parts: list | None = None) -> np.ndarray:
         """Gradient of the input, taking this block's entries off ``tape``;
         cross-attention adds the gradient of ``memory`` into ``d_memory``,
         and skips it when that is None. ``parts`` is the adapter's."""
         if self.adapter is not None:
             hidden = tape.pop()
-            x = self.norm.output(tape[-1], spares and spares.take(d_out.shape, d_out.dtype))
-            d_out = self.adapter.backward(d_out, x, hidden, parts, spares)
-        d_sum = self.norm.backward(d_out, tape.pop(), spares)
-        if spares:
-            spares.give(d_out)
+            d_out = self.adapter.backward(d_out, self.norm.output(tape[-1]), hidden, parts)
+        d_sum = self.norm.backward(d_out, tape.pop())
         if isinstance(self.sublayer, FeedForward):
-            d_x = self.sublayer.backward(d_sum, tape.pop(), spares)
+            d_x = self.sublayer.backward(d_sum, tape.pop())
             d_x += d_sum
-        else:
-            d_x, d_kv = self.sublayer.backward(d_sum, tape.pop(),
-                                               not self.cross or d_memory is not None, spares)
-            d_x += d_sum
-            if not self.cross:
-                d_x += d_kv
-            elif d_memory is not None:
-                d_memory += d_kv
-            if spares:
-                spares.give(d_kv)
-        if spares:
-            spares.give(d_sum)
+            return d_x
+        d_x, d_kv = self.sublayer.backward(d_sum, tape.pop(),
+                                           need_kv=not self.cross or d_memory is not None)
+        d_x += d_sum
+        if not self.cross:
+            d_x += d_kv
+        elif d_memory is not None:
+            d_memory += d_kv
         return d_x
 
 
@@ -750,21 +631,19 @@ class Layer:
             f"{self.name}.adapter_ffn", cfg.d_model, cfg.bottleneck, rng)
 
     def forward(self, x: np.ndarray, memory: np.ndarray | None = None,
-                tape: list | None = None, first: int = 0,
-                spares: _Spares | None = None) -> np.ndarray:
+                tape: list | None = None, first: int = 0) -> np.ndarray:
         """Run the blocks from block ``first`` up; ``x`` enters that block."""
         for block in self.blocks[first:]:
-            x = block.forward(x, memory, tape, spares)
+            x = block.forward(x, memory, tape)
         return x
 
     def backward(self, d_out: np.ndarray, tape: list, d_memory: np.ndarray | None = None,
-                 first: int = 0, parts: list | None = None,
-                 spares: _Spares | None = None) -> np.ndarray:
+                 first: int = 0, parts: list | None = None) -> np.ndarray:
         """Gradient of the stream that entered block ``first``, taking the
         blocks' entries off ``tape``; a decoder layer also adds the gradient
         of ``memory`` into ``d_memory`` unless that is None."""
         for block in reversed(self.blocks[first:]):
-            d_out = block.backward(d_out, tape, d_memory, parts, spares)
+            d_out = block.backward(d_out, tape, d_memory, parts)
         return d_out
 
     def parameters(self) -> list[Parameter]:
@@ -799,16 +678,15 @@ class Prefix:
                 raise InputError("prefix was computed from other source/target ids")
 
 
-def _label_log_probs(logits: np.ndarray, labels: np.ndarray, spares: _Spares | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+def _label_log_probs(logits: np.ndarray,
+                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Each label's log-probability over the last axis of ``logits``, in
     the row-major order of ``labels``; then the shifted exponentials, in
     one array that first holds the shifted logits, their row sums, and the
     index of the labels' entries folded to (positions, vocab). A label's
     shifted logit less the log of its row's sum is the subtraction a full
     log-softmax makes there, so no log-softmax array is needed."""
-    exp_z = np.subtract(logits, _row_max(logits),
-                        out=spares and spares.take(logits.shape, logits.dtype))
+    exp_z = logits - _row_max(logits)
     at_labels = (np.arange(labels.size), labels.reshape(-1))
     at = exp_z.reshape(labels.size, -1)[at_labels]
     np.exp(exp_z, out=exp_z)
@@ -816,12 +694,12 @@ def _label_log_probs(logits: np.ndarray, labels: np.ndarray, spares: _Spares | N
     return at - np.log(sum_exp).reshape(-1), exp_z, sum_exp, at_labels
 
 
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray, n_labels: int,
-                        spares: _Spares | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
+                        n_labels: int) -> tuple[np.ndarray, np.ndarray]:
     """Each label's log-probability and the logits gradient, written over
     the shifted exponentials, for rows of a batch of ``n_labels`` labels in
     all; the loss is the negated mean of every row's log-probabilities."""
-    picked, d_logits, sum_exp, at_labels = _label_log_probs(logits, labels, spares)
+    picked, d_logits, sum_exp, at_labels = _label_log_probs(logits, labels)
     d_logits /= sum_exp
     d_flat = d_logits.reshape(labels.size, -1)
     d_flat[at_labels] -= 1.0
@@ -897,10 +775,6 @@ class ToyModel:
         self._tapes: list[list] | None = None
         self._prefix: Prefix | None = None  # the one the last forward ran from
         self._rows: list[slice] = []  # the rows of each of its shards
-        # Per shard, its spares (``_shard_spares``), and the shards' rows and
-        # the ids' lengths they hold arrays for.
-        self._spares: list[_Spares | None] = []
-        self._spares_for: tuple | None = None
 
     def parameters(self) -> list[Parameter]:
         params = [self.tok_emb, self.pos_emb]
@@ -958,22 +832,21 @@ class ToyModel:
 
     @staticmethod
     def _walk(stack: list[Layer], x: np.ndarray, at: int, first: int = 0, stop: int | None = None,
-              memory: np.ndarray | None = None, tape: list | None = None,
-              spares: _Spares | None = None) -> np.ndarray:
+              memory: np.ndarray | None = None, tape: list | None = None) -> np.ndarray:
         """Run ``stack`` from block ``first`` of layer ``at``, where ``x``
         enters, up to layer ``stop``, taping caches only onto ``tape``."""
         for layer in stack[at:stop]:
-            x = layer.forward(x, memory, tape, first, spares)
+            x = layer.forward(x, memory, tape, first)
             first = 0
         return x
 
     @staticmethod
-    def _resume(stack: list[Layer], at: int, x: np.ndarray, tape: list | None = None,
-                spares: _Spares | None = None) -> np.ndarray:
+    def _resume(stack: list[Layer], at: int, x: np.ndarray,
+                tape: list | None = None) -> np.ndarray:
         """``x``, a prefix's stream in layer ``at`` of ``stack``, after the
         adapter of block 0 there: the stream that enters block 1."""
         adapter = stack[at].blocks[0].adapter if at < len(stack) else None
-        return x if adapter is None else adapter.forward(x, tape, spares)
+        return x if adapter is None else adapter.forward(x, tape)
 
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
         """The ``Prefix`` at layer ``start`` for these ids. It tapes
@@ -1002,7 +875,7 @@ class ToyModel:
         bit-identical to a forward from layer 0 while the frozen work below
         is unchanged. Only the blocks the forward runs tape a cache. The
         tapes of the last forward are dropped first, unless ``backward``
-        took them, and each shard reclaims its spares (``_shard_spares``).
+        took them.
 
         The rows run in ``shard_count`` shards (``_forward_rows``), each on
         a tape of its own, and the loss is the mean over their label
@@ -1021,50 +894,28 @@ class ToyModel:
         rows = [slice(k * batch // n, (k + 1) * batch // n) for k in range(n)]
         logits = np.empty((*target_ids.shape, self.cfg.vocab_size), self.theta.dtype)
         tapes: list[list] = [[] for _ in rows]
-        spares = self._shard_spares(rows, source_ids.shape[1], target_ids.shape[1])
-        picked = in_threads([functools.partial(self._forward_rows, prefix, *shard, logits)
-                             for shard in zip(rows, tapes, spares)])
+        picked = in_threads([functools.partial(self._forward_rows, prefix, part, logits, tape)
+                             for part, tape in zip(rows, tapes)])
         self._prefix, self._rows, self._tapes = prefix, rows, tapes
         return float(-_join(picked).mean()), logits
 
-    def _shard_spares(self, rows: list[slice], source_length: int,
-                      target_length: int) -> list[_Spares | None]:
-        """Each shard's spares for a forward, every array in them free; None
-        for a shard of fewer than ``RECYCLE_MIN_STREAM`` stream elements.
-        They start empty whenever the shards' rows or the lengths change, so
-        they never hold an array no step of this batch shape takes."""
-        key = (tuple((part.start, part.stop) for part in rows), source_length, target_length)
-        if key != self._spares_for:
-            stream = max(source_length, target_length) * self.cfg.d_model
-            self._spares_for = key
-            self._spares = [_Spares() if (part.stop - part.start) * stream >= RECYCLE_MIN_STREAM
-                            else None for part in rows]
-        for spares in self._spares:
-            if spares:
-                spares.reclaim()
-        return self._spares
-
     def _release_step_arrays(self):
-        """Drop the last forward's tapes and ``Prefix`` and every shard's
-        spares."""
-        self._tapes, self._prefix, self._spares, self._spares_for = None, None, [], None
+        """Drop the last forward's tapes and ``Prefix``."""
+        self._tapes, self._prefix = None, None
 
-    def _forward_rows(self, prefix: Prefix, rows: slice, tape: list, spares: _Spares | None,
-                      logits: np.ndarray) -> np.ndarray:
-        """The forward of rows ``rows`` of ``prefix``'s batch, onto ``tape``
-        and from ``spares``: writes their logits into those rows of
-        ``logits``, tapes their logits gradient last and returns their label
-        log-probabilities."""
+    def _forward_rows(self, prefix: Prefix, rows: slice, logits: np.ndarray,
+                      tape: list) -> np.ndarray:
+        """The forward of rows ``rows`` of ``prefix``'s batch, onto ``tape``:
+        writes their logits into those rows of ``logits``, tapes their
+        logits gradient last and returns their label log-probabilities."""
         enc_at, dec_at = self._bottoms(prefix.start)
-        enc_x = self._resume(self.encoder, enc_at, prefix.enc[rows], tape, spares)
-        enc_x = self._walk(self.encoder, enc_x, enc_at, 1, tape=tape, spares=spares)
-        dec_x = self._resume(self.decoder, dec_at, prefix.dec[rows], tape, spares)
-        dec_x = self._walk(self.decoder, dec_x, dec_at, 1, memory=enc_x, tape=tape, spares=spares)
+        enc_x = self._resume(self.encoder, enc_at, prefix.enc[rows], tape)
+        enc_x = self._walk(self.encoder, enc_x, enc_at, 1, tape=tape)
+        dec_x = self._resume(self.decoder, dec_at, prefix.dec[rows], tape)
+        dec_x = self._walk(self.decoder, dec_x, dec_at, 1, memory=enc_x, tape=tape)
         out = self.out_proj.forward(dec_x, out=logits[rows])
-        if spares:
-            spares.give(enc_x, dec_x)
         picked, d_logits = _cross_entropy_rows(out, prefix.target_ids[rows],
-                                               prefix.target_ids.size, spares)
+                                               prefix.target_ids.size)
         tape.append(d_logits)
         return picked
 
@@ -1107,11 +958,11 @@ class ToyModel:
         ``ForwardNeeded`` and writes no gradient.
 
         Each shard of that forward runs back on its own tape
-        (``_backward_rows``), giving each entry back to its spares once it
-        has used it. A lone shard sets each adapter's weight gradients as
-        it goes. With more, each shard hands back its rows of their
-        operands, and once every shard has ended, each adapter joins them
-        (``_set_grads``), adapter k on shard k mod n's thread.
+        (``_backward_rows``), taking each entry off once it has used it. A
+        lone shard sets each adapter's weight gradients as it goes. With
+        more, each shard hands back its rows of their operands, and once
+        every shard has ended, each adapter joins them (``_set_grads``),
+        adapter k on shard k mod n's thread.
         """
         tapes, self._tapes = self._tapes, None
         if tapes is None:
@@ -1126,40 +977,31 @@ class ToyModel:
             return
         n = len(tapes)
         if n == 1:
-            self._backward_rows(prefix, self._rows[0], tapes[0], self._spares[0], None)
+            self._backward_rows(prefix, self._rows[0], tapes[0], None)
             return
         parts: list[list] = [[] for _ in tapes]
-        in_threads([functools.partial(self._backward_rows, prefix, *shard)
-                    for shard in zip(self._rows, tapes, self._spares, parts)])
+        in_threads([functools.partial(self._backward_rows, prefix, rows, tape, shard_parts)
+                    for rows, tape, shard_parts in zip(self._rows, tapes, parts)])
         joins = list(zip(*parts))  # per adapter, each shard's (adapter, operands)
         in_threads([functools.partial(_set_grads, joins[k::n])
                     for k in range(min(n, len(joins)))])
 
-    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, spares: _Spares | None,
-                       parts: list | None):
+    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, parts: list | None):
         """The backward of rows ``rows`` of the batch, taking every entry
-        off their ``tape`` and its temporaries from ``spares``. Each adapter
-        appends its weight gradients' operands to ``parts``, or with None
-        sets the gradients itself."""
-        d_logits = tape.pop()
+        off their ``tape``. Each adapter appends its weight gradients'
+        operands to ``parts``, or with None sets the gradients itself."""
+        d = self.out_proj.backward(tape.pop())
         enc_at, dec_at = self._bottoms(prefix.start)
         enc, dec = prefix.enc[rows], prefix.dec[rows]
-        d = self.out_proj.backward(d_logits, spares and spares.take(dec.shape, dec.dtype))
-        if spares:
-            spares.give(d_logits)
-        d_enc = None
-        if enc_at < len(self.encoder):
-            d_enc = spares.take(enc.shape, enc.dtype) if spares else np.empty_like(enc)
-            d_enc.fill(0)
+        d_enc = np.zeros_like(enc) if enc_at < len(self.encoder) else None
         for stack, at, x, d_memory in ((self.decoder, dec_at, dec, d_enc),
                                        (self.encoder, enc_at, enc, None)):
             if d is None:  # no gradient of the encoder output is needed
                 return
             for index in reversed(range(at, len(stack))):
-                d = stack[index].backward(d, tape, d_memory, 1 if index == at else 0, parts,
-                                          spares)
+                d = stack[index].backward(d, tape, d_memory, 1 if index == at else 0, parts)
             if stack[at].blocks[0].adapter is not None:
-                stack[at].blocks[0].adapter.backward(d, x, tape.pop(), parts, spares)
+                stack[at].blocks[0].adapter.backward(d, x, tape.pop(), parts)
             d = d_enc
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
@@ -1394,10 +1236,13 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     ``LOSS_GROWTH_LIMIT`` times the initial loss; numpy's overflow warnings
     on the way there are silenced, because that check reports them.
 
-    Either way it drops the model's tapes, ``Prefix`` and spares before it
-    returns, so the model holds little more than its parameters, and a
-    ``backward()`` after it raises ``ForwardNeeded``.
+    It first sets this process's allocator policy
+    (``workers.keep_freed_heap``). Whether it returns or raises, it drops
+    the model's tapes and ``Prefix`` first, so the model holds little more
+    than its parameters, and a ``backward()`` after it raises
+    ``ForwardNeeded``.
     """
+    keep_freed_heap()
     theta, grad = model.theta, model.theta_grad
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)

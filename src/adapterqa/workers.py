@@ -1,5 +1,5 @@
-"""The CPUs this process may use, and calls split across threads or
-forked processes.
+"""The CPUs this process may use, calls split across threads or forked
+processes, and the allocator policy of training.
 
 The toy model's row shards spend their time in numpy, which releases the
 GIL, so ``in_threads`` runs them on threads of this process. Table ingest
@@ -11,6 +11,10 @@ sent its inputs): only its result comes back, over a pipe. Each caller
 splits its work by a fixed minimum share per worker, so small inputs stay
 in this process, and joins the results in order, so every output equals
 the one-process output byte for byte.
+
+Training allocates the same large arrays on every step, and glibc by
+default gives freed blocks of 128 KiB or more back to the kernel, so each
+step would fault them in again. ``keep_freed_heap`` has it keep them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,40 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import AdapterQaError
+
+# mallopt(3) parameters and the values keep_freed_heap gives them: blocks
+# under 32 MiB come from the heap, and the heap keeps up to 64 MiB free at
+# its top. On a 2-core host either alone made a train-full-shaped training
+# step slower than both, since setting one stops glibc adjusting the other.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 * 2**20), (_M_TRIM_THRESHOLD, 64 * 2**20))
+_heap_kept: bool | None = None  # keep_freed_heap's result, once it has run
+
+
+def _mallopt() -> Callable[[int, int], int] | None:
+    """The C library's ``mallopt``, or None where it has none."""
+    import ctypes  # only training needs it
+
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def keep_freed_heap() -> bool:
+    """Have malloc keep freed blocks in the heap, for the next training
+    step to reuse without faulting in fresh pages (``HEAP_POLICY``), and
+    say whether it does. The first call in a process sets the policy, and
+    it holds for the rest of the process: mallopt cannot give back glibc's
+    dynamic thresholds. Later calls do nothing. Where the C library has no
+    ``mallopt``, or it refuses a setting, nothing changes but speed."""
+    global _heap_kept
+    if _heap_kept is None:
+        mallopt = _mallopt()
+        _heap_kept = mallopt is not None and all(
+            mallopt(param, value) == 1 for param, value in HEAP_POLICY)
+    return _heap_kept
 
 
 def usable_cpus() -> int:

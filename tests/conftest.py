@@ -12,10 +12,3 @@ def three_shards(monkeypatch):
     monkeypatch.setattr(toymodel, "SHARD_MIN_STREAM", 1)
     monkeypatch.setattr(toymodel, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-
-@pytest.fixture
-def recycled(monkeypatch):
-    """Every row shard of a toy model keeps its step arrays as spares,
-    however few stream elements it carries."""
-    monkeypatch.setattr(toymodel, "RECYCLE_MIN_STREAM", 1)

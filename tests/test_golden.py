@@ -229,23 +229,3 @@ class TestThreeShards:
         test_grad_check_on_toy_grid_row_is_pinned)
     test_train_log_and_grad_check_on_other_grid_rows_are_pinned = staticmethod(
         test_train_log_and_grad_check_on_other_grid_rows_are_pinned)
-
-
-@pytest.mark.usefixtures("recycled")
-class TestRecycled:
-    """The model pins above, with every row shard writing into spares kept
-    from step to step, whatever its size: the same digests, bit for bit."""
-
-    test_copy_task_train_log_and_logits_are_pinned = staticmethod(
-        test_copy_task_train_log_and_logits_are_pinned)
-    test_single_precision_copy_task_train_log_and_logits_are_pinned = staticmethod(
-        test_single_precision_copy_task_train_log_and_logits_are_pinned)
-    test_grad_check_on_toy_grid_row_is_pinned = staticmethod(
-        test_grad_check_on_toy_grid_row_is_pinned)
-    test_train_log_and_grad_check_on_other_grid_rows_are_pinned = staticmethod(
-        test_train_log_and_grad_check_on_other_grid_rows_are_pinned)
-
-
-@pytest.mark.usefixtures("recycled")
-class TestThreeShardsRecycled(TestThreeShards):
-    """``TestThreeShards`` with every shard writing into spares."""

@@ -84,40 +84,19 @@ adapter_sets = st.builds(
 )
 
 
-def assert_sharded_run_equals_one_shard(adapter_set, rows, cpus, precision, optimizer,
-                                        sharded_recycle_min=toymodel.RECYCLE_MIN_STREAM):
-    """A run on ``cpus`` shards, each keeping spares from
-    ``sharded_recycle_min`` stream elements, equals a one-shard run."""
+@settings(deadline=None, max_examples=30)
+@given(adapter_sets, st.integers(1, 7), st.integers(2, 3), st.sampled_from(["double", "single"]),
+       st.sampled_from(["adam", "sgd"]))
+def test_sharded_runs_equal_one_shard(adapter_set, rows, cpus, precision, optimizer):
     cfg = config(adapter_set, precision)
     source, target = batch(rows)
     train_cfg = TrainConfig(learning_rate=0.05, steps=3, optimizer=optimizer)
     with host(cpus=1):
         *alone, _ = outputs(cfg, source, target, train_cfg)
-    with host(cpus=cpus), \
-            mock.patch.object(toymodel, "RECYCLE_MIN_STREAM", sharded_recycle_min):
+    with host(cpus=cpus):
         *sharded, model = outputs(cfg, source, target, train_cfg)
     assert len(model._rows) == min(rows, cpus)
     assert sharded == alone
-
-
-sharded_runs = given(adapter_sets, st.integers(1, 7), st.integers(2, 3),
-                     st.sampled_from(["double", "single"]), st.sampled_from(["adam", "sgd"]))
-
-
-@settings(deadline=None, max_examples=30)
-@sharded_runs
-def test_sharded_runs_equal_one_shard(adapter_set, rows, cpus, precision, optimizer):
-    assert_sharded_run_equals_one_shard(adapter_set, rows, cpus, precision, optimizer)
-
-
-@settings(deadline=None, max_examples=30)
-@sharded_runs
-def test_sharded_runs_with_spares_equal_one_shard(adapter_set, rows, cpus, precision,
-                                                  optimizer):
-    """The same, with every shard of the sharded run writing into spares
-    kept from step to step, however few rows it carries."""
-    assert_sharded_run_equals_one_shard(adapter_set, rows, cpus, precision, optimizer,
-                                        sharded_recycle_min=1)
 
 
 @pytest.mark.parametrize("blas, shards", [

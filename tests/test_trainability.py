@@ -204,9 +204,3 @@ class TestThreeShards:
         test_truncated_backward_matches_full_reverse_pass)
     test_train_logs_match_full_forward_and_backward_loop = staticmethod(
         test_train_logs_match_full_forward_and_backward_loop)
-
-
-@pytest.mark.usefixtures("recycled")
-class TestThreeShardsRecycled(TestThreeShards):
-    """``TestThreeShards`` with every shard writing into spares kept from
-    step to step, whatever its size."""

@@ -1,4 +1,5 @@
-"""Commands split across forked workers (``adapterqa.workers``).
+"""Commands split across forked workers (``adapterqa.workers``), and the
+heap policy of training.
 
 ``stats``, ``prepare`` and ``assemble --batch`` read their JSONL file in
 byte ranges, and ``eval`` scores runs of whole blocks, one per worker.
@@ -26,6 +27,13 @@ from hypothesis import strategies as st
 
 from adapterqa import cli, data, metrics, workers
 from adapterqa.errors import AdapterQaError, InputError, SchemaError
+from adapterqa.toymodel import (
+    ToyConfig,
+    TrainConfig,
+    build_toy_model,
+    make_copy_task,
+    train_adapters,
+)
 
 from gen_tables import random_table
 
@@ -405,3 +413,52 @@ def test_the_command_line_splits_with_warnings_as_errors(capsys, tmp_path):
                                *argv], capture_output=True, text=True, env=env, cwd=str(ROOT),
                               timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
+
+
+def train_outputs() -> tuple[dict, bytes]:
+    model = build_toy_model(ToyConfig(d_model=16, bottleneck=4, n_heads=2, vocab_size=16,
+                                      max_len=8, seed=6))
+    source, target = make_copy_task(n_examples=8, seq_len=6, vocab_size=16, seed=3)
+    log = train_adapters(model, source, target, TrainConfig(steps=3))
+    return log.to_json_dict(), model.theta.tobytes()
+
+
+@pytest.mark.parametrize("result", (None, 0, 1),
+                         ids=("no mallopt", "mallopt returns 0", "mallopt returns 1"))
+def test_training_gives_the_same_outputs_whatever_mallopt_does(monkeypatch, result):
+    """Where the C library has no ``mallopt``, or it refuses a setting,
+    ``train_adapters`` runs as with the heap policy and gives the same log
+    and adapters. Only the first call in a process looks ``mallopt`` up
+    and calls it, once per setting until one is refused."""
+    want = train_outputs()
+    calls = []
+
+    def mallopt(param: int, value: int) -> int:
+        calls.append((param, value))
+        return result
+
+    def lookup():
+        calls.append("lookup")
+        return None if result is None else mallopt
+
+    monkeypatch.setattr(workers, "_heap_kept", None)
+    monkeypatch.setattr(workers, "_mallopt", lookup)
+    assert train_outputs() == want
+    assert train_outputs() == want
+    assert workers.keep_freed_heap() == (result == 1)
+    made = {None: [], 0: workers.HEAP_POLICY[:1], 1: workers.HEAP_POLICY}[result]
+    assert calls == ["lookup", *made]
+
+
+def test_data_commands_keep_the_default_heap_policy(tmp_path):
+    """Importing the package and running a data command never set the
+    heap policy; only ``train_adapters`` does."""
+    paths = big_corpus(tmp_path)
+    script = ("import sys\nfrom adapterqa import cli, workers\n"
+              "workers._mallopt = None\n"  # calling it would raise
+              f"code = cli.main(['stats', '--in', {str(paths['tables'])!r}, '--modality', 'table'])\n"
+              "sys.exit(code if workers._heap_kept is None else 9)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=str(ROOT), timeout=120)
+    assert proc.returncode == 0, proc.stderr
