@@ -445,18 +445,19 @@ def test_training_gives_the_same_outputs_whatever_mallopt_does(monkeypatch, resu
     monkeypatch.setattr(workers, "_mallopt", lookup)
     assert train_outputs() == want
     assert train_outputs() == want
-    assert workers.keep_freed_heap() == (result == 1)
     made = {None: [], 0: workers.HEAP_POLICY[:1], 1: workers.HEAP_POLICY}[result]
     assert calls == ["lookup", *made]
+    assert workers.keep_freed_heap() == (result == 1)
 
 
 def test_data_commands_keep_the_default_heap_policy(tmp_path):
     """Importing the package and running a data command never set the
     heap policy; only ``train_adapters`` does."""
     paths = big_corpus(tmp_path)
+    argv = ["stats", "--in", str(paths["tables"]), "--modality", "table"]
     script = ("import sys\nfrom adapterqa import cli, workers\n"
               "workers._mallopt = None\n"  # calling it would raise
-              f"code = cli.main(['stats', '--in', {str(paths['tables'])!r}, '--modality', 'table'])\n"
+              f"code = cli.main({argv!r})\n"
               "sys.exit(code if workers._heap_kept is None else 9)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
