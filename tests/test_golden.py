@@ -12,7 +12,11 @@ whose outputs are known good.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +233,66 @@ class TestThreeShards:
         test_grad_check_on_toy_grid_row_is_pinned)
     test_train_log_and_grad_check_on_other_grid_rows_are_pinned = staticmethod(
         test_train_log_and_grad_check_on_other_grid_rows_are_pinned)
+
+
+# The model pins above, by name within this module or ``TestThreeShards``.
+MODEL_PINS = {
+    "adam": "test_copy_task_train_log_and_logits_are_pinned[adam]",
+    "sgd": "test_copy_task_train_log_and_logits_are_pinned[sgd]",
+    "single": "test_single_precision_copy_task_train_log_and_logits_are_pinned",
+    "grad-check": "test_grad_check_on_toy_grid_row_is_pinned",
+    **{f"row-{row}": f"test_train_log_and_grad_check_on_other_grid_rows_are_pinned[{row}]"
+       for row in sorted(GOLDEN_GRID_ROWS)},
+}
+
+# Runs pytest on the node ids in argv[2:] in a process where the C library
+# has no mallopt, and writes each node's outcome and keep_freed_heap's
+# result to argv[1].
+DEFAULT_HEAP_SCRIPT = """
+import json, sys
+import pytest
+from adapterqa import workers
+workers._mallopt = lambda: None
+
+class Outcomes:
+    def __init__(self):
+        self.of = {}
+    def pytest_runtest_logreport(self, report):
+        if report.when == "call" or report.outcome != "passed":
+            self.of[report.nodeid] = report.outcome
+
+outcomes = Outcomes()
+pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]], plugins=[outcomes])
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump([outcomes.of, workers._heap_kept], handle)
+"""
+
+
+def pin_node(shards: int, pin: str) -> str:
+    return f"tests/test_golden.py::{'TestThreeShards::' if shards == 3 else ''}{MODEL_PINS[pin]}"
+
+
+@pytest.fixture(scope="module")
+def default_heap_run(tmp_path_factory) -> tuple[dict[str, str], bool | None, str]:
+    """Each model pin's outcome, ``keep_freed_heap``'s result and pytest's
+    output, from one fresh process that keeps glibc's default heap policy:
+    in this process the first ``train_adapters`` has set it for good."""
+    result = tmp_path_factory.mktemp("default_heap") / "result.json"
+    root = Path(__file__).resolve().parents[1]
+    nodes = [pin_node(shards, pin) for shards in (1, 3) for pin in MODEL_PINS]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", DEFAULT_HEAP_SCRIPT, str(result), *nodes],
+                          capture_output=True, text=True, env=env, cwd=str(root), timeout=300)
+    assert result.exists(), proc.stdout + proc.stderr
+    return (*json.loads(result.read_text(encoding="utf-8")), proc.stdout)
+
+
+@pytest.mark.parametrize("pin", MODEL_PINS)
+@pytest.mark.parametrize("shards", [1, 3])
+def test_model_pins_hold_under_the_default_heap_policy(default_heap_run, shards, pin):
+    """Each model pin, at one row shard and at three, gives the same digest
+    where malloc keeps its default policy, as where the C library has no
+    ``mallopt``: the heap policy changes speed only."""
+    outcomes, heap_kept, output = default_heap_run
+    assert outcomes.get(pin_node(shards, pin)) == "passed", output
+    assert heap_kept is False  # the run trained, and found no mallopt

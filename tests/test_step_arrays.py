@@ -87,17 +87,20 @@ def test_arrays_that_leave_the_model_are_never_reused(cpus):
     assert [a.tobytes() for a in left] == before
 
 
-def test_training_leaves_the_model_about_the_size_of_its_parameters():
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_training_leaves_the_model_about_the_size_of_its_parameters(cpus):
     """``train_adapters`` drops the tapes and the prefix of its last
-    forward: what stays traced is the model's parameters, and a
-    ``backward()`` after it needs a forward of its own."""
+    forward, on every row shard: what stays traced is the model's
+    parameters, and a ``backward()`` after it needs a forward of its own."""
     tracemalloc.start()
     try:
-        model, source, target = width_64_toy()
-        train_adapters(model, source, target, TrainConfig(steps=3))
+        with host(cpus=cpus):
+            model, source, target = width_64_toy()
+            train_adapters(model, source, target, TrainConfig(steps=3))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(model._rows) == cpus
     params = sum(p.value.nbytes for p in model.parameters()) + model.theta_grad.nbytes
     assert params <= held < 1.1 * params
     assert peak > 1.5 * params  # the tapes were there during training

@@ -450,16 +450,53 @@ def test_training_gives_the_same_outputs_whatever_mallopt_does(monkeypatch, resu
     assert workers.keep_freed_heap() == (result == 1)
 
 
-def test_data_commands_keep_the_default_heap_policy(tmp_path):
-    """Importing the package and running a data command never set the
-    heap policy; only ``train_adapters`` does."""
-    paths = big_corpus(tmp_path)
-    argv = ["stats", "--in", str(paths["tables"]), "--modality", "table"]
-    script = ("import sys\nfrom adapterqa import cli, workers\n"
-              "workers._mallopt = None\n"  # calling it would raise
+# One run of every command, on files large enough for the data commands to
+# split across workers; only train-toy trains adapters.
+HEAP_COMMANDS = {
+    "linearize": ["linearize", "--in", "{table}"],
+    "assemble": ["assemble", "--batch", "{batch}"],
+    "eval": ["eval", "--pred", "{pred}", "--ref", "{ref}"],
+    "count-params": ["count-params"],
+    "plan-ablation": ["plan-ablation", "--mode", "grid"],
+    "gradcheck": ["gradcheck", "--d-model", "8", "--bottleneck", "2", "--vocab", "16",
+                  "--seq-len", "4"],
+    "train-toy": ["train-toy", "--d-model", "8", "--bottleneck", "2", "--vocab", "16",
+                  "--seq-len", "4", "--examples", "4", "--steps", "2"],
+    "stats": ["stats", "--in", "{tables}", "--modality", "table"],
+    "prepare": ["prepare", "--in", "{tables}", "--modality", "table"],
+}
+
+
+@pytest.fixture(scope="module")
+def heap_corpus(tmp_path_factory) -> dict[str, Path]:
+    base = tmp_path_factory.mktemp("heap")
+    paths = big_corpus(base)
+    paths["table"] = base / "table.json"
+    paths["table"].write_text(json.dumps(random_table(random.Random(4)).to_json_dict()),
+                              encoding="utf-8")
+    paths["batch"] = base / "batch.jsonl"
+    paths["batch"].write_text("".join(
+        json.dumps({"question": f"q {i}", "title": "T", "context": f"c{i} " * (i % 7)}) + "\n"
+        for i in range(2 * data.JSONL_WORKER_BYTES // 30)), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command", HEAP_COMMANDS)
+def test_only_training_sets_the_heap_policy(tmp_path, heap_corpus, command):
+    """Importing the package and running any command but ``train-toy``
+    never looks ``mallopt`` up; ``train-toy`` does, once, through
+    ``train_adapters``."""
+    argv = [arg.format_map(heap_corpus) for arg in HEAP_COMMANDS[command]]
+    argv += ["--out", str(tmp_path / "out")]
+    script = ("import json, sys\nfrom adapterqa import cli, workers\n"
+              "looked = []\n"
+              "workers._mallopt = lambda: looked.append(1)\n"  # as with no mallopt
               f"code = cli.main({argv!r})\n"
-              "sys.exit(code if workers._heap_kept is None else 9)\n")
+              "print(json.dumps([code, len(looked), workers._heap_kept]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, cwd=str(ROOT), timeout=120)
     assert proc.returncode == 0, proc.stderr
+    trains = command == "train-toy"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, int(trains), False if trains else None]
+    assert (tmp_path / "out").stat().st_size > 0
