@@ -39,13 +39,13 @@ from .linearize import linearize
 from .tables import validate_table
 from .toymodel import (
     BOS_ID,
-    GRAD_CHECK_COPIES,
     ToyConfig,
     TrainConfig,
     build_toy_model,
     check_toy_size,
     freeze_report,
     grad_check,
+    grad_check_copies,
     make_copy_task,
     train_adapters,
 )
@@ -177,7 +177,7 @@ def _toy_config(args, precision: str = "double") -> ToyConfig:
 
 def cmd_gradcheck(args) -> tuple[str, str]:
     cfg = _toy_config(args)
-    check_toy_size(cfg, args.batch, args.seq_len, GRAD_CHECK_COPIES)
+    check_toy_size(cfg, args.batch, args.seq_len, grad_check_copies(cfg, args.batch, args.seq_len))
     model = build_toy_model(cfg)
     model.randomize_adapters(seed=args.seed + 1)
     rng = np.random.default_rng(args.seed + 2)

@@ -49,19 +49,25 @@ gradient sums) write into an array their own step made, never into an
 input. Each keeps its ufuncs and operands, at most swapping the two sides
 of a ``+`` or ``*``, so every value is unchanged.
 
-Every step allocates its arrays anew. glibc would hand each freed block
-of 128 KiB or more back to the kernel and fault it in again on the next
-step, so ``train_adapters`` first has it keep freed blocks in the heap
-for the next step to reuse (``workers.keep_freed_heap``).
+Every step allocates its arrays anew, and so does every copy forward of
+the audit. glibc would hand each freed block of 128 KiB or more back to
+the kernel and fault it in again on the next step, so ``train_adapters``
+and ``grad_check`` first have it keep freed blocks in the heap for the
+next step to reuse (``workers.keep_freed_heap``).
 
-``grad_check`` perturbs one adapter tensor at a time and evaluates a chunk
-of ``GRAD_CHECK_CHUNK`` scalars in one forward: the ``+eps`` and ``-eps``
-copy of each, stacked on a new leading axis that is folded into the batch
-axis. Only the perturbed adapter sees per-copy weights, on the stream it
-read in the audit's own unperturbed forward; the walk then runs the
-blocks and layers above on the copies, and a prefix at the decoder gives
-the streams of the other side, tiled. Every matrix product keeps the shape
-it has in a one-copy forward and every loss is the mean over its own copy,
+``grad_check`` perturbs one adapter at a time, as one slice of ``theta``,
+and evaluates a pack of its scalars, from any of its four tensors, in one
+forward: the ``+eps`` and ``-eps`` copy of each, stacked on a new leading
+axis that is folded into the batch axis. A pack holds as many scalars as
+keep the copy forward's largest activation within ``GRAD_CHECK_BUDGET``,
+and at least ``GRAD_CHECK_CHUNK`` (``grad_check_copies``), so a
+narrow toy's adapter takes one or two forwards and a wide toy's packs
+stay small. Only the perturbed adapter sees per-copy weights, on the
+stream it read in the audit's own unperturbed forward; the walk then runs
+the blocks and layers above on the copies, and that forward's prefix,
+extended up the encoder where a decoder adapter needs it, gives the
+streams of the other side, tiled. Every matrix product keeps the shape it
+has in a one-copy forward and every loss is the mean over its own copy,
 so each copy's loss is bit-identical to a separate forward.
 
 At the toy's widths the hot path is bound by per-call overhead, so it
@@ -121,11 +127,15 @@ RANDOM_ADAPTER_SCALE = 0.1
 # train_adapters raises Divergence once a loss exceeds this multiple of the
 # initial loss.
 LOSS_GROWTH_LIMIT = 100.0
-# grad_check evaluates this many scalars of one tensor per forward, as
-# GRAD_CHECK_COPIES perturbed copies of the model: a +eps and a -eps copy
-# of each. Both bound the audit's size.
+# grad_check evaluates at least this many scalars of one adapter per
+# forward, as twice as many perturbed copies of the model (a +eps and a -eps
+# copy of each): GRAD_CHECK_COPIES is the fewest copies a forward gets.
+# Above that floor, grad_check_copies packs in as many more as keep the copy
+# forward's largest activation within GRAD_CHECK_BUDGET scalars: one forward
+# per adapter of the benchmark's width-8 ablation toy, on 2 x 6 tokens.
 GRAD_CHECK_CHUNK = 16
 GRAD_CHECK_COPIES = 2 * GRAD_CHECK_CHUNK
+GRAD_CHECK_BUDGET = 2**15
 # train_adapters runs Adam once per step over each slice of this many
 # scalars of the flat trainable vector. One pass over all 101,760 scalars
 # of a width-128 toy raised the traced peak of training by 1.6 MB.
@@ -263,6 +273,24 @@ class ToyConfig:
         raise InvalidConfig(f"precision must be 'single' or 'double', got {self.precision!r}")
 
 
+def _widest(cfg: ToyConfig, length: int) -> int:
+    """The last axis of a toy's largest activation on ``length`` tokens: the
+    feed-forward hidden, the logits or the attention scores."""
+    return max(cfg.resolved_d_ff(), cfg.vocab_size, cfg.n_heads * length)
+
+
+def grad_check_copies(cfg: ToyConfig, batch: int, length: int) -> int:
+    """The perturbed copies of the model that each copy forward of
+    ``grad_check`` runs on a (batch, length) batch, ``length`` the longer
+    side: a ``+eps`` and a ``-eps`` copy of as many scalars as keep the
+    largest activation within ``GRAD_CHECK_BUDGET`` scalars, and of at
+    least ``GRAD_CHECK_CHUNK``. A batch that is not positive, which
+    ``check_toy_size`` refuses, gets the floor."""
+    activation = batch * length * _widest(cfg, length)
+    pairs = GRAD_CHECK_BUDGET // (2 * activation) if activation > 0 else 0
+    return 2 * max(GRAD_CHECK_CHUNK, pairs)
+
+
 def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int = 1):
     """Every rule on a toy and its (batch, length) batch, checked before
     any array exists; each error begins with the field or argument at
@@ -292,7 +320,7 @@ def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int 
             f"a toy with d_model {cfg.d_model}, vocab_size {cfg.vocab_size} and "
             f"{cfg.n_encoder_layers}+{cfg.n_decoder_layers} layers would hold {n_params:,} "
             f"parameters; at most {MAX_TOY_SCALARS:,} are allowed")
-    width = max(cfg.resolved_d_ff(), cfg.vocab_size, cfg.n_heads * length)
+    width = _widest(cfg, length)
     if batch * length * width * copies > MAX_TOY_SCALARS:
         raise InvalidConfig(
             f"the largest activation, batch {batch} x length {length} x max(d_ff, vocab_size, "
@@ -1014,11 +1042,13 @@ class ToyModel:
                      weights: list[np.ndarray]) -> np.ndarray:
         """Loss of each copy of the model whose adapter in block ``block``
         of layer ``index`` runs on ``weights`` (in ``parameters()`` order,
-        one of them stacked per copy).
+        any of them stacked per copy).
 
         ``h`` is the (batch, length, d) stream that adapter reads, and
-        ``prefix`` starts at the decoder. The copies are folded into the
-        batch axis, copy-major, and the prefix's streams are tiled to
+        ``prefix`` (``_copy_prefix``) holds what the copies read of the
+        other side: decoder layer 0's stream for an encoder adapter, the
+        encoder output for a decoder adapter. The copies are folded into
+        the batch axis, copy-major, and the prefix's streams are tiled to
         match; the walk from the adapter's next block tapes nothing, and
         each loss is the mean over its own copy.
         """
@@ -1038,6 +1068,19 @@ class ToyModel:
         # One contiguous row per copy, so each mean sums its row in the
         # order of a one-copy loss.
         return -picked.reshape(n_copies, -1).mean(axis=1)
+
+    def _copy_prefix(self, prefix: Prefix) -> Prefix:
+        """What ``_copy_losses`` reads of the other side, from ``prefix`` at
+        ``lowest_trainable``. Below the decoder, that prefix holds decoder
+        layer 0's stream, and where a decoder adapter needs the encoder
+        output, the encoder's walk from the prefix up adds it: the ``Prefix``
+        at the decoder, with no walk from the embeddings. At or above the
+        decoder, it holds the encoder output and no encoder adapter exists."""
+        start = prefix.start
+        if start >= len(self.encoder) or not self.adapter_set.decoder_layers:
+            return prefix
+        enc = self._walk(self.encoder, self._resume(self.encoder, start, prefix.enc), start, 1)
+        return Prefix(len(self.encoder), prefix.source_ids, prefix.target_ids, enc, prefix.dec)
 
 
 def build_toy_model(cfg: ToyConfig) -> ToyModel:
@@ -1098,32 +1141,37 @@ class GradCheckReport:
 
 
 def _relative_errors(model: ToyModel, prefix: Prefix, index: int, block: int, h: np.ndarray,
-                     adapter: AdapterModule, which: int, eps: float) -> np.ndarray:
-    """Relative error of the central difference of every scalar of tensor
-    ``which`` of ``adapter.parameters()``, the adapter in block ``block``
-    of layer ``index``, ``GRAD_CHECK_CHUNK`` scalars per forward. ``h`` is
-    the stream that adapter reads."""
+                     adapter: AdapterModule, at: int, copies: int, eps: float) -> np.ndarray:
+    """Relative error of the central difference of every scalar of
+    ``adapter``, the adapter in block ``block`` of layer ``index``, in the
+    order of its slice of ``model.theta``, which begins at ``at``. Each
+    forward runs ``copies`` copies: a ``+eps`` and a ``-eps`` copy of each
+    of the next ``copies // 2`` scalars, from any of the adapter's tensors.
+    Only the tensors a forward perturbs are stacked per copy. ``h`` is the
+    stream that adapter reads."""
     params = adapter.parameters()
-    param = params[which]
-    weights = [p.value for p in params]
-    flat = param.value.reshape(-1)
-    analytic = param.grad.reshape(-1)
-    # Copies broadcast against the (batch, length) axes of ``h``.
-    stack_shape = (1,) * (h.ndim - param.value.ndim) + param.value.shape
-    errors = []
-    for start in range(0, flat.size, GRAD_CHECK_CHUNK):
-        chunk = np.arange(start, min(start + GRAD_CHECK_CHUNK, flat.size))
-        rows = np.arange(chunk.size)
-        copies = np.repeat(flat[None], 2 * chunk.size, axis=0)
-        copies[2 * rows, chunk] = flat[chunk] + eps
-        copies[2 * rows + 1, chunk] = flat[chunk] - eps
-        weights[which] = copies.reshape(2 * chunk.size, *stack_shape)
+    ends = np.cumsum([p.value.size for p in params])
+    flat = model.theta[at:at + ends[-1]]
+    analytic = model.theta_grad[at:at + ends[-1]]
+    errors = np.empty(flat.size)
+    for start in range(0, flat.size, copies // 2):
+        stop = min(start + copies // 2, flat.size)
+        scalars = np.arange(start, stop)
+        rows = scalars - start
+        stacked = np.repeat(flat[None], 2 * rows.size, axis=0)
+        stacked[2 * rows, scalars] = flat[scalars] + eps
+        stacked[2 * rows + 1, scalars] = flat[scalars] - eps
+        # Copies broadcast against the (batch, length) axes of ``h``.
+        weights = [stacked[:, end - p.value.size:end].reshape(
+                       2 * rows.size, *(1,) * (h.ndim - p.value.ndim), *p.value.shape)
+                   if start < end and end - p.value.size < stop else p.value
+                   for p, end in zip(params, ends)]
         losses = model._copy_losses(prefix, index, block, h, weights)
         numeric = (losses[0::2] - losses[1::2]) / (2.0 * eps)
-        a = analytic[chunk]
-        errors.append(np.abs(a - numeric)
-                      / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-3))
-    return np.concatenate(errors)
+        a = analytic[scalars]
+        errors[scalars] = (np.abs(a - numeric)
+                           / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-3))
+    return errors
 
 
 def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
@@ -1137,26 +1185,42 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     check is vacuous there. Double precision only: float32 central
     differences cannot resolve these gradients.
 
-    Tensors are audited in ``trainable_parameters()`` order. Each adapter
-    reads the stream it read in the unperturbed forward that gives the
-    analytic gradients, read from that forward's tapes before its backward
-    takes them (``ToyModel.adapter_input``); the copy forwards tape
-    nothing. A prefix at the decoder gives the streams of the other side,
-    which no adapter of this side changes. One forward then evaluates up to
-    ``GRAD_CHECK_CHUNK`` scalars of a tensor, as a ``+eps`` and a ``-eps``
-    copy of each, stacked on an outer axis (``_copy_losses``). Every matrix
-    product and reduction keeps its one-copy shape and order, so each loss
-    is that of a full forward, bit for bit. A step so large that a copy overflows gives a NaN
-    error, which fails the audit; numpy's warnings on the way are silenced.
+    Tensors are audited in ``trainable_parameters()`` order, one adapter at
+    a time: its four tensors sit side by side in ``ToyModel.theta``, and
+    each tensor's errors are its part of the adapter's. Each adapter reads
+    the stream it read in the unperturbed forward that gives the analytic
+    gradients, read from that forward's tapes before its backward takes
+    them (``ToyModel.adapter_input``); the copy forwards tape nothing. That
+    forward runs from the ``Prefix`` at the lowest adapter, and the same
+    prefix, extended up the encoder where a decoder adapter needs its
+    output (``ToyModel._copy_prefix``), gives the streams of the other
+    side, which no adapter of this side changes. One forward then evaluates
+    ``grad_check_copies // 2`` scalars of the adapter, from any of its
+    tensors, as a ``+eps`` and a ``-eps`` copy of each, stacked on an outer
+    axis (``_copy_losses``). Every matrix product and reduction keeps its
+    one-copy shape and order, so each loss is that of a full forward, bit
+    for bit. A step so large that a copy overflows gives a NaN error, which
+    fails the audit; numpy's warnings on the way are silenced.
+
+    It first sets this process's allocator policy, as ``train_adapters``
+    does (``workers.keep_freed_heap``), since every copy forward allocates
+    arrays of the same shapes: under glibc's defaults, an audit of the
+    default toy faulted in 38,000-48,000 pages at 2 x 6 tokens and 114,000
+    at 4 x 6.
     """
     check_positive_real("eps", eps, InvalidConfig)
     if model.cfg.precision != "double":
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
-    model.forward(source_ids, target_ids)
+    keep_freed_heap()
+    prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
+    source_ids, target_ids = prefix.source_ids, prefix.target_ids
+    model.forward(source_ids, target_ids, prefix)
     inputs = [model.adapter_input(index, block) for index, block, _ in model.adapters()]
     model.backward()
-    prefix = model.prefix(source_ids, target_ids, len(model.encoder))
+    prefix = model._copy_prefix(prefix)
+    copies = grad_check_copies(model.cfg, target_ids.shape[0],
+                               max(source_ids.shape[1], target_ids.shape[1]))
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
@@ -1164,11 +1228,15 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     n_checked = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for (index, block, adapter), h in zip(model.adapters(), inputs):
-            for which, param in enumerate(adapter.parameters()):
-                errors = _relative_errors(model, prefix, index, block, h, adapter, which, eps)
+            errors = _relative_errors(model, prefix, index, block, h, adapter, n_checked,
+                                      copies, eps)
+            n_checked += errors.size
+            end = 0
+            for param in adapter.parameters():
+                tensor = errors[end:end + param.value.size]
+                end += param.value.size
                 # Python's max never picks NaN; a NaN error fails the audit.
-                param_err = math.nan if np.isnan(errors).any() else max(0.0, *errors)
-                n_checked += errors.size
+                param_err = math.nan if np.isnan(tensor).any() else max(0.0, *tensor)
                 per_parameter[param.name] = param_err
                 # The last tensor with the largest error, or the first with NaN.
                 if param_err >= worst_err or (math.isnan(param_err) and not math.isnan(worst_err)):

@@ -1,5 +1,5 @@
 """The CPUs this process may use, calls split across threads or forked
-processes, and the allocator policy of training.
+processes, and the allocator policy of training and the gradient audit.
 
 The toy model's row shards spend their time in numpy, which releases the
 GIL, so ``in_threads`` runs them on threads of this process. Table ingest
@@ -12,9 +12,13 @@ splits its work by a fixed minimum share per worker, so small inputs stay
 in this process, and joins the results in order, so every output equals
 the one-process output byte for byte.
 
-Training allocates the same large arrays on every step, and glibc by
-default gives freed blocks of 128 KiB or more back to the kernel, so each
-step would fault them in again. ``keep_freed_heap`` has it keep them.
+Training allocates the same large arrays on every step, and the gradient
+audit on every copy forward, and glibc by default gives freed blocks of
+128 KiB or more back to the kernel, so each step would fault them in
+again. ``keep_freed_heap`` has it keep them, and caps malloc's arenas at
+one per usable CPU: ``in_threads`` starts a fresh thread for every call,
+and on a busy host glibc would at times give it an arena of its own,
+which then kept freed blocks of its own too.
 """
 
 from __future__ import annotations
@@ -31,19 +35,32 @@ import numpy as np
 
 from .errors import AdapterQaError
 
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; every CPU where the platform has
+    no ``os.sched_getaffinity`` (it is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # mallopt(3) parameters and the values keep_freed_heap gives them: blocks
 # under 32 MiB come from the heap, and the heap keeps up to 64 MiB free at
 # its top. On a 2-core host either alone made a train-full-shaped training
 # step slower than both, since setting one stops glibc adjusting the other.
+# And malloc opens at most one arena per usable CPU, so a fresh shard thread
+# shares one, with the freed blocks it keeps, rather than opening another.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 * 2**20), (_M_TRIM_THRESHOLD, 64 * 2**20))
+_M_ARENA_MAX = -8
+HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 * 2**20), (_M_TRIM_THRESHOLD, 64 * 2**20),
+               (_M_ARENA_MAX, usable_cpus()))
 _heap_kept: bool | None = None  # keep_freed_heap's result, once it has run
 
 
 def _mallopt() -> Callable[[int, int], int] | None:
     """The C library's ``mallopt``, or None where it has none."""
-    import ctypes  # only training needs it
+    import ctypes  # only training and the audit need it
 
     try:
         return ctypes.CDLL(None).mallopt
@@ -53,25 +70,18 @@ def _mallopt() -> Callable[[int, int], int] | None:
 
 def keep_freed_heap() -> bool:
     """Have malloc keep freed blocks in the heap, for the next training
-    step to reuse without faulting in fresh pages (``HEAP_POLICY``), and
-    say whether it does. The first call in a process sets the policy, and
-    it holds for the rest of the process: mallopt cannot give back glibc's
-    dynamic thresholds. Later calls do nothing. Where the C library has no
-    ``mallopt``, or it refuses a setting, nothing changes but speed."""
+    step or audit forward to reuse without faulting in fresh pages
+    (``HEAP_POLICY``), and say whether it does. The first call in a
+    process sets the policy, and it holds for the rest of the process:
+    mallopt cannot give back glibc's dynamic thresholds. Later calls do
+    nothing. Where the C library has no ``mallopt``, or it refuses a
+    setting, nothing changes but speed."""
     global _heap_kept
     if _heap_kept is None:
         mallopt = _mallopt()
         _heap_kept = mallopt is not None and all(
             mallopt(param, value) == 1 for param, value in HEAP_POLICY)
     return _heap_kept
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on; every CPU where the platform has
-    no ``os.sched_getaffinity`` (it is Linux-only)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def worker_count(size: int, share: int) -> int:

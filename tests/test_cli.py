@@ -6,10 +6,18 @@ from unittest import mock
 import pytest
 
 from adapterqa import cli as cli_mod
+from adapterqa import toymodel
 from adapterqa.adapters import MAX_STACK_LAYERS
 from adapterqa.cli import MAX_COPY_TASK_TOKENS, build_parser, main
 from adapterqa.metrics import MAX_EVAL_LINE_CHARS
-from adapterqa.toymodel import MAX_TOY_SCALARS, grad_check, make_copy_task
+from adapterqa.toymodel import (
+    GRAD_CHECK_COPIES,
+    MAX_TOY_SCALARS,
+    ToyConfig,
+    grad_check,
+    grad_check_copies,
+    make_copy_task,
+)
 
 from cli_runner import run_cli_limited
 
@@ -732,6 +740,41 @@ def test_toy_size_is_bounded_before_it_allocates(argv):
     assert set(payload) == {"error", "message"}
     assert payload["error"] == "InvalidConfig"
     assert f"at most {MAX_TOY_SCALARS:,} are allowed" in payload["message"]
+
+
+@pytest.mark.parametrize("batch, seq_len", [(8, 8), (2, 6)], ids=["at-the-floor", "over-it"])
+def test_gradcheck_bounds_the_copies_its_audit_runs(capsys, monkeypatch, batch, seq_len):
+    """``gradcheck`` refuses a toy exactly when ``check_toy_size``, given
+    the copies of each of the audit's forwards, refuses it: with the bound
+    at that largest activation the audit runs, and one scalar under it
+    ``gradcheck`` exits 2. On 8 x 8 tokens a copy's logits hold 2,048
+    scalars and the audit runs the floor's copies; on 2 x 6, 384, and it
+    runs more (one pack per 42-scalar adapter)."""
+    argv = ["gradcheck", "--d-model", "8", "--bottleneck", "2", "--enc-layers", "1",
+            "--dec-layers", "1", "--vocab", "32", "--batch", str(batch), "--seq-len", str(seq_len)]
+    cfg = ToyConfig(d_model=8, bottleneck=2, n_encoder_layers=1, n_decoder_layers=1,
+                    vocab_size=32)
+    copies = grad_check_copies(cfg, batch, seq_len)
+    assert (copies == GRAD_CHECK_COPIES) == (batch == 8)
+    ran = []
+    copy_losses = toymodel.ToyModel._copy_losses
+
+    def counted(self, *args):
+        losses = copy_losses(self, *args)
+        ran.append(losses.size)
+        return losses
+
+    monkeypatch.setattr(toymodel.ToyModel, "_copy_losses", counted)
+    assert run(capsys, argv)[0] == 0
+    assert max(ran) == copies
+    activation = batch * seq_len * 32 * copies  # the logits: vocab 32 is the widest axis
+    monkeypatch.setattr(toymodel, "MAX_TOY_SCALARS", activation)
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(toymodel, "MAX_TOY_SCALARS", activation - 1)
+    ran.clear()
+    code, out, err = run(capsys, argv)
+    assert (code, out, ran) == (2, "", [])
+    assert f"x {copies} copies, would hold {activation:,} scalars" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("argv", [

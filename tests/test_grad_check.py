@@ -1,11 +1,14 @@
 """Differential and state tests of the batched gradient audit.
 
-``grad_check`` evaluates a chunk of perturbed adapter copies per forward.
-Its report must equal that of the per-scalar audit it replaced
+``grad_check`` evaluates a pack of perturbed copies of one adapter per
+forward, its scalars taken from any of the adapter's tensors. Its report
+must equal that of the per-scalar audit it replaced
 (``model_oracles.grad_check_per_scalar``) exactly, for any adapter set,
-batch, length and chunk size. It reads the adapters' input streams from
-the forward caches, so it must also leave nothing behind that changes a
-later audit or training run.
+batch, length, floor (``GRAD_CHECK_CHUNK``) and budget
+(``GRAD_CHECK_BUDGET``): 1-scalar packs, packs that cross from one tensor
+to the next, and one pack per adapter. It reads the adapters' input
+streams from the forward caches, so it must also leave nothing behind
+that changes a later audit or training run.
 """
 
 from unittest import mock
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from adapterqa import toymodel
 from adapterqa.adapters import AdapterSet
 from adapterqa.toymodel import (
+    GRAD_CHECK_BUDGET,
     GRAD_CHECK_CHUNK,
     ToyConfig,
     TrainConfig,
@@ -33,7 +37,9 @@ ENCODER_ONLY, DECODER_ONLY, FULL, EMPTY = "encoder", "decoder", "full", "empty"
 
 @st.composite
 def audits(draw):
-    """``(config kwargs, batch, length, chunk)`` on a width-2 to width-6 toy."""
+    """``(config kwargs, batch, length, chunk, budget)`` on a width-2 to
+    width-6 toy. A budget of 0 gives packs of ``chunk`` scalars, and 2**40
+    one pack per adapter."""
     n_enc, n_dec = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     layers = draw(st.sampled_from([ENCODER_ONLY, DECODER_ONLY, FULL, EMPTY])
                   | st.frozensets(st.integers(0, n_enc + n_dec - 1)))
@@ -50,7 +56,8 @@ def audits(draw):
                n_encoder_layers=n_enc, n_decoder_layers=n_dec, n_heads=2, vocab_size=12,
                max_len=4, seed=draw(st.integers(0, 2**16)), adapter_set=adapter_set)
     chunk = draw(st.sampled_from([1, 3, GRAD_CHECK_CHUNK, 64]))
-    return cfg, draw(st.integers(1, 3)), draw(st.integers(1, 4)), chunk
+    budget = draw(st.sampled_from([0, 2**9, GRAD_CHECK_BUDGET, 2**40]))
+    return cfg, draw(st.integers(1, 3)), draw(st.integers(1, 4)), chunk, budget
 
 
 def audit(cfg: dict, batch: int, length: int, check):
@@ -65,13 +72,15 @@ def audit(cfg: dict, batch: int, length: int, check):
     return report
 
 
-def named(layers, batch: int, length: int, chunk: int = GRAD_CHECK_CHUNK):
+def named(layers, batch: int, length: int, chunk: int = GRAD_CHECK_CHUNK,
+          budget: int = GRAD_CHECK_BUDGET):
     """An example on a width-4, bottleneck-3, 2+2-layer toy: its tensors
-    of 12, 3, 12 and 4 scalars are not all multiples of the chunk."""
+    of 12, 3, 12 and 4 scalars are not all multiples of the chunk. At the
+    default budget each adapter's 31 scalars take one pack."""
     adapter_set = AdapterSet.of([i for i in layers if i < 2], [i for i in layers if i >= 2])
     cfg = dict(d_model=4, bottleneck=3, n_encoder_layers=2, n_decoder_layers=2, n_heads=2,
                vocab_size=12, max_len=4, seed=6, adapter_set=adapter_set)
-    return example((cfg, batch, length, chunk))
+    return example((cfg, batch, length, chunk, budget))
 
 
 @settings(deadline=None, max_examples=25)
@@ -81,11 +90,14 @@ def named(layers, batch: int, length: int, chunk: int = GRAD_CHECK_CHUNK):
 @named([0, 1, 2, 3], 2, 3)
 @named([], 2, 3)
 @named([0, 3], 1, 1)
-@named([1, 2], 1, 4, chunk=7)
-@named([0, 1, 2, 3], 3, 1, chunk=1)
+@named([1, 2], 1, 4, chunk=7, budget=0)  # packs 7-13 and 14-20 cross b_down
+@named([0, 1, 2, 3], 3, 1, chunk=1, budget=0)  # 1-scalar packs
+@named([0, 1, 2, 3], 2, 3, chunk=3, budget=0)  # packs that end where each tensor ends
+@named([0, 1, 2, 3], 3, 4, chunk=1, budget=2**40)  # one pack per adapter
 def test_batched_audit_equals_per_scalar_audit(case):
-    cfg, batch, length, chunk = case
-    with mock.patch.object(toymodel, "GRAD_CHECK_CHUNK", chunk):
+    cfg, batch, length, chunk, budget = case
+    with (mock.patch.object(toymodel, "GRAD_CHECK_CHUNK", chunk),
+          mock.patch.object(toymodel, "GRAD_CHECK_BUDGET", budget)):
         batched = audit(cfg, batch, length, grad_check)
     oracle = audit(cfg, batch, length, grad_check_per_scalar)
     assert batched.to_json_dict() == oracle.to_json_dict()

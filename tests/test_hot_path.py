@@ -163,9 +163,8 @@ def audit_model():
 
 def test_audit_copy_forwards_store_no_caches():
     """Only the audit's one unperturbed forward tapes, on batch ``B``; no
-    forward on the copy batch ``2 * chunk * B`` (``GRAD_CHECK_CHUNK``
-    scalars per chunk) is handed a tape, and the audit's backward takes
-    the tapes."""
+    forward on a copy batch (``grad_check_copies`` copies of ``B`` rows)
+    is handed a tape, and the audit's backward takes the tapes."""
     source, target = batch()
     model = audit_model()
     with taped() as records:

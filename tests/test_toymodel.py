@@ -89,12 +89,17 @@ def test_grad_check_names_the_first_nan_tensor(monkeypatch):
     clean = grad_check(model, *batch)
     names = list(clean.per_parameter)
     relative_errors = toymodel._relative_errors
-    tensor_index = iter(range(len(names)))
+    first_tensor = iter(range(0, len(names), 4))  # of each adapter, in audit order
 
-    def one_nan_in_tensors_1_and_5(*args):
-        errors = relative_errors(*args)
-        if next(tensor_index) in (1, 5):
-            errors[-1] = np.nan
+    def one_nan_in_tensors_1_and_5(model, prefix, index, block, h, adapter, *args):
+        """The adapter's errors, with its last scalar of tensor 1 and of
+        tensor 5 (each ``down.b``) made NaN."""
+        errors = relative_errors(model, prefix, index, block, h, adapter, *args)
+        first, end = next(first_tensor), 0
+        for tensor, param in enumerate(adapter.parameters(), start=first):
+            end += param.value.size
+            if tensor in (1, 5):
+                errors[end - 1] = np.nan
         return errors
 
     monkeypatch.setattr(toymodel, "_relative_errors", one_nan_in_tensors_1_and_5)

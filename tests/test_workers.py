@@ -450,8 +450,54 @@ def test_training_gives_the_same_outputs_whatever_mallopt_does(monkeypatch, resu
     assert workers.keep_freed_heap() == (result == 1)
 
 
+# Three training runs on three row shards, in a process held to at most two
+# CPUs, then glibc's malloc_stats(), which writes one "Arena N:" block per
+# arena to stderr. Without the arena cap the three shards' threads open
+# three arenas.
+ARENA_SCRIPT = """
+import ctypes, json, os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from adapterqa import toymodel, workers
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "malloc_stats"):
+    sys.exit(3)
+toymodel.SHARD_MIN_STREAM = 1
+toymodel._usable_cpus = lambda: 3
+model = toymodel.build_toy_model(toymodel.ToyConfig(d_model=16, bottleneck=4, n_heads=2,
+                                                    vocab_size=16, max_len=8, seed=6))
+source, target = toymodel.make_copy_task(n_examples=6, seq_len=6, vocab_size=16, seed=3)
+for _ in range(3):
+    toymodel.train_adapters(model, source, target, toymodel.TrainConfig(steps=3))
+print(json.dumps([workers.keep_freed_heap(), workers.HEAP_POLICY]), flush=True)
+libc.malloc_stats()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_training_threads_share_at_most_one_arena_per_cpu():
+    """Under the heap policy malloc opens at most one arena per usable
+    CPU, so training on more row shards than CPUs, each on a fresh thread
+    at every forward and backward, reuses arenas rather than opening more
+    (each arena keeps freed blocks of its own)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", ARENA_SCRIPT], capture_output=True, text=True,
+                          env=env, cwd=str(ROOT), timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("the C library has no malloc_stats")
+    assert proc.returncode == 0, proc.stderr
+    kept, policy = json.loads(proc.stdout)
+    if not kept:
+        pytest.skip("the C library refused the heap policy")
+    cpus = min(2, len(os.sched_getaffinity(0)))
+    assert [-8, cpus] in policy  # M_ARENA_MAX
+    arenas = sum(line.startswith("Arena ") for line in proc.stderr.splitlines())
+    assert 1 <= arenas <= cpus
+
+
 # One run of every command, on files large enough for the data commands to
-# split across workers; only train-toy trains adapters.
+# split across workers; only train-toy and gradcheck run the model's many
+# same-shaped forwards.
 HEAP_COMMANDS = {
     "linearize": ["linearize", "--in", "{table}"],
     "assemble": ["assemble", "--batch", "{batch}"],
@@ -482,10 +528,10 @@ def heap_corpus(tmp_path_factory) -> dict[str, Path]:
 
 
 @pytest.mark.parametrize("command", HEAP_COMMANDS)
-def test_only_training_sets_the_heap_policy(tmp_path, heap_corpus, command):
-    """Importing the package and running any command but ``train-toy``
-    never looks ``mallopt`` up; ``train-toy`` does, once, through
-    ``train_adapters``."""
+def test_only_the_model_commands_set_the_heap_policy(tmp_path, heap_corpus, command):
+    """Importing the package and running any command but ``train-toy`` and
+    ``gradcheck`` never looks ``mallopt`` up; each of those does, once,
+    through ``train_adapters`` or ``grad_check``."""
     argv = [arg.format_map(heap_corpus) for arg in HEAP_COMMANDS[command]]
     argv += ["--out", str(tmp_path / "out")]
     script = ("import json, sys\nfrom adapterqa import cli, workers\n"
@@ -497,6 +543,6 @@ def test_only_training_sets_the_heap_policy(tmp_path, heap_corpus, command):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, cwd=str(ROOT), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    trains = command == "train-toy"
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, int(trains), False if trains else None]
+    model = command in ("train-toy", "gradcheck")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, int(model), False if model else None]
     assert (tmp_path / "out").stat().st_size > 0
