@@ -37,12 +37,13 @@ Layers hold only their parameters. A forward given a tape, a list,
 appends to it what its backward needs, in walk order, and each backward
 takes its entry back off the end: the residual-passing form of reverse
 mode. Each training activation is held once. An adapter tapes only its
-bottleneck activation, and backward hands it the stream it read
-(``ToyModel.adapter_input``): the prefix's own array where the forward
-began, and elsewhere the norm's output recomputed from the norm's entry by
-the same two ufuncs on the same operands. The loss holds one logit-sized
-array: each label's log-probability is its shifted logit, read before the
-array is exponentiated in place, less the log of its row's sum, and the
+bottleneck activation, and backward hands it the stream it read: the
+prefix's own array where the forward began, and elsewhere the norm's
+output recomputed from the norm's entry by the same two ufuncs on the same
+operands. ``backward`` returns each adapter's stream, which the audit's
+copy forwards read. The loss holds one logit-sized array: each label's
+log-probability is its shifted logit, read before the array is
+exponentiated in place, less the log of its row's sum, and the
 exponentials become the logits gradient. The large elementwise tails (bias
 adds, the norm, the attention softmax, the rectifier, the residual
 gradient sums) write into an array their own step made, never into an
@@ -90,16 +91,16 @@ shard this is the whole path. Every shard runs the model's own layers on a
 tape of its own: shard 0 on the calling thread, each other shard on a
 thread of its own (``workers.in_threads``). Only two results mix rows: the
 loss, the mean over every shard's label log-probabilities, joined; and the
-adapters' weight gradients. A sharded adapter backward hands back its
+adapters' weight gradients. Each shard's adapter backward hands back its
 rows of their operands, and once every shard's backward has ended, each
-adapter joins them in shard order and runs the products and sums of a
-one-shard backward; adapter k joins on shard k mod n's thread. Everything
-else acts row by row: numpy runs a batched matrix product as one product
-per batch slice, and row reductions and ufuncs act per row. So every
-value equals the one-shard value bit for bit. Measured on a 2-core host
-with one-thread OpenBLAS, two shards made a width-128, 6+6-layer step on
-16 x 32 tokens 1.8x faster, while two BLAS threads on one shard made it no
-faster.
+adapter joins them in shard order (a lone shard's as they are) and runs
+the products and sums over the whole batch; adapter k joins on shard
+k mod n's thread. Everything else acts row by row: numpy runs a batched
+matrix product as one product per batch slice, and row reductions and
+ufuncs act per row. So every value equals the one-shard value bit for
+bit. Measured on a 2-core host with one-thread OpenBLAS, two shards made a
+width-128, 6+6-layer step on 16 x 32 tokens 1.8x faster, while two BLAS
+threads on one shard made it no faster.
 """
 
 from __future__ import annotations
@@ -195,12 +196,16 @@ def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _set_grads(joins: list[tuple]):
+def _set_grads(joins: list[tuple]) -> list[tuple]:
     """For each adapter in ``joins``, given as every shard's (adapter,
     operands), set its weight gradients from the operands joined in shard
-    order."""
+    order. Returns each (adapter, its joined input)."""
+    inputs = []
     for shards in joins:
-        shards[0][0].set_grads(*map(_join, zip(*(operands for _, operands in shards))))
+        hidden, d_out, x, d_hidden = map(_join, zip(*(operands for _, operands in shards)))
+        shards[0][0].set_grads(hidden, d_out, x, d_hidden)
+        inputs.append((shards[0][0], x))
+    return inputs
 
 
 def _blas_threads(cpus: int) -> int:
@@ -514,14 +519,14 @@ class AdapterModule:
     writes its four gradients in place rather than accumulating them.
 
     A forward tapes only the rectified bottleneck activation. Its input
-    is already held below it (``ToyModel.adapter_input``), so ``backward``
-    is handed that input rather than taping a second copy.
+    is already held below it, in the norm's entry or the forward's
+    ``Prefix``, so ``backward`` is handed that input rather than taping a
+    second copy.
 
-    The four weight gradients sum over every row of the batch. A one-shard
-    backward sets them from its own arrays at once. In a sharded backward,
-    each shard hands back its rows of their operands instead, and once
+    The four weight gradients sum over every row of the batch. Each
+    shard's ``backward`` hands back its rows of their operands, and once
     every shard has ended, ``set_grads`` runs on the rows joined in shard
-    order, with the products and sums of a one-shard backward.
+    order, whatever the number of shards.
     """
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
@@ -539,19 +544,16 @@ class AdapterModule:
         return out
 
     def backward(self, d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
-                 parts: list | None = None) -> np.ndarray:
+                 parts: list) -> np.ndarray:
         """Gradient of the input; ``x`` and ``hidden`` are the input and the
-        taped activation of one forward. The weight gradients are set at
-        once, or, with ``parts``, their operands are appended there with
-        this adapter, for ``set_grads`` on every shard's rows."""
+        taped activation of one forward. The weight gradients' operands
+        are appended to ``parts`` with this adapter, for ``set_grads`` on
+        every shard's rows."""
         d_hidden = d_out @ self.w_up.value.T
         d_hidden *= hidden > 0
         d_x = d_hidden @ self.w_down.value.T
         d_x += d_out
-        if parts is None:
-            self.set_grads(hidden, d_out, x, d_hidden)
-        else:
-            parts.append((self, (hidden, d_out, x, d_hidden)))
+        parts.append((self, (hidden, d_out, x, d_hidden)))
         return d_x
 
     def set_grads(self, hidden: np.ndarray, d_out: np.ndarray, x: np.ndarray,
@@ -600,8 +602,8 @@ class ResidualBlock:
         h = self.normed(x, memory, tape)
         return h if self.adapter is None else self.adapter.forward(h, tape)
 
-    def backward(self, d_out: np.ndarray, tape: list, d_memory: np.ndarray | None = None,
-                 parts: list | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, tape: list, parts: list,
+                 d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input, taking this block's entries off ``tape``;
         cross-attention adds the gradient of ``memory`` into ``d_memory``,
         and skips it when that is None. ``parts`` is the adapter's."""
@@ -665,13 +667,14 @@ class Layer:
             x = block.forward(x, memory, tape)
         return x
 
-    def backward(self, d_out: np.ndarray, tape: list, d_memory: np.ndarray | None = None,
-                 first: int = 0, parts: list | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, tape: list, parts: list,
+                 d_memory: np.ndarray | None = None, first: int = 0) -> np.ndarray:
         """Gradient of the stream that entered block ``first``, taking the
-        blocks' entries off ``tape``; a decoder layer also adds the gradient
-        of ``memory`` into ``d_memory`` unless that is None."""
+        blocks' entries off ``tape`` and appending each adapter's operands
+        to ``parts``; a decoder layer also adds the gradient of ``memory``
+        into ``d_memory`` unless that is None."""
         for block in reversed(self.blocks[first:]):
-            d_out = block.backward(d_out, tape, d_memory, parts)
+            d_out = block.backward(d_out, tape, parts, d_memory)
         return d_out
 
     def parameters(self) -> list[Parameter]:
@@ -799,9 +802,10 @@ class ToyModel:
             param.grad = self.theta_grad[part].reshape(param.value.shape)
             start = part.stop
 
-        # Per shard of the last forward, its tape, until backward takes them.
+        # The last forward's tape per shard and the Prefix it ran from, until
+        # backward takes them.
         self._tapes: list[list] | None = None
-        self._prefix: Prefix | None = None  # the one the last forward ran from
+        self._prefix: Prefix | None = None
         self._rows: list[slice] = []  # the rows of each of its shards
 
     def parameters(self) -> list[Parameter]:
@@ -947,32 +951,7 @@ class ToyModel:
         tape.append(d_logits)
         return picked
 
-    def adapter_input(self, index: int, block: int) -> np.ndarray:
-        """The stream the adapter in block ``block`` of layer ``index`` read
-        in the last forward: the array of that forward's ``Prefix`` where it
-        ends a stream, or else the norm's output, recomputed bit for bit
-        from each shard's tape and joined. ``backward`` takes the tapes, so
-        read it before that."""
-        if self._prefix is None:
-            raise ForwardNeeded("adapter_input() needs a forward()")
-        start, n_enc = self._prefix.start, len(self.encoder)
-        if block == 0 and index in (start, max(start, n_enc)):
-            return self._prefix.enc if index < n_enc else self._prefix.dec
-        if self._tapes is None:
-            raise ForwardNeeded("adapter_input() needs a forward() since the last backward()")
-        # Count the entries taped before that norm's: in the bottom layer of
-        # each side, block 0 tapes only its adapter's; every other block
-        # tapes its sublayer's, its norm's and its adapter's.
-        enc_at, dec_at = self._bottoms(start)
-        bottoms, layers, entry = (enc_at, n_enc + dec_at), [*self.encoder, *self.decoder], 0
-        for i in [*range(enc_at, n_enc), *range(n_enc + dec_at, self.n_layers)]:
-            for j, walked in enumerate(layers[i].blocks):
-                if (i, j) == (index, block):
-                    return _join([walked.norm.output(tape[entry + 1]) for tape in self._tapes])
-                entry += (walked.adapter is not None) + (0 if j == 0 and i in bottoms else 2)
-        raise InputError(f"the last forward did not run block {block} of layer {index}")
-
-    def backward(self):
+    def backward(self) -> dict[AdapterModule, np.ndarray]:
         """Set the gradient of every trainable parameter; frozen tensors
         get none.
 
@@ -983,41 +962,45 @@ class ToyModel:
         pass through every layer, bit for bit. With nothing trainable it
         returns at once. Each backward needs a forward of its own, from a
         prefix at or below ``lowest_trainable``; otherwise it raises
-        ``ForwardNeeded`` and writes no gradient.
+        ``ForwardNeeded`` and writes no gradient. Either way it drops that
+        forward's tapes and ``Prefix``.
 
         Each shard of that forward runs back on its own tape
-        (``_backward_rows``), taking each entry off once it has used it. A
-        lone shard sets each adapter's weight gradients as it goes. With
-        more, each shard hands back its rows of their operands, and once
-        every shard has ended, each adapter joins them (``_set_grads``),
-        adapter k on shard k mod n's thread.
+        (``_backward_rows``), taking each entry off once it has used it,
+        and hands back its rows of each adapter's weight-gradient operands.
+        Once every shard has ended, each adapter joins them
+        (``_set_grads``), adapter k on shard k mod n's thread; a lone
+        shard's operands join as they are.
+
+        Returns each adapter's joined input, keyed by adapter: the stream
+        it read in that forward, bit for bit. With one shard, the input of
+        a block 0 where the ``Prefix`` ends a stream is a view of the
+        prefix's array.
         """
-        tapes, self._tapes = self._tapes, None
+        tapes, prefix = self._tapes, self._prefix
+        self._release_step_arrays()
         if tapes is None:
             raise ForwardNeeded("backward() needs a forward() since the last backward()")
-        prefix = self._prefix
         if prefix.start > self.lowest_trainable:
             raise ForwardNeeded(
                 f"backward() needs a forward from a prefix at or below layer "
                 f"{self.lowest_trainable}, the lowest adapter; the last began at layer "
                 f"{prefix.start}")
         if self.lowest_trainable == self.n_layers:
-            return
+            return {}
         n = len(tapes)
-        if n == 1:
-            self._backward_rows(prefix, self._rows[0], tapes[0], None)
-            return
         parts: list[list] = [[] for _ in tapes]
         in_threads([functools.partial(self._backward_rows, prefix, rows, tape, shard_parts)
                     for rows, tape, shard_parts in zip(self._rows, tapes, parts)])
         joins = list(zip(*parts))  # per adapter, each shard's (adapter, operands)
-        in_threads([functools.partial(_set_grads, joins[k::n])
-                    for k in range(min(n, len(joins)))])
+        joined = in_threads([functools.partial(_set_grads, joins[k::n])
+                             for k in range(min(n, len(joins)))])
+        return dict(pair for inputs in joined for pair in inputs)
 
-    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, parts: list | None):
+    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, parts: list):
         """The backward of rows ``rows`` of the batch, taking every entry
         off their ``tape``. Each adapter appends its weight gradients'
-        operands to ``parts``, or with None sets the gradients itself."""
+        operands to ``parts``."""
         d = self.out_proj.backward(tape.pop())
         enc_at, dec_at = self._bottoms(prefix.start)
         enc, dec = prefix.enc[rows], prefix.dec[rows]
@@ -1027,7 +1010,7 @@ class ToyModel:
             if d is None:  # no gradient of the encoder output is needed
                 return
             for index in reversed(range(at, len(stack))):
-                d = stack[index].backward(d, tape, d_memory, 1 if index == at else 0, parts)
+                d = stack[index].backward(d, tape, parts, d_memory, 1 if index == at else 0)
             if stack[at].blocks[0].adapter is not None:
                 stack[at].blocks[0].adapter.backward(d, x, tape.pop(), parts)
             d = d_enc
@@ -1189,12 +1172,11 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     a time: its four tensors sit side by side in ``ToyModel.theta``, and
     each tensor's errors are its part of the adapter's. Each adapter reads
     the stream it read in the unperturbed forward that gives the analytic
-    gradients, read from that forward's tapes before its backward takes
-    them (``ToyModel.adapter_input``); the copy forwards tape nothing. That
-    forward runs from the ``Prefix`` at the lowest adapter, and the same
-    prefix, extended up the encoder where a decoder adapter needs its
-    output (``ToyModel._copy_prefix``), gives the streams of the other
-    side, which no adapter of this side changes. One forward then evaluates
+    gradients, as that forward's ``backward`` returns it; the copy forwards
+    tape nothing. That forward runs from the ``Prefix`` at the lowest
+    adapter, and the same prefix, extended up the encoder where a decoder
+    adapter needs its output (``ToyModel._copy_prefix``), gives the
+    streams of the other side, which no adapter of this side changes. One forward then evaluates
     ``grad_check_copies // 2`` scalars of the adapter, from any of its
     tensors, as a ``+eps`` and a ``-eps`` copy of each, stacked on an outer
     axis (``_copy_losses``). Every matrix product and reduction keeps its
@@ -1216,8 +1198,7 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
     source_ids, target_ids = prefix.source_ids, prefix.target_ids
     model.forward(source_ids, target_ids, prefix)
-    inputs = [model.adapter_input(index, block) for index, block, _ in model.adapters()]
-    model.backward()
+    inputs = model.backward()
     prefix = model._copy_prefix(prefix)
     copies = grad_check_copies(model.cfg, target_ids.shape[0],
                                max(source_ids.shape[1], target_ids.shape[1]))
@@ -1227,9 +1208,9 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     worst_err = 0.0
     n_checked = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (index, block, adapter), h in zip(model.adapters(), inputs):
-            errors = _relative_errors(model, prefix, index, block, h, adapter, n_checked,
-                                      copies, eps)
+        for index, block, adapter in model.adapters():
+            errors = _relative_errors(model, prefix, index, block, inputs[adapter], adapter,
+                                      n_checked, copies, eps)
             n_checked += errors.size
             end = 0
             for param in adapter.parameters():

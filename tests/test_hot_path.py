@@ -250,12 +250,19 @@ def test_no_adapter_caches_the_stream_it_reads(adapter_set):
 @over_adapted_sets
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
-    """The stream ``ToyModel.adapter_input`` gives each adapter is
-    byte-equal to the array the last forward handed it: a forward from
-    layer 0, then one from the default prefix, then one from layer 0
-    again, so neither a stale norm cache nor a stale prefix array is read."""
+    """The input ``backward()`` returns for each adapter is byte-equal to
+    the array its forward handed that adapter: a forward from layer 0,
+    then one from the default prefix, then one from layer 0 again, so
+    neither a stale norm cache nor a stale prefix array is read. The norms
+    get random scales and shifts first, so a norm's output differs from
+    its normalized input."""
     model = build_single(adapter_set) if precision == "single" else build(adapter_set)
     model.randomize_adapters(seed=7)
+    rng = np.random.default_rng(9)
+    for layer in [*model.encoder, *model.decoder]:
+        for block in layer.blocks:
+            for param in block.norm.parameters():
+                param.value[...] = rng.standard_normal(param.value.shape)
     source, target = batch()
     prefix = model.prefix(source, target, 0)
     forward = AdapterModule.forward
@@ -269,31 +276,37 @@ def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
         handed.clear()
         with mock.patch.object(AdapterModule, "forward", recording):
             model.forward(source, target, run_prefix)
+        inputs = model.backward()
         adapters = list(model.adapters())
-        assert len(handed) == len(adapters) > 0
-        for index, block, adapter in adapters:
-            got, want = model.adapter_input(index, block), handed[id(adapter)]
+        assert len(handed) == len(inputs) == len(adapters) > 0
+        for _, _, adapter in adapters:
+            got, want = inputs[adapter], handed[id(adapter)]
             assert got.dtype == want.dtype == model.theta.dtype
             assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("adapter_set, bottoms", ADAPTED, ids=ADAPTED_IDS)
 def test_a_resumed_bottom_block_reads_the_prefix_array(adapter_set, bottoms):
-    """In the bottom layer of each stack where the prefix at the lowest
-    adapter ends the stream, block 0's adapter is handed the prefix's own
-    array, not a copy of it; the truncated backward then matches a full
-    one (test_trainability)."""
+    """On one row shard, in the bottom layer of each stack where the prefix
+    at the lowest adapter ends the stream, block 0's adapter is handed a
+    view of the prefix's own array, not a copy of it; the truncated
+    backward then matches a full one (test_trainability)."""
     model = build(adapter_set)
     source, target = batch()
     prefix = model.prefix(source, target, model.lowest_trainable)
-    model.forward_backward(source, target, prefix)
+    model.forward(source, target, prefix)
+    assert len(model._rows) == 1
+    returned = model.backward()
+    inputs = {(index, block): returned[adapter] for index, block, adapter in model.adapters()}
     resumed = 0
     for offset, bottom, stream in zip((0, DIMS.n_encoder_layers), bottoms,
                                       (prefix.enc, prefix.dec), strict=True):
-        if bottom is not None:
-            assert model.adapter_input(offset + bottom, 0) is stream
+        if bottom is not None and (offset + bottom, 0) in inputs:
+            assert np.shares_memory(inputs.pop((offset + bottom, 0)), stream)
             resumed += 1
     assert resumed > 0
+    assert not any(np.shares_memory(x, stream) for x in inputs.values()
+                   for stream in (prefix.enc, prefix.dec))
 
 
 # Traced peak of ``train_adapters`` (3 Adam steps, batch 8 x 16) on a width-64,

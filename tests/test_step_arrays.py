@@ -5,11 +5,14 @@ malloc keep freed blocks in the heap (``workers.keep_freed_heap``), so a
 steady-state step reuses the last step's pages instead of faulting in
 fresh ones. No array that leaves the model is written by a later step,
 and ``train_adapters`` drops the tapes and the prefix of its last forward,
-leaving the model about the size of its parameters.
+leaving the model about the size of its parameters; ``backward()`` and the
+audit drop them too.
 """
 
 import sys
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from adapterqa.toymodel import (
     ToyModel,
     TrainConfig,
     build_toy_model,
+    grad_check,
     make_copy_task,
     train_adapters,
 )
@@ -77,9 +81,9 @@ def test_arrays_that_leave_the_model_are_never_reused(cpus):
         source, target = batch(6)
         prefix = model.prefix(source, target, model.lowest_trainable)
         _, logits = model.forward(source, target, prefix)
-        inputs = [model.adapter_input(index, block) for index, block, _ in model.adapters()]
-        model.backward()
-        left = [logits, *inputs, prefix.enc, prefix.dec, model.theta_grad.copy()]
+        inputs = model.backward()
+        assert len(inputs) == len(list(model.adapters()))
+        left = [logits, *inputs.values(), prefix.enc, prefix.dec, model.theta_grad.copy()]
         before = [a.tobytes() for a in left]
         for _ in range(5):
             model.forward_backward(source, target, prefix)
@@ -106,5 +110,29 @@ def test_training_leaves_the_model_about_the_size_of_its_parameters(cpus):
     assert peak > 1.5 * params  # the tapes were there during training
     with pytest.raises(ForwardNeeded):
         model.backward()
-    with pytest.raises(ForwardNeeded):
-        model.adapter_input(0, 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_backward_and_the_audit_drop_the_prefix_their_forward_ran_from(cpus):
+    """``backward()`` drops the ``Prefix`` of the forward it follows, as it
+    drops that forward's tapes, and so does ``grad_check``, whose forward
+    runs from a prefix of its own: neither holds the prefix's stream once
+    it returns."""
+    model = ToyModel(config(AdapterSet.full(DIMS)))
+    model.randomize_adapters(seed=3)
+    source, target = batch(3)
+    forward, streams = ToyModel.forward, []
+
+    def recording(self, *args):
+        out = forward(self, *args)
+        streams.append(weakref.ref(self._prefix.enc))
+        return out
+
+    with host(cpus=cpus), mock.patch.object(ToyModel, "forward", recording):
+        model.forward(source, target)
+        model.backward()
+        assert streams[0]() is None
+        grad_check(model, source, target)
+    assert len(model._rows) == cpus
+    assert len(streams) == 2
+    assert streams[1]() is None

@@ -94,14 +94,18 @@ def full_forward(model, source, target):
 
 def full_backward(model, d_logits, enc_shape, tape):
     """The reverse pass through every layer, as before truncation, after
-    ``full_forward``."""
+    ``full_forward``; each adapter's weight gradients are set from the
+    operands its backward hands back."""
     d = model.out_proj.backward(d_logits)
     d_enc_total = np.zeros(enc_shape, dtype=d_logits.dtype)
+    parts = []
     for layer in reversed(model.decoder):
-        d = layer.backward(d, tape, d_enc_total)
+        d = layer.backward(d, tape, parts, d_enc_total)
     d = d_enc_total
     for layer in reversed(model.encoder):
-        d = layer.backward(d, tape)
+        d = layer.backward(d, tape, parts)
+    for adapter, operands in parts:
+        adapter.set_grads(*operands)
 
 
 def reference_train(model, source, target, cfg: TrainConfig):
