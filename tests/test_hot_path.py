@@ -30,6 +30,8 @@ from adapterqa import toymodel
 from adapterqa.adapters import AdapterSet
 from adapterqa.toymodel import (
     ADAM_RUN_SCALARS,
+    MANY_ROWS,
+    SHORT_ROW_WIDTH,
     AdapterModule,
     Attention,
     FeedForward,
@@ -76,6 +78,71 @@ def test_row_reductions_equal_ndarray_methods(x):
             got, want = fast(x), method(axis=-1, keepdims=True)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), fast.__name__
+
+
+# A quiet NaN of each sign, and one with a payload bit set, as bit patterns.
+NAN_BITS = {np.float64: (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001),
+            np.float32: (0x7FC00000, 0xFFC00000, 0x7FC00001)}
+
+
+def nans(dtype, *kinds: int) -> np.ndarray:
+    bits = np.uint64 if dtype is np.float64 else np.uint32
+    return np.array([NAN_BITS[dtype][kind] for kind in kinds], bits).view(dtype)
+
+
+@st.composite
+def many_short_rows(draw):
+    """float64 or float32 arrays of 256-4,000 rows of 1-64 scalars, on both
+    sides of ``_row_max``'s width bound: normal draws, all negative in
+    some arrays so that a +0.0/-0.0 tie is the maximum, with zeros of
+    both signs, infinities and NaNs of three bit patterns scattered in."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    shape = (draw(st.integers(MANY_ROWS, 4000)),
+             draw(st.integers(1, 2 * SHORT_ROW_WIDTH)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape).astype(dtype)
+    if draw(st.booleans()):
+        np.negative(np.abs(x), out=x)
+    for value, rate in ((0.0, 0.05), (-0.0, 0.05), (np.inf, 0.01), (-np.inf, 0.01)):
+        x[rng.random(shape) < draw(st.sampled_from([0.0, rate]))] = value
+    for kind in draw(st.sets(st.integers(0, 2))):
+        x[rng.random(shape) < 0.01] = nans(dtype, kind)[0]
+    return x
+
+
+def signed_zero_ties(width: int, dtype) -> np.ndarray:
+    """Rows of negatives whose maximum is a tie of -0.0 and +0.0 at two
+    neighbouring places, met in either order."""
+    x = np.full((MANY_ROWS, width), -1.0, dtype)
+    rows = np.arange(MANY_ROWS)
+    x[rows, rows % width] = np.where(rows % 2, 0.0, -0.0)
+    x[rows, (rows + 1) % width] = np.where(rows % 2, -0.0, 0.0)
+    return x
+
+
+def mixed_nans(width: int, dtype) -> np.ndarray:
+    """Rows that each hold two NaNs of opposite sign, in either order."""
+    x = np.arange(MANY_ROWS * width, dtype=dtype).reshape(-1, width)
+    x[:, [0, -1]] = nans(dtype, 0, 1)
+    x[1::2, [0, -1]] = nans(dtype, 1, 0)
+    return x
+
+
+@settings(deadline=None, max_examples=60)
+@given(many_short_rows())
+@example(signed_zero_ties(16, np.float64))
+@example(signed_zero_ties(17, np.float32))
+@example(signed_zero_ties(512, np.float64))
+@example(mixed_nans(6, np.float64))
+@example(mixed_nans(32, np.float32))
+@example(mixed_nans(512, np.float32))
+def test_row_max_of_many_short_rows_equals_ndarray_max(x):
+    """Arrays of many short rows take the copy with the rows' axis
+    leading; its result must be the bytes of ``ndarray.max`` even where a
+    signed-zero tie or a NaN makes the order of the maxima show."""
+    got, want = _row_max(x), x.max(axis=-1, keepdims=True)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_causal_mask_is_shared_and_read_only():

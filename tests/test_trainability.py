@@ -21,9 +21,14 @@ from adapterqa.toymodel import (
     ADAM_BETA2,
     ADAM_EPS,
     BOS_ID,
+    Divergence,
+    GradCheckReport,
+    Layer,
     ToyConfig,
+    ToyModel,
     TrainConfig,
     build_toy_model,
+    grad_check,
     softmax_cross_entropy,
     train_adapters,
 )
@@ -194,6 +199,87 @@ def test_prefix_rejects_other_ids_and_out_of_range_starts():
     for start in (-1, N_LAYERS + 1, 2.0, True):
         with pytest.raises(InputError):
             model.prefix(source, target, start)
+
+
+def count_forwards(monkeypatch) -> list:
+    """The model of each ``ToyModel.forward`` call from here on."""
+    calls = []
+    forward = ToyModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(ToyModel, "forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_nothing_trainable_trains_in_one_forward(monkeypatch, optimizer):
+    """With no adapter, training runs one forward from its prefix, and its
+    log is that of ``forward_backward`` at every step and a last
+    ``forward``, all from that prefix."""
+    source, target = batch()
+    cfg = TrainConfig(learning_rate=0.5, steps=5, optimizer=optimizer)
+    oracle = build(AdapterSet.empty())
+    prefix = oracle.prefix(source, target, oracle.lowest_trainable)
+    losses = [oracle.forward_backward(source, target, prefix) for _ in range(cfg.steps)]
+    final_loss = oracle.forward(source, target, prefix)[0]
+    calls = count_forwards(monkeypatch)
+    log = train_adapters(build(AdapterSet.empty()), source, target, cfg)
+    assert len(calls) == 1
+    assert log.losses == losses
+    assert log.final_loss == final_loss
+
+
+def test_nothing_trainable_diverges_as_at_step_0(monkeypatch):
+    """A non-finite loss with no adapter raises the ``Divergence`` that
+    step 0 raises, after one forward."""
+    forwards = count_forwards(monkeypatch)
+    model = build(AdapterSet.empty())
+    model.out_proj.b.value[0] = np.nan
+    with pytest.raises(Divergence, match="^loss became non-finite at step 0$"):
+        train_adapters(model, *batch(), TrainConfig(steps=3))
+    assert len(forwards) == 1
+    assert model._tapes is None and model._prefix is None
+
+
+def test_nothing_trainable_audits_in_no_forward(monkeypatch):
+    """With no adapter, the audit runs no forward and no layer, reports
+    that it checked nothing, and drops an earlier forward's tapes as an
+    audit with adapters does."""
+    model = build(AdapterSet.empty())
+    model.forward(*batch())
+    forwards, layers = count_forwards(monkeypatch), []
+    monkeypatch.setattr(Layer, "forward", lambda self, *args, **kwargs: layers.append(self))
+    report = grad_check(model, *batch(), eps=1e-5)
+    assert forwards == [] and layers == []
+    assert repr(report) == repr(GradCheckReport(0.0, "", 0, 1e-5, {}))
+    assert model._tapes is None and model._prefix is None
+
+
+SOURCE, TARGET = batch()
+BAD_AUDITS = {
+    "out-of-vocabulary": (np.where(SOURCE == SOURCE[0, 0], 16, SOURCE), TARGET, 1e-6),
+    "1-d": (SOURCE[0], TARGET, 1e-6),
+    "float": (SOURCE.astype(float), TARGET, 1e-6),
+    "batch-mismatch": (SOURCE, TARGET[:2], 1e-6),
+    "longer-than-max-len": (np.tile(SOURCE, 2), TARGET, 1e-6),
+    "eps": (SOURCE, TARGET, 0.0),
+}
+
+
+@pytest.mark.parametrize("source, target, eps", BAD_AUDITS.values(), ids=BAD_AUDITS)
+def test_nothing_trainable_audit_refuses_what_an_adapted_audit_refuses(source, target, eps):
+    """Bad ids and a bad eps raise the same error, word for word, with or
+    without adapters."""
+    raised = []
+    for adapter_set in (AdapterSet.empty(), FULL):
+        with pytest.raises(Exception) as error:
+            grad_check(build(adapter_set), source, target, eps=eps)
+        raised.append((type(error.value), str(error.value)))
+    assert raised[0] == raised[1]
+    assert issubclass(raised[0][0], InputError)
 
 
 @pytest.mark.usefixtures("three_shards")
