@@ -28,7 +28,7 @@ prefix is at the lowest one that carries an adapter,
 ``ToyModel.lowest_trainable``. One walk, ``ToyModel._walk``, runs a stack
 from any block of any layer up; ``prefix``, ``forward`` and the audit's
 copy forwards all use it, and ``backward`` is its reverse, down to where
-the last forward began. The work below the lowest adapter owns no
+its step's forward began. The work below the lowest adapter owns no
 trainable tensor and the gradient of its input feeds nothing, so
 ``train_adapters`` computes that prefix once, and no skip reorders any
 arithmetic.
@@ -40,8 +40,10 @@ mode. Each training activation is held once. An adapter tapes only its
 bottleneck activation, and backward hands it the stream it read: the
 prefix's own array where the forward began, and elsewhere the norm's
 output recomputed from the norm's entry by the same two ufuncs on the same
-operands. ``backward`` returns each adapter's stream, which the audit's
-copy forwards read. The loss holds one logit-sized array: each label's
+operands. A forward's tapes go on the ``Step`` it returns, and
+``backward`` takes them off it, so the model keeps no step state;
+``backward`` returns each adapter's stream, which the audit's copy
+forwards read. The loss holds one logit-sized array: each label's
 log-probability is its shifted logit, read before the array is
 exponentiated in place, less the log of its row's sum, and the
 exponentials become the logits gradient. The large elementwise tails (bias
@@ -115,7 +117,7 @@ import functools
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -263,9 +265,8 @@ class Divergence(AdapterQaError):
 
 
 class ForwardNeeded(AdapterQaError):
-    """``backward()`` ran with no ``forward()`` since the model was built
-    or since the last ``backward()``, or after a forward whose ``Prefix``
-    starts above ``lowest_trainable``."""
+    """``backward(step)`` ran on a step that already ran backward, or on
+    one whose ``Prefix`` starts above ``lowest_trainable``."""
 
 
 @dataclass
@@ -719,7 +720,7 @@ class Prefix:
     frozen work produced the streams, so the result is bit-identical to a
     forward from any other prefix as long as that work is unchanged.
     ``start`` runs from 0 to the number of layers; at the top, ``dec`` is
-    the decoder output.
+    the decoder output. Only the model that made it may run from it.
     """
 
     start: int
@@ -727,11 +728,30 @@ class Prefix:
     target_ids: np.ndarray
     enc: np.ndarray  # block 0 of encoder layer ``start`` normed, or the encoder output
     dec: np.ndarray  # block 0 of decoder layer ``max(start - n_encoder_layers, 0)`` normed
+    _model: ToyModel = field(compare=False, repr=False)
 
-    def check(self, source_ids, target_ids):
+    def check(self, model: ToyModel, source_ids, target_ids):
+        if self._model is not model:
+            raise InputError("prefix was computed by another model")
         for mine, theirs in ((self.source_ids, source_ids), (self.target_ids, target_ids)):
             if mine is not theirs and not np.array_equal(mine, theirs):
                 raise InputError("prefix was computed from other source/target ids")
+
+
+@dataclass(eq=False)
+class Step:
+    """One ``ToyModel.forward``: its loss, its logits and what a backward
+    on the same model takes off it. It unpacks as ``(loss, logits)``."""
+
+    loss: float
+    logits: np.ndarray
+    _prefix: Prefix = field(repr=False)
+    _rows: list[slice] = field(repr=False)  # the rows of each of its shards
+    _tapes: list[list] | None = field(repr=False)  # one per shard, until backward
+    _model: ToyModel = field(repr=False)
+
+    def __iter__(self):
+        return iter((self.loss, self.logits))
 
 
 def _label_log_probs(logits: np.ndarray,
@@ -827,12 +847,6 @@ class ToyModel:
             param.grad = self.theta_grad[part].reshape(param.value.shape)
             start = part.stop
 
-        # The last forward's tape per shard and the Prefix it ran from, until
-        # backward takes them.
-        self._tapes: list[list] | None = None
-        self._prefix: Prefix | None = None
-        self._rows: list[slice] = []  # the rows of each of its shards
-
     def parameters(self) -> list[Parameter]:
         params = [self.tok_emb, self.pos_emb]
         for layer in [*self.encoder, *self.decoder]:
@@ -907,7 +921,7 @@ class ToyModel:
 
     def prefix(self, source_ids: np.ndarray, target_ids: np.ndarray, start: int) -> Prefix:
         """The ``Prefix`` at layer ``start`` for these ids. It tapes
-        nothing, so the tapes of an earlier forward stay as they are."""
+        nothing, so the tapes of every step stay as they are."""
         check_int("prefix start", start, allow_zero=True, at_most=self.n_layers)
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
         enc_at, dec_at = self._bottoms(start)
@@ -921,18 +935,17 @@ class ToyModel:
             enc_x = self.encoder[enc_at].blocks[0].normed(enc_x)
         if dec_at < len(self.decoder):
             dec_x = self.decoder[dec_at].blocks[0].normed(dec_x)
-        return Prefix(start, source_ids, target_ids, enc_x, dec_x)
+        return Prefix(start, source_ids, target_ids, enc_x, dec_x, self)
 
     def forward(self, source_ids: np.ndarray, target_ids: np.ndarray,
-                prefix: Prefix | None = None) -> tuple[float, np.ndarray]:
-        """Teacher-forced cross-entropy and logits; tapes for backward().
+                prefix: Prefix | None = None) -> Step:
+        """Teacher-forced cross-entropy and logits, as a ``Step`` to run back.
 
-        The forward runs from ``prefix``, which must hold the same ids, or
-        by default from the prefix at ``lowest_trainable``. Each is
-        bit-identical to a forward from layer 0 while the frozen work below
-        is unchanged. Only the blocks the forward runs tape a cache. The
-        tapes of the last forward are dropped first, unless ``backward``
-        took them.
+        The forward runs from ``prefix``, which this model must have made
+        from the same ids, or by default from the prefix at
+        ``lowest_trainable``. Each is bit-identical to a forward from layer
+        0 while the frozen work below is unchanged. Only the blocks the
+        forward runs tape a cache, onto the step; the model keeps nothing.
 
         The rows run in ``shard_count`` shards (``_forward_rows``), each on
         a tape of its own, and the loss is the mean over their label
@@ -941,11 +954,9 @@ class ToyModel:
         calling thread made the benchmark's ``train-full`` steps 2.7% slower.
         """
         source_ids, target_ids = self._check_pair(source_ids, target_ids)
-        if prefix is not None:
-            prefix.check(source_ids, target_ids)
-        self._tapes = None
         if prefix is None:
             prefix = self.prefix(source_ids, target_ids, self.lowest_trainable)
+        prefix.check(self, source_ids, target_ids)
         batch = target_ids.shape[0]
         n = shard_count(batch, max(source_ids.shape[1], target_ids.shape[1]), self.cfg.d_model)
         rows = [slice(k * batch // n, (k + 1) * batch // n) for k in range(n)]
@@ -953,12 +964,7 @@ class ToyModel:
         tapes: list[list] = [[] for _ in rows]
         picked = in_threads([functools.partial(self._forward_rows, prefix, part, logits, tape)
                              for part, tape in zip(rows, tapes)])
-        self._prefix, self._rows, self._tapes = prefix, rows, tapes
-        return float(-_join(picked).mean()), logits
-
-    def _release_step_arrays(self):
-        """Drop the last forward's tapes and ``Prefix``."""
-        self._tapes, self._prefix = None, None
+        return Step(float(-_join(picked).mean()), logits, prefix, rows, tapes, self)
 
     def _forward_rows(self, prefix: Prefix, rows: slice, logits: np.ndarray,
                       tape: list) -> np.ndarray:
@@ -976,21 +982,20 @@ class ToyModel:
         tape.append(d_logits)
         return picked
 
-    def backward(self) -> dict[AdapterModule, np.ndarray]:
-        """Set the gradient of every trainable parameter; frozen tensors
-        get none.
+    def backward(self, step: Step) -> dict[AdapterModule, np.ndarray]:
+        """Set the gradient of every trainable parameter from ``step``, a
+        forward of this model; frozen tensors get none.
 
-        The reverse of the last forward's walk: it stops at that forward's
-        ``Prefix``, handing the adapter of each block 0 there the prefix's
-        array. The work left out owns nothing trainable and its input
-        gradients feed nothing, so the gradients are those of a reverse
-        pass through every layer, bit for bit. With nothing trainable it
-        returns at once. Each backward needs a forward of its own, from a
-        prefix at or below ``lowest_trainable``; otherwise it raises
-        ``ForwardNeeded`` and writes no gradient. Either way it drops that
-        forward's tapes and ``Prefix``.
+        The reverse of the step's walk: it stops at the step's ``Prefix``,
+        handing the adapter of each block 0 there the prefix's array. The
+        work left out owns nothing trainable and its input gradients feed
+        nothing, so the gradients are those of a reverse pass through every
+        layer, bit for bit. With nothing trainable it returns at once. It
+        takes the step's tapes first, so a step runs back once: a second
+        backward, or one from a prefix above ``lowest_trainable``, raises
+        ``ForwardNeeded`` and writes no gradient.
 
-        Each shard of that forward runs back on its own tape
+        Each shard of the step runs back on its own tape
         (``_backward_rows``), taking each entry off once it has used it,
         and hands back its rows of each adapter's weight-gradient operands.
         Once every shard has ended, each adapter joins them
@@ -998,25 +1003,25 @@ class ToyModel:
         shard's operands join as they are.
 
         Returns each adapter's joined input, keyed by adapter: the stream
-        it read in that forward, bit for bit. With one shard, the input of
-        a block 0 where the ``Prefix`` ends a stream is a view of the
-        prefix's array.
+        it read in the step's forward, bit for bit. With one shard, the
+        input of a block 0 where the ``Prefix`` ends a stream is a view of
+        the prefix's array.
         """
-        tapes, prefix = self._tapes, self._prefix
-        self._release_step_arrays()
+        if step._model is not self:
+            raise InputError("step was run by another model")
+        tapes, step._tapes, prefix = step._tapes, None, step._prefix
         if tapes is None:
-            raise ForwardNeeded("backward() needs a forward() since the last backward()")
+            raise ForwardNeeded("this step already ran backward")
         if prefix.start > self.lowest_trainable:
-            raise ForwardNeeded(
-                f"backward() needs a forward from a prefix at or below layer "
-                f"{self.lowest_trainable}, the lowest adapter; the last began at layer "
-                f"{prefix.start}")
+            raise ForwardNeeded(f"backward() needs a forward from a prefix at or below layer "
+                                f"{self.lowest_trainable}, the lowest adapter; this step "
+                                f"began at layer {prefix.start}")
         if self.lowest_trainable == self.n_layers:
             return {}
         n = len(tapes)
         parts: list[list] = [[] for _ in tapes]
         in_threads([functools.partial(self._backward_rows, prefix, rows, tape, shard_parts)
-                    for rows, tape, shard_parts in zip(self._rows, tapes, parts)])
+                    for rows, tape, shard_parts in zip(step._rows, tapes, parts)])
         joins = list(zip(*parts))  # per adapter, each shard's (adapter, operands)
         joined = in_threads([functools.partial(_set_grads, joins[k::n])
                              for k in range(min(n, len(joins)))])
@@ -1042,9 +1047,10 @@ class ToyModel:
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                          prefix: Prefix | None = None) -> float:
-        loss = self.forward(source_ids, target_ids, prefix)[0]  # the logits are freed before backward
-        self.backward()
-        return loss
+        step = self.forward(source_ids, target_ids, prefix)
+        step.logits = None  # freed before backward
+        self.backward(step)
+        return step.loss
 
     def _copy_losses(self, prefix: Prefix, index: int, block: int, h: np.ndarray,
                      weights: list[np.ndarray]) -> np.ndarray:
@@ -1088,7 +1094,7 @@ class ToyModel:
         if start >= len(self.encoder) or not self.adapter_set.decoder_layers:
             return prefix
         enc = self._walk(self.encoder, self._resume(self.encoder, start, prefix.enc), start, 1)
-        return Prefix(len(self.encoder), prefix.source_ids, prefix.target_ids, enc, prefix.dec)
+        return replace(prefix, start=len(self.encoder), enc=enc)
 
 
 def build_toy_model(cfg: ToyConfig) -> ToyModel:
@@ -1223,13 +1229,11 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
     if model.lowest_trainable == model.n_layers:
         model._check_pair(source_ids, target_ids)
-        model._release_step_arrays()
         return GradCheckReport(0.0, "", 0, eps, {})
     keep_freed_heap()
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
     source_ids, target_ids = prefix.source_ids, prefix.target_ids
-    model.forward(source_ids, target_ids, prefix)
-    inputs = model.backward()
+    inputs = model.backward(model.forward(source_ids, target_ids, prefix))
     prefix = model._copy_prefix(prefix)
     copies = grad_check_copies(model.cfg, target_ids.shape[0],
                                max(source_ids.shape[1], target_ids.shape[1]))
@@ -1319,10 +1323,9 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     check reports them.
 
     It first sets this process's allocator policy
-    (``workers.keep_freed_heap``). Whether it returns or raises, it drops
-    the model's tapes and ``Prefix`` first, so the model holds little more
-    than its parameters, and a ``backward()`` after it raises
-    ``ForwardNeeded``.
+    (``workers.keep_freed_heap``). Each step's tapes and logits go with
+    the step, so whether it returns or raises, the model holds no more than
+    its parameters.
     """
     keep_freed_heap()
     theta, grad = model.theta, model.theta_grad
@@ -1330,37 +1333,34 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
 
     log = TrainLog()
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if model.lowest_trainable == model.n_layers:
-                # theta is empty, so no step changes the loss of this forward.
-                log.final_loss, _ = model.forward(source_ids, target_ids, prefix)
-                _check_loss(log.final_loss, log, "at step 0")
-                log.losses = [log.final_loss] * cfg.steps
-                return log
-            for step in range(cfg.steps):
-                loss = model.forward_backward(source_ids, target_ids, prefix)
-                _check_loss(loss, log, f"at step {step}")
-                log.losses.append(loss)
-                if cfg.optimizer == "sgd":
-                    theta -= cfg.learning_rate * grad
-                else:
-                    t = step + 1
-                    for start in range(0, theta.size, ADAM_RUN_SCALARS):
-                        part = slice(start, start + ADAM_RUN_SCALARS)
-                        g, m, v = grad[part], adam_m[part], adam_v[part]
-                        m *= ADAM_BETA1
-                        m += (1 - ADAM_BETA1) * g
-                        v *= ADAM_BETA2
-                        v += (1 - ADAM_BETA2) * (g * g)
-                        m_hat = m / (1 - ADAM_BETA1 ** t)
-                        v_hat = v / (1 - ADAM_BETA2 ** t)
-                        theta[part] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if model.lowest_trainable == model.n_layers:
+            # theta is empty, so no step changes the loss of this forward.
+            log.final_loss = model.forward(source_ids, target_ids, prefix).loss
+            _check_loss(log.final_loss, log, "at step 0")
+            log.losses = [log.final_loss] * cfg.steps
+            return log
+        for step in range(cfg.steps):
+            loss = model.forward_backward(source_ids, target_ids, prefix)
+            _check_loss(loss, log, f"at step {step}")
+            log.losses.append(loss)
+            if cfg.optimizer == "sgd":
+                theta -= cfg.learning_rate * grad
+            else:
+                t = step + 1
+                for start in range(0, theta.size, ADAM_RUN_SCALARS):
+                    part = slice(start, start + ADAM_RUN_SCALARS)
+                    g, m, v = grad[part], adam_m[part], adam_v[part]
+                    m *= ADAM_BETA1
+                    m += (1 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1 - ADAM_BETA2) * (g * g)
+                    m_hat = m / (1 - ADAM_BETA1 ** t)
+                    v_hat = v / (1 - ADAM_BETA2 ** t)
+                    theta[part] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-            final_loss, _ = model.forward(source_ids, target_ids, prefix)
-            _check_loss(final_loss, log, "after the last step")
-    finally:
-        model._release_step_arrays()
+        final_loss = model.forward(source_ids, target_ids, prefix).loss
+        _check_loss(final_loss, log, "after the last step")
     log.final_loss = final_loss
     return log
 

@@ -3,6 +3,7 @@
 import pytest
 
 from adapterqa import toymodel
+from step_shards import RECORDED
 
 
 @pytest.fixture
@@ -12,3 +13,19 @@ def three_shards(monkeypatch):
     monkeypatch.setattr(toymodel, "SHARD_MIN_STREAM", 1)
     monkeypatch.setattr(toymodel, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.fixture(autouse=True)
+def record_step_shards(monkeypatch):
+    """Record the shard count of every step a toy model runs in the test,
+    for ``step_shards.step_shards``."""
+    forward = toymodel.ToyModel.forward
+
+    def recorded(self, *args, **kwargs):
+        step = forward(self, *args, **kwargs)
+        RECORDED.setdefault(self, []).append(len(step._rows))
+        return step
+
+    monkeypatch.setattr(toymodel.ToyModel, "forward", recorded)
+    yield
+    RECORDED.clear()

@@ -38,6 +38,7 @@ from adapterqa.toymodel import (
     LayerNorm,
     Linear,
     ToyConfig,
+    ToyModel,
     TrainConfig,
     _bottleneck,
     _causal_mask,
@@ -49,6 +50,7 @@ from adapterqa.toymodel import (
     make_copy_task,
     train_adapters,
 )
+from step_shards import step_shards
 from test_trainability import DIMS, FULL, batch, build, reference_train
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
@@ -214,9 +216,9 @@ def taped():
         yield records
 
 
-def taped_arrays(model):
-    """Every array on the tapes of the model's last forward."""
-    return [a for tape in model._tapes for entry in tape
+def taped_arrays(step):
+    """Every array on the tapes of ``step``."""
+    return [a for tape in step._tapes for entry in tape
             for a in (entry if isinstance(entry, tuple) else (entry,)) if isinstance(a, np.ndarray)]
 
 
@@ -231,29 +233,36 @@ def audit_model():
 def test_audit_copy_forwards_store_no_caches():
     """Only the audit's one unperturbed forward tapes, on batch ``B``; no
     forward on a copy batch (``grad_check_copies`` copies of ``B`` rows)
-    is handed a tape, and the audit's backward takes the tapes."""
+    is handed a tape, and the audit's backward takes the tapes off its
+    step."""
     source, target = batch()
     model = audit_model()
-    with taped() as records:
+    forward, steps = ToyModel.forward, []
+
+    def recording(self, *args):
+        steps.append(forward(self, *args))
+        return steps[-1]
+
+    with taped() as records, mock.patch.object(ToyModel, "forward", recording):
         grad_check(model, source, target, eps=1e-6)
     assert {rows for _, rows, entry in records if entry is not None} == {source.shape[0]}
     assert {rows for _, rows, _ in records} > {source.shape[0]}
-    assert model._tapes is None
+    assert [step._tapes for step in steps] == [None]
 
 
 def test_prefix_keeps_the_caches_of_an_earlier_forward():
-    """``prefix()`` tapes nothing and leaves the tapes of the last forward
-    as they were."""
+    """``prefix()`` tapes nothing and leaves the tapes of a step as they
+    were."""
     source, target = batch()
     model = audit_model()
-    model.forward(source, target)
-    before = [list(tape) for tape in model._tapes]
+    step = model.forward(source, target)
+    before = [list(tape) for tape in step._tapes]
     with taped() as records:
         for start in range(model.n_layers + 1):
             model.prefix(source[:, :4], target[:, :4], start)
     assert records and all(entry is None for _, _, entry in records)
-    assert len(model._tapes) == len(before)
-    for tape, kept in zip(model._tapes, before, strict=True):
+    assert len(step._tapes) == len(before)
+    for tape, kept in zip(step._tapes, before, strict=True):
         assert len(tape) == len(kept) and all(a is b for a, b in zip(tape, kept))
 
 
@@ -342,8 +351,8 @@ def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
     for run_prefix in (prefix, None, prefix):
         handed.clear()
         with mock.patch.object(AdapterModule, "forward", recording):
-            model.forward(source, target, run_prefix)
-        inputs = model.backward()
+            step = model.forward(source, target, run_prefix)
+        inputs = model.backward(step)
         adapters = list(model.adapters())
         assert len(handed) == len(inputs) == len(adapters) > 0
         for _, _, adapter in adapters:
@@ -361,9 +370,8 @@ def test_a_resumed_bottom_block_reads_the_prefix_array(adapter_set, bottoms):
     model = build(adapter_set)
     source, target = batch()
     prefix = model.prefix(source, target, model.lowest_trainable)
-    model.forward(source, target, prefix)
-    assert len(model._rows) == 1
-    returned = model.backward()
+    returned = model.backward(model.forward(source, target, prefix))
+    assert step_shards(model) == {1}
     inputs = {(index, block): returned[adapter] for index, block, adapter in model.adapters()}
     resumed = 0
     for offset, bottom, stream in zip((0, DIMS.n_encoder_layers), bottoms,
@@ -480,12 +488,12 @@ def test_returned_logits_and_cached_arrays_are_never_written(adapter_set):
     source, target = batch()
     prefix = model.prefix(source, target, model.lowest_trainable)
     for run_prefix in (None, prefix):
-        _, logits = model.forward(source, target, run_prefix)
-        snapshot = logits.tobytes()
-        model.backward()
-        model.forward(source, target, run_prefix)
-        assert logits.tobytes() == snapshot
-    cached = taped_arrays(model)
+        step = model.forward(source, target, run_prefix)
+        snapshot = step.logits.tobytes()
+        model.backward(step)
+        later = model.forward(source, target, run_prefix)
+        assert step.logits.tobytes() == snapshot
+    cached = taped_arrays(later)
     before = [a.tobytes() for a in cached]
     for start in range(model.n_layers + 1):
         model.prefix(source, target, start)

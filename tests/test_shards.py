@@ -31,6 +31,7 @@ from adapterqa.toymodel import (
     shard_count,
     train_adapters,
 )
+from step_shards import step_shards
 
 DIMS = ModelDims(d_model=8, bottleneck=2, n_encoder_layers=2, n_decoder_layers=2)
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -95,7 +96,7 @@ def test_sharded_runs_equal_one_shard(adapter_set, rows, cpus, precision, optimi
         *alone, _ = outputs(cfg, source, target, train_cfg)
     with host(cpus=cpus):
         *sharded, model = outputs(cfg, source, target, train_cfg)
-    assert len(model._rows) == min(rows, cpus)
+    assert step_shards(model) == {min(rows, cpus)}
     assert sharded == alone
 
 
@@ -139,7 +140,7 @@ def test_a_sharded_divergence_raises_it_and_no_warning():
         with pytest.raises(Divergence):
             train_adapters(model, source, target,
                            TrainConfig(learning_rate=1e160, steps=5, optimizer="sgd"))
-        assert len(model._rows) == 3
+        assert step_shards(model) == {3}
 
 
 def test_workers_run_under_the_callers_numpy_error_state(monkeypatch):
@@ -164,10 +165,10 @@ def test_without_sched_getaffinity_every_cpu_is_usable(monkeypatch, cpu_count, s
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     source, target = batch(5)
     with host(cpus=1):
-        want = ToyModel(config(AdapterSet.full(DIMS))).forward(source, target)[0]
+        want = ToyModel(config(AdapterSet.full(DIMS))).forward(source, target).loss
     model = ToyModel(config(AdapterSet.full(DIMS)))
     assert model.forward_backward(source, target) == want
-    assert len(model._rows) == shards
+    assert step_shards(model) == {shards}
 
 
 def layer_parts(model: ToyModel) -> list:
@@ -194,7 +195,7 @@ def test_layers_hold_no_per_call_state(cpus):
         built = [(part, dict(vars(part))) for part in layer_parts(model)]
         assert len(built) > 50
         model.forward_backward(*batch(6))
-        assert len(model._rows) == cpus
+        assert step_shards(model) == {cpus}
     for part, held in built:
         assert vars(part).keys() == held.keys(), type(part).__name__
         assert all(vars(part)[name] is value for name, value in held.items()), type(part).__name__
@@ -257,7 +258,7 @@ def test_joins_hold_with_more_shards_than_cores_and_forced_switches():
                 assert (loss, model.theta_grad.tobytes()) == want
     finally:
         sys.setswitchinterval(interval)
-    assert len(model._rows) == 4
+    assert step_shards(model) == {4}
 
 
 def instrument(model: ToyModel, calls: list) -> int:
@@ -306,7 +307,7 @@ def test_wrappers_on_the_model_run_for_every_shard():
                               lambda model: wrapped.append(instrument(model, calls)))
     assert got == want
     assert wrapped[0] > 50
-    assert len(model._rows) == 3
+    assert step_shards(model) == {3}
     assert {ident == threading.get_ident() for ident in calls} == {True, False}
 
 

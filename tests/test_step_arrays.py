@@ -3,10 +3,10 @@
 Every step allocates its arrays anew, and ``train_adapters`` first has
 malloc keep freed blocks in the heap (``workers.keep_freed_heap``), so a
 steady-state step reuses the last step's pages instead of faulting in
-fresh ones. No array that leaves the model is written by a later step,
-and ``train_adapters`` drops the tapes and the prefix of its last forward,
-leaving the model about the size of its parameters; ``backward()`` and the
-audit drop them too.
+fresh ones. No array that leaves the model is written by a later step.
+The model keeps no step state: a forward's tapes and prefix go with the
+``Step`` it returns, so once ``train_adapters`` or the audit returns, the
+model is about the size of its parameters.
 """
 
 import sys
@@ -20,7 +20,6 @@ import pytest
 from adapterqa import workers
 from adapterqa.adapters import AdapterSet
 from adapterqa.toymodel import (
-    ForwardNeeded,
     ToyConfig,
     ToyModel,
     TrainConfig,
@@ -29,6 +28,7 @@ from adapterqa.toymodel import (
     make_copy_task,
     train_adapters,
 )
+from step_shards import step_shards
 from test_shards import DIMS, batch, config, host
 
 
@@ -80,22 +80,21 @@ def test_arrays_that_leave_the_model_are_never_reused(cpus):
         model.randomize_adapters(seed=3)
         source, target = batch(6)
         prefix = model.prefix(source, target, model.lowest_trainable)
-        _, logits = model.forward(source, target, prefix)
-        inputs = model.backward()
+        step = model.forward(source, target, prefix)
+        inputs = model.backward(step)
         assert len(inputs) == len(list(model.adapters()))
-        left = [logits, *inputs.values(), prefix.enc, prefix.dec, model.theta_grad.copy()]
+        left = [step.logits, *inputs.values(), prefix.enc, prefix.dec, model.theta_grad.copy()]
         before = [a.tobytes() for a in left]
         for _ in range(5):
             model.forward_backward(source, target, prefix)
-    assert len(model._rows) == cpus
+    assert step_shards(model) == {cpus}
     assert [a.tobytes() for a in left] == before
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_training_leaves_the_model_about_the_size_of_its_parameters(cpus):
-    """``train_adapters`` drops the tapes and the prefix of its last
-    forward, on every row shard: what stays traced is the model's
-    parameters, and a ``backward()`` after it needs a forward of its own."""
+    """Each step of ``train_adapters``, on every row shard, goes with its
+    tapes and prefix: what stays traced is the model's parameters."""
     tracemalloc.start()
     try:
         with host(cpus=cpus):
@@ -104,35 +103,48 @@ def test_training_leaves_the_model_about_the_size_of_its_parameters(cpus):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model._rows) == cpus
+    assert step_shards(model) == {cpus}
     params = sum(p.value.nbytes for p in model.parameters()) + model.theta_grad.nbytes
     assert params <= held < 1.1 * params
     assert peak > 1.5 * params  # the tapes were there during training
-    with pytest.raises(ForwardNeeded):
-        model.backward()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_backward_and_the_audit_drop_the_prefix_their_forward_ran_from(cpus):
-    """``backward()`` drops the ``Prefix`` of the forward it follows, as it
-    drops that forward's tapes, and so does ``grad_check``, whose forward
-    runs from a prefix of its own: neither holds the prefix's stream once
-    it returns."""
+    """The model keeps no ``Prefix``: once a step that ran backward is
+    dropped, the prefix it ran from is gone, and so is the prefix of
+    ``grad_check``'s own step once the audit returns."""
     model = ToyModel(config(AdapterSet.full(DIMS)))
     model.randomize_adapters(seed=3)
     source, target = batch(3)
     forward, streams = ToyModel.forward, []
 
     def recording(self, *args):
-        out = forward(self, *args)
-        streams.append(weakref.ref(self._prefix.enc))
-        return out
+        step = forward(self, *args)
+        streams.append(weakref.ref(step._prefix.enc))
+        return step
 
     with host(cpus=cpus), mock.patch.object(ToyModel, "forward", recording):
-        model.forward(source, target)
-        model.backward()
+        model.backward(model.forward(source, target))
         assert streams[0]() is None
         grad_check(model, source, target)
-    assert len(model._rows) == cpus
+    assert step_shards(model) == {cpus}
     assert len(streams) == 2
     assert streams[1]() is None
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_model_holds_no_step_state(cpus):
+    """A forward, on one shard or three, and then its backward leave the
+    model holding the same attributes, bound to the same objects, as when
+    it was built."""
+    with host(cpus=cpus):
+        model = ToyModel(config(AdapterSet.full(DIMS)))
+        built = dict(vars(model))
+        step = model.forward(*batch(6))
+        after_forward = dict(vars(model))
+        model.backward(step)
+    assert step_shards(model) == {cpus}
+    for held in (after_forward, vars(model)):
+        assert held.keys() == built.keys()
+        assert all(held[name] is value for name, value in built.items())

@@ -174,26 +174,23 @@ def test_each_backward_sets_the_adapter_gradients():
 
 
 def test_backward_needs_a_forward_of_its_own():
-    # The forward's logits gradient is used up by its backward, so a
-    # backward on a new model, or a second one after the same forward, is
-    # refused by name rather than failing inside a matrix product.
+    # A step's logits gradient is used up by its backward, so a second
+    # backward of the same step is refused by name rather than failing
+    # inside a matrix product, and another step runs back as usual.
     model = build_toy_model(GRADCHECK_CONFIG)
     model.randomize_adapters(seed=7)
-    with pytest.raises(ForwardNeeded, match="forward"):
-        model.backward()
-    model.forward_backward(*sample_batch(GRADCHECK_CONFIG))
+    step = model.forward(*sample_batch(GRADCHECK_CONFIG))
+    model.backward(step)
     grads = model.theta_grad.tobytes()
-    with pytest.raises(ForwardNeeded, match="forward"):
-        model.backward()
+    with pytest.raises(ForwardNeeded, match="already ran backward"):
+        model.backward(step)
     assert model.theta_grad.tobytes() == grads
-    model.forward(*sample_batch(GRADCHECK_CONFIG))
-    model.backward()
+    model.backward(model.forward(*sample_batch(GRADCHECK_CONFIG)))
     assert model.theta_grad.tobytes() == grads
 
-    # So is a backward after a forward from a prefix above the lowest
-    # adapter (layer 0 of the default toy), whose caches do not reach every
-    # adapter: on a new model, and after an update, when the blocks below
-    # the prefix still hold the caches of an earlier forward.
+    # So is the backward of a step from a prefix above the lowest adapter
+    # (layer 0 of the default toy), whose caches do not reach every
+    # adapter: on a new model, and after an update.
     model = build_toy_model(ToyConfig())
     source, target = sample_batch(ToyConfig())
     for update in (False, True):
@@ -201,10 +198,37 @@ def test_backward_needs_a_forward_of_its_own():
             model.forward_backward(source, target)
             model.theta -= 0.1 * model.theta_grad
         grads = model.theta_grad.tobytes()
-        model.forward(source, target, model.prefix(source, target, 3))
+        step = model.forward(source, target, model.prefix(source, target, 3))
         with pytest.raises(ForwardNeeded, match="layer 3"):
-            model.backward()
+            model.backward(step)
         assert model.theta_grad.tobytes() == grads
+
+
+def test_a_prefix_or_step_of_another_model_is_refused(monkeypatch):
+    """A model runs forward only from a ``Prefix`` it made, and backward
+    only on a ``Step`` it ran; another model's, of the same shape with
+    another seed or of another width, raises ``InputError`` before any
+    layer runs, and leaves the gradients and the step as they were."""
+    model = ToyModel(ToyConfig(seed=1))
+    model.randomize_adapters(seed=7)
+    model.forward_backward(*sample_batch(ToyConfig()))
+    grads = model.theta_grad.tobytes()
+    source, target = sample_batch(ToyConfig(), seed=9)
+    for other in (ToyModel(ToyConfig(seed=2)), ToyModel(ToyConfig(seed=1, d_model=16))):
+        prefix = other.prefix(source, target, other.lowest_trainable)
+        step = other.forward(source, target, prefix)
+        layers = []
+        with monkeypatch.context() as patch:
+            for method in ("forward", "backward"):
+                patch.setattr(toymodel.Layer, method, lambda *args, **kwargs: layers.append(args))
+            for run in (model.forward, model.forward_backward):
+                with pytest.raises(InputError, match="prefix was computed by another model"):
+                    run(source, target, prefix)
+            with pytest.raises(InputError, match="step was run by another model"):
+                model.backward(step)
+        assert layers == []
+        assert model.theta_grad.tobytes() == grads
+        other.backward(step)  # the refused step still holds its tapes
 
 
 def assert_views_of_the_flat_vectors(model):

@@ -8,6 +8,8 @@ a forward that runs and tapes every layer, a reverse loop over every
 block of every layer, and a training loop built from those two.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +34,7 @@ from adapterqa.toymodel import (
     softmax_cross_entropy,
     train_adapters,
 )
+from step_shards import step_shards
 
 DIMS = ModelDims(d_model=8, bottleneck=2, n_encoder_layers=4, n_decoder_layers=4)
 N_LAYERS = DIMS.n_encoder_layers + DIMS.n_decoder_layers
@@ -182,6 +185,32 @@ def test_train_logs_match_full_forward_and_backward_loop(adapter_set):
             assert mine.value.tobytes() == theirs.value.tobytes(), mine.name
 
 
+@pytest.mark.parametrize("shards", [1, 3])
+@over_adapter_sets
+def test_two_steps_alive_at_once_run_back_as_each_alone(request, shards, adapter_set):
+    """Forward A, forward B on other ids, then backward B and backward A,
+    on one row shard or under ``three_shards``: each step holds its own
+    tapes, so each backward gives the loss, gradients and adapter inputs
+    of its batch's forward and backward run alone."""
+    if shards == 3:
+        request.getfixturevalue("three_shards")
+    model = build(adapter_set)
+    rng = np.random.default_rng(9)
+    batches = (batch(), (rng.integers(2, 16, size=(4, 5)), rng.integers(2, 16, size=(4, 3))))
+
+    def run_back(step):
+        inputs = model.backward(step)
+        adapters = [adapter for _, _, adapter in model.adapters()]
+        return step.loss, model.theta_grad.tobytes(), [inputs[a].tobytes() for a in adapters]
+
+    alone = [run_back(model.forward(*ids)) for ids in batches]
+    step_a = model.forward(*batches[0])
+    step_b = model.forward(*batches[1])
+    assert run_back(step_b) == alone[1]
+    assert run_back(step_a) == alone[0]
+    assert step_shards(model) == {shards}
+
+
 def test_lowest_trainable_layer_counts_decoder_after_encoder():
     assert build(FULL).lowest_trainable == 0
     assert build(AdapterSet.of(encoder_layers=[2], decoder_layers=[4])).lowest_trainable == 2
@@ -202,13 +231,15 @@ def test_prefix_rejects_other_ids_and_out_of_range_starts():
 
 
 def count_forwards(monkeypatch) -> list:
-    """The model of each ``ToyModel.forward`` call from here on."""
+    """A weak reference to the step of each ``ToyModel.forward`` call from
+    here on."""
     calls = []
     forward = ToyModel.forward
 
     def counted(self, *args, **kwargs):
-        calls.append(self)
-        return forward(self, *args, **kwargs)
+        step = forward(self, *args, **kwargs)
+        calls.append(weakref.ref(step))
+        return step
 
     monkeypatch.setattr(ToyModel, "forward", counted)
     return calls
@@ -224,7 +255,7 @@ def test_nothing_trainable_trains_in_one_forward(monkeypatch, optimizer):
     oracle = build(AdapterSet.empty())
     prefix = oracle.prefix(source, target, oracle.lowest_trainable)
     losses = [oracle.forward_backward(source, target, prefix) for _ in range(cfg.steps)]
-    final_loss = oracle.forward(source, target, prefix)[0]
+    final_loss = oracle.forward(source, target, prefix).loss
     calls = count_forwards(monkeypatch)
     log = train_adapters(build(AdapterSet.empty()), source, target, cfg)
     assert len(calls) == 1
@@ -234,28 +265,28 @@ def test_nothing_trainable_trains_in_one_forward(monkeypatch, optimizer):
 
 def test_nothing_trainable_diverges_as_at_step_0(monkeypatch):
     """A non-finite loss with no adapter raises the ``Divergence`` that
-    step 0 raises, after one forward."""
+    step 0 raises, after one forward, whose step is gone with the raise."""
     forwards = count_forwards(monkeypatch)
     model = build(AdapterSet.empty())
     model.out_proj.b.value[0] = np.nan
     with pytest.raises(Divergence, match="^loss became non-finite at step 0$"):
         train_adapters(model, *batch(), TrainConfig(steps=3))
     assert len(forwards) == 1
-    assert model._tapes is None and model._prefix is None
+    assert forwards[0]() is None
 
 
 def test_nothing_trainable_audits_in_no_forward(monkeypatch):
     """With no adapter, the audit runs no forward and no layer, reports
-    that it checked nothing, and drops an earlier forward's tapes as an
+    that it checked nothing, and leaves an earlier step as it was, as an
     audit with adapters does."""
     model = build(AdapterSet.empty())
-    model.forward(*batch())
+    step = model.forward(*batch())
     forwards, layers = count_forwards(monkeypatch), []
     monkeypatch.setattr(Layer, "forward", lambda self, *args, **kwargs: layers.append(self))
     report = grad_check(model, *batch(), eps=1e-5)
     assert forwards == [] and layers == []
     assert repr(report) == repr(GradCheckReport(0.0, "", 0, 1e-5, {}))
-    assert model._tapes is None and model._prefix is None
+    assert model.backward(step) == {}
 
 
 SOURCE, TARGET = batch()
