@@ -39,7 +39,7 @@ class ModelDims:
 
     @property
     def params_per_adapter(self) -> int:
-        return 2 * self.d_model * self.bottleneck + self.bottleneck + self.d_model
+        return adapter_params(self.d_model, self.bottleneck)
 
     @property
     def params_per_layer(self) -> int:
@@ -128,6 +128,11 @@ class AdapterSet:
     def __sub__(self, other: "AdapterSet") -> "AdapterSet":
         return AdapterSet(self.encoder_layers - other.encoder_layers,
                           self.decoder_layers - other.decoder_layers)
+
+
+def adapter_params(d_model: int, bottleneck: int) -> int:
+    """The scalars of one adapter: 2*d*b + b + d, from its sizes alone."""
+    return 2 * d_model * bottleneck + bottleneck + d_model
 
 
 def percent_of_base(count: int, base: int) -> float:

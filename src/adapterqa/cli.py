@@ -14,6 +14,7 @@ function does: ``assemble --max-tokens`` and ``MAX_COPY_TASK_TOKENS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -247,7 +248,10 @@ def _default(function, name: str):
     return inspect.signature(function).parameters[name].default
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: building it
+    takes far longer than a parse."""
     parser = _Parser(
         prog="adapterqa",
         description="Table linearization, prompted inputs, adapter accounting, "

@@ -121,7 +121,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .adapters import MAX_STACK_LAYERS, AdapterSet, ModelDims, percent_of_base
+from .adapters import MAX_STACK_LAYERS, AdapterSet, ModelDims, adapter_params, percent_of_base
 from .errors import AdapterQaError, InputError, check_int, check_positive_real
 from .workers import in_threads, keep_freed_heap
 from .workers import usable_cpus as _usable_cpus
@@ -138,17 +138,14 @@ RANDOM_ADAPTER_SCALE = 0.1
 LOSS_GROWTH_LIMIT = 100.0
 # grad_check evaluates at least this many scalars of one adapter per
 # forward, as twice as many perturbed copies of the model (a +eps and a -eps
-# copy of each): GRAD_CHECK_COPIES is the fewest copies a forward gets.
-# Above that floor, grad_check_copies packs in as many more as keep the copy
-# forward's largest activation within GRAD_CHECK_BUDGET scalars: one forward
-# per adapter of the benchmark's width-8 ablation toy, on 2 x 6 tokens.
+# copy of each): GRAD_CHECK_COPIES is the fewest copies a forward gets,
+# unless the adapter holds fewer scalars. Above that floor,
+# grad_check_copies packs in as many more as keep the copy forward's largest
+# activation within GRAD_CHECK_BUDGET scalars, up to the whole adapter: one
+# forward per adapter of the benchmark's width-8 ablation toy, on 2 x 6 tokens.
 GRAD_CHECK_CHUNK = 16
 GRAD_CHECK_COPIES = 2 * GRAD_CHECK_CHUNK
 GRAD_CHECK_BUDGET = 2**15
-# train_adapters runs Adam once per step over each slice of this many
-# scalars of the flat trainable vector. One pass over all 101,760 scalars
-# of a width-128 toy raised the traced peak of training by 1.6 MB.
-ADAM_RUN_SCALARS = 8192
 # Most scalars a toy model may hold in its parameters, and in its largest
 # activation: batch x length x max(d_ff, vocab, n_heads x length) x stacked
 # copies, the feed-forward hidden, logits or attention scores of a step or
@@ -315,11 +312,12 @@ def grad_check_copies(cfg: ToyConfig, batch: int, length: int) -> int:
     ``grad_check`` runs on a (batch, length) batch, ``length`` the longer
     side: a ``+eps`` and a ``-eps`` copy of as many scalars as keep the
     largest activation within ``GRAD_CHECK_BUDGET`` scalars, and of at
-    least ``GRAD_CHECK_CHUNK``. A batch that is not positive, which
-    ``check_toy_size`` refuses, gets the floor."""
+    least ``GRAD_CHECK_CHUNK``, but of no more than one adapter holds. A
+    batch that is not positive, which ``check_toy_size`` refuses, gets the
+    floor."""
     activation = batch * length * _widest(cfg, length)
     pairs = GRAD_CHECK_BUDGET // (2 * activation) if activation > 0 else 0
-    return 2 * max(GRAD_CHECK_CHUNK, pairs)
+    return 2 * min(max(GRAD_CHECK_CHUNK, pairs), adapter_params(cfg.d_model, cfg.bottleneck))
 
 
 def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int = 1):
@@ -710,7 +708,7 @@ class Layer:
         return [p for m in modules for p in m.parameters()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prefix:
     """The streams of a model at layer ``start`` for one pair of id arrays
     (``ToyModel.prefix``): on each side, block 0's add&norm output in the
@@ -720,7 +718,8 @@ class Prefix:
     frozen work produced the streams, so the result is bit-identical to a
     forward from any other prefix as long as that work is unchanged.
     ``start`` runs from 0 to the number of layers; at the top, ``dec`` is
-    the decoder output. Only the model that made it may run from it.
+    the decoder output. Only the model that made it may run from it. Like
+    a ``Step``, a prefix compares and hashes by identity.
     """
 
     start: int
@@ -728,7 +727,7 @@ class Prefix:
     target_ids: np.ndarray
     enc: np.ndarray  # block 0 of encoder layer ``start`` normed, or the encoder output
     dec: np.ndarray  # block 0 of decoder layer ``max(start - n_encoder_layers, 0)`` normed
-    _model: ToyModel = field(compare=False, repr=False)
+    _model: ToyModel = field(repr=False)
 
     def check(self, model: ToyModel, source_ids, target_ids):
         if self._model is not model:
@@ -1213,9 +1212,10 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     axis (``_copy_losses``). Every matrix product and reduction keeps its
     one-copy shape and order, so each loss is that of a full forward, bit
     for bit. A step so large that a copy overflows gives a NaN error, which
-    fails the audit; numpy's warnings on the way are silenced. With nothing
-    trainable it checks ``eps``, the precision and the ids, and returns the
-    empty report without a forward.
+    fails the audit; numpy's warnings on the way are silenced. Before any
+    forward it checks ``eps``, the precision, the ids and, by
+    ``check_toy_size``, the largest activation of a copy forward, as the
+    CLI does; with nothing trainable it then returns the empty report.
 
     It first sets this process's allocator policy, as ``train_adapters``
     does (``workers.keep_freed_heap``), since every copy forward allocates
@@ -1227,16 +1227,16 @@ def grad_check(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
     if model.cfg.precision != "double":
         raise InvalidConfig(
             f"grad_check needs a double-precision model, got {model.cfg.precision!r}")
+    source_ids, target_ids = model._check_pair(source_ids, target_ids)
+    batch, length = target_ids.shape[0], max(source_ids.shape[1], target_ids.shape[1])
+    copies = grad_check_copies(model.cfg, batch, length)
+    check_toy_size(model.cfg, batch, length, copies)
     if model.lowest_trainable == model.n_layers:
-        model._check_pair(source_ids, target_ids)
         return GradCheckReport(0.0, "", 0, eps, {})
     keep_freed_heap()
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
-    source_ids, target_ids = prefix.source_ids, prefix.target_ids
     inputs = model.backward(model.forward(source_ids, target_ids, prefix))
     prefix = model._copy_prefix(prefix)
-    copies = grad_check_copies(model.cfg, target_ids.shape[0],
-                               max(source_ids.shape[1], target_ids.shape[1]))
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
@@ -1308,6 +1308,21 @@ def _check_loss(loss: float, log: TrainLog, where: str):
                          f"the initial loss {log.initial_loss:.6g}")
 
 
+def _adam(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+          lr: float):
+    """Adam's update number ``t`` of the flat ``theta``, in place, with its
+    moments ``m`` and ``v``. Its theta-sized temporaries die when it
+    returns, where locals of the training loop would stay alive through the
+    next step's forward and backward."""
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
 def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarray,
                    cfg: TrainConfig) -> TrainLog:
     """Full-batch gradient descent on the trainable parameters only.
@@ -1320,16 +1335,21 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
     of full forwards, bit for bit. Raises ``Divergence`` when a loss is
     non-finite or exceeds ``LOSS_GROWTH_LIMIT`` times the initial loss;
     numpy's overflow warnings on the way there are silenced, because that
-    check reports them.
+    check reports them. A batch whose largest activation ``check_toy_size``
+    refuses raises ``InvalidConfig`` before any forward. Only Adam keeps
+    moments, two flat vectors the size of ``theta`` (``_adam``).
 
     It first sets this process's allocator policy
     (``workers.keep_freed_heap``). Each step's tapes and logits go with
     the step, so whether it returns or raises, the model holds no more than
     its parameters.
     """
+    source_ids, target_ids = model._check_pair(source_ids, target_ids)
+    check_toy_size(model.cfg, target_ids.shape[0], max(source_ids.shape[1], target_ids.shape[1]))
     keep_freed_heap()
     theta, grad = model.theta, model.theta_grad
-    adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
+    if cfg.optimizer == "adam":
+        adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     prefix = model.prefix(source_ids, target_ids, model.lowest_trainable)
 
     log = TrainLog()
@@ -1347,17 +1367,7 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
             if cfg.optimizer == "sgd":
                 theta -= cfg.learning_rate * grad
             else:
-                t = step + 1
-                for start in range(0, theta.size, ADAM_RUN_SCALARS):
-                    part = slice(start, start + ADAM_RUN_SCALARS)
-                    g, m, v = grad[part], adam_m[part], adam_v[part]
-                    m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * (g * g)
-                    m_hat = m / (1 - ADAM_BETA1 ** t)
-                    v_hat = v / (1 - ADAM_BETA2 ** t)
-                    theta[part] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                _adam(theta, grad, adam_m, adam_v, step + 1, cfg.learning_rate)
 
         final_loss = model.forward(source_ids, target_ids, prefix).loss
         _check_loss(final_loss, log, "after the last step")

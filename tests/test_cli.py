@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -7,16 +8,20 @@ import pytest
 
 from adapterqa import cli as cli_mod
 from adapterqa import toymodel
-from adapterqa.adapters import MAX_STACK_LAYERS
+from adapterqa.adapters import MAX_STACK_LAYERS, AdapterSet
 from adapterqa.cli import MAX_COPY_TASK_TOKENS, build_parser, main
 from adapterqa.metrics import MAX_EVAL_LINE_CHARS
 from adapterqa.toymodel import (
     GRAD_CHECK_COPIES,
     MAX_TOY_SCALARS,
+    InvalidConfig,
     ToyConfig,
+    TrainConfig,
+    build_toy_model,
     grad_check,
     grad_check_copies,
     make_copy_task,
+    train_adapters,
 )
 
 from cli_runner import run_cli_limited
@@ -775,6 +780,77 @@ def test_gradcheck_bounds_the_copies_its_audit_runs(capsys, monkeypatch, batch, 
     code, out, err = run(capsys, argv)
     assert (code, out, ran) == (2, "", [])
     assert f"x {copies} copies, would hold {activation:,} scalars" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("adapter_set", [None, AdapterSet.empty()], ids=["full", "none"])
+@pytest.mark.parametrize("command", ["gradcheck", "train-toy"])
+def test_library_calls_bound_the_batch_as_the_cli_does(capsys, monkeypatch, command,
+                                                       adapter_set):
+    """``grad_check`` and ``train_adapters`` called directly refuse a batch
+    exactly when the CLI refuses it, with the CLI's message and before any
+    forward, also on a model with nothing trainable. The toy is built
+    first, under the real bound; the bound then sits at the largest
+    activation (the logits: vocab 32 is the widest axis) and one scalar
+    under it."""
+    batch, seq_len = (2, 6) if command == "gradcheck" else (8, 16)
+    size = ["--batch", str(batch)] if command == "gradcheck" else [
+        "--examples", str(batch), "--steps", "2"]
+    argv = [command, "--d-model", "8", "--bottleneck", "2", "--enc-layers", "1",
+            "--dec-layers", "1", "--vocab", "32", "--seq-len", str(seq_len), *size]
+    cfg = ToyConfig(d_model=8, bottleneck=2, n_encoder_layers=1, n_decoder_layers=1,
+                    vocab_size=32, adapter_set=adapter_set)
+    model = build_toy_model(cfg)
+    source, target = make_copy_task(n_examples=batch, seq_len=seq_len, vocab_size=32)
+    if command == "gradcheck":
+        copies = grad_check_copies(cfg, batch, seq_len)
+        call = functools.partial(grad_check, model, source, target)
+    else:
+        copies = 1
+        call = functools.partial(train_adapters, model, source, target, TrainConfig(steps=2))
+    activation = batch * seq_len * 32 * copies
+    forwards = []
+    for method in ("prefix", "forward"):
+        original = getattr(toymodel.ToyModel, method)
+
+        def counted(self, *args, _original=original):
+            forwards.append(args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(toymodel.ToyModel, method, counted)
+    monkeypatch.setattr(toymodel, "MAX_TOY_SCALARS", activation)
+    call()
+    assert forwards or (command, adapter_set) == ("gradcheck", AdapterSet.empty())
+    monkeypatch.setattr(toymodel, "MAX_TOY_SCALARS", activation - 1)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    forwards.clear()
+    with pytest.raises(InvalidConfig) as refused:
+        call()
+    assert str(refused.value) == json.loads(err)["message"]
+    assert f"would hold {activation:,} scalars" in str(refused.value)
+    assert forwards == []
+
+
+@pytest.mark.parametrize("usage, valid", [
+    ([], ["count-params"]),
+    (["assemble", "--question", "q", "--batch", "b.jsonl"], ["assemble", "--question", "q"]),
+    (["train-toy", "--optimizer", "rmsprop"],
+     ["train-toy", "--d-model", "8", "--bottleneck", "2", "--enc-layers", "1",
+      "--dec-layers", "1", "--vocab", "16", "--seq-len", "4", "--examples", "2",
+      "--steps", "2"]),
+], ids=["no-command", "assemble", "train-toy"])
+def test_a_usage_error_leaves_the_cached_parser_as_built(capsys, usage, valid):
+    """``main`` builds its parser once per process. A usage error and then a
+    valid command, run one after the other on that parser, give the exit
+    codes, stdout and stderr each gives alone on a parser built afresh."""
+    alone = []
+    for argv in (usage, valid):
+        build_parser.cache_clear()
+        alone.append(run(capsys, argv))
+    build_parser.cache_clear()
+    together = [run(capsys, argv) for argv in (usage, valid)]
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0]
 
 
 @pytest.mark.parametrize("argv", [

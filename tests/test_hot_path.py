@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adapterqa.ablation import apply_ablation, grid_ablation_plan
-from adapterqa import toymodel
 from adapterqa.adapters import AdapterSet
 from adapterqa.toymodel import (
-    ADAM_RUN_SCALARS,
     MANY_ROWS,
     SHORT_ROW_WIDTH,
     AdapterModule,
@@ -169,20 +167,16 @@ GRID_ROWS = [apply_ablation(FULL, row) for row in grid_ablation_plan(DIMS)]
 GRID_ROW_3 = GRID_ROWS[3]
 
 
-@pytest.mark.parametrize("run_scalars", [ADAM_RUN_SCALARS, 20, 7, 1])
 @pytest.mark.parametrize("adapter_set", [
     FULL, AdapterSet.of(decoder_layers=[5]), AdapterSet.of(encoder_layers=[0, 2]), GRID_ROW_3,
 ], ids=["full", "decoder-5", "encoder-0-2", "grid-row-3"])
-def test_fused_adam_matches_per_tensor_adam_in_single_precision(adapter_set, run_scalars):
+def test_fused_adam_matches_per_tensor_adam_in_single_precision(adapter_set):
     """The per-tensor oracle keeps its moments in the parameters' float32;
-    flat moments of any other dtype would round each update differently.
-    At the default slice size one slice holds every scalar of this toy; at
-    20, 7 and 1 scalars the slice boundaries fall inside tensors."""
+    flat moments of any other dtype would round each update differently."""
     source, target = batch()
     cfg = TrainConfig(learning_rate=0.05, steps=6)
     model, reference = build_single(adapter_set), build_single(adapter_set)
-    with mock.patch.object(toymodel, "ADAM_RUN_SCALARS", run_scalars):
-        log = train_adapters(model, source, target, cfg)
+    log = train_adapters(model, source, target, cfg)
     losses, final_loss = reference_train(reference, source, target, cfg)
     assert (log.losses, log.final_loss) == (losses, final_loss)
     trained = model.trainable_parameters()
@@ -414,6 +408,44 @@ def test_training_peak_stays_under_its_traced_bound(adapter_set, peak_mb):
     finally:
         tracemalloc.stop()
     assert peak <= peak_mb * PEAK_MARGIN * 1e6
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("adapter_set", [TRACED_PEAK_MB[0][0], TRACED_PEAK_MB[4][0]],
+                         ids=[ADAPTED_IDS[0], ADAPTED_IDS[4]])
+def test_a_training_step_starts_with_only_the_prefix_and_the_moments_alive(adapter_set,
+                                                                          optimizer):
+    """On the toy of the traced-peak bounds, the arrays alive when each step
+    of ``train_adapters`` begins are the same as at the first step: its
+    prefix's streams and, for Adam alone, its two moment vectors, within a
+    slack below one ``theta``. No step's temporaries, and no moments for
+    SGD, outlive the update. Only the array data numpy allocates is summed,
+    so the growing log's Python floats do not count."""
+    model = build_toy_model(ToyConfig(
+        d_model=64, bottleneck=16, n_encoder_layers=2, n_decoder_layers=2, n_heads=2,
+        vocab_size=64, max_len=16, seed=6, adapter_set=adapter_set))
+    source, target = make_copy_task(n_examples=8, seq_len=16, vocab_size=64, seed=3)
+    forward_backward, live, prefixes = ToyModel.forward_backward, [], []
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def recording(self, *args):
+        traces = tracemalloc.take_snapshot().filter_traces(numpy_data).traces
+        live.append(sum(trace.size for trace in traces))
+        prefixes.append(args[-1])
+        return forward_backward(self, *args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(ToyModel, "forward_backward", recording):
+            train_adapters(model, source, target, TrainConfig(steps=4, optimizer=optimizer))
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 4 and len(set(live)) == 1, live
+    prefix = prefixes[0]
+    theta = model.theta.nbytes
+    moments = 2 * theta if optimizer == "adam" else 0
+    assert prefix.enc.nbytes + prefix.dec.nbytes + moments <= live[0]
+    assert live[0] < prefix.enc.nbytes + prefix.dec.nbytes + moments + theta // 2
 
 
 @st.composite

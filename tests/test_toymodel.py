@@ -231,6 +231,20 @@ def test_a_prefix_or_step_of_another_model_is_refused(monkeypatch):
         other.backward(step)  # the refused step still holds its tapes
 
 
+def test_prefixes_compare_and_hash_by_identity():
+    """Two prefixes of the same ids on one model hold equal streams, yet
+    ``==``, ``in`` and ``hash`` treat them as distinct objects, as they do
+    steps, instead of raising on their arrays."""
+    model = build_toy_model(ToyConfig())
+    source, target = sample_batch(ToyConfig())
+    one, two = (model.prefix(source, target, model.lowest_trainable) for _ in range(2))
+    assert np.array_equal(one.enc, two.enc) and np.array_equal(one.dec, two.dec)
+    assert one == one and one != two
+    assert one in [two, one] and one not in [two]
+    assert len({one, two, one}) == 2
+    assert hash(one) != hash(two)
+
+
 def assert_views_of_the_flat_vectors(model):
     """Each trainable tensor and its gradient view ``theta`` and
     ``theta_grad`` at consecutive offsets, in ``trainable_parameters()``
