@@ -74,6 +74,12 @@ class UsageError(InputError):
     """The command line does not parse."""
 
 
+class UnencodableText(InputError):
+    """A command's output holds an unpaired surrogate, which UTF-8 cannot
+    encode: a JSON ``\\ud800``-style escape, or a command-line byte that
+    is not UTF-8."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ``UsageError`` (with argparse's usage line and error text)
     instead of printing them and exiting, so ``main`` reports it as JSON."""
@@ -346,6 +352,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         options = OPTIONS.get(args.command, {})
         text, summary = args.func(args)
+        try:  # before --out is opened or stdout is written
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise UnencodableText(f"output holds U+{ord(exc.object[exc.start]):04X}, an unpaired "
+                                  "surrogate that UTF-8 cannot encode") from exc
         if args.out is not None:
             Path(args.out).write_text(text, encoding="utf-8")
         if args.out is None or args.command == "eval":

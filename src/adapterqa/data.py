@@ -9,9 +9,7 @@ that text and applies optional token budgets.
 from __future__ import annotations
 
 import functools
-import io
 import json
-import math
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -84,43 +82,42 @@ def _ranges(path: str | Path) -> list[tuple[int, int | None]]:
 
 def _read_range(path: str | Path, start: int, stop: int | None,
                 build: Callable[[dict], object]) -> tuple[list, int, Exception | None]:
-    """``build(obj)`` for each non-blank line of bytes ``[start, stop)`` of
+    r"""``build(obj)`` for each non-blank line of bytes ``[start, stop)`` of
     a JSONL file, in order: ``(values, lines read, error)``. The first
     error stops the range at its line and is returned, not raised, so that
     the caller can raise the first error of the file.
 
-    Lines split as a file opened in text mode splits them (universal
-    newlines), and each line end reads as one ``\n``. Undecodable bytes are
-    escaped when the range is read and decoded again per line, so the
-    error names its line and not an offset into the read buffer."""
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as in a file opened in text
+    mode, and each line end reads as one ``\n``. The range is read in the
+    ``\n``-ended chunks that ``_ranges`` cuts between."""
     values: list = []
     line_no = 0
-    left = math.inf if stop is None else stop - start
     try:
         with open(path, "rb") as raw:
             raw.seek(start)
-            with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape",
-                                  newline="") as lines:
-                for line in lines:
+            for chunk in raw:
+                for line in chunk.splitlines(keepends=True):
                     line_no += 1
-                    data = line.encode("utf-8", "surrogateescape")
-                    left -= len(data)
-                    if line.strip():
-                        if data.endswith(b"\r\n"):
-                            data = data[:-2] + b"\n"
-                        elif data.endswith(b"\r"):
-                            data = data[:-1] + b"\n"
-                        values.append(build(_json_object(data)))
-                    if left <= 0:
-                        break
+                    data = line.rstrip(b"\r\n")
+                    if len(data) < len(line):  # not the file's unended last line
+                        data += b"\n"
+                    if (obj := _json_object(data)) is not None:
+                        values.append(build(obj))
+                if stop is not None and raw.tell() >= stop:
+                    break
     except Exception as exc:  # read_jsonl raises it if no earlier range failed
         return values, line_no, exc
     return values, line_no, None
 
 
-def _json_object(data: bytes) -> dict:
+def _json_object(data: bytes) -> dict | None:
+    """The JSON object on a line, or None when the line is blank: its UTF-8
+    text strips to nothing (``str.strip``, so U+3000 alone is blank)."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        if not text.strip():
+            return None
+        obj = json.loads(text)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid UTF-8: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:

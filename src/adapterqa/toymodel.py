@@ -138,13 +138,11 @@ RANDOM_ADAPTER_SCALE = 0.1
 LOSS_GROWTH_LIMIT = 100.0
 # grad_check evaluates at least this many scalars of one adapter per
 # forward, as twice as many perturbed copies of the model (a +eps and a -eps
-# copy of each): GRAD_CHECK_COPIES is the fewest copies a forward gets,
-# unless the adapter holds fewer scalars. Above that floor,
+# copy of each), unless the adapter holds fewer scalars. Above that floor,
 # grad_check_copies packs in as many more as keep the copy forward's largest
 # activation within GRAD_CHECK_BUDGET scalars, up to the whole adapter: one
 # forward per adapter of the benchmark's width-8 ablation toy, on 2 x 6 tokens.
 GRAD_CHECK_CHUNK = 16
-GRAD_CHECK_COPIES = 2 * GRAD_CHECK_CHUNK
 GRAD_CHECK_BUDGET = 2**15
 # Most scalars a toy model may hold in its parameters, and in its largest
 # activation: batch x length x max(d_ff, vocab, n_heads x length) x stacked

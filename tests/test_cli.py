@@ -12,7 +12,7 @@ from adapterqa.adapters import MAX_STACK_LAYERS, AdapterSet
 from adapterqa.cli import MAX_COPY_TASK_TOKENS, build_parser, main
 from adapterqa.metrics import MAX_EVAL_LINE_CHARS
 from adapterqa.toymodel import (
-    GRAD_CHECK_COPIES,
+    GRAD_CHECK_CHUNK,
     MAX_TOY_SCALARS,
     InvalidConfig,
     ToyConfig,
@@ -665,6 +665,33 @@ def test_non_utf8_input_exits_2_with_json_error(tmp_path, capsys, command):
         assert payload["message"].startswith("line 1: ")
 
 
+# A JSON "\ud800" escape decodes to an unpaired surrogate, as a
+# command-line byte that is not UTF-8 does ("\udcff" for 0xff).
+SURROGATE_TABLE = {"header_rows": [[{"text": "a\ud800"}]], "body_rows": [[{"text": "b"}]]}
+
+
+@pytest.mark.parametrize("argv, file_text, point", [
+    (["linearize", "--in", "FILE"], json.dumps(SURROGATE_TABLE), "D800"),
+    (["linearize", "--in", "FILE", "--out", "OUT"], json.dumps(SURROGATE_TABLE), "D800"),
+    (["assemble", "--batch", "FILE"], '{"question": "q", "context": "c\\udfff"}\n', "DFFF"),
+    (["assemble", "--question", "\udcff"], None, "DCFF"),
+], ids=["linearize", "linearize-out", "assemble-batch", "assemble-question"])
+def test_an_unpaired_surrogate_exits_2_and_writes_nothing(tmp_path, capsys, argv, file_text,
+                                                          point):
+    source, out = tmp_path / "in.json", tmp_path / "out.txt"
+    if file_text is not None:
+        source.write_text(file_text, encoding="utf-8")
+    out.write_bytes(b"kept\n")
+    paths = {"FILE": str(source), "OUT": str(out)}
+    code, stdout, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert (code, stdout) == (2, "")
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "UnencodableText"
+    assert payload["message"].startswith(f"output holds U+{point}, ")
+    assert out.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["linearize", "--in", "{missing}"], id="linearize"),
     pytest.param(["stats", "--in", "{missing}", "--modality", "table"], id="stats"),
@@ -760,7 +787,7 @@ def test_gradcheck_bounds_the_copies_its_audit_runs(capsys, monkeypatch, batch, 
     cfg = ToyConfig(d_model=8, bottleneck=2, n_encoder_layers=1, n_decoder_layers=1,
                     vocab_size=32)
     copies = grad_check_copies(cfg, batch, seq_len)
-    assert (copies == GRAD_CHECK_COPIES) == (batch == 8)
+    assert (copies == 2 * GRAD_CHECK_CHUNK) == (batch == 8)
     ran = []
     copy_losses = toymodel.ToyModel._copy_losses
 

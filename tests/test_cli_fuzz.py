@@ -168,6 +168,11 @@ SPREAD_TABLE = {"title": "t", "header_rows": [[{"text": "h" * 200, "colspan": 50
 @example((["stats", "--in", "IN", "--modality", "table"],
           {"IN": json.dumps({"id": "r", "question": "q", "answers": ["a"],
                              "context": {"table": WIDE_TABLE}}).encode()}))
+# An unpaired surrogate in the output, which the drawn shapes rarely reach.
+@example((["linearize", "--in", "IN", "--out", "OUT"],
+          {"IN": b'{"header_rows": [[{"text": "a\\ud800"}]], "body_rows": [[{"text": "b"}]]}'}))
+@example((["assemble", "--batch", "IN", "--out", "OUT"],
+          {"IN": b'{"question": "q", "context": "c\\ud800"}\n'}))
 @example((["gradcheck", "--d-model", "8", "--batch", "-1"], {}))
 @example((["gradcheck", "--d-model", "8", "--seq-len", "-1"], {}))
 @example((["gradcheck", "--d-model", "8", "--seed", "-1"], {}))

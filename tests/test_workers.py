@@ -240,8 +240,14 @@ def outcome(read, path: Path) -> tuple:
         return (type(exc).__name__, str(exc), exc.line)
 
 
+# U+3000, U+0085 and the ASCII separators \x1c-\x1f are whitespace to
+# str.strip but not to bytes.strip; \x0b, \x0c, \x1c, U+0085 and U+2028
+# end a line for str.splitlines, but not for bytes.splitlines or text mode.
 LINE_BODIES = st.sampled_from([b'{"k": 1}', b'{"k": "\xc3\xa9"}', b'{"k": [1, 2]}', b"", b"   ",
-                               b"\t", b'{"bad": 0}', b"[1]", b'{"k": ', b'{"k": "\xff"}', b"\xe2\x82"])
+                               b"\t", b'{"bad": 0}', b"[1]", b'{"k": ', b'{"k": "\xff"}',
+                               b"\xe2\x82", b"\xe3\x80\x80", b"\xc2\x85", b"\x0b", b"\x0c", b"\x1c",
+                               b'\xef\xbb\xbf{"k": 1}', b'{"k": 1}\x1c',
+                               b'{"k": "a\xe2\x80\xa8b"}'])
 LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r"])
 
 
