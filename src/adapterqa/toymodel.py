@@ -40,11 +40,14 @@ mode. Each training activation is held once. An adapter tapes only its
 bottleneck activation, and backward hands it the stream it read: the
 prefix's own array where the forward began, and elsewhere the norm's
 output recomputed from the norm's entry by the same two ufuncs on the same
-operands. A forward's tapes go on the ``Step`` it returns, and
-``backward`` takes them off it, so the model keeps no step state;
-``backward`` returns each adapter's stream, which the audit's copy
-forwards read. The loss holds one logit-sized array: each label's
-log-probability is its shifted logit, read before the array is
+operands. An attention block tapes its q, k and v and its softmax's row
+maxima and row sums, not its probabilities; its backward rebuilds the
+probabilities from q and k by the forward's own product and ufuncs, so
+they too are bit-identical. A forward's tapes go on the
+``Step`` it returns, and ``backward`` takes them off it, so the model keeps
+no step state; ``backward`` returns each adapter's stream, which the
+audit's copy forwards read. The loss holds one logit-sized array: each
+label's log-probability is its shifted logit, read before the array is
 exponentiated in place, less the log of its row's sum, and the
 exponentials become the logits gradient. The large elementwise tails (bias
 adds, the norm, the attention softmax, the rectifier, the residual
@@ -195,9 +198,9 @@ def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.
     """x + (relu(x @ w_down + b_down) @ w_up + b_up) and the rectified
     bottleneck activation. A weight may carry leading axes that stack
     copies of the adapter; they broadcast against the batch axes of ``x``."""
-    hidden = x @ w_down + b_down
+    hidden = np.matmul(x, w_down) + b_down
     np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w_up + b_up
+    out = np.matmul(hidden, w_up) + b_up
     out += x
     return out, hidden
 
@@ -386,7 +389,7 @@ class Linear:
         return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        return d_out @ self.w.value.T
+        return np.matmul(d_out, self.w.value.T)
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
@@ -456,35 +459,53 @@ class Attention:
         b, t, d = x.shape
         return x.reshape(b, t, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
 
+    def _scores(self, q: np.ndarray, k: np.ndarray, inv_sqrt: float) -> np.ndarray:
+        """The scaled scores of ``q`` against ``k``, causally masked where
+        this attention is causal, in an array of their own."""
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+        scores *= inv_sqrt
+        if self.causal:
+            np.copyto(scores, -np.inf, where=~_causal_mask(scores.shape[-1]))
+        return scores
+
     def forward(self, x_q: np.ndarray, x_kv: np.ndarray, tape: list | None = None) -> np.ndarray:
         q = self._split(self.q_proj.forward(x_q))
         k = self._split(self.k_proj.forward(x_kv))
         v = self._split(self.v_proj.forward(x_kv))
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
         # The softmax is written in place: scores become the probabilities.
-        attn = q @ k.transpose(0, 1, 3, 2)
-        attn *= inv_sqrt
-        if self.causal:
-            np.copyto(attn, -np.inf, where=~_causal_mask(attn.shape[-1]))
-        attn -= _row_max(attn)
+        attn = self._scores(q, k, inv_sqrt)
+        row_max = _row_max(attn)
+        attn -= row_max
         np.exp(attn, out=attn)
-        attn /= _row_sum(attn)
+        row_sum = _row_sum(attn)
+        attn /= row_sum
         # Each head's context is written straight into the merged heads.
         merged = np.empty(x_q.shape, x_q.dtype)
         np.matmul(attn, v, out=self._split(merged))
         if tape is not None:
-            tape.append((q, k, v, attn, inv_sqrt))
+            tape.append((q, k, v, row_max, row_sum, inv_sqrt))
         return self.o_proj.forward(merged)
 
     def backward(self, d_out: np.ndarray, cache: tuple,
                  need_kv: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Gradients of the query input and of the key/value input; the
         second is None, and not computed, unless ``need_kv``. The gradients
-        of the heads are written straight into their merged layout."""
-        q, k, v, attn, inv_sqrt = cache
+        of the heads are written straight into their merged layout.
+
+        The forward tapes its probabilities' row maxima and row sums in
+        their place, so backward first rebuilds the probabilities from the
+        taped q and k by the forward's own product and ufuncs on the same
+        operands: they are the forward's bit for bit, and the cache is left
+        as it was."""
+        q, k, v, row_max, row_sum, inv_sqrt = cache
+        attn = self._scores(q, k, inv_sqrt)
+        attn -= row_max
+        np.exp(attn, out=attn)
+        attn /= row_sum
         d_context = self._split(self.o_proj.backward(d_out))
         # attn * (d_attn - row_sum(d_attn * attn)), in place in d_attn.
-        d_scores = d_context @ v.transpose(0, 1, 3, 2)
+        d_scores = np.matmul(d_context, v.transpose(0, 1, 3, 2))
         d_scores -= _row_sum(d_scores * attn)
         d_scores *= attn
         d_q = np.empty_like(d_out)
@@ -571,9 +592,9 @@ class AdapterModule:
         taped activation of one forward. The weight gradients' operands
         are appended to ``parts`` with this adapter, for ``set_grads`` on
         every shard's rows."""
-        d_hidden = d_out @ self.w_up.value.T
+        d_hidden = np.matmul(d_out, self.w_up.value.T)
         d_hidden *= hidden > 0
-        d_x = d_hidden @ self.w_down.value.T
+        d_x = np.matmul(d_hidden, self.w_down.value.T)
         d_x += d_out
         parts.append((self, (hidden, d_out, x, d_hidden)))
         return d_x
@@ -583,10 +604,10 @@ class AdapterModule:
         """Write the four weight gradients from their operands over every
         row of the batch."""
         flat_d_out = d_out.reshape(-1, d_out.shape[-1])
-        self.w_up.grad[...] = hidden.reshape(-1, hidden.shape[-1]).T @ flat_d_out
+        self.w_up.grad[...] = np.matmul(hidden.reshape(-1, hidden.shape[-1]).T, flat_d_out)
         self.b_up.grad[...] = np.add.reduce(flat_d_out, axis=0)
         flat_d_hidden = d_hidden.reshape(-1, d_hidden.shape[-1])
-        self.w_down.grad[...] = x.reshape(-1, x.shape[-1]).T @ flat_d_hidden
+        self.w_down.grad[...] = np.matmul(x.reshape(-1, x.shape[-1]).T, flat_d_hidden)
         self.b_down.grad[...] = np.add.reduce(flat_d_hidden, axis=0)
 
     def parameters(self) -> list[Parameter]:
