@@ -8,11 +8,20 @@ carries none) and are the only trainable tensors. Forward and backward
 passes are hand-written numpy so gradients can be audited against central
 finite differences.
 
-Base parameters are drawn from the seed before any adapter parameters, so
-two models built from the same seed share an identical base regardless of
-which layers carry adapters. Up-projections start at zero, making a freshly
-built adapted model bit-identical to its adapter-free twin. Weights are
-drawn in float64 and cast once, at the end of ``ToyModel.__init__``.
+One seed's frozen base is drawn once and shared, as the paper shares one
+frozen model among every modality and ablation row. ``_frozen_base`` draws
+the frozen matrices (embeddings, projections, feed-forward weights) from
+the seed in float64, scales and casts each once, and makes it read-only;
+every model of that seed and those sizes holds the same arrays, whatever
+its adapters, bottleneck or heads. Adapters draw on from the generator's
+state after the base, so a build that finds its base cached gives the
+bytes of one that draws it. The cache keeps only the last base drawn: it
+outlives its last model, and holds its memory (at most one base, within
+``check_toy_size``'s bound) until a toy of another seed or size is built.
+Biases and the norms' gamma and beta are each model's own. Up-projections
+start at zero, making a freshly built adapted model bit-identical to its
+adapter-free twin. The per-model tensors are made in float64 and cast
+once, at the end of ``ToyModel.__init__``.
 
 The trainable state is two flat vectors of the model's dtype,
 ``ToyModel.theta`` and ``ToyModel.theta_grad``, laid out in
@@ -321,6 +330,15 @@ def grad_check_copies(cfg: ToyConfig, batch: int, length: int) -> int:
     return 2 * min(max(GRAD_CHECK_CHUNK, pairs), adapter_params(cfg.d_model, cfg.bottleneck))
 
 
+def _check_vocab_size(vocab_size: object, error: type[InputError] = InputError) -> int:
+    """An ``int`` above ``BOS_ID + 1``, so content tokens exist."""
+    check_int("vocab_size", vocab_size, error)
+    if vocab_size <= BOS_ID + 1:
+        raise error(f"vocab_size must exceed {BOS_ID + 1} to leave room for content tokens, "
+                    f"got {vocab_size}")
+    return vocab_size
+
+
 def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int = 1):
     """Every rule on a toy and its (batch, length) batch, checked before
     any array exists; each error begins with the field or argument at
@@ -330,7 +348,7 @@ def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int 
     activation on ``copies`` stacked copies of the batch, a feed-forward
     hidden, the logits or the attention scores (``length`` is the longer
     side), may each hold at most ``MAX_TOY_SCALARS`` scalars."""
-    for name in ("d_model", "bottleneck", "n_heads", "vocab_size", "max_len"):
+    for name in ("d_model", "bottleneck", "n_heads", "max_len"):
         check_int(name, getattr(cfg, name), InvalidConfig)
     for name in ("n_encoder_layers", "n_decoder_layers"):
         check_int(name, getattr(cfg, name), InvalidConfig, at_most=MAX_STACK_LAYERS)
@@ -338,9 +356,7 @@ def check_toy_size(cfg: ToyConfig, batch: int = 1, length: int = 1, copies: int 
     if cfg.d_model % cfg.n_heads:
         raise InvalidConfig(f"d_model must be divisible by the {cfg.n_heads} attention heads, "
                             f"got {cfg.d_model}")
-    if cfg.vocab_size <= BOS_ID + 1:
-        raise InvalidConfig(f"vocab_size must exceed {BOS_ID + 1} to leave room for content "
-                            f"tokens, got {cfg.vocab_size}")
+    _check_vocab_size(cfg.vocab_size, InvalidConfig)
     check_int("batch", batch)
     check_int("length", length, at_most=cfg.max_len)
     dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers, cfg.n_decoder_layers)
@@ -439,20 +455,14 @@ class LayerNorm:
 class Attention:
     """Multi-head scaled dot-product attention with frozen projections."""
 
-    def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator,
+    def __init__(self, name: str, n_heads: int, weights: list[np.ndarray],
                  causal: bool = False):
-        scale = 1.0 / math.sqrt(d_model)
-
-        def proj(suffix: str) -> Linear:
-            w = rng.standard_normal((d_model, d_model)) * scale
-            return Linear(f"{name}.{suffix}", w, np.zeros(d_model))
-
-        self.q_proj = proj("w_q")
-        self.k_proj = proj("w_k")
-        self.v_proj = proj("w_v")
-        self.o_proj = proj("w_o")
+        """``weights`` are the q, k, v and output projections' matrices."""
+        self.q_proj, self.k_proj, self.v_proj, self.o_proj = (
+            Linear(f"{name}.{suffix}", w, np.zeros(w.shape[1]))
+            for suffix, w in zip(("w_q", "w_k", "w_v", "w_o"), weights))
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
+        self.d_head = weights[0].shape[0] // n_heads
         self.causal = causal
 
     def _split(self, x: np.ndarray) -> np.ndarray:
@@ -534,11 +544,9 @@ class Attention:
 
 
 class FeedForward:
-    def __init__(self, name: str, d_model: int, d_ff: int, rng: np.random.Generator):
-        w_in = rng.standard_normal((d_model, d_ff)) / math.sqrt(d_model)
-        w_out = rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)
-        self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(d_ff))
-        self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(d_model))
+    def __init__(self, name: str, w_in: np.ndarray, w_out: np.ndarray):
+        self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(w_in.shape[1]))
+        self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(w_out.shape[1]))
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         pre = self.lin_in.forward(x)
@@ -677,22 +685,24 @@ class Layer:
         self.blocks = blocks
 
     @classmethod
-    def build(cls, name: str, cfg: ToyConfig, rng: np.random.Generator,
+    def build(cls, name: str, cfg: ToyConfig, weights: Iterator[np.ndarray],
               decoder: bool = False) -> "Layer":
         """The encoder recipe; a ``decoder`` layer has causal self-attention
-        and a cross-attention block before the feed-forward block."""
-        d = cfg.d_model
+        and a cross-attention block before the feed-forward block. Its
+        matrices are the next ones of ``weights``, in ``_frozen_base``'s
+        order."""
 
         def block(sublayer: Attention | FeedForward, norm: str, cross: bool = False):
-            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", d), cross)
+            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", cfg.d_model), cross)
 
         def attention(part: str, causal: bool = False) -> Attention:
-            return Attention(f"{name}.{part}", d, cfg.n_heads, rng, causal)
+            return Attention(f"{name}.{part}", cfg.n_heads, [next(weights) for _ in range(4)],
+                             causal)
 
         return cls(name, [
             block(attention("self_attn", causal=decoder), "norm_self" if decoder else "norm_attn"),
             *([block(attention("cross_attn"), "norm_cross", cross=True)] if decoder else []),
-            block(FeedForward(f"{name}.ffn", d, cfg.resolved_d_ff(), rng), "norm_ffn"),
+            block(FeedForward(f"{name}.ffn", next(weights), next(weights)), "norm_ffn"),
         ])
 
     def add_adapters(self, cfg: ToyConfig, rng: np.random.Generator):
@@ -808,6 +818,46 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return float(-picked.mean()), d_logits
 
 
+@functools.lru_cache(maxsize=1)
+def _frozen_base(seed: int, d_model: int, d_ff: int, vocab_size: int, max_len: int,
+                 n_encoder_layers: int, n_decoder_layers: int,
+                 dtype: type) -> tuple[tuple[np.ndarray, ...], dict]:
+    """The frozen matrices of every toy of this seed and these sizes
+    (``d_ff`` follows from ``d_model``), and the state of the seed's
+    generator after the last of them.
+
+    They are drawn in float64 in a fixed order: the token and position
+    embeddings; per encoder layer the self-attention's q, k, v and output
+    projections, then the feed-forward's ``w_in`` and ``w_out``; per
+    decoder layer the self-attention's four, the cross-attention's four,
+    then ``w_in`` and ``w_out``; last the output projection. Each is scaled
+    and cast to ``dtype`` once, and is read-only, since every model built
+    from these arguments holds the same arrays. The key leaves out what
+    sets no draw: the bottleneck, the heads and the adapter set. The cost
+    of keeping the last base is in the module docstring."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(d_model)
+
+    def attention() -> list[np.ndarray]:
+        return [rng.standard_normal((d_model, d_model)) * scale for _ in range(4)]
+
+    def layer(decoder: bool) -> list[np.ndarray]:
+        return [*attention(), *(attention() if decoder else []),
+                rng.standard_normal((d_model, d_ff)) / math.sqrt(d_model),
+                rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)]
+
+    drawn = [rng.standard_normal((vocab_size, d_model)) / math.sqrt(d_model),
+             rng.standard_normal((max_len, d_model)) / math.sqrt(d_model)]
+    for decoder, n_layers in ((False, n_encoder_layers), (True, n_decoder_layers)):
+        for _ in range(n_layers):
+            drawn += layer(decoder)
+    drawn.append(rng.standard_normal((d_model, vocab_size)) / math.sqrt(d_model))
+    weights = tuple(w.astype(dtype, copy=False) for w in drawn)
+    for w in weights:
+        w.flags.writeable = False
+    return weights, rng.bit_generator.state
+
+
 class ToyModel:
     """Frozen encoder-decoder plus trainable adapters; a configuration it
     cannot build raises ``InvalidConfig`` before any weight is drawn."""
@@ -815,25 +865,21 @@ class ToyModel:
     def __init__(self, cfg: ToyConfig):
         check_toy_size(cfg)
         dtype = cfg.dtype()
-        rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
-        d = cfg.d_model
 
-        # Base parameters first, in a fixed order, so the frozen model is
-        # identical for every adapter configuration under one seed.
-        self.tok_emb = Parameter(
-            "embed.tokens", rng.standard_normal((cfg.vocab_size, d)) / math.sqrt(d))
-        self.pos_emb = Parameter(
-            "embed.positions", rng.standard_normal((cfg.max_len, d)) / math.sqrt(d))
-        self.encoder = [Layer.build(f"encoder.{i}", cfg, rng)
+        # The seed's shared base, drawn before any adapter, so the frozen
+        # model is identical for every adapter configuration under one seed.
+        drawn, state = _frozen_base(cfg.seed, cfg.d_model, cfg.resolved_d_ff(), cfg.vocab_size,
+                                    cfg.max_len, cfg.n_encoder_layers, cfg.n_decoder_layers,
+                                    dtype)
+        weights = iter(drawn)
+        self.tok_emb = Parameter("embed.tokens", next(weights))
+        self.pos_emb = Parameter("embed.positions", next(weights))
+        self.encoder = [Layer.build(f"encoder.{i}", cfg, weights)
                         for i in range(cfg.n_encoder_layers)]
-        self.decoder = [Layer.build(f"decoder.{i}", cfg, rng, decoder=True)
+        self.decoder = [Layer.build(f"decoder.{i}", cfg, weights, decoder=True)
                         for i in range(cfg.n_decoder_layers)]
-        self.out_proj = Linear(
-            "output",
-            rng.standard_normal((d, cfg.vocab_size)) / math.sqrt(d),
-            np.zeros(cfg.vocab_size),
-        )
+        self.out_proj = Linear("output", next(weights), np.zeros(cfg.vocab_size))
         self.dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers,
                               cfg.n_decoder_layers, adapters_per_layer=2,
                               base_total_params=cfg.base_parameters())
@@ -843,6 +889,9 @@ class ToyModel:
         ).check(self.dims)
         # Adapter-set indices number the decoder layers after the encoder's.
         active = self.adapter_set.encoder_layers | self.adapter_set.decoder_layers
+        # The adapters draw on from where the base's draws ended.
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
         for index, layer in enumerate([*self.encoder, *self.decoder]):
             if index in active:
                 layer.add_adapters(cfg, rng)
@@ -850,7 +899,8 @@ class ToyModel:
         # Index of the lowest layer with a trainable tensor; n_layers when
         # nothing is trainable.
         self.lowest_trainable = min(active, default=self.n_layers)
-        # The one cast of the float64 draws (a no-op in double precision).
+        # The one cast of the biases, norms and adapters, made in float64 (a
+        # no-op in double precision, and for the base, cast once when drawn).
         for param in self.parameters():
             param.value = param.value.astype(dtype, copy=False)
         # Each trainable tensor and its gradient views the two flat vectors.
@@ -886,8 +936,9 @@ class ToyModel:
     def randomize_adapters(self, seed: int):
         """Replace every adapter tensor with random values (for gradient
         audits; zero up-projections would hide the down-projection
-        gradients). The adapters are the only trainable tensors."""
-        rng = np.random.default_rng(seed)
+        gradients). The adapters are the only trainable tensors. ``seed``
+        is a non-negative ``int``."""
+        rng = np.random.default_rng(check_int("seed", seed, allow_zero=True))
         # Assignment casts to the model's dtype.
         self.theta[...] = rng.standard_normal(self.theta.size) * RANDOM_ADAPTER_SCALE
 
@@ -1116,7 +1167,10 @@ class ToyModel:
 
 
 def build_toy_model(cfg: ToyConfig) -> ToyModel:
-    """Build the model deterministically; ``ToyModel`` checks ``cfg``."""
+    """Build the model deterministically; ``ToyModel`` checks ``cfg``.
+    Models of one seed and sizes share one read-only frozen base, drawn
+    by the first of them; the last base drawn stays cached after its
+    models are gone, until a toy of another seed or size is built."""
     return ToyModel(cfg)
 
 
@@ -1396,7 +1450,12 @@ def train_adapters(model: ToyModel, source_ids: np.ndarray, target_ids: np.ndarr
 
 def make_copy_task(n_examples: int = 32, seq_len: int = 6, vocab_size: int = 64,
                    seed: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """Random sequences with target = source; token ids avoid the BOS id."""
-    rng = np.random.default_rng(seed)
+    """Random sequences with target = source; token ids avoid the BOS id.
+    Each argument is an ``int``: the sizes positive, ``vocab_size`` above
+    ``BOS_ID + 1``, ``seed`` non-negative."""
+    check_int("n_examples", n_examples)
+    check_int("seq_len", seq_len)
+    _check_vocab_size(vocab_size)
+    rng = np.random.default_rng(check_int("seed", seed, allow_zero=True))
     source = rng.integers(BOS_ID + 1, vocab_size, size=(n_examples, seq_len), dtype=np.int64)
     return source, source.copy()

@@ -494,7 +494,7 @@ def test_in_place_tails_leave_their_inputs_alone(case, cache, causal):
         assert not np.shares_memory(out, tape[0][0])
         assert norm.output(tape[0]).tobytes() == out.tobytes()
 
-    attention = Attention("a", d, n_heads, rng, causal)
+    attention = Attention("a", n_heads, [draw(d, d) for _ in range(4)], causal)
     for p in attention.parameters():
         p.value = p.value.astype(dtype)
     weights = [p.value for p in attention.parameters()]

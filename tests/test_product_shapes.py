@@ -97,3 +97,54 @@ def test_shards_keep_every_product_shape(adapter_set, rows, source_len, target_l
     assert scores <= forward
     assert scores <= backward
     assert (sum(backward.values()) > 0) == (adapter_set.n_active_layers > 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(adapter_sets, st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([1, 2, 4]), st.sampled_from(["double", "single"]), st.integers(1, 5),
+       st.data())
+def test_an_audit_copy_forward_keeps_each_copys_products(adapter_set, rows, source_len,
+                                                         target_len, n_heads, precision, copies,
+                                                         data):
+    """A copy forward of the audit (``_copy_losses``) with every tensor of
+    one adapter stacked per copy records, per copy, the products of a
+    one-copy forward from that adapter: the same per-slice shapes and
+    dtypes, as many times. The one exception is the other side's stream
+    that the copies share: below an encoder adapter, the decoder's layer-0
+    adapter runs once on the prefix's stream, which is then tiled. Every
+    product of the one-copy forward is one a full forward makes too."""
+    cfg = ToyConfig(d_model=DIMS.d_model, bottleneck=DIMS.bottleneck,
+                    n_encoder_layers=DIMS.n_encoder_layers,
+                    n_decoder_layers=DIMS.n_decoder_layers, n_heads=n_heads, vocab_size=16,
+                    max_len=8, seed=6, precision=precision, adapter_set=adapter_set)
+    model = ToyModel(cfg)
+    adapters = list(model.adapters())
+    if not adapters:
+        return
+    model.randomize_adapters(seed=3)
+    rng = np.random.default_rng(rows)
+    source = rng.integers(2, 16, size=(rows, source_len))
+    target = rng.integers(2, 16, size=(rows, target_len))
+    prefix = model.prefix(source, target, model.lowest_trainable)
+    with recorded() as forward:
+        step = model.forward(source, target, prefix)
+    inputs = model.backward(step)
+    copy_prefix = model._copy_prefix(prefix)
+    index, block, adapter = data.draw(st.sampled_from(adapters))
+    h = inputs[adapter]
+
+    def stacked(n: int) -> list[np.ndarray]:
+        return [np.repeat(p.value[None], n, axis=0).reshape(n, *(1,) * (h.ndim - p.value.ndim),
+                                                            *p.value.shape)
+                for p in adapter.parameters()]
+
+    with recorded() as shared:
+        if index < DIMS.n_encoder_layers:
+            model._resume(model.decoder, 0, copy_prefix.dec)
+    with recorded() as one:
+        model._copy_losses(copy_prefix, index, block, h, stacked(1))
+    with recorded() as many:
+        model._copy_losses(copy_prefix, index, block, h, stacked(copies))
+    many.update({shape: (copies - 1) * n for shape, n in shared.items()})  # as if unshared
+    assert many == Counter({shape: copies * n for shape, n in one.items()})
+    assert one <= forward

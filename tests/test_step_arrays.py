@@ -15,9 +15,10 @@ import weakref
 from unittest import mock
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it on first use, which would be traced
 import pytest
 
-from adapterqa import workers
+from adapterqa import toymodel, workers
 from adapterqa.adapters import AdapterSet
 from adapterqa.toymodel import (
     ToyConfig,
@@ -94,7 +95,11 @@ def test_arrays_that_leave_the_model_are_never_reused(cpus):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_training_leaves_the_model_about_the_size_of_its_parameters(cpus):
     """Each step of ``train_adapters``, on every row shard, goes with its
-    tapes and prefix: what stays traced is the model's parameters."""
+    tapes and prefix: what stays traced is the model's parameters. The
+    build starts from a cold base cache, so it draws its base inside the
+    traced window whichever test built the same toy before, and numpy's
+    random module is imported before the window, whichever test ran first."""
+    toymodel._frozen_base.cache_clear()
     tracemalloc.start()
     try:
         with host(cpus=cpus):

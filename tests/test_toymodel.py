@@ -538,3 +538,30 @@ def test_train_config_cannot_be_changed_after_its_check():
     cfg = TrainConfig()
     with pytest.raises(AttributeError):
         cfg.steps = 0
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"vocab_size": 2}, "vocab_size"), ({"vocab_size": 0}, "vocab_size"),
+    ({"seq_len": -1}, "seq_len"), ({"seq_len": 0}, "seq_len"),
+    ({"n_examples": 2.5}, "n_examples"), ({"n_examples": 0}, "n_examples"),
+    ({"n_examples": True}, "n_examples"), ({"seed": -1}, "seed"), ({"seed": 1.0}, "seed"),
+])
+def test_copy_task_refuses_a_bad_argument_by_name(kwargs, name):
+    with pytest.raises(InputError, match=f"^{name} must"):
+        make_copy_task(**kwargs)
+
+
+def test_copy_task_takes_the_smallest_arguments():
+    source, target = make_copy_task(n_examples=1, seq_len=1, vocab_size=3, seed=0)
+    assert source.shape == (1, 1) and source.tolist() == target.tolist() == [[2]]
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2.0, "3", None])
+def test_randomize_adapters_refuses_a_bad_seed(seed):
+    model = build_toy_model(GRADCHECK_CONFIG)
+    theta = model.theta.tobytes()
+    with pytest.raises(InputError, match="^seed must"):
+        model.randomize_adapters(seed)
+    assert model.theta.tobytes() == theta
+    model.randomize_adapters(0)
+    assert model.theta.tobytes() != theta
