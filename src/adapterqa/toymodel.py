@@ -15,8 +15,9 @@ the seed in float64, scales and casts each once, and makes it read-only;
 every model of that seed and those sizes holds the same arrays, whatever
 its adapters, bottleneck or heads. Adapters draw on from the generator's
 state after the base, so a build that finds its base cached gives the
-bytes of one that draws it. The cache keeps only the last base drawn: it
-outlives its last model, and holds its memory (at most one base, within
+bytes of one that draws it. The cache saves time only where one process
+builds a seed and sizes more than once. It keeps only the last base drawn:
+it outlives its last model, and holds its memory (at most one base, within
 ``check_toy_size``'s bound) until a toy of another seed or size is built.
 Biases and the norms' gamma and beta are each model's own. Up-projections
 start at zero, making a freshly built adapted model bit-identical to its
@@ -460,7 +461,7 @@ class Attention:
         """``weights`` are the q, k, v and output projections' matrices."""
         self.q_proj, self.k_proj, self.v_proj, self.o_proj = (
             Linear(f"{name}.{suffix}", w, np.zeros(w.shape[1]))
-            for suffix, w in zip(("w_q", "w_k", "w_v", "w_o"), weights))
+            for suffix, w in zip(("w_q", "w_k", "w_v", "w_o"), weights, strict=True))
         self.n_heads = n_heads
         self.d_head = weights[0].shape[0] // n_heads
         self.causal = causal
@@ -685,24 +686,23 @@ class Layer:
         self.blocks = blocks
 
     @classmethod
-    def build(cls, name: str, cfg: ToyConfig, weights: Iterator[np.ndarray],
-              decoder: bool = False) -> "Layer":
-        """The encoder recipe; a ``decoder`` layer has causal self-attention
-        and a cross-attention block before the feed-forward block. Its
-        matrices are the next ones of ``weights``, in ``_frozen_base``'s
-        order."""
+    def build(cls, name: str, cfg: ToyConfig,
+              weights: tuple[tuple[np.ndarray, ...], ...]) -> "Layer":
+        """The layer of one of ``_frozen_base``'s groups: the self-attention's
+        four matrices, for a decoder layer the cross-attention's four, then
+        the feed-forward's two. A decoder layer's self-attention is causal."""
+        self_attn, *cross_attn, (w_in, w_out) = weights
+        decoder = bool(cross_attn)
 
         def block(sublayer: Attention | FeedForward, norm: str, cross: bool = False):
             return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", cfg.d_model), cross)
 
-        def attention(part: str, causal: bool = False) -> Attention:
-            return Attention(f"{name}.{part}", cfg.n_heads, [next(weights) for _ in range(4)],
-                             causal)
-
         return cls(name, [
-            block(attention("self_attn", causal=decoder), "norm_self" if decoder else "norm_attn"),
-            *([block(attention("cross_attn"), "norm_cross", cross=True)] if decoder else []),
-            block(FeedForward(f"{name}.ffn", next(weights), next(weights)), "norm_ffn"),
+            block(Attention(f"{name}.self_attn", cfg.n_heads, self_attn, causal=decoder),
+                  "norm_self" if decoder else "norm_attn"),
+            *(block(Attention(f"{name}.cross_attn", cfg.n_heads, w), "norm_cross", cross=True)
+              for w in cross_attn),
+            block(FeedForward(f"{name}.ffn", w_in, w_out), "norm_ffn"),
         ])
 
     def add_adapters(self, cfg: ToyConfig, rng: np.random.Generator):
@@ -821,41 +821,44 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 @functools.lru_cache(maxsize=1)
 def _frozen_base(seed: int, d_model: int, d_ff: int, vocab_size: int, max_len: int,
                  n_encoder_layers: int, n_decoder_layers: int,
-                 dtype: type) -> tuple[tuple[np.ndarray, ...], dict]:
+                 dtype: type) -> tuple:
     """The frozen matrices of every toy of this seed and these sizes
-    (``d_ff`` follows from ``d_model``), and the state of the seed's
-    generator after the last of them.
+    (``d_ff`` follows from ``d_model``), grouped as ``ToyModel`` holds
+    them, and the state of the seed's generator after the last of them:
+    ``((tokens, positions), encoder, decoder, output, state)``.
 
-    They are drawn in float64 in a fixed order: the token and position
-    embeddings; per encoder layer the self-attention's q, k, v and output
-    projections, then the feed-forward's ``w_in`` and ``w_out``; per
-    decoder layer the self-attention's four, the cross-attention's four,
-    then ``w_in`` and ``w_out``; last the output projection. Each is scaled
-    and cast to ``dtype`` once, and is read-only, since every model built
-    from these arguments holds the same arrays. The key leaves out what
-    sets no draw: the bottleneck, the heads and the adapter set. The cost
-    of keeping the last base is in the module docstring."""
+    This is the one place that fixes the order of the draws, in float64:
+    the token and position embeddings; per encoder layer a group of the
+    self-attention's q, k, v and output projections, then the
+    feed-forward's ``(w_in, w_out)``; per decoder layer the self-attention's
+    four, the cross-attention's four, then ``(w_in, w_out)``; last the
+    output projection. Each is scaled and cast to ``dtype`` once, and is
+    read-only, since every model built from these arguments holds the same
+    arrays. The key leaves out what sets no draw: the bottleneck, the heads
+    and the adapter set. The cost of keeping the last base is in the module
+    docstring."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(d_model)
 
-    def attention() -> list[np.ndarray]:
-        return [rng.standard_normal((d_model, d_model)) * scale for _ in range(4)]
-
-    def layer(decoder: bool) -> list[np.ndarray]:
-        return [*attention(), *(attention() if decoder else []),
-                rng.standard_normal((d_model, d_ff)) / math.sqrt(d_model),
-                rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff)]
-
-    drawn = [rng.standard_normal((vocab_size, d_model)) / math.sqrt(d_model),
-             rng.standard_normal((max_len, d_model)) / math.sqrt(d_model)]
-    for decoder, n_layers in ((False, n_encoder_layers), (True, n_decoder_layers)):
-        for _ in range(n_layers):
-            drawn += layer(decoder)
-    drawn.append(rng.standard_normal((d_model, vocab_size)) / math.sqrt(d_model))
-    weights = tuple(w.astype(dtype, copy=False) for w in drawn)
-    for w in weights:
+    def frozen(w: np.ndarray) -> np.ndarray:
+        w = w.astype(dtype, copy=False)
         w.flags.writeable = False
-    return weights, rng.bit_generator.state
+        return w
+
+    def attention() -> tuple[np.ndarray, ...]:
+        return tuple(frozen(rng.standard_normal((d_model, d_model)) * scale) for _ in range(4))
+
+    def layer(decoder: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+        return (attention(), *([attention()] if decoder else []),
+                (frozen(rng.standard_normal((d_model, d_ff)) / math.sqrt(d_model)),
+                 frozen(rng.standard_normal((d_ff, d_model)) / math.sqrt(d_ff))))
+
+    embeddings = (frozen(rng.standard_normal((vocab_size, d_model)) / math.sqrt(d_model)),
+                  frozen(rng.standard_normal((max_len, d_model)) / math.sqrt(d_model)))
+    encoder = tuple(layer(False) for _ in range(n_encoder_layers))
+    decoder = tuple(layer(True) for _ in range(n_decoder_layers))
+    output = frozen(rng.standard_normal((d_model, vocab_size)) / math.sqrt(d_model))
+    return embeddings, encoder, decoder, output, rng.bit_generator.state
 
 
 class ToyModel:
@@ -869,17 +872,14 @@ class ToyModel:
 
         # The seed's shared base, drawn before any adapter, so the frozen
         # model is identical for every adapter configuration under one seed.
-        drawn, state = _frozen_base(cfg.seed, cfg.d_model, cfg.resolved_d_ff(), cfg.vocab_size,
-                                    cfg.max_len, cfg.n_encoder_layers, cfg.n_decoder_layers,
-                                    dtype)
-        weights = iter(drawn)
-        self.tok_emb = Parameter("embed.tokens", next(weights))
-        self.pos_emb = Parameter("embed.positions", next(weights))
-        self.encoder = [Layer.build(f"encoder.{i}", cfg, weights)
-                        for i in range(cfg.n_encoder_layers)]
-        self.decoder = [Layer.build(f"decoder.{i}", cfg, weights, decoder=True)
-                        for i in range(cfg.n_decoder_layers)]
-        self.out_proj = Linear("output", next(weights), np.zeros(cfg.vocab_size))
+        (tokens, positions), encoder, decoder, output, state = _frozen_base(
+            cfg.seed, cfg.d_model, cfg.resolved_d_ff(), cfg.vocab_size, cfg.max_len,
+            cfg.n_encoder_layers, cfg.n_decoder_layers, dtype)
+        self.tok_emb = Parameter("embed.tokens", tokens)
+        self.pos_emb = Parameter("embed.positions", positions)
+        self.encoder = [Layer.build(f"encoder.{i}", cfg, w) for i, w in enumerate(encoder)]
+        self.decoder = [Layer.build(f"decoder.{i}", cfg, w) for i, w in enumerate(decoder)]
+        self.out_proj = Linear("output", output, np.zeros(cfg.vocab_size))
         self.dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers,
                               cfg.n_decoder_layers, adapters_per_layer=2,
                               base_total_params=cfg.base_parameters())
