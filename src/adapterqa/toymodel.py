@@ -43,27 +43,29 @@ trainable tensor and the gradient of its input feeds nothing, so
 ``train_adapters`` computes that prefix once, and no skip reorders any
 arithmetic.
 
-Layers hold only their parameters. A forward given a tape, a list,
-appends to it what its backward needs, in walk order, and each backward
-takes its entry back off the end: the residual-passing form of reverse
-mode. Each training activation is held once. An adapter tapes only its
-bottleneck activation, and backward hands it the stream it read: the
-prefix's own array where the forward began, and elsewhere the norm's
-output recomputed from the norm's entry by the same two ufuncs on the same
-operands. An attention block tapes its q, k and v and its softmax's row
-maxima and row sums, not its probabilities; its backward rebuilds the
-probabilities from q and k by the forward's own product and ufuncs, so
-they too are bit-identical. A forward's tapes go on the
-``Step`` it returns, and ``backward`` takes them off it, so the model keeps
-no step state; ``backward`` returns each adapter's stream, which the
-audit's copy forwards read. The loss holds one logit-sized array: each
-label's log-probability is its shifted logit, read before the array is
-exponentiated in place, less the log of its row's sum, and the
-exponentials become the logits gradient. The large elementwise tails (bias
-adds, the norm, the attention softmax, the rectifier, the residual
-gradient sums) write into an array their own step made, never into an
-input. Each keeps its ufuncs and operands, at most swapping the two sides
-of a ``+`` or ``*``, so every value is unchanged.
+Layers hold only their parameters. A forward given a tape, a list, appends
+to it what its backward needs, in walk order, and each backward takes its
+entry back off the end: the residual-passing form of reverse mode. Each
+training activation is held once. An adapter tapes only its bottleneck
+activation, and backward hands it the stream it read: the prefix's own
+array where the forward began, and elsewhere the norm's output recomputed
+from the norm's entry by the same two ufuncs on the same operands. An
+attention block tapes its q, its key/value input and its softmax's row
+maxima and row sums, not its k, v or probabilities: a cross-attention's
+input is the encoder output that every decoder layer of a shard shares.
+Its backward rebuilds k and v, then the probabilities, by the forward's
+own products and ufuncs on the same operands, so they too are
+bit-identical, and lets each temporary go at its last use. A forward's
+tapes go on the ``Step`` it returns, and ``backward`` takes them off it,
+so the model keeps no step state; ``backward`` returns each adapter's
+stream, which the audit's copy forwards read. The loss holds one
+logit-sized array: each label's log-probability is its shifted logit, read
+before the array is exponentiated in place, less the log of its row's sum,
+and the exponentials become the logits gradient. The large elementwise
+tails (bias adds, the norm, the attention softmax, the rectifier, the
+residual gradient sums) write into an array their own step made, never
+into an input. Each keeps its ufuncs and operands, at most swapping the
+two sides of a ``+`` or ``*``, so every value is unchanged.
 
 Every step allocates its arrays anew, and so does every copy forward of
 the audit. glibc would hand each freed block of 128 KiB or more back to
@@ -105,8 +107,8 @@ At larger widths the frozen matrix products dominate a step, and BLAS
 gains nothing from a second thread at the toy's shapes. So ``forward`` and
 ``backward`` split the batch rows into ``shard_count`` shards: one per CPU
 that BLAS leaves idle (usable CPUs // BLAS threads, read from
-``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, else one per CPU, which
-gives one shard), at most one per row, and each carrying at least
+``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, else one per CPU,
+which gives one shard), at most one per row, and each carrying at least
 ``SHARD_MIN_STREAM`` stream elements (rows x length x d_model). With one
 shard this is the whole path. Every shard runs the model's own layers on a
 tape of its own: shard 0 on the calling thread, each other shard on a
@@ -115,13 +117,13 @@ loss, the mean over every shard's label log-probabilities, joined; and the
 adapters' weight gradients. Each shard's adapter backward hands back its
 rows of their operands, and once every shard's backward has ended, each
 adapter joins them in shard order (a lone shard's as they are) and runs
-the products and sums over the whole batch; adapter k joins on shard
-k mod n's thread. Everything else acts row by row: numpy runs a batched
-matrix product as one product per batch slice, and row reductions and
-ufuncs act per row. So every value equals the one-shard value bit for
-bit. Measured on a 2-core host with one-thread OpenBLAS, two shards made a
-width-128, 6+6-layer step on 16 x 32 tokens 1.8x faster, while two BLAS
-threads on one shard made it no faster.
+the products and sums over the whole batch, letting its shards' operands
+go; adapter k joins on shard k mod n's thread. Everything else acts row by
+row: numpy runs a batched matrix product as one product per batch slice,
+and row reductions and ufuncs act per row. So every value equals the one-
+shard value bit for bit. Measured on a 2-core host with one-thread
+OpenBLAS, two shards made a width-128, 6+6-layer step on 16 x 32 tokens
+1.8x faster, while two BLAS threads on one shard made it no faster.
 """
 
 from __future__ import annotations
@@ -216,10 +218,11 @@ def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.
 
 
 @functools.lru_cache(maxsize=16)
-def _causal_mask(t: int) -> np.ndarray:
-    """Lower-triangular (t, t) mask, shared by every call of one length and
-    so read-only."""
-    mask = np.tril(np.ones((t, t), dtype=bool))
+def _future_mask(t: int) -> np.ndarray:
+    """Where a causal attention of length ``t`` masks its scores: the (t, t)
+    upper triangle above the diagonal, shared by every call of one length
+    and so read-only."""
+    mask = np.triu(np.ones((t, t), dtype=bool), 1)
     mask.flags.writeable = False
     return mask
 
@@ -230,15 +233,20 @@ def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _set_grads(joins: list[tuple]) -> list[tuple]:
-    """For each adapter in ``joins``, given as every shard's (adapter,
-    operands), set its weight gradients from the operands joined in shard
-    order. Returns each (adapter, its joined input)."""
+def _set_grads(joins: list[tuple | None], first: int, step: int) -> list[tuple]:
+    """For every ``step``-th adapter in ``joins`` from ``first``, given as
+    every shard's (adapter, operands), set its weight gradients from the
+    operands joined in shard order. Each entry is dropped as its adapter
+    joins, so its shards' operands go then, not at the end of the round.
+    Returns each (adapter, its joined input)."""
     inputs = []
-    for shards in joins:
+    for index in range(first, len(joins), step):
+        shards, joins[index] = joins[index], None
         hidden, d_out, x, d_hidden = map(_join, zip(*(operands for _, operands in shards)))
-        shards[0][0].set_grads(hidden, d_out, x, d_hidden)
-        inputs.append((shards[0][0], x))
+        adapter = shards[0][0]
+        del shards
+        adapter.set_grads(hidden, d_out, x, d_hidden)
+        inputs.append((adapter, x))
     return inputs
 
 
@@ -476,13 +484,19 @@ class Attention:
         scores = np.matmul(q, k.transpose(0, 1, 3, 2))
         scores *= inv_sqrt
         if self.causal:
-            np.copyto(scores, -np.inf, where=~_causal_mask(scores.shape[-1]))
+            np.copyto(scores, -np.inf, where=_future_mask(scores.shape[-1]))
         return scores
 
+    def _keys_values(self, x_kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._split(self.k_proj.forward(x_kv)), self._split(self.v_proj.forward(x_kv))
+
     def forward(self, x_q: np.ndarray, x_kv: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """A taped forward tapes q, the key/value input ``x_kv`` and the
+        softmax's row maxima and row sums, not k, v or the probabilities.
+        A cross-attention's ``x_kv`` is the encoder output that every
+        decoder layer of a shard holds, so their entries share one array."""
         q = self._split(self.q_proj.forward(x_q))
-        k = self._split(self.k_proj.forward(x_kv))
-        v = self._split(self.v_proj.forward(x_kv))
+        k, v = self._keys_values(x_kv)
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
         # The softmax is written in place: scores become the probabilities.
         attn = self._scores(q, k, inv_sqrt)
@@ -495,7 +509,7 @@ class Attention:
         merged = np.empty(x_q.shape, x_q.dtype)
         np.matmul(attn, v, out=self._split(merged))
         if tape is not None:
-            tape.append((q, k, v, row_max, row_sum, inv_sqrt))
+            tape.append((q, x_kv, row_max, row_sum, inv_sqrt))
         return self.o_proj.forward(merged)
 
     def backward(self, d_out: np.ndarray, cache: tuple,
@@ -504,12 +518,13 @@ class Attention:
         second is None, and not computed, unless ``need_kv``. The gradients
         of the heads are written straight into their merged layout.
 
-        The forward tapes its probabilities' row maxima and row sums in
-        their place, so backward first rebuilds the probabilities from the
-        taped q and k by the forward's own product and ufuncs on the same
-        operands: they are the forward's bit for bit, and the cache is left
-        as it was."""
-        q, k, v, row_max, row_sum, inv_sqrt = cache
+        It rebuilds k and v from the taped key/value input, then the
+        probabilities from q and k, by the forward's own products and
+        ufuncs on the same operands: bit for bit the forward's, with the
+        cache left as it was. Each temporary goes at its last use."""
+        q, x_kv, row_max, row_sum, inv_sqrt = cache
+        k, v = self._keys_values(x_kv)
+        del cache, x_kv
         attn = self._scores(q, k, inv_sqrt)
         attn -= row_max
         np.exp(attn, out=attn)
@@ -517,21 +532,28 @@ class Attention:
         d_context = self._split(self.o_proj.backward(d_out))
         # attn * (d_attn - row_sum(d_attn * attn)), in place in d_attn.
         d_scores = np.matmul(d_context, v.transpose(0, 1, 3, 2))
+        del v
         d_scores -= _row_sum(d_scores * attn)
         d_scores *= attn
+        kv_shape = (d_out.shape[0], k.shape[2], d_out.shape[2])
+        if need_kv:
+            d_v = np.empty(kv_shape, d_out.dtype)
+            np.matmul(attn.transpose(0, 1, 3, 2), d_context, out=self._split(d_v))
+        del attn, d_context
         d_q = np.empty_like(d_out)
         np.matmul(d_scores, k, out=self._split(d_q))
         d_q *= inv_sqrt
+        if need_kv:
+            d_k = np.empty(kv_shape, d_out.dtype)
+            np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=self._split(d_k))
+            d_k *= inv_sqrt
+        del k, d_scores
         d_xq = self.q_proj.backward(d_q)
+        del d_q
         if not need_kv:
             return d_xq, None
-        kv_shape = (d_out.shape[0], k.shape[2], d_out.shape[2])
-        d_v = np.empty(kv_shape, d_out.dtype)
-        np.matmul(attn.transpose(0, 1, 3, 2), d_context, out=self._split(d_v))
-        d_k = np.empty(kv_shape, d_out.dtype)
-        np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=self._split(d_k))
-        d_k *= inv_sqrt
         d_xkv = self.k_proj.backward(d_k)
+        del d_k
         d_xkv += self.v_proj.backward(d_v)
         return d_xq, d_xkv
 
@@ -1092,7 +1114,8 @@ class ToyModel:
         in_threads([functools.partial(self._backward_rows, prefix, rows, tape, shard_parts)
                     for rows, tape, shard_parts in zip(step._rows, tapes, parts)])
         joins = list(zip(*parts))  # per adapter, each shard's (adapter, operands)
-        joined = in_threads([functools.partial(_set_grads, joins[k::n])
+        del parts  # so that each adapter's operands go once it has joined
+        joined = in_threads([functools.partial(_set_grads, joins, k, n)
                              for k in range(min(n, len(joins)))])
         return dict(pair for inputs in joined for pair in inputs)
 

@@ -39,7 +39,7 @@ from adapterqa.toymodel import (
     ToyModel,
     TrainConfig,
     _bottleneck,
-    _causal_mask,
+    _future_mask,
     _row_max,
     _row_mean,
     _row_sum,
@@ -145,13 +145,13 @@ def test_row_max_of_many_short_rows_equals_ndarray_max(x):
     assert got.tobytes() == want.tobytes()
 
 
-def test_causal_mask_is_shared_and_read_only():
+def test_future_mask_is_shared_and_read_only():
     for t in (1, 2, 5):
-        mask = _causal_mask(t)
-        assert mask is _causal_mask(t)
-        assert mask.tobytes() == np.tril(np.ones((t, t), dtype=bool)).tobytes()
+        mask = _future_mask(t)
+        assert mask is _future_mask(t)
+        assert mask.tobytes() == (~np.tril(np.ones((t, t), dtype=bool))).tobytes()
         with pytest.raises(ValueError):
-            mask[0, -1] = True
+            mask[0, -1] = False
 
 
 def build_single(adapter_set: AdapterSet):
@@ -381,18 +381,27 @@ def test_a_resumed_bottom_block_reads_the_prefix_array(adapter_set, bottoms):
 # Traced peak of ``train_adapters`` (3 Adam steps, batch 8 x 16) on a width-64,
 # 2+2-layer toy, in MB, as this tree gives it with numpy 2.4 on Python 3.11.
 # The grid-row sets keep the layers that rows 0-2 of the 4+4 grid keep: the
-# top layer of both stacks, of the decoder, of the encoder. Before adapters
-# stopped caching their input and the loss its extra logit-sized arrays
-# the peaks were 3.52, 3.05, 2.58, 2.73, 1.41 and 2.50 MB.
+# top layer of both stacks, of the decoder, of the encoder. While attention
+# taped its k and v the peaks were those of ``KV_TAPED_PEAK_MB``; while it
+# taped its probabilities the bounds were 2.97, 2.69, 2.23, 2.37, 1.18 and
+# 2.27 MB; and before adapters stopped caching their input and the loss its
+# extra logit-sized arrays the peaks were 3.52, 3.05, 2.58, 2.73, 1.41 and
+# 2.50 MB.
 TRACED_PEAK_MB = [
-    (AdapterSet.of([0, 1], [2, 3]), 2.97),
-    (AdapterSet.of([0, 1], []), 2.69),
-    (AdapterSet.of([], [2, 3]), 2.23),
-    (AdapterSet.of([1], [3]), 2.37),
-    (AdapterSet.of([], [3]), 1.18),
-    (AdapterSet.of([1], []), 2.27),
+    (AdapterSet.of([0, 1], [2, 3]), 2.12),
+    (AdapterSet.of([0, 1], []), 1.83),
+    (AdapterSet.of([], [2, 3]), 1.44),
+    (AdapterSet.of([1], [3]), 1.62),
+    (AdapterSet.of([], [3]), 0.92),
+    (AdapterSet.of([1], []), 1.44),
 ]
+KV_TAPED_PEAK_MB = [2.68, 2.39, 1.85, 2.12, 1.05, 1.93]
 PEAK_MARGIN = 1.04  # below every earlier peak, above this tree's by 4%
+
+
+def test_each_traced_bound_sits_below_what_taping_k_and_v_cost():
+    assert all(peak * PEAK_MARGIN < taped for (_, peak), taped
+               in zip(TRACED_PEAK_MB, KV_TAPED_PEAK_MB, strict=True))
 
 
 @pytest.mark.parametrize("adapter_set, peak_mb", TRACED_PEAK_MB, ids=ADAPTED_IDS)

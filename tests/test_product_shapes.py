@@ -1,11 +1,11 @@
 """A ledger of the toy model's matrix products.
 
 BLAS may round a product differently when its operand shapes change, so
-every fast path that claims bit-identical outputs (row shards, attention
-probabilities rebuilt in backward) must keep each product's per-slice shape. numpy
-runs a batched product as one product per batch slice, so the shapes BLAS
-sees are each call's per-slice (m, k, n), as many times as the call has
-slices. A stand-in for the module's ``np`` records them, and these tests
+every fast path that claims bit-identical outputs (row shards, attention's
+k, v and probabilities rebuilt in backward) must keep each product's
+per-slice shape. numpy runs a batched product as one product per batch
+slice, so the shapes BLAS sees are each call's per-slice (m, k, n), as many
+times as the call has slices. A stand-in for the module's ``np`` records them, and these tests
 compare the records of the paths that must agree.
 """
 
@@ -53,23 +53,24 @@ def recorded():
         yield ledger.slices
 
 
-def step_ledgers(cfg: ToyConfig, source, target) -> tuple[Counter, Counter, Counter]:
+def step_ledgers(cfg: ToyConfig, source, target) -> tuple[Counter, Counter, Counter, Counter]:
     """The products of one forward (its prefix included) and of its
-    backward, on a model with random adapters; then the scores products of
-    the forward's taped attention blocks, counted from their taped q and
-    k."""
+    backward, on a model with random adapters; then, counted from the
+    forward's taped attention blocks, their scores products and the k and
+    v projections of their taped key/value inputs."""
     model = ToyModel(cfg)
     model.randomize_adapters(seed=3)
     with recorded() as forward:
         step = model.forward(source, target)
-    scores = Counter()
-    for q, k, *_ in attention_entries(step):
+    scores, projections = Counter(), Counter()
+    for q, x_kv, *_ in attention_entries(step):
         b, h, t_q, d_head = q.shape
-        scores[(t_q, d_head, k.shape[2], q.dtype.name)] += b * h
+        scores[(t_q, d_head, x_kv.shape[1], q.dtype.name)] += b * h
+        projections[(x_kv.shape[1], cfg.d_model, cfg.d_model, q.dtype.name)] += 2 * b
     with recorded() as backward:
         model.backward(step)
     assert step_shards(model) == {len(step._rows)}
-    return forward, backward, scores
+    return forward, backward, scores, projections
 
 
 @settings(deadline=None, max_examples=40)
@@ -79,8 +80,8 @@ def test_shards_keep_every_product_shape(adapter_set, rows, source_len, target_l
                                          precision, seed):
     """A step at one row shard and at three (as under ``three_shards``)
     records the same products, slice by slice; backward repeats, per taped
-    attention block, the forward's scores slices to rebuild its
-    probabilities."""
+    attention block, the forward's k and v projection slices to rebuild
+    its k and v, and its scores slices to rebuild its probabilities."""
     cfg = ToyConfig(d_model=DIMS.d_model, bottleneck=DIMS.bottleneck,
                     n_encoder_layers=DIMS.n_encoder_layers,
                     n_decoder_layers=DIMS.n_decoder_layers, n_heads=n_heads, vocab_size=16,
@@ -93,9 +94,9 @@ def test_shards_keep_every_product_shape(adapter_set, rows, source_len, target_l
         with host(cpus=cpus):
             runs[cpus] = step_ledgers(cfg, source, target)
     assert runs[3] == runs[1]
-    forward, backward, scores = runs[1]
-    assert scores <= forward
-    assert scores <= backward
+    forward, backward, scores, projections = runs[1]
+    assert scores + projections <= forward
+    assert scores + projections <= backward
     assert (sum(backward.values()) > 0) == (adapter_set.n_active_layers > 0)
 
 

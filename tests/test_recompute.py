@@ -1,15 +1,17 @@
-"""Attention probabilities rebuilt in backward.
+"""Attention's k, v and probabilities rebuilt in backward.
 
-A taped attention forward tapes its probabilities' row maxima and row sums
-in their place, and ``Attention.backward`` rebuilds them from the taped q
-and k by the forward's own product and ufuncs. The rebuilt probabilities
-must be the forward's, bit for bit, and a training step must peak below
-what taping the probabilities cost.
+A taped attention forward tapes its q, its key/value input and its
+probabilities' row maxima and row sums: not its k, v or probabilities.
+``Attention.backward`` rebuilds k and v from the key/value input, and the
+probabilities from q and k, by the forward's own products and ufuncs. What
+it rebuilds must be the forward's, bit for bit, and a training step must
+peak below what taping k, v and the probabilities cost.
 """
 
 import contextlib
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,9 +35,9 @@ from test_shards import DIMS
 
 
 def attention_entries(step) -> list[tuple]:
-    """The attention entries on the tapes of ``step``: (q, k, v, row
-    maxima, row sums, scale). A norm tapes a pair, and the other modules
-    an array."""
+    """The attention entries on the tapes of ``step``: (q, key/value input,
+    row maxima, row sums, scale). A norm tapes a pair, and the other
+    modules an array."""
     return [entry for tape in step._tapes for entry in tape
             if isinstance(entry, tuple) and len(entry) > 2]
 
@@ -54,6 +56,26 @@ def probabilities():
         return out
 
     with mock.patch.object(toymodel.Attention, "_scores", recording):
+        yield made
+
+
+@contextlib.contextmanager
+def keys_values(model):
+    """Each k and v projection output of ``model``'s attention blocks made
+    inside, with the projection that made it."""
+    projections = {id(linear) for layer in (*model.encoder, *model.decoder)
+                   for block in layer.blocks if isinstance(block.sublayer, toymodel.Attention)
+                   for linear in (block.sublayer.k_proj, block.sublayer.v_proj)}
+    made = []
+    forward = toymodel.Linear.forward
+
+    def recording(self, x, out=None):
+        y = forward(self, x, out)
+        if id(self) in projections:
+            made.append((self, y))
+        return y
+
+    with mock.patch.object(toymodel.Linear, "forward", recording):
         yield made
 
 
@@ -98,7 +120,7 @@ def test_backward_rebuilds_the_forward_probabilities_bit_for_bit(request, shards
     with probabilities() as forward:
         step = model.forward(source, target)
     entries = attention_entries(step)
-    for q, k, v, row_max, row_sum, inv_sqrt in entries:
+    for q, x_kv, row_max, row_sum, inv_sqrt in entries:
         assert row_max.shape == row_sum.shape == q.shape[:3] + (1,)
     cached = [a for entry in entries for a in entry if isinstance(a, np.ndarray)]
     before = [a.tobytes() for a in cached]
@@ -111,19 +133,61 @@ def test_backward_rebuilds_the_forward_probabilities_bit_for_bit(request, shards
     assert step_shards(model) == {min(shards, source.shape[0])}
 
 
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("shards", [1, 3])
+@settings(deadline=None, max_examples=25)
+@given(cases())
+def test_backward_rebuilds_the_forward_keys_and_values_bit_for_bit(request, shards, precision,
+                                                                    case):
+    """Every taped attention block tapes its key/value input, never its k
+    or v, and backward rebuilds each block's k and v once, byte for byte
+    those of its forward, on one row shard and under ``three_shards``.
+    Every cross-attention entry on one shard's tape holds one array, the
+    encoder output; the source and target lengths of ``cases`` differ, so
+    a cross-attention entry is one whose key/value input is not as long
+    as its query."""
+    if shards == 3:
+        request.getfixturevalue("three_shards")
+    cfg, source, target = case
+    model = ToyModel(replace(cfg, precision=precision))
+    model.randomize_adapters(seed=3)
+    with keys_values(model) as forward:
+        step = model.forward(source, target)
+    crosses = 0
+    for tape in step._tapes:
+        entries = [entry for entry in tape if isinstance(entry, tuple) and len(entry) > 2]
+        for q, x_kv, *_ in entries:
+            assert (x_kv.ndim, x_kv.shape[0], x_kv.shape[2]) == (3, q.shape[0], cfg.d_model)
+        memories = {id(x_kv) for q, x_kv, *_ in entries if x_kv.shape[1] != q.shape[2]}
+        assert len(memories) <= 1
+        crosses += len(memories)
+    entries = attention_entries(step)
+    assert not any(np.shares_memory(a, kv) for entry in entries for a in entry[:2]
+                   for _, kv in forward)
+    with keys_values(model) as rebuilt:
+        model.backward(step)
+    assert len(rebuilt) == 2 * len(entries) > 0
+    made = Counter((id(linear), kv.tobytes()) for linear, kv in forward)
+    assert Counter((id(linear), kv.tobytes()) for linear, kv in rebuilt) <= made
+    assert crosses == len(step._rows)  # every step tapes a cross-attention per shard
+    assert step_shards(model) == {min(shards, source.shape[0])}
+
+
 # Traced peak of ``train_adapters`` (3 Adam steps) on the toy of
 # ``TRACED_PEAK_MB``, with its first adapter set, at batch 8 x 32: 16,384
 # probabilities per attention block. In MB, as this tree gives it on one row
-# shard with numpy 2.4 on Python 3.11; and the peak the same step gave while
-# attention taped its probabilities.
-LONG_TRACED_PEAK_MB = 5.19
+# shard with numpy 2.4 on Python 3.11; the peak the same step gave while
+# attention taped its k and v; and the peak it gave while attention also
+# taped its probabilities.
+LONG_TRACED_PEAK_MB = 4.01
+KV_TAPED_PEAK_MB = 5.19
 TAPED_PROBABILITIES_PEAK_MB = 5.55
 
 
 def test_training_at_32_tokens_peaks_below_what_taped_probabilities_cost():
-    """The bound sits below the peak the probability tape gave, by more
-    than ``PEAK_MARGIN`` allows."""
-    assert LONG_TRACED_PEAK_MB * PEAK_MARGIN < TAPED_PROBABILITIES_PEAK_MB
+    """The bound sits below the peaks that taping k and v, and before that
+    the probabilities, gave, by more than ``PEAK_MARGIN`` allows."""
+    assert LONG_TRACED_PEAK_MB * PEAK_MARGIN < KV_TAPED_PEAK_MB < TAPED_PROBABILITIES_PEAK_MB
     model = build_toy_model(ToyConfig(
         d_model=64, bottleneck=16, n_encoder_layers=2, n_decoder_layers=2, n_heads=2,
         vocab_size=64, max_len=32, seed=6, adapter_set=TRACED_PEAK_MB[0][0]))

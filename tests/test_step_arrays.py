@@ -153,3 +153,40 @@ def test_the_model_holds_no_step_state(cpus):
     for held in (after_forward, vars(model)):
         assert held.keys() == built.keys()
         assert all(held[name] is value for name, value in built.items())
+
+
+@pytest.mark.usefixtures("three_shards")
+def test_each_adapter_lets_its_operands_go_as_it_joins():
+    """Under ``three_shards``, the round that joins the adapters' shards
+    (``_set_grads`` through ``in_threads``) grows traced memory by at most
+    three adapters' joined operands, one per shard thread, on a toy with
+    16 adapters: each adapter drops its shards' operands as it joins, so the
+    joined inputs it returns take their place."""
+    model = build_toy_model(ToyConfig(
+        d_model=64, bottleneck=16, n_encoder_layers=4, n_decoder_layers=4, n_heads=2,
+        vocab_size=64, max_len=16, seed=6))
+    model.randomize_adapters(seed=3)
+    source, target = make_copy_task(n_examples=12, seq_len=16, vocab_size=64, seed=3)
+    in_threads, growth = toymodel.in_threads, []
+
+    def joining(calls):
+        if calls[0].func is not toymodel._set_grads:
+            return in_threads(calls)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        joined = in_threads(calls)
+        growth.append(tracemalloc.get_traced_memory()[1] - start)
+        return joined
+
+    step = model.forward(source, target)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(toymodel, "in_threads", joining):
+            model.backward(step)
+    finally:
+        tracemalloc.stop()
+    assert step_shards(model) == {3}
+    # hidden, d_out, x and d_hidden of every row of one adapter
+    operands = source.size * 2 * (64 + 16) * model.theta.itemsize
+    assert len(growth) == 1
+    assert growth[0] <= 3 * operands
