@@ -50,22 +50,27 @@ training activation is held once. An adapter tapes only its bottleneck
 activation, and backward hands it the stream it read: the prefix's own
 array where the forward began, and elsewhere the norm's output recomputed
 from the norm's entry by the same two ufuncs on the same operands. An
-attention block tapes its q, its key/value input and its softmax's row
-maxima and row sums, not its k, v or probabilities: a cross-attention's
-input is the encoder output that every decoder layer of a shard shares.
-Its backward rebuilds k and v, then the probabilities, by the forward's
-own products and ufuncs on the same operands, so they too are
-bit-identical, and lets each temporary go at its last use. A forward's
-tapes go on the ``Step`` it returns, and ``backward`` takes them off it,
-so the model keeps no step state; ``backward`` returns each adapter's
-stream, which the audit's copy forwards read. The loss holds one
-logit-sized array: each label's log-probability is its shifted logit, read
-before the array is exponentiated in place, less the log of its row's sum,
-and the exponentials become the logits gradient. The large elementwise
-tails (bias adds, the norm, the attention softmax, the rectifier, the
-residual gradient sums) write into an array their own step made, never
-into an input. Each keeps its ufuncs and operands, at most swapping the
-two sides of a ``+`` or ``*``, so every value is unchanged.
+attention block tapes only its softmax's row maxima, row sums and scale,
+and a cross-attention the encoder output that every decoder layer of a
+shard shares: not its query input, q, k, v or probabilities. Its input is
+the output of the block below, which backward recomputes from that
+block's own entries (``ResidualBlock.output``: the norm's output, then
+the adapter's up-projection from its taped activation, by
+``_bottleneck``'s own ops), and at the bottom of the walk from the
+prefix's stream through block 0's adapter. Attention's backward rebuilds
+q, k and v from its inputs, then the probabilities, by the forward's own
+products and ufuncs on the same operands, so they too are bit-identical,
+and lets each temporary go at its last use. A forward's tapes go on the
+``Step`` it returns, and ``backward`` takes them off it, so the model
+keeps no step state; ``backward`` returns each adapter's stream, which
+the audit's copy forwards read, and a training step keeps none. The loss
+holds one logit-sized array: each label's log-probability is its shifted
+logit, read before the array is exponentiated in place, less the log of
+its row's sum, and the exponentials become the logits gradient. The
+large elementwise tails (bias adds, the norm, the attention softmax, the
+rectifier, the residual gradient sums) write into an array their own step
+made, never into an input. Each keeps its ufuncs and operands, at most
+swapping the two sides of a ``+`` or ``*``, so every value is unchanged.
 
 Every step allocates its arrays anew, and so does every copy forward of
 the audit. glibc would hand each freed block of 128 KiB or more back to
@@ -114,16 +119,18 @@ shard this is the whole path. Every shard runs the model's own layers on a
 tape of its own: shard 0 on the calling thread, each other shard on a
 thread of its own (``workers.in_threads``). Only two results mix rows: the
 loss, the mean over every shard's label log-probabilities, joined; and the
-adapters' weight gradients. Each shard's adapter backward hands back its
-rows of their operands, and once every shard's backward has ended, each
-adapter joins them in shard order (a lone shard's as they are) and runs
-the products and sums over the whole batch, letting its shards' operands
-go; adapter k joins on shard k mod n's thread. Everything else acts row by
-row: numpy runs a batched matrix product as one product per batch slice,
-and row reductions and ufuncs act per row. So every value equals the one-
-shard value bit for bit. Measured on a 2-core host with one-thread
-OpenBLAS, two shards made a width-128, 6+6-layer step on 16 x 32 tokens
-1.8x faster, while two BLAS threads on one shard made it no faster.
+adapters' weight gradients. Each shard's adapter backward hands in its
+rows of their operands, and as soon as every shard has, the adapter joins
+them in shard order (a lone shard's at once, as they are) and runs the
+products and sums over the whole batch, letting its shards' operands go.
+The join runs on the thread of the shard that is ahead, the next to reach
+an adapter first, or after the round (``_Joins``); no shard waits for
+another. Everything else acts row by row: numpy runs a batched matrix
+product as one product per batch slice, and row reductions and ufuncs act
+per row. So every value equals the one-shard value bit for bit. Measured
+on a 2-core host with one-thread OpenBLAS, two shards made a width-128,
+6+6-layer step on 16 x 32 tokens 1.8x faster, while two BLAS threads on
+one shard made it no faster.
 """
 
 from __future__ import annotations
@@ -131,6 +138,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 
@@ -212,9 +220,17 @@ def _bottleneck(x: np.ndarray, w_down: np.ndarray, b_down: np.ndarray, w_up: np.
     copies of the adapter; they broadcast against the batch axes of ``x``."""
     hidden = np.matmul(x, w_down) + b_down
     np.maximum(hidden, 0.0, out=hidden)
+    return _bottleneck_out(x, hidden, w_up, b_up), hidden
+
+
+def _bottleneck_out(x: np.ndarray, hidden: np.ndarray, w_up: np.ndarray,
+                    b_up: np.ndarray) -> np.ndarray:
+    """x + (hidden @ w_up + b_up): ``_bottleneck``'s output from its input
+    and rectified activation, so the output of a call handed those again
+    is rebuilt bit for bit."""
     out = np.matmul(hidden, w_up) + b_up
     out += x
-    return out, hidden
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -233,21 +249,68 @@ def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _set_grads(joins: list[tuple | None], first: int, step: int) -> list[tuple]:
-    """For every ``step``-th adapter in ``joins`` from ``first``, given as
-    every shard's (adapter, operands), set its weight gradients from the
-    operands joined in shard order. Each entry is dropped as its adapter
-    joins, so its shards' operands go then, not at the end of the round.
-    Returns each (adapter, its joined input)."""
-    inputs = []
-    for index in range(first, len(joins), step):
-        shards, joins[index] = joins[index], None
-        hidden, d_out, x, d_hidden = map(_join, zip(*(operands for _, operands in shards)))
-        adapter = shards[0][0]
-        del shards
-        adapter.set_grads(hidden, d_out, x, d_hidden)
-        inputs.append((adapter, x))
-    return inputs
+def _join_into(inputs: dict | None, adapter: AdapterModule, shards: list[tuple]):
+    """Set ``adapter``'s weight gradients from every shard's operands, in
+    shard order, joined; unless ``inputs`` is None, record its joined
+    input there. ``shards`` is emptied once joined, so that the shards'
+    operands go before the products run."""
+    hidden, d_out, x, d_hidden = map(_join, zip(*shards))
+    shards.clear()
+    adapter.set_grads(hidden, d_out, x, d_hidden)
+    if inputs is not None:
+        inputs[adapter] = x
+
+
+class _Joins:
+    """The adapters' weight-gradient operands of one backward: each
+    adapter joins once every shard has handed in its rows.
+
+    A lone shard's hand-in joins at once, with no lock or slot. With more,
+    no shard ever waits for another. The last shard to hand in an
+    adapter's rows makes it ready, and the next shard to reach an adapter
+    first, so ahead of the others, runs every ready join before it goes
+    on; ``finish`` runs those still ready when the round has ended. So the
+    shard that is ahead does the joining, and the operands go soon after
+    their last shard hands them in. Whichever thread runs a join, it joins
+    in shard order, so every gradient is the one-shard gradient bit for
+    bit."""
+
+    def __init__(self, shards: int, inputs: dict | None):
+        self._shards = shards
+        self._inputs = inputs
+        self._lock = threading.Lock()
+        self._slots: dict[AdapterModule, dict[int, tuple]] = {}
+        self._ready: list[tuple[AdapterModule, list[tuple]]] = []
+
+    def hand_ins(self) -> list:
+        """Each shard's hand-in, called as ``hand_in(adapter, operands)``."""
+        if self._shards == 1:
+            return [lambda adapter, operands: _join_into(self._inputs, adapter, [operands])]
+        return [functools.partial(self.hand_in, shard) for shard in range(self._shards)]
+
+    def hand_in(self, shard: int, adapter: AdapterModule, operands: tuple):
+        """Take ``shard``'s rows of ``adapter``'s operands; a shard that is
+        the first to reach ``adapter`` then runs every ready join."""
+        with self._lock:
+            slot = self._slots.setdefault(adapter, {})
+            ahead = not slot
+            slot[shard] = operands
+            if len(slot) == self._shards:
+                del self._slots[adapter]
+                self._ready.append((adapter, [slot[k] for k in range(self._shards)]))
+            ready = []
+            if ahead:
+                ready, self._ready = self._ready, ready
+        self._run(ready)
+
+    def finish(self):
+        """Run the joins still ready once every shard has ended."""
+        ready, self._ready = self._ready, []
+        self._run(ready)
+
+    def _run(self, ready: list):
+        while ready:
+            _join_into(self._inputs, *ready.pop())
 
 
 def _blas_threads(cpus: int) -> int:
@@ -462,7 +525,11 @@ class LayerNorm:
 
 
 class Attention:
-    """Multi-head scaled dot-product attention with frozen projections."""
+    """Multi-head scaled dot-product attention with frozen projections.
+
+    A taped forward keeps only its softmax's row statistics, and a
+    cross-attention its key/value input; backward is handed the query
+    input and rebuilds q, k, v and the probabilities bit for bit."""
 
     def __init__(self, name: str, n_heads: int, weights: list[np.ndarray],
                  causal: bool = False):
@@ -491,10 +558,13 @@ class Attention:
         return self._split(self.k_proj.forward(x_kv)), self._split(self.v_proj.forward(x_kv))
 
     def forward(self, x_q: np.ndarray, x_kv: np.ndarray, tape: list | None = None) -> np.ndarray:
-        """A taped forward tapes q, the key/value input ``x_kv`` and the
-        softmax's row maxima and row sums, not k, v or the probabilities.
-        A cross-attention's ``x_kv`` is the encoder output that every
-        decoder layer of a shard holds, so their entries share one array."""
+        """A taped forward tapes the softmax's row maxima, row sums and
+        scale, and ``x_kv`` where it is not ``x_q``: not q, k, v, the
+        probabilities or its query input, which the block below rebuilds
+        for backward (``ResidualBlock.output``). A cross-attention's
+        ``x_kv`` is the encoder output that every decoder layer of a shard
+        holds, so their entries share one array; a self-attention's entry
+        holds None there."""
         q = self._split(self.q_proj.forward(x_q))
         k, v = self._keys_values(x_kv)
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
@@ -509,22 +579,25 @@ class Attention:
         merged = np.empty(x_q.shape, x_q.dtype)
         np.matmul(attn, v, out=self._split(merged))
         if tape is not None:
-            tape.append((q, x_kv, row_max, row_sum, inv_sqrt))
+            tape.append((None if x_kv is x_q else x_kv, row_max, row_sum, inv_sqrt))
         return self.o_proj.forward(merged)
 
-    def backward(self, d_out: np.ndarray, cache: tuple,
+    def backward(self, d_out: np.ndarray, x_q: np.ndarray, cache: tuple,
                  need_kv: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Gradients of the query input and of the key/value input; the
-        second is None, and not computed, unless ``need_kv``. The gradients
-        of the heads are written straight into their merged layout.
+        second is None, and not computed, unless ``need_kv``. ``x_q`` is
+        the forward's query input, and its key/value input where ``cache``
+        holds None. The gradients of the heads are written straight into
+        their merged layout.
 
-        It rebuilds k and v from the taped key/value input, then the
-        probabilities from q and k, by the forward's own products and
-        ufuncs on the same operands: bit for bit the forward's, with the
-        cache left as it was. Each temporary goes at its last use."""
-        q, x_kv, row_max, row_sum, inv_sqrt = cache
-        k, v = self._keys_values(x_kv)
-        del cache, x_kv
+        It rebuilds q, k and v from those inputs, then the probabilities
+        from q and k, by the forward's own products and ufuncs on the same
+        operands: bit for bit the forward's, with the cache left as it
+        was. Each temporary goes at its last use."""
+        x_kv, row_max, row_sum, inv_sqrt = cache
+        q = self._split(self.q_proj.forward(x_q))
+        k, v = self._keys_values(x_q if x_kv is None else x_kv)
+        del cache, x_q, x_kv
         attn = self._scores(q, k, inv_sqrt)
         attn -= row_max
         np.exp(attn, out=attn)
@@ -547,7 +620,7 @@ class Attention:
             d_k = np.empty(kv_shape, d_out.dtype)
             np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=self._split(d_k))
             d_k *= inv_sqrt
-        del k, d_scores
+        del q, k, d_scores
         d_xq = self.q_proj.backward(d_q)
         del d_q
         if not need_kv:
@@ -598,9 +671,9 @@ class AdapterModule:
     second copy.
 
     The four weight gradients sum over every row of the batch. Each
-    shard's ``backward`` hands back its rows of their operands, and once
-    every shard has ended, ``set_grads`` runs on the rows joined in shard
-    order, whatever the number of shards.
+    shard's ``backward`` hands in its rows of their operands, and once
+    every shard has, ``set_grads`` runs on the rows joined in shard order
+    (``_Joins``), whatever the number of shards.
     """
 
     def __init__(self, name: str, d_model: int, bottleneck: int, rng: np.random.Generator):
@@ -617,17 +690,22 @@ class AdapterModule:
             tape.append(hidden)
         return out
 
+    def output(self, x: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """The output of the forward that read ``x`` and taped ``hidden``,
+        rebuilt from them by ``_bottleneck_out``: bit-identical."""
+        return _bottleneck_out(x, hidden, self.w_up.value, self.b_up.value)
+
     def backward(self, d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
-                 parts: list) -> np.ndarray:
+                 hand_in) -> np.ndarray:
         """Gradient of the input; ``x`` and ``hidden`` are the input and the
         taped activation of one forward. The weight gradients' operands
-        are appended to ``parts`` with this adapter, for ``set_grads`` on
-        every shard's rows."""
+        go to ``hand_in(self, operands)``, for ``set_grads`` on every
+        shard's rows."""
         d_hidden = np.matmul(d_out, self.w_up.value.T)
         d_hidden *= hidden > 0
         d_x = np.matmul(d_hidden, self.w_down.value.T)
         d_x += d_out
-        parts.append((self, (hidden, d_out, x, d_hidden)))
+        hand_in(self, (hidden, d_out, x, d_hidden))
         return d_x
 
     def set_grads(self, hidden: np.ndarray, d_out: np.ndarray, x: np.ndarray,
@@ -652,7 +730,9 @@ class ResidualBlock:
     attends to its own input, or to ``memory`` when ``cross`` is set.
     A forward tapes the sublayer's, the norm's and the adapter's entries,
     in that order; ``backward`` takes them back and hands the adapter the
-    stream it read, recomputed from the norm's entry.
+    stream it read, recomputed from the norm's entry. Its own output is
+    recomputed from the same entries (``output``), so an attention above
+    it is handed its input rather than taping it.
     """
 
     def __init__(self, sublayer: Attention | FeedForward, norm: LayerNorm, cross: bool = False):
@@ -676,20 +756,34 @@ class ResidualBlock:
         h = self.normed(x, memory, tape)
         return h if self.adapter is None else self.adapter.forward(h, tape)
 
-    def backward(self, d_out: np.ndarray, tape: list, parts: list,
+    def output(self, tape: list, normed: np.ndarray | None = None) -> np.ndarray:
+        """The output of the forward whose entries are on top of ``tape``,
+        recomputed from them by the norm's and the adapter's own ufuncs and
+        products on the same operands: bit for bit. ``normed`` is the
+        norm's output where the forward began at this block's adapter, on
+        a ``Prefix``'s stream, and the norm taped nothing."""
+        if normed is None:
+            normed = self.norm.output(tape[-1] if self.adapter is None else tape[-2])
+        return normed if self.adapter is None else self.adapter.output(normed, tape[-1])
+
+    def backward(self, d_out: np.ndarray, tape: list, hand_in, below,
                  d_memory: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the input, taking this block's entries off ``tape``;
         cross-attention adds the gradient of ``memory`` into ``d_memory``,
-        and skips it when that is None. ``parts`` is the adapter's."""
+        and skips it when that is None. ``hand_in`` takes the adapter's
+        operands. An attention is handed its input as ``below(tape)``
+        gives it once this block's entries are off: the output of the
+        block below, recomputed from that block's entries."""
         if self.adapter is not None:
             hidden = tape.pop()
-            d_out = self.adapter.backward(d_out, self.norm.output(tape[-1]), hidden, parts)
+            d_out = self.adapter.backward(d_out, self.norm.output(tape[-1]), hidden, hand_in)
         d_sum = self.norm.backward(d_out, tape.pop())
         if isinstance(self.sublayer, FeedForward):
             d_x = self.sublayer.backward(d_sum, tape.pop())
             d_x += d_sum
             return d_x
-        d_x, d_kv = self.sublayer.backward(d_sum, tape.pop(),
+        cache = tape.pop()
+        d_x, d_kv = self.sublayer.backward(d_sum, below(tape), cache,
                                            need_kv=not self.cross or d_memory is not None)
         d_x += d_sum
         if not self.cross:
@@ -742,14 +836,19 @@ class Layer:
             x = block.forward(x, memory, tape)
         return x
 
-    def backward(self, d_out: np.ndarray, tape: list, parts: list,
+    def backward(self, d_out: np.ndarray, tape: list, hand_in, below,
                  d_memory: np.ndarray | None = None, first: int = 0) -> np.ndarray:
         """Gradient of the stream that entered block ``first``, taking the
-        blocks' entries off ``tape`` and appending each adapter's operands
-        to ``parts``; a decoder layer also adds the gradient of ``memory``
-        into ``d_memory`` unless that is None."""
-        for block in reversed(self.blocks[first:]):
-            d_out = block.backward(d_out, tape, parts, d_memory)
+        blocks' entries off ``tape`` and handing each adapter's operands to
+        ``hand_in``; a decoder layer also adds the gradient of ``memory``
+        into ``d_memory`` unless that is None. ``below(tape)`` gives the
+        stream that entered block ``first`` once the blocks' entries are
+        off; each block above is handed the output of the block below it,
+        recomputed from that block's entries (``ResidualBlock.output``)."""
+        for index in reversed(range(first, len(self.blocks))):
+            d_out = self.blocks[index].backward(
+                d_out, tape, hand_in, self.blocks[index - 1].output if index > first else below,
+                d_memory)
         return d_out
 
     def parameters(self) -> list[Parameter]:
@@ -799,6 +898,7 @@ class Step:
     _rows: list[slice] = field(repr=False)  # the rows of each of its shards
     _tapes: list[list] | None = field(repr=False)  # one per shard, until backward
     _model: ToyModel = field(repr=False)
+    _keep_inputs: bool = field(default=True, repr=False)  # backward returns adapter inputs
 
     def __iter__(self):
         return iter((self.loss, self.logits))
@@ -1087,16 +1187,20 @@ class ToyModel:
         ``ForwardNeeded`` and writes no gradient.
 
         Each shard of the step runs back on its own tape
-        (``_backward_rows``), taking each entry off once it has used it,
-        and hands back its rows of each adapter's weight-gradient operands.
-        Once every shard has ended, each adapter joins them
-        (``_set_grads``), adapter k on shard k mod n's thread; a lone
-        shard's operands join as they are.
+        (``_backward_rows``), taking each entry off once it has used it.
+        Each attention is handed its input, the output of the block below
+        recomputed from that block's entries; at the bottom of the walk,
+        the prefix's stream through block 0's adapter. Each adapter's
+        backward hands in its rows of its weight-gradient operands, and
+        the adapter joins them as soon as every shard has (``_Joins``), on
+        the thread of a shard that is ahead, or after the round; a lone
+        shard's operands join at once, as they are.
 
         Returns each adapter's joined input, keyed by adapter: the stream
         it read in the step's forward, bit for bit. With one shard, the
         input of a block 0 where the ``Prefix`` ends a stream is a view of
-        the prefix's array.
+        the prefix's array. A training step (``forward_backward``) keeps
+        none, and returns an empty dict.
         """
         if step._model is not self:
             raise InputError("step was run by another model")
@@ -1109,20 +1213,17 @@ class ToyModel:
                                 f"began at layer {prefix.start}")
         if self.lowest_trainable == self.n_layers:
             return {}
-        n = len(tapes)
-        parts: list[list] = [[] for _ in tapes]
-        in_threads([functools.partial(self._backward_rows, prefix, rows, tape, shard_parts)
-                    for rows, tape, shard_parts in zip(step._rows, tapes, parts)])
-        joins = list(zip(*parts))  # per adapter, each shard's (adapter, operands)
-        del parts  # so that each adapter's operands go once it has joined
-        joined = in_threads([functools.partial(_set_grads, joins, k, n)
-                             for k in range(min(n, len(joins)))])
-        return dict(pair for inputs in joined for pair in inputs)
+        inputs = {} if step._keep_inputs else None
+        joins = _Joins(len(tapes), inputs)
+        in_threads([functools.partial(self._backward_rows, prefix, rows, tape, hand_in)
+                    for rows, tape, hand_in in zip(step._rows, tapes, joins.hand_ins())])
+        joins.finish()
+        return {} if inputs is None else inputs
 
-    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, parts: list):
+    def _backward_rows(self, prefix: Prefix, rows: slice, tape: list, hand_in):
         """The backward of rows ``rows`` of the batch, taking every entry
-        off their ``tape``. Each adapter appends its weight gradients'
-        operands to ``parts``."""
+        off their ``tape``. Each adapter hands its weight gradients'
+        operands to ``hand_in``."""
         d = self.out_proj.backward(tape.pop())
         enc_at, dec_at = self._bottoms(prefix.start)
         enc, dec = prefix.enc[rows], prefix.dec[rows]
@@ -1131,16 +1232,21 @@ class ToyModel:
                                        (self.encoder, enc_at, enc, None)):
             if d is None:  # no gradient of the encoder output is needed
                 return
+            bottom = stack[at].blocks[0]
             for index in reversed(range(at, len(stack))):
-                d = stack[index].backward(d, tape, parts, d_memory, 1 if index == at else 0)
-            if stack[at].blocks[0].adapter is not None:
-                stack[at].blocks[0].adapter.backward(d, x, tape.pop(), parts)
+                below = (functools.partial(bottom.output, normed=x) if index == at
+                         else stack[index - 1].blocks[-1].output)
+                d = stack[index].backward(d, tape, hand_in, below, d_memory,
+                                          1 if index == at else 0)
+            if bottom.adapter is not None:
+                bottom.adapter.backward(d, x, tape.pop(), hand_in)
             d = d_enc
 
     def forward_backward(self, source_ids: np.ndarray, target_ids: np.ndarray,
                          prefix: Prefix | None = None) -> float:
         step = self.forward(source_ids, target_ids, prefix)
         step.logits = None  # freed before backward
+        step._keep_inputs = False  # and each adapter's joined input as it joins
         self.backward(step)
         return step.loss
 

@@ -2,7 +2,7 @@
 
 BLAS may round a product differently when its operand shapes change, so
 every fast path that claims bit-identical outputs (row shards, attention's
-k, v and probabilities rebuilt in backward) must keep each product's
+q, k, v and probabilities rebuilt in backward) must keep each product's
 per-slice shape. numpy runs a batched product as one product per batch
 slice, so the shapes BLAS sees are each call's per-slice (m, k, n), as many
 times as the call has slices. A stand-in for the module's ``np`` records them, and these tests
@@ -56,17 +56,21 @@ def recorded():
 def step_ledgers(cfg: ToyConfig, source, target) -> tuple[Counter, Counter, Counter, Counter]:
     """The products of one forward (its prefix included) and of its
     backward, on a model with random adapters; then, counted from the
-    forward's taped attention blocks, their scores products and the k and
-    v projections of their taped key/value inputs."""
+    forward's taped attention blocks, their scores products and their q,
+    k and v projections. A block's key/value input is its query input, or
+    for a cross-attention the taped encoder output."""
     model = ToyModel(cfg)
     model.randomize_adapters(seed=3)
     with recorded() as forward:
         step = model.forward(source, target)
     scores, projections = Counter(), Counter()
-    for q, x_kv, *_ in attention_entries(step):
-        b, h, t_q, d_head = q.shape
-        scores[(t_q, d_head, x_kv.shape[1], q.dtype.name)] += b * h
-        projections[(x_kv.shape[1], cfg.d_model, cfg.d_model, q.dtype.name)] += 2 * b
+    d = cfg.d_model
+    for x_kv, row_max, *_ in attention_entries(step):
+        b, h, t_q, _ = row_max.shape
+        t_kv, dtype = t_q if x_kv is None else x_kv.shape[1], row_max.dtype.name
+        scores[(t_q, d // h, t_kv, dtype)] += b * h
+        projections[(t_q, d, d, dtype)] += b
+        projections[(t_kv, d, d, dtype)] += 2 * b
     with recorded() as backward:
         model.backward(step)
     assert step_shards(model) == {len(step._rows)}
@@ -80,8 +84,8 @@ def test_shards_keep_every_product_shape(adapter_set, rows, source_len, target_l
                                          precision, seed):
     """A step at one row shard and at three (as under ``three_shards``)
     records the same products, slice by slice; backward repeats, per taped
-    attention block, the forward's k and v projection slices to rebuild
-    its k and v, and its scores slices to rebuild its probabilities."""
+    attention block, the forward's q, k and v projection slices to rebuild
+    its q, k and v, and its scores slices to rebuild its probabilities."""
     cfg = ToyConfig(d_model=DIMS.d_model, bottleneck=DIMS.bottleneck,
                     n_encoder_layers=DIMS.n_encoder_layers,
                     n_decoder_layers=DIMS.n_decoder_layers, n_heads=n_heads, vocab_size=16,

@@ -1,11 +1,13 @@
-"""Attention's k, v and probabilities rebuilt in backward.
+"""Attention's inputs, q, k, v and probabilities rebuilt in backward.
 
-A taped attention forward tapes its q, its key/value input and its
-probabilities' row maxima and row sums: not its k, v or probabilities.
-``Attention.backward`` rebuilds k and v from the key/value input, and the
-probabilities from q and k, by the forward's own products and ufuncs. What
-it rebuilds must be the forward's, bit for bit, and a training step must
-peak below what taping k, v and the probabilities cost.
+A taped attention forward tapes its probabilities' row maxima, row sums
+and scale, and a cross-attention its key/value input, the encoder output:
+not its query input, q, k, v or probabilities. Backward hands
+``Attention.backward`` its query input, the output of the block below
+recomputed from that block's entries, and it rebuilds q, k and v from
+its inputs, and the probabilities from q and k, by the forward's own
+products and ufuncs. What it rebuilds must be the forward's, bit for bit,
+and a training step must peak below what taping any of them cost.
 """
 
 import contextlib
@@ -35,9 +37,10 @@ from test_shards import DIMS
 
 
 def attention_entries(step) -> list[tuple]:
-    """The attention entries on the tapes of ``step``: (q, key/value input,
-    row maxima, row sums, scale). A norm tapes a pair, and the other
-    modules an array."""
+    """The attention entries on the tapes of ``step``: (key/value input,
+    row maxima, row sums, scale), the key/value input None for a
+    self-attention, whose query input is its key/value input too. A norm
+    tapes a pair, and the other modules an array."""
     return [entry for tape in step._tapes for entry in tape
             if isinstance(entry, tuple) and len(entry) > 2]
 
@@ -60,12 +63,13 @@ def probabilities():
 
 
 @contextlib.contextmanager
-def keys_values(model):
-    """Each k and v projection output of ``model``'s attention blocks made
-    inside, with the projection that made it."""
-    projections = {id(linear) for layer in (*model.encoder, *model.decoder)
-                   for block in layer.blocks if isinstance(block.sublayer, toymodel.Attention)
-                   for linear in (block.sublayer.k_proj, block.sublayer.v_proj)}
+def projected(model, *names: str):
+    """Each output of the named projections (``q_proj``, ``k_proj``,
+    ``v_proj``) of ``model``'s attention blocks made inside, with the
+    projection that made it."""
+    projections = {id(getattr(block.sublayer, name))
+                   for layer in (*model.encoder, *model.decoder) for block in layer.blocks
+                   if isinstance(block.sublayer, toymodel.Attention) for name in names}
     made = []
     forward = toymodel.Linear.forward
 
@@ -77,6 +81,27 @@ def keys_values(model):
 
     with mock.patch.object(toymodel.Linear, "forward", recording):
         yield made
+
+
+@contextlib.contextmanager
+def query_inputs():
+    """The bytes of the query input each attention's forward and each
+    attention's backward made inside is handed, with the attention, in
+    two lists: forward's and backward's."""
+    forwards, backwards = [], []
+    forward, backward = toymodel.Attention.forward, toymodel.Attention.backward
+
+    def recording_forward(self, x_q, x_kv, tape=None):
+        forwards.append((id(self), x_q.tobytes()))
+        return forward(self, x_q, x_kv, tape)
+
+    def recording_backward(self, d_out, x_q, cache, need_kv=True):
+        backwards.append((id(self), x_q.tobytes()))
+        return backward(self, d_out, x_q, cache, need_kv)
+
+    with mock.patch.object(toymodel.Attention, "forward", recording_forward), \
+            mock.patch.object(toymodel.Attention, "backward", recording_backward):
+        yield forwards, backwards
 
 
 @st.composite
@@ -120,8 +145,9 @@ def test_backward_rebuilds_the_forward_probabilities_bit_for_bit(request, shards
     with probabilities() as forward:
         step = model.forward(source, target)
     entries = attention_entries(step)
-    for q, x_kv, row_max, row_sum, inv_sqrt in entries:
-        assert row_max.shape == row_sum.shape == q.shape[:3] + (1,)
+    for x_kv, row_max, row_sum, inv_sqrt in entries:
+        assert row_max.shape == row_sum.shape == row_max.shape[:3] + (1,)
+        assert row_max.shape[1] == cfg.n_heads
     cached = [a for entry in entries for a in entry if isinstance(a, np.ndarray)]
     before = [a.tobytes() for a in cached]
     with probabilities() as rebuilt:
@@ -139,32 +165,32 @@ def test_backward_rebuilds_the_forward_probabilities_bit_for_bit(request, shards
 @given(cases())
 def test_backward_rebuilds_the_forward_keys_and_values_bit_for_bit(request, shards, precision,
                                                                     case):
-    """Every taped attention block tapes its key/value input, never its k
-    or v, and backward rebuilds each block's k and v once, byte for byte
-    those of its forward, on one row shard and under ``three_shards``.
-    Every cross-attention entry on one shard's tape holds one array, the
-    encoder output; the source and target lengths of ``cases`` differ, so
-    a cross-attention entry is one whose key/value input is not as long
-    as its query."""
+    """Every taped attention block tapes no k or v, and backward rebuilds
+    each block's k and v once, byte for byte those of its forward, on one
+    row shard and under ``three_shards``. Only a cross-attention entry
+    holds a key/value input, and every one on a shard's tape holds the
+    same array, the encoder output."""
     if shards == 3:
         request.getfixturevalue("three_shards")
     cfg, source, target = case
     model = ToyModel(replace(cfg, precision=precision))
     model.randomize_adapters(seed=3)
-    with keys_values(model) as forward:
+    with projected(model, "k_proj", "v_proj") as forward:
         step = model.forward(source, target)
     crosses = 0
     for tape in step._tapes:
         entries = [entry for entry in tape if isinstance(entry, tuple) and len(entry) > 2]
-        for q, x_kv, *_ in entries:
-            assert (x_kv.ndim, x_kv.shape[0], x_kv.shape[2]) == (3, q.shape[0], cfg.d_model)
-        memories = {id(x_kv) for q, x_kv, *_ in entries if x_kv.shape[1] != q.shape[2]}
+        for x_kv, row_max, *_ in entries:
+            if x_kv is not None:
+                assert (x_kv.ndim, x_kv.shape[0], x_kv.shape[2]) == (3, row_max.shape[0],
+                                                                       cfg.d_model)
+        memories = {id(x_kv) for x_kv, *_ in entries if x_kv is not None}
         assert len(memories) <= 1
         crosses += len(memories)
     entries = attention_entries(step)
-    assert not any(np.shares_memory(a, kv) for entry in entries for a in entry[:2]
-                   for _, kv in forward)
-    with keys_values(model) as rebuilt:
+    assert not any(np.shares_memory(a, kv) for entry in entries for a in entry
+                   if isinstance(a, np.ndarray) for _, kv in forward)
+    with projected(model, "k_proj", "v_proj") as rebuilt:
         model.backward(step)
     assert len(rebuilt) == 2 * len(entries) > 0
     made = Counter((id(linear), kv.tobytes()) for linear, kv in forward)
@@ -173,21 +199,55 @@ def test_backward_rebuilds_the_forward_keys_and_values_bit_for_bit(request, shar
     assert step_shards(model) == {min(shards, source.shape[0])}
 
 
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("shards", [1, 3])
+@settings(deadline=None, max_examples=25)
+@given(cases())
+def test_backward_rebuilds_the_forward_query_inputs_and_q_bit_for_bit(request, shards,
+                                                                      precision, case):
+    """Every taped attention block tapes no q and no query input. Backward
+    hands each block's attention the stream that entered the block, the
+    block below's output recomputed from its entries, and rebuilds q from
+    it once: both byte for byte those of the forward, on one row shard and
+    under ``three_shards``. No entry holds an array that shares memory with
+    a q."""
+    if shards == 3:
+        request.getfixturevalue("three_shards")
+    cfg, source, target = case
+    model = ToyModel(replace(cfg, precision=precision))
+    model.randomize_adapters(seed=3)
+    with projected(model, "q_proj") as forward, query_inputs() as (handed, _):
+        step = model.forward(source, target)
+    entries = attention_entries(step)
+    assert not any(np.shares_memory(a, q) for entry in entries for a in entry
+                   if isinstance(a, np.ndarray) for _, q in forward)
+    with projected(model, "q_proj") as rebuilt, query_inputs() as (_, rehanded):
+        model.backward(step)
+    assert len(rebuilt) == len(rehanded) == len(entries) > 0
+    made = Counter((id(linear), q.tobytes()) for linear, q in forward)
+    assert Counter((id(linear), q.tobytes()) for linear, q in rebuilt) <= made
+    assert Counter(rehanded) <= Counter(handed)
+    assert step_shards(model) == {min(shards, source.shape[0])}
+
+
 # Traced peak of ``train_adapters`` (3 Adam steps) on the toy of
 # ``TRACED_PEAK_MB``, with its first adapter set, at batch 8 x 32: 16,384
 # probabilities per attention block. In MB, as this tree gives it on one row
-# shard with numpy 2.4 on Python 3.11; the peak the same step gave while
-# attention taped its k and v; and the peak it gave while attention also
-# taped its probabilities.
-LONG_TRACED_PEAK_MB = 4.01
+# shard with numpy 2.4 on Python 3.11; then the peaks the same step gave
+# while attention taped its q and its key/value input, while it taped its k
+# and v, and while it also taped its probabilities.
+LONG_TRACED_PEAK_MB = 3.22
+Q_TAPED_PEAK_MB = 4.01
 KV_TAPED_PEAK_MB = 5.19
 TAPED_PROBABILITIES_PEAK_MB = 5.55
 
 
 def test_training_at_32_tokens_peaks_below_what_taped_probabilities_cost():
-    """The bound sits below the peaks that taping k and v, and before that
-    the probabilities, gave, by more than ``PEAK_MARGIN`` allows."""
-    assert LONG_TRACED_PEAK_MB * PEAK_MARGIN < KV_TAPED_PEAK_MB < TAPED_PROBABILITIES_PEAK_MB
+    """The bound sits below the peaks that taping q and the query input,
+    before that k and v, and before that the probabilities, gave, by more
+    than ``PEAK_MARGIN`` allows."""
+    assert (LONG_TRACED_PEAK_MB * PEAK_MARGIN < Q_TAPED_PEAK_MB < KV_TAPED_PEAK_MB
+            < TAPED_PROBABILITIES_PEAK_MB)
     model = build_toy_model(ToyConfig(
         d_model=64, bottleneck=16, n_encoder_layers=2, n_decoder_layers=2, n_heads=2,
         vocab_size=64, max_len=32, seed=6, adapter_set=TRACED_PEAK_MB[0][0]))

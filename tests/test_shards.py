@@ -10,9 +10,12 @@ errors surface in the caller.
 
 import contextlib
 import contextvars
+import gc
 import os
 import sys
 import threading
+import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -330,3 +333,68 @@ def test_a_failed_sharded_backward_leaks_nothing_into_the_next():
     with host(cpus=1):
         model.theta_grad[...] = np.nan
         assert (model.forward_backward(source, target), model.theta_grad.tobytes()) == want
+
+
+@st.composite
+def arrivals(draw):
+    """A pause before each hand-in of each of three shards, from a yield
+    to a millisecond, and at times a (shard, hand-in) at which that shard
+    raises instead."""
+    pauses = st.lists(st.sampled_from([0.0, 0.0001, 0.001]), min_size=8, max_size=8)
+    schedule = draw(st.lists(pauses, min_size=3, max_size=3))
+    failure = draw(st.none() | st.tuples(st.integers(0, 2), st.integers(0, 7)))
+    return schedule, failure
+
+
+@pytest.mark.usefixtures("three_shards")
+@settings(deadline=None, max_examples=30)
+@given(arrivals())
+def test_any_arrival_order_joins_as_one_shard(arrival):
+    """Under ``three_shards``, each shard pauses before each of its 8
+    hand-ins as drawn, so the shards reach each adapter in any order: every
+    gradient and every returned input is byte for byte the one-shard one.
+    A shard that raises at a hand-in re-raises through ``in_threads``,
+    and once the error is dropped no join of that backward, nor any
+    operand handed in to it, is left alive. The interpreter switches
+    threads every 10 us meanwhile, so the shards also interleave inside a
+    hand-in."""
+    schedule, failure = arrival
+    cfg = config(AdapterSet.full(DIMS))
+    source, target = batch(6)
+    with host(cpus=1):
+        reference = ToyModel(cfg)
+        reference.randomize_adapters(seed=3)
+        joined = reference.backward(reference.forward(source, target))
+        want = reference.theta_grad.tobytes(), [joined[a].tobytes()
+                                                for _, _, a in reference.adapters()]
+    model = ToyModel(cfg)
+    model.randomize_adapters(seed=3)
+    hand_in, handed, alive = toymodel._Joins.hand_in, [0, 0, 0], []
+
+    def scheduled(self, shard, adapter, operands):
+        count, handed[shard] = handed[shard], handed[shard] + 1
+        alive.extend(weakref.ref(a) for a in (self, *operands))
+        if (shard, count) == failure:
+            raise ValueError("shard failed")
+        time.sleep(schedule[shard][count])
+        return hand_in(self, shard, adapter, operands)
+
+    step = model.forward(source, target)
+    model.theta_grad[...] = np.nan
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(toymodel._Joins, "hand_in", scheduled):
+            joined = model.backward(step)
+    except ValueError:
+        assert failure is not None
+    else:
+        assert failure is None and handed == [8, 8, 8]
+        got = model.theta_grad.tobytes(), [joined[a].tobytes() for _, _, a in model.adapters()]
+        assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+    del step, joined
+    gc.collect()
+    assert alive and not any(ref() is not None for ref in alive)
+    assert step_shards(model) == {3}

@@ -83,37 +83,42 @@ def batch():
 
 def full_forward(model, source, target):
     """The loss of a forward that runs and tapes every layer, as before
-    prefixes, with the logits gradient, the encoder output's shape and the
-    tape that ``full_backward`` needs."""
+    prefixes, with the logits gradient, each stack's embedded input and
+    the tape that ``full_backward`` needs."""
 
     def embed(ids):
         return model.tok_emb.value[ids] + model.pos_emb.value[: ids.shape[1]][None, :, :]
 
     tape = []
-    enc = embed(source)
+    enc = enc_in = embed(source)
     for layer in model.encoder:
         enc = layer.forward(enc, tape=tape)
-    dec = embed(np.concatenate([np.full((len(target), 1), BOS_ID), target[:, :-1]], axis=1))
+    dec = dec_in = embed(np.concatenate([np.full((len(target), 1), BOS_ID), target[:, :-1]],
+                                        axis=1))
     for layer in model.decoder:
         dec = layer.forward(dec, enc, tape)
     loss, d_logits = softmax_cross_entropy(model.out_proj.forward(dec), target)
-    return loss, d_logits, enc.shape, tape
+    return loss, d_logits, enc_in, dec_in, tape
 
 
-def full_backward(model, d_logits, enc_shape, tape):
+def full_backward(model, d_logits, enc_in, dec_in, tape):
     """The reverse pass through every layer, as before truncation, after
-    ``full_forward``; each adapter's weight gradients are set from the
-    operands its backward hands back."""
+    ``full_forward``. Each layer is handed the stream below it: the layer
+    below's output, recomputed from its last block's entries, and at the
+    bottom of each stack its embedded input. Each adapter's weight
+    gradients are set from the operands its backward hands in."""
     d = model.out_proj.backward(d_logits)
-    d_enc_total = np.zeros(enc_shape, dtype=d_logits.dtype)
-    parts = []
-    for layer in reversed(model.decoder):
-        d = layer.backward(d, tape, parts, d_enc_total)
-    d = d_enc_total
-    for layer in reversed(model.encoder):
-        d = layer.backward(d, tape, parts)
-    for adapter, operands in parts:
+    d_enc_total = np.zeros(enc_in.shape, dtype=d_logits.dtype)
+
+    def hand_in(adapter, operands):
         adapter.set_grads(*operands)
+
+    for stack, stack_in, d_memory in ((model.decoder, dec_in, d_enc_total),
+                                      (model.encoder, enc_in, None)):
+        for index in reversed(range(len(stack))):
+            below = stack[index - 1].blocks[-1].output if index else lambda tape: stack_in
+            d = stack[index].backward(d, tape, hand_in, below, d_memory)
+        d = d_enc_total
 
 
 def reference_train(model, source, target, cfg: TrainConfig):
