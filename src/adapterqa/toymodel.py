@@ -19,10 +19,11 @@ bytes of one that draws it. The cache saves time only where one process
 builds a seed and sizes more than once. It keeps only the last base drawn:
 it outlives its last model, and holds its memory (at most one base, within
 ``check_toy_size``'s bound) until a toy of another seed or size is built.
-Biases and the norms' gamma and beta are each model's own. Up-projections
-start at zero, making a freshly built adapted model bit-identical to its
-adapter-free twin. The per-model tensors are made in float64 and cast
-once, at the end of ``ToyModel.__init__``.
+Each frozen bias, gamma and beta starts as shared read-only zeros or ones
+(``_constant``), and its op is skipped while it still is that array
+(``Linear``, ``LayerNorm``). Up-projections start at zero, making a freshly
+built adapted model bit-identical to its adapter-free twin. The adapters
+are made in float64 and cast once, by their copy into ``theta``.
 
 The trainable state is two flat vectors of the model's dtype,
 ``ToyModel.theta`` and ``ToyModel.theta_grad``, laid out in
@@ -69,7 +70,8 @@ logit, read before the array is exponentiated in place, less the log of
 its row's sum, and the exponentials become the logits gradient. The
 large elementwise tails (bias adds, the norm, the attention softmax, the
 rectifier, the residual gradient sums) write into an array their own step
-made, never into an input. Each keeps its ufuncs and operands, at most
+made, never into an input, so never into a tape either: an identity norm
+hands on its taped array. Each keeps its ufuncs and operands, at most
 swapping the two sides of a ``+`` or ``*``, so every value is unchanged.
 
 Every step allocates its arrays anew, and so does every copy forward of
@@ -241,6 +243,15 @@ def _future_mask(t: int) -> np.ndarray:
     mask = np.triu(np.ones((t, t), dtype=bool), 1)
     mask.flags.writeable = False
     return mask
+
+
+@functools.lru_cache(maxsize=16)
+def _constant(n: int, dtype: np.dtype, fill: float) -> np.ndarray:
+    """The read-only length-``n`` array of ``fill``, shared by every frozen
+    bias, gamma or beta of that width and dtype."""
+    value = np.full(n, fill, dtype)
+    value.flags.writeable = False
+    return value
 
 
 def _join(parts: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
@@ -465,15 +476,21 @@ class Parameter:
 
 
 class Linear:
-    """Frozen affine map; backward yields only the input gradient."""
+    """Frozen affine map; backward yields only the input gradient. The bias
+    defaults to the shared zero (``_constant``), and forward skips its add
+    while ``b.value`` is that array: ``x + 0.0`` differs only at ``-0.0``, a
+    signed zero that reaches no loss, as every divisor and log argument is
+    positive."""
 
-    def __init__(self, name: str, w: np.ndarray, b: np.ndarray):
+    def __init__(self, name: str, w: np.ndarray, b: np.ndarray | None = None):
+        self._zero = _constant(w.shape[1], w.dtype, 0.0)
         self.w = Parameter(f"{name}.w", w)
-        self.b = Parameter(f"{name}.b", b)
+        self.b = Parameter(f"{name}.b", self._zero if b is None else b)
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.matmul(x, self.w.value, out=out)
-        y += self.b.value
+        if self.b.value is not self._zero:
+            y += self.b.value
         return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -484,9 +501,16 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, name: str, d: int):
-        self.gamma = Parameter(f"{name}.gamma", np.ones(d))
-        self.beta = Parameter(f"{name}.beta", np.zeros(d))
+    """Layer norm, then ``* gamma + beta``. gamma and beta start as the
+    shared ones and zeros (``_constant``), and each op is skipped while its
+    tensor is that array (exact: ``x * 1.0`` is ``x``; ``Linear`` has
+    ``+ 0.0``), so an identity norm outputs the very array it tapes."""
+
+    def __init__(self, name: str, d: int, dtype: type = np.float64):
+        dtype = np.dtype(dtype)
+        self._one, self._zero = _constant(d, dtype, 1.0), _constant(d, dtype, 0.0)
+        self.gamma = Parameter(f"{name}.gamma", self._one)
+        self.beta = Parameter(f"{name}.beta", self._zero)
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         xhat = x - _row_mean(x)
@@ -499,23 +523,27 @@ class LayerNorm:
 
     def output(self, cache: tuple) -> np.ndarray:
         """The output of the forward that taped ``cache``, recomputed from
-        it by the same two ufuncs on the same operands: bit-identical."""
+        it by the same ufuncs on the same operands: bit-identical."""
         return self._affine(cache[0])
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        y = np.multiply(xhat, self.gamma.value, out=out)
-        y += self.beta.value
+        """``xhat * gamma + beta``, skipping each identity op."""
+        y = xhat
+        if self.gamma.value is not self._one:
+            y = out = np.multiply(y, self.gamma.value, out=out)
+        if self.beta.value is not self._zero:
+            y = np.add(y, self.beta.value, out=out)
         return y
 
     def backward(self, d_out: np.ndarray, cache: tuple) -> np.ndarray:
         """inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)),
-        written in place into ``d_xhat``."""
+        d_xhat = d_out * gamma, in a new array: never into ``d_out``."""
         xhat, inv_std = cache
-        d_xhat = d_out * self.gamma.value
+        d_xhat = d_out if self.gamma.value is self._one else d_out * self.gamma.value
         mean_d = _row_mean(d_xhat)
         scratch = d_xhat * xhat
         mean_dx = _row_mean(scratch)
-        d_xhat -= mean_d
+        d_xhat = d_xhat - mean_d
         d_xhat -= np.multiply(xhat, mean_dx, out=scratch)
         d_xhat *= inv_std
         return d_xhat
@@ -535,7 +563,7 @@ class Attention:
                  causal: bool = False):
         """``weights`` are the q, k, v and output projections' matrices."""
         self.q_proj, self.k_proj, self.v_proj, self.o_proj = (
-            Linear(f"{name}.{suffix}", w, np.zeros(w.shape[1]))
+            Linear(f"{name}.{suffix}", w)
             for suffix, w in zip(("w_q", "w_k", "w_v", "w_o"), weights, strict=True))
         self.n_heads = n_heads
         self.d_head = weights[0].shape[0] // n_heads
@@ -641,8 +669,8 @@ class Attention:
 
 class FeedForward:
     def __init__(self, name: str, w_in: np.ndarray, w_out: np.ndarray):
-        self.lin_in = Linear(f"{name}.w_in", w_in, np.zeros(w_in.shape[1]))
-        self.lin_out = Linear(f"{name}.w_out", w_out, np.zeros(w_out.shape[1]))
+        self.lin_in = Linear(f"{name}.w_in", w_in)
+        self.lin_out = Linear(f"{name}.w_out", w_out)
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         pre = self.lin_in.forward(x)
@@ -811,7 +839,8 @@ class Layer:
         decoder = bool(cross_attn)
 
         def block(sublayer: Attention | FeedForward, norm: str, cross: bool = False):
-            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", cfg.d_model), cross)
+            return ResidualBlock(sublayer, LayerNorm(f"{name}.{norm}", cfg.d_model, cfg.dtype()),
+                                 cross)
 
         return cls(name, [
             block(Attention(f"{name}.self_attn", cfg.n_heads, self_attn, causal=decoder),
@@ -1001,7 +1030,7 @@ class ToyModel:
         self.pos_emb = Parameter("embed.positions", positions)
         self.encoder = [Layer.build(f"encoder.{i}", cfg, w) for i, w in enumerate(encoder)]
         self.decoder = [Layer.build(f"decoder.{i}", cfg, w) for i, w in enumerate(decoder)]
-        self.out_proj = Linear("output", output, np.zeros(cfg.vocab_size))
+        self.out_proj = Linear("output", output)
         self.dims = ModelDims(cfg.d_model, cfg.bottleneck, cfg.n_encoder_layers,
                               cfg.n_decoder_layers, adapters_per_layer=2,
                               base_total_params=cfg.base_parameters())
@@ -1021,11 +1050,8 @@ class ToyModel:
         # Index of the lowest layer with a trainable tensor; n_layers when
         # nothing is trainable.
         self.lowest_trainable = min(active, default=self.n_layers)
-        # The one cast of the biases, norms and adapters, made in float64 (a
-        # no-op in double precision, and for the base, cast once when drawn).
-        for param in self.parameters():
-            param.value = param.value.astype(dtype, copy=False)
-        # Each trainable tensor and its gradient views the two flat vectors.
+        # Each trainable tensor and its gradient views the two flat vectors;
+        # the copy into theta is the adapters' one cast.
         trainable = self.trainable_parameters()
         self.theta = np.zeros(sum(p.value.size for p in trainable), dtype)
         self.theta_grad = np.zeros_like(self.theta)
@@ -1299,7 +1325,8 @@ def build_toy_model(cfg: ToyConfig) -> ToyModel:
     """Build the model deterministically; ``ToyModel`` checks ``cfg``.
     Models of one seed and sizes share one read-only frozen base, drawn
     by the first of them; the last base drawn stays cached after its
-    models are gone, until a toy of another seed or size is built."""
+    models are gone, until a toy of another seed or size is built. The
+    identity biases and norms are skipped, exactly (``Linear``)."""
     return ToyModel(cfg)
 
 

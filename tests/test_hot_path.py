@@ -325,14 +325,15 @@ def test_each_adapter_input_is_recomputed_bit_for_bit(adapter_set, precision):
     then one from the default prefix, then one from layer 0 again, so
     neither a stale norm cache nor a stale prefix array is read. The norms
     get random scales and shifts first, so a norm's output differs from
-    its normalized input."""
+    its normalized input. Each is bound to an array of its own, since the
+    identity it starts as is shared and read-only."""
     model = build_single(adapter_set) if precision == "single" else build(adapter_set)
     model.randomize_adapters(seed=7)
     rng = np.random.default_rng(9)
     for layer in [*model.encoder, *model.decoder]:
         for block in layer.blocks:
             for param in block.norm.parameters():
-                param.value[...] = rng.standard_normal(param.value.shape)
+                param.value = rng.standard_normal(param.value.shape).astype(param.value.dtype)
     source, target = batch()
     prefix = model.prefix(source, target, 0)
     forward = AdapterModule.forward

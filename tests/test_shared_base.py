@@ -1,8 +1,9 @@
 """The frozen base one seed and one set of sizes share.
 
 ``ToyModel`` takes its frozen matrices from ``toymodel._frozen_base``,
-which draws them once, read-only, and keeps the last base it drew. A
-build that finds its base there (warm) must give the model a build that
+which draws them once, read-only, and keeps the last base it drew; its
+biases and the norms' gamma and beta are shared read-only constants too.
+A build that finds its base there (warm) must give the model a build that
 draws it (cold) gives, byte for byte, whatever was built in between.
 """
 
@@ -88,25 +89,25 @@ def test_a_warm_build_equals_a_cold_build_byte_for_byte(cfg, other, same_base):
 
 
 def test_two_live_models_of_one_seed_hold_one_read_only_base():
-    """Models of one seed and sizes share every drawn matrix, whatever
-    their adapters, bottleneck and heads; each holds biases and norms of
-    its own. A drawn matrix refuses an in-place write."""
-    cfg = ToyConfig(seed=4)
-    one = ToyModel(cfg)
-    two = ToyModel(replace(cfg, bottleneck=3, n_heads=4, adapter_set=AdapterSet.of([1], [])))
-    assert len(drawn(one)) == 2 + 6 * cfg.n_encoder_layers + 10 * cfg.n_decoder_layers + 1
-    assert all(a is b for a, b in zip(drawn(one), drawn(two), strict=True))
-    shared = {id(a) for a in drawn(one)}
-    for a, b in zip(frozen(one), frozen(two), strict=True):
-        if id(a) not in shared:
-            assert a is not b and a.flags.writeable
-    for w in drawn(one):
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[...] = 0.0
-        with pytest.raises(ValueError):
-            w += 1.0
-    assert ToyModel(replace(cfg, seed=5)).tok_emb.value is not one.tok_emb.value
+    """Models of one seed and sizes share every frozen tensor, the drawn
+    matrices and the biases and norms' gamma and beta alike, whatever their
+    adapters, bottleneck and heads; each is of the model's dtype and
+    refuses an in-place write, in both precisions."""
+    for precision in ("double", "single"):
+        cfg = ToyConfig(seed=4, precision=precision)
+        one = ToyModel(cfg)
+        two = ToyModel(replace(cfg, bottleneck=3, n_heads=4, adapter_set=AdapterSet.of([1], [])))
+        assert len(drawn(one)) == 2 + 6 * cfg.n_encoder_layers + 10 * cfg.n_decoder_layers + 1
+        assert len(frozen(one)) == 2 * len(drawn(one)) - 2 + (
+            4 * cfg.n_encoder_layers + 6 * cfg.n_decoder_layers)
+        assert all(a is b for a, b in zip(frozen(one), frozen(two), strict=True))
+        for w in frozen(one):
+            assert w.dtype == cfg.dtype() and not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[...] = 0.0
+            with pytest.raises(ValueError):
+                w += 1.0
+        assert ToyModel(replace(cfg, seed=5)).tok_emb.value is not one.tok_emb.value
 
 
 def test_the_cache_holds_at_most_one_base():

@@ -273,7 +273,9 @@ def test_nothing_trainable_diverges_as_at_step_0(monkeypatch):
     step 0 raises, after one forward, whose step is gone with the raise."""
     forwards = count_forwards(monkeypatch)
     model = build(AdapterSet.empty())
-    model.out_proj.b.value[0] = np.nan
+    bias = model.out_proj.b.value.copy()
+    bias[0] = np.nan
+    model.out_proj.b.value = bias
     with pytest.raises(Divergence, match="^loss became non-finite at step 0$"):
         train_adapters(model, *batch(), TrainConfig(steps=3))
     assert len(forwards) == 1
